@@ -1,4 +1,4 @@
-"""Bruhat order and weak (prefix) order on the symmetric group.
+"""Bruhat order on the symmetric group.
 
 Bruhat comparison uses prefix value-set dominance: v <= w exactly when,
 for every i, the i smallest values among v_1..v_i are componentwise at
@@ -12,7 +12,7 @@ import functools
 from bisect import insort
 from dataclasses import dataclass
 
-from .permutations import Permutation, symmetric_group
+from .permutations import Permutation
 
 DEFAULT_RANK_BOUND = 12
 
@@ -73,16 +73,6 @@ def bruhat_covers_up(w: Permutation) -> list[Permutation]:
     return list(_covers_up(w))
 
 
-def prefix_leq(v: Permutation, w: Permutation) -> bool:
-    """Weak (prefix) order: lengths add across w = v * (v.inverse() * w).
-
-    Holds exactly when v is a left prefix of some reduced word of w.
-    """
-    if v.degree != w.degree:
-        raise ValueError(f"degree mismatch: {v.degree} vs {w.degree}")
-    return v.length() + (v.inverse() * w).length() == w.length()
-
-
 @dataclass(frozen=True)
 class BruhatInterval:
     """The full interval [identity, top] with its internal cover relations.
@@ -101,9 +91,10 @@ def build_interval(w: Permutation, rank_bound: int = DEFAULT_RANK_BOUND) -> Bruh
     """Construct the interval from the identity up to w.
 
     Refuses when length(w) exceeds ``rank_bound`` (the element count can
-    reach 2**length).  Small degrees filter the whole symmetric group;
-    larger degrees grow the interval upward from the identity through
-    cover relations, pruned by the Bruhat test against w.
+    reach 2**length).  The interval grows upward from the identity through
+    cover relations, keeping each cover that passes the Bruhat test
+    against w.  Every u <= w is reached, because a chain of covers from
+    the identity up to u stays below w.
 
     >>> iv = build_interval(Permutation((2, 1, 4, 3)))
     >>> len(iv.elements), len(iv.covers)
@@ -115,21 +106,17 @@ def build_interval(w: Permutation, rank_bound: int = DEFAULT_RANK_BOUND) -> Bruh
             f"interval rank {rank} exceeds bound {rank_bound}; "
             "pass a larger rank_bound explicitly"
         )
-    n = w.degree
-    if n <= 8:
-        elements = {u for u in symmetric_group(n) if bruhat_leq(u, w)}
-    else:
-        e = Permutation.identity(n)
-        elements = {e}
-        frontier = [e]
-        while frontier:
-            grown: list[Permutation] = []
-            for u in frontier:
-                for c in _covers_up(u):
-                    if c not in elements and bruhat_leq(c, w):
-                        elements.add(c)
-                        grown.append(c)
-            frontier = grown
+    e = Permutation.identity(w.degree)
+    elements = {e}
+    frontier = [e]
+    while frontier:
+        grown: list[Permutation] = []
+        for u in frontier:
+            for c in _covers_up(u):
+                if c not in elements and bruhat_leq(c, w):
+                    elements.add(c)
+                    grown.append(c)
+        frontier = grown
     covers = [
         (u, c) for u in elements for c in _covers_up(u) if c in elements
     ]

@@ -21,16 +21,17 @@ import math
 import time
 import warnings
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 from .divisibility import is_divisible, witness_text
 from .permutations import (
     Permutation,
+    _contains_any,
     contains_pattern,
     first_pattern_occurrence,
     longest_parabolic,
-    relative_order,
     symmetric_group,
 )
 from .reduced_words import (
@@ -161,16 +162,6 @@ def _catalog_onelines() -> frozenset[tuple[int, ...]]:
     return frozenset(p.oneline for p in catalog().all)
 
 
-def _hits_catalog(oneline: tuple[int, ...]) -> bool:
-    if len(oneline) < 5:
-        return False
-    targets = _catalog_onelines()
-    for picked in itertools.combinations(oneline, 5):
-        if relative_order(picked) in targets:
-            return True
-    return False
-
-
 def is_spherical(w: Permutation, backend: str = "pattern") -> bool:
     """Classify w with one of the four equivalent backends.
 
@@ -180,7 +171,7 @@ def is_spherical(w: Permutation, backend: str = "pattern") -> bool:
     False
     """
     if backend == "pattern":
-        return not _hits_catalog(w.oneline)
+        return not _contains_any(w.oneline, _catalog_onelines())
     if backend == "boolean_quotient":
         return is_boolean_by_words(parabolic_quotient(w))
     if backend == "divisibility":
@@ -334,7 +325,7 @@ def _scan(
         try:
             with ProcessPoolExecutor(max_workers=len(chunks)) as pool:
                 results = list(pool.map(_scan_chunk, chunks))
-        except (OSError, PermissionError) as err:
+        except (OSError, BrokenProcessPool) as err:
             warnings.warn(f"process pool unavailable ({err}); scanning serially")
             results = [_scan_chunk(c) for c in chunks]
     total = sum(r[0] for r in results)

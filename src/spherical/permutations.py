@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import AbstractSet, Iterable, Iterator, NamedTuple, Sequence
 
 
 @dataclass(frozen=True, order=True)
@@ -139,22 +139,16 @@ class Permutation:
         >>> sorted(Permutation((2, 3, 1)).left_descents())
         [1]
         """
-        n = self.degree
-        pos = [0] * (n + 1)
-        for p, v in enumerate(self.oneline):
-            pos[v] = p
-        members = frozenset(i for i in range(1, n) if pos[i + 1] < pos[i])
-        return GeneratorSet(n, members)
+        return GeneratorSet(self.degree, frozenset(_left_descents(self.oneline)))
 
-    def value_window(self, a: int, b: int) -> frozenset[int]:
-        """The set of values {w_a, ..., w_b} for 1 <= a <= b <= n.
 
-        >>> sorted(Permutation((3, 4, 1, 2)).value_window(1, 2))
-        [3, 4]
-        """
-        if not 1 <= a <= b <= self.degree:
-            raise ValueError(f"bad window [{a}, {b}] for degree {self.degree}")
-        return frozenset(self.oneline[a - 1 : b])
+def _left_descents(word: tuple[int, ...]) -> list[int]:
+    # Indices i, ascending, whose value i+1 sits left of the value i.
+    n = len(word)
+    pos = [0] * (n + 1)
+    for p, v in enumerate(word):
+        pos[v] = p
+    return [i for i in range(1, n) if pos[i + 1] < pos[i]]
 
 
 @dataclass(frozen=True)
@@ -228,24 +222,6 @@ def longest_parabolic(gens: GeneratorSet) -> Permutation:
             out.extend(range(i, start - 1, -1))
             start = i + 1
     return Permutation(tuple(out))
-
-
-def dominates(lower: Iterable[int], upper: Iterable[int]) -> bool:
-    """Componentwise order on equal-size value sets.
-
-    True when, after sorting both ascending, every element of ``lower`` is
-    at most the corresponding element of ``upper``.
-
-    >>> dominates({1, 2}, {1, 3})
-    True
-    >>> dominates({2, 3}, {1, 3})
-    False
-    """
-    a = sorted(lower)
-    b = sorted(upper)
-    if len(a) != len(b):
-        raise ValueError(f"cardinality mismatch: {len(a)} vs {len(b)}")
-    return all(x <= y for x, y in zip(a, b))
 
 
 def relative_order(values: Sequence[int]) -> tuple[int, ...]:
@@ -337,13 +313,20 @@ def avoids_all(w: Permutation, patterns: Iterable[Permutation]) -> bool:
     """
     by_degree: dict[int, set[tuple[int, ...]]] = {}
     for p in patterns:
-        if p.degree <= w.degree:
-            by_degree.setdefault(p.degree, set()).add(p.oneline)
-    for k, targets in by_degree.items():
-        for picked in itertools.combinations(w.oneline, k):
-            if relative_order(picked) in targets:
-                return False
-    return True
+        by_degree.setdefault(p.degree, set()).add(p.oneline)
+    return not any(_contains_any(w.oneline, t) for t in by_degree.values())
+
+
+def _contains_any(
+    host: tuple[int, ...], targets: AbstractSet[tuple[int, ...]]
+) -> bool:
+    # Rank every value subset against patterns that share one degree; a
+    # host shorter than that degree has no subsets and contains nothing.
+    k = len(next(iter(targets)))
+    for picked in itertools.combinations(host, k):
+        if relative_order(picked) in targets:
+            return True
+    return False
 
 
 def symmetric_group(n: int) -> Iterator[Permutation]:

@@ -12,17 +12,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .permutations import GeneratorSet, Permutation
+from .permutations import GeneratorSet, Permutation, _left_descents
 
 WORD_ESTIMATE_LIMIT = 10_000_000
-
-
-def _descents(word: tuple[int, ...]) -> list[int]:
-    n = len(word)
-    pos = [0] * (n + 1)
-    for i, v in enumerate(word):
-        pos[v] = i
-    return [i for i in range(1, n) if pos[i + 1] < pos[i]]
 
 
 def _swap_values(word: tuple[int, ...], i: int) -> tuple[int, ...]:
@@ -32,17 +24,36 @@ def _swap_values(word: tuple[int, ...], i: int) -> tuple[int, ...]:
     )
 
 
-def _probe_word_count(word: tuple[int, ...]) -> int:
-    # Product of descent counts along one greedy path; a rough size probe,
-    # not a bound in either direction.
-    est = 1
-    u = word
-    ds = _descents(u)
-    while ds:
-        est *= len(ds)
-        u = _swap_values(u, ds[0])
-        ds = _descents(u)
-    return est
+def _reduced_word_count(word: tuple[int, ...], cap: int) -> int:
+    # Exact count over the weak-order ideal below ``word``: the reduced
+    # words of u number the sum, over left descents i, of those of s_i * u.
+    # Counts saturate at ``cap``, so a huge element stops the walk as soon
+    # as one partial sum reaches it.  An explicit stack keeps long elements
+    # clear of the recursion limit.
+    def frame(
+        u: tuple[int, ...],
+    ) -> tuple[tuple[int, ...], list[tuple[int, ...]]]:
+        return u, [_swap_values(u, i) for i in _left_descents(u)]
+
+    counts: dict[tuple[int, ...], int] = {}
+    stack = [frame(word)]
+    while stack:
+        u, below = stack[-1]
+        total = 0 if below else 1
+        pending = None
+        for c in below:
+            if c not in counts:
+                pending = c
+                break
+            total += counts[c]
+            if total >= cap:
+                break
+        if pending is None:
+            counts[u] = min(total, cap)
+            stack.pop()
+        else:
+            stack.append(frame(pending))
+    return counts[word]
 
 
 def enumerate_reduced_words(
@@ -50,9 +61,9 @@ def enumerate_reduced_words(
 ) -> list[tuple[int, ...]]:
     """All reduced words of w, in lexicographic order (up to ``limit``).
 
-    Without a limit the call refuses outright when a probe estimates more
-    than 10**7 words, instead of hanging; pass an explicit limit to
-    enumerate anyway.
+    Without a limit the call refuses outright when w has more than 10**7
+    reduced words, instead of hanging; pass an explicit limit to enumerate
+    anyway.
 
     >>> enumerate_reduced_words(Permutation((3, 2, 1)))
     [(1, 2, 1), (2, 1, 2)]
@@ -64,17 +75,17 @@ def enumerate_reduced_words(
     if limit == 0:
         return []
     if limit is None:
-        est = _probe_word_count(w.oneline)
-        if est > WORD_ESTIMATE_LIMIT:
+        count = _reduced_word_count(w.oneline, WORD_ESTIMATE_LIMIT + 1)
+        if count > WORD_ESTIMATE_LIMIT:
             raise ValueError(
-                f"probe estimates roughly {est} reduced words; "
+                f"{w} has more than {WORD_ESTIMATE_LIMIT} reduced words; "
                 "pass limit= to enumerate anyway"
             )
     words: list[tuple[int, ...]] = []
     prefix: list[int] = []
 
     def walk(u: tuple[int, ...]) -> bool:
-        ds = _descents(u)
+        ds = _left_descents(u)
         if not ds:
             words.append(tuple(prefix))
             return limit is None or len(words) < limit
@@ -122,7 +133,7 @@ def repetition_free_word(w: Permutation) -> tuple[int, ...] | None:
     def walk(
         u: tuple[int, ...], used: frozenset[int], prefix: tuple[int, ...]
     ) -> tuple[int, ...] | None:
-        ds = _descents(u)
+        ds = _left_descents(u)
         if not ds:
             return prefix
         for i in ds:
@@ -145,12 +156,6 @@ def is_boolean_by_words(w: Permutation) -> bool:
     False
     """
     return repetition_free_word(w) is not None
-
-
-def dynkin_components(gens: GeneratorSet) -> list[GeneratorSet]:
-    """Connected components of the generators inside the type-A diagram,
-    i.e. maximal runs of consecutive indices."""
-    return gens.components()
 
 
 @dataclass(frozen=True)
@@ -211,7 +216,7 @@ def spherical_witness_word(
     def walk(
         u: tuple[int, ...], left: tuple[int, ...], prefix: tuple[int, ...]
     ) -> tuple[int, ...] | None:
-        ds = _descents(u)
+        ds = _left_descents(u)
         if not ds:
             return prefix
         key = (u, left)

@@ -1,4 +1,5 @@
 import math
+from concurrent.futures.process import BrokenProcessPool
 
 import pytest
 
@@ -174,6 +175,26 @@ class TestCrossCheck:
         serial = cross_check(5)
         parallel = cross_check(5, jobs=3)
         assert serial == parallel
+
+    def test_broken_pool_falls_back_to_serial(self, monkeypatch):
+        class CrashingPool:
+            def __init__(self, max_workers):
+                pass
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                raise BrokenProcessPool("a worker died")
+
+        serial = cross_check(5)
+        monkeypatch.setattr("spherical.classify.ProcessPoolExecutor", CrashingPool)
+        with pytest.warns(UserWarning, match="scanning serially"):
+            fallback = cross_check(5, jobs=3)
+        assert fallback == serial
 
     def test_report_serialization(self):
         report = cross_check(4)

@@ -1,7 +1,9 @@
 import json
 
+import pytest
+
 from spherical.cli import main
-from spherical.permutations import Permutation
+from spherical.permutations import Permutation, symmetric_group
 
 
 def run_cli(capsys, *argv):
@@ -206,6 +208,15 @@ class TestReducedWords:
 
     def test_refusal_is_usage_error(self, capsys):
         status, out, err = run_cli(capsys, "reduced-words", "7654321")
+        assert status == 2
+        assert out == ""
+        assert "limit" in err
+
+    @pytest.mark.parametrize(
+        "w", [w for w in symmetric_group(7) if w.length() == 20], ids=str
+    )
+    def test_refuses_elements_just_below_the_longest(self, capsys, w):
+        status, out, err = run_cli(capsys, "reduced-words", str(w))
         assert status == 2
         assert out == ""
         assert "limit" in err

@@ -8,7 +8,6 @@ from spherical.permutations import (
     Permutation,
     avoids_all,
     contains_pattern,
-    dominates,
     first_pattern_occurrence,
     longest_parabolic,
     pattern_occurrences,
@@ -174,32 +173,6 @@ class TestDescentsAndParabolics:
                             x < y for x, y in zip(chain, chain[1:])
                         )
                         assert (v_inv(b) < v_inv(a)) == increasing
-
-
-class TestValueWindows:
-    def test_value_window(self):
-        w = Permutation((3, 4, 1, 2))
-        assert w.value_window(1, 2) == frozenset({3, 4})
-        assert Permutation.identity(4).value_window(1, 3) == frozenset({1, 2, 3})
-        assert Permutation((2, 3, 1)).value_window(1, 3) == frozenset({1, 2, 3})
-
-    @pytest.mark.parametrize("a,b", [(0, 2), (3, 2), (1, 5)])
-    def test_value_window_bad_bounds(self, a, b):
-        with pytest.raises(ValueError):
-            Permutation((3, 4, 1, 2)).value_window(a, b)
-
-    def test_dominates(self):
-        assert dominates({1, 2}, {1, 3})
-        assert dominates({2, 4}, {2, 4})
-        assert not dominates({2, 3}, {1, 3})
-
-    def test_dominates_cardinality_mismatch(self):
-        with pytest.raises(ValueError):
-            dominates({1}, {1, 2})
-
-    @given(st.sets(st.integers(min_value=1, max_value=30), min_size=1, max_size=8))
-    def test_dominates_reflexive(self, values):
-        assert dominates(values, values)
 
 
 class TestPatterns:

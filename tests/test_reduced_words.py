@@ -12,7 +12,7 @@ from spherical.permutations import (
 )
 from spherical.reduced_words import (
     SphericalBudget,
-    dynkin_components,
+    _reduced_word_count,
     enumerate_reduced_words,
     is_boolean_by_words,
     is_spherical_by_definition,
@@ -24,6 +24,11 @@ from spherical.reduced_words import (
 )
 
 from oracles import generator_sequence_products
+
+
+# The six elements of S_7 one step below the longest; each has between
+# 141,892,608 and 214,988,800 reduced words.
+NEAR_LONGEST_S7 = [w for w in symmetric_group(7) if w.length() == 20]
 
 
 class TestEnumeration:
@@ -49,6 +54,11 @@ class TestEnumeration:
             enumerate_reduced_words(w0)
         assert len(enumerate_reduced_words(w0, limit=3)) == 3
 
+    @pytest.mark.parametrize("w", NEAR_LONGEST_S7, ids=str)
+    def test_refuses_elements_just_below_the_longest(self, w):
+        with pytest.raises(ValueError, match="limit"):
+            enumerate_reduced_words(w)
+
     def test_words_multiply_back_exhaustive(self):
         for n in range(1, 5):
             for w in symmetric_group(n):
@@ -63,6 +73,8 @@ class TestEnumeration:
         w0 = Permutation((5, 4, 3, 2, 1))
         words = enumerate_reduced_words(w0)
         assert len(words) == 768
+        assert _reduced_word_count(w0.oneline, 10**9) == 768
+        assert _reduced_word_count(w0.oneline, 100) == 100
         assert all(word_to_permutation(word, 5) == w0 for word in words[:50])
 
     def test_counts_match_sequence_oracle_up_to_degree_five(self):
@@ -74,6 +86,7 @@ class TestEnumeration:
                 counter = generator_sequence_products(n, length)
                 for w in group:
                     assert len(enumerate_reduced_words(w)) == counter[w.oneline]
+                    assert _reduced_word_count(w.oneline, 10**9) == counter[w.oneline]
 
 
 class TestWordHelpers:
@@ -124,10 +137,10 @@ class TestBooleanByWords:
 
 class TestComponents:
     def test_examples(self):
-        comps = dynkin_components(GeneratorSet(6, frozenset({1, 2, 4})))
+        comps = GeneratorSet(6, frozenset({1, 2, 4})).components()
         assert [sorted(c) for c in comps] == [[1, 2], [4]]
-        assert dynkin_components(GeneratorSet(6)) == []
-        comps = dynkin_components(GeneratorSet(6, frozenset({1, 3, 5})))
+        assert GeneratorSet(6).components() == []
+        comps = GeneratorSet(6, frozenset({1, 3, 5})).components()
         assert [sorted(c) for c in comps] == [[1], [3], [5]]
 
 
