@@ -8,6 +8,9 @@ Four interchangeable backends decide the same predicate:
 * ``divisibility``      -- the pair (w0(J(w)), w) is not divisible
 * ``definition``        -- some reduced word of w fits the generator budgets
 
+``_DECIDERS`` maps each backend name to a function of the raw one-line
+tuple, which ``is_spherical`` and the scan loop call; ``explain`` builds
+witnesses through the public functions.
 ``cross_check`` runs several backends over a whole symmetric group and
 reports any disagreement; ``density_table`` tabulates spherical counts
 per degree.
@@ -18,6 +21,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import os
 import time
 import warnings
 from concurrent.futures import ProcessPoolExecutor
@@ -25,24 +29,24 @@ from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
-from .divisibility import is_divisible, witness_text
+from .divisibility import _first_witness, is_divisible, witness_text
 from .permutations import (
     Permutation,
     _contains_any,
+    _left_descents,
+    _longest_parabolic,
     contains_pattern,
     first_pattern_occurrence,
     longest_parabolic,
     symmetric_group,
 )
 from .reduced_words import (
-    is_boolean_by_words,
-    is_spherical_by_definition,
+    _repetition_free_word,
+    _spherical_witness_word,
     repetition_free_word,
     spherical_witness_word,
     word_to_text,
 )
-
-BACKENDS = ("pattern", "boolean_quotient", "divisibility", "definition")
 
 DEFAULT_CROSSCHECK_BOUND = 7
 DEFINITION_CROSSCHECK_BOUND = 6
@@ -93,7 +97,17 @@ def _raw_catalog() -> PatternCatalog:
 
 def parabolic_quotient(w: Permutation) -> Permutation:
     """The product w0(J(w)) * w, with J(w) the left descent set of w."""
-    return longest_parabolic(w.left_descents()) * w
+    return Permutation(_quotient(w.oneline))
+
+
+def _longest_below(word: tuple[int, ...]) -> tuple[int, ...]:
+    # w0(J(w)): the longest element generated by the left descents of w.
+    return _longest_parabolic(len(word), set(_left_descents(word)))
+
+
+def _quotient(word: tuple[int, ...]) -> tuple[int, ...]:
+    v = _longest_below(word)
+    return tuple(v[j - 1] for j in word)
 
 
 def _position_test_321(p: Permutation) -> bool:
@@ -162,6 +176,20 @@ def _catalog_onelines() -> frozenset[tuple[int, ...]]:
     return frozenset(p.oneline for p in catalog().all)
 
 
+_DECIDERS = {
+    "pattern": lambda word: not _contains_any(word, _catalog_onelines()),
+    "boolean_quotient": lambda word: _repetition_free_word(_quotient(word)) is not None,
+    "divisibility": lambda word: _first_witness(_longest_below(word), word) is None,
+    "definition": lambda word: _spherical_witness_word(word) is not None,
+}
+BACKENDS = tuple(_DECIDERS)
+
+
+def _check_backend(backend: str) -> None:
+    if backend not in _DECIDERS:
+        raise ValueError(f"unknown backend {backend!r}; expected one of {BACKENDS}")
+
+
 def is_spherical(w: Permutation, backend: str = "pattern") -> bool:
     """Classify w with one of the four equivalent backends.
 
@@ -170,19 +198,13 @@ def is_spherical(w: Permutation, backend: str = "pattern") -> bool:
     >>> is_spherical(Permutation.from_text("24531"), "definition")
     False
     """
-    if backend == "pattern":
-        return not _contains_any(w.oneline, _catalog_onelines())
-    if backend == "boolean_quotient":
-        return is_boolean_by_words(parabolic_quotient(w))
-    if backend == "divisibility":
-        return is_divisible(longest_parabolic(w.left_descents()), w) is None
-    if backend == "definition":
-        return is_spherical_by_definition(w)
-    raise ValueError(f"unknown backend {backend!r}; expected one of {BACKENDS}")
+    _check_backend(backend)
+    return _DECIDERS[backend](w.oneline)
 
 
 def explain(w: Permutation, backend: str) -> str:
     """A one-line witness for the backend's verdict on w."""
+    _check_backend(backend)
     if backend == "pattern":
         for p in catalog().all:
             if p.degree > w.degree:
@@ -202,12 +224,10 @@ def explain(w: Permutation, backend: str) -> str:
         v = longest_parabolic(w.left_descents())
         witness = is_divisible(v, w)
         return f"({v}, {w}) divisibility witness {witness_text(witness)}"
-    if backend == "definition":
-        word = spherical_witness_word(w)
-        if word is None:
-            return "no reduced word fits the generator budgets"
-        return f"reduced word {word_to_text(word)} fits the generator budgets"
-    raise ValueError(f"unknown backend {backend!r}; expected one of {BACKENDS}")
+    word = spherical_witness_word(w)  # the definition backend
+    if word is None:
+        return "no reduced word fits the generator budgets"
+    return f"reduced word {word_to_text(word)} fits the generator budgets"
 
 
 class Disagreement(NamedTuple):
@@ -295,9 +315,9 @@ def _scan_chunk(
     stream = itertools.islice(
         itertools.permutations(range(1, n + 1)), start, stop
     )
+    deciders = [_DECIDERS[b] for b in backends]
     for word in stream:
-        w = Permutation(word)
-        verdicts = tuple(is_spherical(w, b) for b in backends)
+        verdicts = tuple(decide(word) for decide in deciders)
         total += 1
         if verdicts[0]:
             spherical += 1
@@ -322,8 +342,9 @@ def _scan(
     if len(chunks) == 1:
         results = [_scan_chunk(chunks[0])]
     else:
+        workers = min(len(chunks), os.cpu_count() or 1)
         try:
-            with ProcessPoolExecutor(max_workers=len(chunks)) as pool:
+            with ProcessPoolExecutor(max_workers=workers) as pool:
                 results = list(pool.map(_scan_chunk, chunks))
         except (OSError, BrokenProcessPool) as err:
             warnings.warn(f"process pool unavailable ({err}); scanning serially")
@@ -355,8 +376,7 @@ def cross_check(
         raise ValueError("degree must be at least 1")
     names = tuple(backends)
     for b in names:
-        if b not in BACKENDS:
-            raise ValueError(f"unknown backend {b!r}; expected one of {BACKENDS}")
+        _check_backend(b)
     if len(set(names)) < 2:
         raise ValueError("cross_check needs at least two distinct backends")
     bound = (
@@ -429,11 +449,11 @@ def estimate_seconds(
         raise ValueError("degree must be at least 1")
     total = math.factorial(n)
     k = min(sample, total)
-    names = tuple(backends)
+    if not backends:
+        raise ValueError("estimate_seconds needs at least one backend")
+    for b in backends:
+        _check_backend(b)
     start = time.perf_counter()
-    for word in itertools.islice(itertools.permutations(range(1, n + 1)), k):
-        w = Permutation(word)
-        for b in names:
-            is_spherical(w, b)
+    _scan_chunk((n, 0, k, tuple(backends)))
     elapsed = time.perf_counter() - start
     return elapsed * (total / k)

@@ -156,13 +156,13 @@ def _cmd_crosscheck(ns: argparse.Namespace) -> tuple[int, str]:
         raise CLIError("--n must be at least 1")
     backends = _resolve_backend_names([t for t in ns.backends.split(",") if t])
     jobs = _resolve_jobs(ns.jobs)
-    if ns.force:
-        secs = estimate_seconds(ns.n, backends)
-        print(
-            f"estimated {secs:.1f}s for {math.factorial(ns.n)} permutations",
-            file=sys.stderr,
-        )
     try:
+        if ns.force:
+            secs = estimate_seconds(ns.n, backends)
+            print(
+                f"estimated {secs:.1f}s for {math.factorial(ns.n)} permutations",
+                file=sys.stderr,
+            )
         report = cross_check(ns.n, backends, force=ns.force, jobs=jobs)
     except ValueError as err:
         raise CLIError(str(err)) from None

@@ -74,10 +74,14 @@ def is_divisible(v: Permutation, w: Permutation) -> DivisibilityWitness | None:
     """
     if v.degree != w.degree:
         raise ValueError(f"degree mismatch: {v.degree} vs {w.degree}")
+    return _first_witness(v.oneline, w.oneline)
+
+
+def _first_witness(v: tuple[int, ...], w: tuple[int, ...]) -> DivisibilityWitness | None:
     seen_v: set[int] = set()
     seen_w: set[int] = set()
     shared = 0
-    for i, (a, b) in enumerate(zip(v.oneline, w.oneline), start=1):
+    for i, (a, b) in enumerate(zip(v, w), start=1):
         if a == b:
             shared += 1
         else:

@@ -124,14 +124,7 @@ class Permutation:
     def length(self) -> int:
         """Number of inversions, which is the minimal word length in the
         adjacent transpositions."""
-        word = self.oneline
-        n = len(word)
-        return sum(
-            1
-            for i in range(n)
-            for j in range(i + 1, n)
-            if word[i] > word[j]
-        )
+        return _length(self.oneline)
 
     def left_descents(self) -> "GeneratorSet":
         """Generators s_i whose value i+1 appears before the value i.
@@ -140,6 +133,10 @@ class Permutation:
         [1]
         """
         return GeneratorSet(self.degree, frozenset(_left_descents(self.oneline)))
+
+
+def _length(word: tuple[int, ...]) -> int:
+    return sum(a > b for i, a in enumerate(word) for b in word[i + 1 :])
 
 
 def _left_descents(word: tuple[int, ...]) -> list[int]:
@@ -182,26 +179,6 @@ class GeneratorSet:
     def __contains__(self, i: int) -> bool:
         return i in self.members
 
-    def __bool__(self) -> bool:
-        return bool(self.members)
-
-    def components(self) -> list["GeneratorSet"]:
-        """Maximal runs of consecutive indices (the type-A diagram is a path).
-
-        >>> [sorted(c) for c in GeneratorSet(6, frozenset({1, 2, 4})).components()]
-        [[1, 2], [4]]
-        """
-        out: list[GeneratorSet] = []
-        run: list[int] = []
-        for i in sorted(self.members):
-            if run and i != run[-1] + 1:
-                out.append(GeneratorSet(self.degree, frozenset(run)))
-                run = []
-            run.append(i)
-        if run:
-            out.append(GeneratorSet(self.degree, frozenset(run)))
-        return out
-
 
 def longest_parabolic(gens: GeneratorSet) -> Permutation:
     """Longest element of the subgroup generated by ``gens``.
@@ -214,14 +191,17 @@ def longest_parabolic(gens: GeneratorSet) -> Permutation:
     >>> str(longest_parabolic(GeneratorSet(4)))
     '1234'
     """
-    n = gens.degree
+    return Permutation(_longest_parabolic(gens.degree, gens.members))
+
+
+def _longest_parabolic(n: int, gens: AbstractSet[int]) -> tuple[int, ...]:
     out: list[int] = []
     start = 1
     for i in range(1, n + 1):
         if i == n or i not in gens:
             out.extend(range(i, start - 1, -1))
             start = i + 1
-    return Permutation(tuple(out))
+    return tuple(out)
 
 
 def relative_order(values: Sequence[int]) -> tuple[int, ...]:

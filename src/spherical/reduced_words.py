@@ -4,15 +4,15 @@ Words are tuples of generator indices; the word (i1, ..., il) stands for
 the product s_{i1} * s_{i2} * ... * s_{il} in the package's composition
 convention (rightmost factor acts first).  Enumeration works from the left:
 the first letter of any reduced word of w is a left descent of w, and
-stripping it leaves a shorter permutation.
+stripping it leaves a shorter permutation.  The generator budgets of the
+``definition`` search are computed by ``_budget``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
-from .permutations import GeneratorSet, Permutation, _left_descents
+from .permutations import Permutation, _left_descents, _length
 
 WORD_ESTIMATE_LIMIT = 10_000_000
 
@@ -81,23 +81,33 @@ def enumerate_reduced_words(
                 f"{w} has more than {WORD_ESTIMATE_LIMIT} reduced words; "
                 "pass limit= to enumerate anyway"
             )
+    # Depth-first over left descents, ascending, so words come out in
+    # lexicographic order; an explicit stack keeps long elements clear of
+    # the recursion limit.  ``prefix`` holds the letters leading to the
+    # top frame.
+    first = _left_descents(w.oneline)
+    if not first:
+        return [()]
     words: list[tuple[int, ...]] = []
     prefix: list[int] = []
-
-    def walk(u: tuple[int, ...]) -> bool:
-        ds = _left_descents(u)
-        if not ds:
-            words.append(tuple(prefix))
-            return limit is None or len(words) < limit
-        for i in ds:
-            prefix.append(i)
-            more = walk(_swap_values(u, i))
-            prefix.pop()
-            if not more:
-                return False
-        return True
-
-    walk(w.oneline)
+    stack = [(w.oneline, iter(first))]
+    while stack:
+        u, todo = stack[-1]
+        i = next(todo, None)
+        if i is None:
+            stack.pop()
+            del prefix[-1:]
+            continue
+        prefix.append(i)
+        v = _swap_values(u, i)
+        ds = _left_descents(v)
+        if ds:
+            stack.append((v, iter(ds)))
+            continue
+        words.append(tuple(prefix))
+        prefix.pop()
+        if limit is not None and len(words) >= limit:
+            break
     return words
 
 
@@ -127,24 +137,32 @@ def word_is_repetition_free(letters: Sequence[int]) -> bool:
 
 def repetition_free_word(w: Permutation) -> tuple[int, ...] | None:
     """A reduced word of w that repeats no generator, if one exists."""
-    if w.length() > w.degree - 1:
+    return _repetition_free_word(w.oneline)
+
+
+def _repetition_free_word(word: tuple[int, ...]) -> tuple[int, ...] | None:
+    # Depth-first over left descents not used yet, with an explicit stack.
+    if _length(word) > len(word) - 1:
         return None  # a repetition-free word has at most n-1 letters
-
-    def walk(
-        u: tuple[int, ...], used: frozenset[int], prefix: tuple[int, ...]
-    ) -> tuple[int, ...] | None:
-        ds = _left_descents(u)
-        if not ds:
-            return prefix
-        for i in ds:
-            if i in used:
-                continue
-            got = walk(_swap_values(u, i), used | {i}, prefix + (i,))
-            if got is not None:
-                return got
-        return None
-
-    return walk(w.oneline, frozenset(), ())
+    first = _left_descents(word)
+    if not first:
+        return ()
+    prefix: list[int] = []
+    stack = [(word, iter(first))]
+    while stack:
+        u, todo = stack[-1]
+        i = next(todo, None)
+        if i is None:
+            stack.pop()
+            del prefix[-1:]
+        elif i not in prefix:
+            prefix.append(i)
+            v = _swap_values(u, i)
+            ds = _left_descents(v)
+            if not ds:
+                return tuple(prefix)
+            stack.append((v, iter(ds)))
+    return None
 
 
 def is_boolean_by_words(w: Permutation) -> bool:
@@ -158,87 +176,65 @@ def is_boolean_by_words(w: Permutation) -> bool:
     return repetition_free_word(w) is not None
 
 
-@dataclass(frozen=True)
-class SphericalBudget:
-    """Letter allowances for the budgeted reduced-word search.
-
-    Each generator outside the left descent set may be used at most once;
-    the generators of one descent component C share a pool of
-    c(c+1)/2 + c uses for a run of c consecutive indices, which equals
-    the length of the component's longest element plus its size.
-    """
-
-    degree: int
-    singleton_caps: frozenset[int]
-    component_caps: tuple[tuple[frozenset[int], int], ...]
-
-    @classmethod
-    def from_descents(cls, descents: GeneratorSet) -> "SphericalBudget":
-        caps = []
-        for comp in descents.components():
-            c = len(comp)
-            caps.append((comp.members, c * (c + 1) // 2 + c))
-        outside = frozenset(range(1, descents.degree)) - descents.members
-        return cls(descents.degree, outside, tuple(caps))
-
-    def slots(self) -> tuple[dict[int, int], list[int]]:
-        """Generator-to-pool map plus the initial allowance of each pool."""
-        slot_of: dict[int, int] = {}
-        caps: list[int] = []
-        for members, cap in self.component_caps:
-            idx = len(caps)
-            caps.append(cap)
-            for g in members:
-                slot_of[g] = idx
-        for g in sorted(self.singleton_caps):
-            slot_of[g] = len(caps)
-            caps.append(1)
-        return slot_of, caps
+def _budget(word: tuple[int, ...]) -> tuple[dict[int, int], list[int]]:
+    # Generator-to-pool map and the allowance of each pool.  A generator
+    # outside the left descent set has a pool of one use; a run of c
+    # consecutive descents shares a pool of c(c+1)/2 + c uses, the length
+    # of the run's longest element plus its size.
+    descents = set(_left_descents(word))
+    slot_of: dict[int, int] = {}
+    runs: list[int] = []  # descent-run sizes; 0 for a non-descent
+    for g in range(1, len(word)):
+        if g in descents and g - 1 in descents:
+            runs[-1] += 1
+        else:
+            runs.append(1 if g in descents else 0)
+        slot_of[g] = len(runs) - 1
+    return slot_of, [c * (c + 1) // 2 + c if c else 1 for c in runs]
 
 
-def spherical_witness_word(
-    w: Permutation, *, descent_order: str = "ascending"
-) -> tuple[int, ...] | None:
+def spherical_witness_word(w: Permutation) -> tuple[int, ...] | None:
     """A reduced word of w that stays within the budgets, if any exists.
 
-    The search walks left descents depth-first, decrementing the budget
-    pool of each chosen letter and pruning exhausted branches.  States that
-    failed once are memoized.  ``descent_order`` controls which descent is
-    tried first; the verdict is independent of it.
+    The search walks left descents depth-first, ascending, decrementing
+    the budget pool of each chosen letter and pruning exhausted branches.
+    States that failed once are memoized.
     """
-    if descent_order not in ("ascending", "descending"):
-        raise ValueError(f"bad descent_order {descent_order!r}")
-    flip = descent_order == "descending"
-    budget = SphericalBudget.from_descents(w.left_descents())
-    slot_of, caps = budget.slots()
+    return _spherical_witness_word(w.oneline)
+
+
+def _spherical_witness_word(word: tuple[int, ...]) -> tuple[int, ...] | None:
+    # Frames hold a state (element, pools left) and its untried letters;
+    # an explicit stack keeps long elements clear of the recursion limit.
+    first = _left_descents(word)
+    if not first:
+        return ()
+    slot_of, caps = _budget(word)
     dead: set[tuple[tuple[int, ...], tuple[int, ...]]] = set()
-
-    def walk(
-        u: tuple[int, ...], left: tuple[int, ...], prefix: tuple[int, ...]
-    ) -> tuple[int, ...] | None:
-        ds = _left_descents(u)
+    prefix: list[int] = []
+    stack = [((word, tuple(caps)), iter(first))]
+    while stack:
+        (u, left), todo = stack[-1]
+        i = next(todo, None)
+        if i is None:
+            dead.add(stack.pop()[0])
+            del prefix[-1:]
+            continue
+        s = slot_of[i]
+        if left[s] == 0:
+            continue
+        v = _swap_values(u, i)
+        ds = _left_descents(v)
         if not ds:
-            return prefix
-        key = (u, left)
-        if key in dead:
-            return None
-        for i in reversed(ds) if flip else ds:
-            s = slot_of[i]
-            if left[s] == 0:
-                continue
-            nxt = left[:s] + (left[s] - 1,) + left[s + 1 :]
-            got = walk(_swap_values(u, i), nxt, prefix + (i,))
-            if got is not None:
-                return got
-        dead.add(key)
-        return None
-
-    return walk(w.oneline, tuple(caps), ())
+            return (*prefix, i)
+        state = (v, left[:s] + (left[s] - 1,) + left[s + 1 :])
+        if state not in dead:
+            prefix.append(i)
+            stack.append((state, iter(ds)))
+    return None
 
 
-def is_spherical_by_definition(
-    w: Permutation, *, descent_order: str = "ascending"
-) -> bool:
+def is_spherical_by_definition(w: Permutation) -> bool:
     """True when some reduced word of w satisfies both budget rules:
     single use outside the descent set, pooled caps inside each component.
 
@@ -247,4 +243,4 @@ def is_spherical_by_definition(
     >>> is_spherical_by_definition(Permutation((2, 4, 5, 3, 1)))
     False
     """
-    return spherical_witness_word(w, descent_order=descent_order) is not None
+    return spherical_witness_word(w) is not None

@@ -2,6 +2,7 @@ import math
 from concurrent.futures.process import BrokenProcessPool
 
 import pytest
+from hypothesis import given, strategies as st
 
 from spherical.classify import (
     BACKENDS,
@@ -22,8 +23,36 @@ from spherical.permutations import (
     Permutation,
     avoids_all,
     contains_pattern,
+    longest_parabolic,
     symmetric_group,
 )
+
+
+@st.composite
+def block_sums(draw, degrees):
+    # Direct sum of random blocks of degree at most 5.  Every catalog
+    # pattern is sum-indecomposable, so the sum is spherical exactly when
+    # its blocks are, which most small blocks are: both verdicts occur.
+    n = draw(degrees)
+    out: list[int] = []
+    while len(out) < n:
+        shift = len(out)
+        k = draw(st.integers(1, min(5, n - shift)))
+        out.extend(v + shift for v in draw(st.permutations(range(1, k + 1))))
+    return Permutation(tuple(out))
+
+
+def uniform(degrees):
+    return degrees.flatmap(
+        lambda n: st.permutations(range(1, n + 1)).map(
+            lambda values: Permutation(tuple(values))
+        )
+    )
+
+
+def assert_backends_agree(w, backends):
+    verdicts = {b: is_spherical(w, b) for b in backends}
+    assert len(set(verdicts.values())) == 1, (str(w), verdicts)
 
 
 class TestCatalog:
@@ -106,6 +135,41 @@ class TestBackends:
                     assert contains_pattern(q, base3412) or contains_pattern(
                         q, base321
                     )
+
+
+class TestRandomPastDegreeEight:
+    FAST = ("pattern", "boolean_quotient", "divisibility")
+
+    @given(uniform(st.integers(9, 12)))
+    def test_uniform(self, w):
+        assert_backends_agree(w, self.FAST)
+
+    @given(block_sums(st.integers(9, 12)))
+    def test_block_sums(self, w):
+        assert_backends_agree(w, self.FAST)
+
+    @given(st.one_of(uniform(st.just(9)), block_sums(st.just(9))))
+    def test_definition_at_degree_nine(self, w):
+        assert_backends_agree(w, BACKENDS)
+
+
+class TestTuplePath:
+    def test_quotient_equals_public_product(self):
+        for n in range(1, 8):
+            for w in symmetric_group(n):
+                assert parabolic_quotient(w) == longest_parabolic(w.left_descents()) * w
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_explain_agrees_with_verdict(self, backend):
+        says_spherical = {
+            "pattern": lambda text: text.startswith("avoids"),
+            "boolean_quotient": lambda text: " has repetition-free " in text,
+            "divisibility": lambda text: text.endswith("witness none"),
+            "definition": lambda text: text.startswith("reduced word "),
+        }[backend]
+        for n in range(1, 7):
+            for w in symmetric_group(n):
+                assert says_spherical(explain(w, backend)) == is_spherical(w, backend)
 
 
 class TestExplain:
@@ -195,6 +259,32 @@ class TestCrossCheck:
         with pytest.warns(UserWarning, match="scanning serially"):
             fallback = cross_check(5, jobs=3)
         assert fallback == serial
+
+    @pytest.mark.parametrize(
+        "jobs, cpus, workers", [(3, 8, 3), (30, 2, 2), (30, None, 1)]
+    )
+    def test_workers_capped_at_cpu_count(self, monkeypatch, jobs, cpus, workers):
+        # one chunk per job, but never more worker processes than CPUs
+        seen = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                seen.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        serial = cross_check(5)
+        monkeypatch.setattr("spherical.classify.ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr("spherical.classify.os.cpu_count", lambda: cpus)
+        assert cross_check(5, jobs=jobs) == serial
+        assert seen == [workers]
 
     def test_report_serialization(self):
         report = cross_check(4)

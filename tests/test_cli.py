@@ -45,6 +45,33 @@ class TestClassify:
         assert err.strip()
 
 
+# Inputs whose searches run about a thousand letters deep: the cycle
+# 2,3,...,1100,1 (length 1099, one reduced word) and the longest element
+# of S_60 (length 1770).
+CYCLE_1100 = ",".join(str(v) for v in [*range(2, 1101), 1])
+LONGEST_S60 = ",".join(str(v) for v in range(60, 0, -1))
+
+
+class TestDeepInputs:
+    @pytest.mark.parametrize(
+        "perm, flag",
+        [
+            (LONGEST_S60, "definition"),
+            (CYCLE_1100, "boolean"),
+            (CYCLE_1100, "definition"),
+        ],
+        ids=["longest-S60-definition", "cycle-1100-boolean", "cycle-1100-definition"],
+    )
+    def test_classify(self, capsys, perm, flag):
+        status, out, err = run_cli(capsys, "classify", perm, f"--backend={flag}")
+        assert (status, out, err) == (0, "spherical\n", "")
+
+    def test_reduced_words(self, capsys):
+        status, out, err = run_cli(capsys, "reduced-words", CYCLE_1100)
+        assert status == 0 and err == ""
+        assert out == "[" + ",".join(str(i) for i in range(1, 1100)) + "]\n"
+
+
 class TestCrosscheck:
     def test_degree_five_summary(self, capsys):
         status, out, _ = run_cli(capsys, "crosscheck", "--n=5")
@@ -71,6 +98,14 @@ class TestCrosscheck:
         status, out, err = run_cli(capsys, "crosscheck", "--n=0", "--force")
         assert status == 2
         assert out == ""
+
+    def test_no_backends_is_usage_error_with_force(self, capsys):
+        status, out, err = run_cli(
+            capsys, "crosscheck", "--n=4", "--backends=,", "--force"
+        )
+        assert status == 2
+        assert out == ""
+        assert "backend" in err
 
     def test_force_prints_estimate_to_stderr(self, capsys):
         status, out, err = run_cli(

@@ -11,7 +11,7 @@ from spherical.permutations import (
     symmetric_group,
 )
 from spherical.reduced_words import (
-    SphericalBudget,
+    _budget,
     _reduced_word_count,
     enumerate_reduced_words,
     is_boolean_by_words,
@@ -135,13 +135,12 @@ class TestBooleanByWords:
                     )
 
 
-class TestComponents:
-    def test_examples(self):
-        comps = GeneratorSet(6, frozenset({1, 2, 4})).components()
-        assert [sorted(c) for c in comps] == [[1, 2], [4]]
-        assert GeneratorSet(6).components() == []
-        comps = GeneratorSet(6, frozenset({1, 3, 5})).components()
-        assert [sorted(c) for c in comps] == [[1], [3], [5]]
+def pools(slot_of):
+    # Generators grouped by the budget pool they draw on, keyed by pool.
+    out = {}
+    for g in sorted(slot_of):
+        out.setdefault(slot_of[g], []).append(g)
+    return out
 
 
 class TestBudgets:
@@ -150,21 +149,33 @@ class TestBudgets:
             for size in range(n):
                 for members in itertools.combinations(range(1, n), size):
                     gens = GeneratorSet(n, frozenset(members))
-                    budget = SphericalBudget.from_descents(gens)
-                    assert budget.singleton_caps == (
-                        frozenset(range(1, n)) - gens.members
-                    )
-                    for comp_members, cap in budget.component_caps:
-                        comp = GeneratorSet(n, comp_members)
-                        c = len(comp_members)
+                    # w0(J) has left descent set exactly J
+                    slot_of, caps = _budget(longest_parabolic(gens).oneline)
+                    by_pool = pools(slot_of)
+                    singletons = {
+                        g
+                        for g, s in slot_of.items()
+                        if by_pool[s] == [g] and caps[s] == 1
+                    }
+                    assert singletons == frozenset(range(1, n)) - gens.members
+                    runs = [
+                        [g for _, g in run]
+                        for _, run in itertools.groupby(
+                            enumerate(members), lambda t: t[1] - t[0]
+                        )
+                    ]
+                    for run in runs:
+                        assert by_pool[slot_of[run[0]]] == run
+                        comp = GeneratorSet(n, frozenset(run))
+                        c = len(run)
+                        cap = caps[slot_of[run[0]]]
                         assert cap == c * (c + 1) // 2 + c
                         assert cap == longest_parabolic(comp).length() + c
 
     def test_slots_cover_every_generator(self):
-        budget = SphericalBudget.from_descents(
-            GeneratorSet(6, frozenset({1, 2, 4}))
+        slot_of, caps = _budget(
+            longest_parabolic(GeneratorSet(6, frozenset({1, 2, 4}))).oneline
         )
-        slot_of, caps = budget.slots()
         assert set(slot_of) == {1, 2, 3, 4, 5}
         assert slot_of[1] == slot_of[2] != slot_of[4]
         assert caps[slot_of[1]] == 5 and caps[slot_of[4]] == 2
@@ -184,31 +195,17 @@ class TestDefinitionSearch:
                 continue
             assert word_to_permutation(word, 5) == w
             assert len(word) == w.length()
-            budget = SphericalBudget.from_descents(w.left_descents())
-            slot_of, caps = budget.slots()
+            slot_of, caps = _budget(w.oneline)
             used = [0] * len(caps)
             for letter in word:
                 used[slot_of[letter]] += 1
             assert all(u <= c for u, c in zip(used, caps))
 
-    def test_descent_order_does_not_change_verdict(self):
-        for w in symmetric_group(5):
-            asc = is_spherical_by_definition(w, descent_order="ascending")
-            desc = is_spherical_by_definition(w, descent_order="descending")
-            assert asc == desc
-
-    def test_rejects_unknown_order(self):
-        with pytest.raises(ValueError):
-            is_spherical_by_definition(
-                Permutation.identity(3), descent_order="sideways"
-            )
-
     @given(st.permutations(list(range(1, 7))))
     def test_budget_search_agrees_with_unbudgeted_word_scan(self, values):
         # independently check the search by filtering a full enumeration
         w = Permutation(tuple(values))
-        budget = SphericalBudget.from_descents(w.left_descents())
-        slot_of, caps = budget.slots()
+        slot_of, caps = _budget(w.oneline)
 
         def fits(word):
             used = [0] * len(caps)
