@@ -13,7 +13,9 @@ tuple, which ``is_spherical`` and the scan loop call; ``explain`` builds
 witnesses through the public functions.
 ``cross_check`` runs several backends over a whole symmetric group and
 reports any disagreement; ``density_table`` tabulates spherical counts
-per degree.
+per degree.  Both scan S_n in blocks by first value, which joined in order
+give the lexicographic stream; ``jobs`` only sets how many worker
+processes share the blocks.
 """
 
 from __future__ import annotations
@@ -306,17 +308,18 @@ class CrossCheckReport:
 
 
 def _scan_chunk(
-    args: tuple[int, int, int, tuple[str, ...]]
+    args: tuple[int, tuple[int, ...], tuple[str, ...]]
 ) -> tuple[int, int, list[tuple[tuple[int, ...], tuple[bool, ...]]]]:
-    n, start, stop, backends = args
+    # One block of S_n: the words that start with ``head``, in
+    # lexicographic order.
+    n, head, backends = args
     total = 0
     spherical = 0
     bad: list[tuple[tuple[int, ...], tuple[bool, ...]]] = []
-    stream = itertools.islice(
-        itertools.permutations(range(1, n + 1)), start, stop
-    )
+    rest = [v for v in range(1, n + 1) if v not in head]
     deciders = [_DECIDERS[b] for b in backends]
-    for word in stream:
+    for tail in itertools.permutations(rest):
+        word = head + tail
         verdicts = tuple(decide(word) for decide in deciders)
         total += 1
         if verdicts[0]:
@@ -327,32 +330,20 @@ def _scan_chunk(
 
 
 def _scan(
-    n: int, backends: tuple[str, ...], jobs: int
-) -> tuple[int, int, list[tuple[tuple[int, ...], tuple[bool, ...]]]]:
-    size = math.factorial(n)
-    jobs = max(1, jobs)
-    if jobs == 1 or size < 4 * jobs:
-        chunks = [(n, 0, size, backends)]
-    else:
-        step = -(-size // jobs)
-        chunks = [
-            (n, start, min(start + step, size), backends)
-            for start in range(0, size, step)
-        ]
-    if len(chunks) == 1:
-        results = [_scan_chunk(chunks[0])]
-    else:
-        workers = min(len(chunks), os.cpu_count() or 1)
-        try:
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                results = list(pool.map(_scan_chunk, chunks))
-        except (OSError, BrokenProcessPool) as err:
-            warnings.warn(f"process pool unavailable ({err}); scanning serially")
-            results = [_scan_chunk(c) for c in chunks]
-    total = sum(r[0] for r in results)
-    spherical = sum(r[1] for r in results)
-    bad = [item for r in results for item in r[2]]
-    return total, spherical, bad
+    chunks: list[tuple[int, tuple[int, ...], tuple[str, ...]]], jobs: int
+) -> list[tuple[int, int, list[tuple[tuple[int, ...], tuple[bool, ...]]]]]:
+    """Scan every chunk, on at most ``jobs`` worker processes; the results
+    come back in chunk order."""
+    size = sum(math.factorial(n - len(head)) for n, head, _ in chunks)
+    workers = min(jobs, len(chunks), os.cpu_count() or 1)
+    if workers < 2 or size < 4 * jobs:
+        return [_scan_chunk(c) for c in chunks]
+    try:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            return list(pool.map(_scan_chunk, chunks))
+    except (OSError, BrokenProcessPool) as err:
+        warnings.warn(f"process pool unavailable ({err}); scanning serially")
+        return [_scan_chunk(c) for c in chunks]
 
 
 def cross_check(
@@ -389,7 +380,10 @@ def cross_check(
             f"degree {n} exceeds the exhaustive bound {bound} for backends "
             f"{names}; pass force=True to run anyway"
         )
-    total, spherical, bad = _scan(n, names, jobs)
+    # S_n in blocks by first value: joined in order they give the
+    # lexicographic stream, so disagreements keep their order.
+    results = _scan([(n, (first,), names) for first in range(1, n + 1)], jobs)
+    bad = [item for _, _, block_bad in results for item in block_bad]
     reported = []
     for word, verdicts in bad[:MAX_REPORTED_DISAGREEMENTS]:
         w = Permutation(word)
@@ -397,8 +391,8 @@ def cross_check(
         reported.append(Disagreement(w, verdicts, witnesses))
     return CrossCheckReport(
         n=n,
-        total=total,
-        spherical=spherical,
+        total=sum(r[0] for r in results),
+        spherical=sum(r[1] for r in results),
         backends=names,
         disagreements=tuple(reported),
         disagreement_count=len(bad),
@@ -433,27 +427,34 @@ def density_table(
             f"degree {max_n} exceeds the density bound {DENSITY_BOUND}; "
             "pass force=True to run anyway"
         )
-    rows = []
-    for n in range(1, max_n + 1):
-        total, spherical, _ = _scan(n, ("pattern",), jobs)
-        rows.append(DensityRow(n, spherical, total, spherical / total))
-    return rows
+    chunks = [
+        (n, (first,), ("pattern",))
+        for n in range(1, max_n + 1)
+        for first in range(1, n + 1)
+    ]
+    totals = [0] * (max_n + 1)
+    spherical = [0] * (max_n + 1)
+    for (n, _, _), (total, count, _) in zip(chunks, _scan(chunks, jobs)):
+        totals[n] += total
+        spherical[n] += count
+    return [
+        DensityRow(n, spherical[n], totals[n], spherical[n] / totals[n])
+        for n in range(1, max_n + 1)
+    ]
 
 
-def estimate_seconds(
-    n: int, backends: Sequence[str], sample: int = 2000
-) -> float:
-    """Rough wall-clock estimate for a full degree-n scan, by timing a
-    prefix of S_n and extrapolating."""
+def estimate_seconds(n: int, backends: Sequence[str]) -> float:
+    """Rough wall-clock estimate for a full degree-n scan: time the block
+    of S_n that fixes all but the last min(n, 6) values and scale it up by
+    the number of such blocks."""
     if n < 1:
         raise ValueError("degree must be at least 1")
-    total = math.factorial(n)
-    k = min(sample, total)
     if not backends:
         raise ValueError("estimate_seconds needs at least one backend")
     for b in backends:
         _check_backend(b)
+    free = min(n, 6)
     start = time.perf_counter()
-    _scan_chunk((n, 0, k, tuple(backends)))
+    _scan_chunk((n, tuple(range(1, n - free + 1)), tuple(backends)))
     elapsed = time.perf_counter() - start
-    return elapsed * (total / k)
+    return elapsed * math.factorial(n) / math.factorial(free)

@@ -61,19 +61,10 @@ def _resolve_backend_names(tokens: Sequence[str]) -> tuple[str, ...]:
     return tuple(names)
 
 
-def _resolve_jobs(flag_value: int | None) -> int:
-    if flag_value is None:
-        env = os.environ.get("SPHERICAL_JOBS")
-        if env is not None:
-            try:
-                flag_value = int(env)
-            except ValueError:
-                raise CLIError(f"SPHERICAL_JOBS must be an integer, got {env!r}")
-        else:
-            flag_value = os.cpu_count() or 1
-    if flag_value < 1:
+def _resolve_jobs(jobs: int) -> int:
+    if jobs < 1:
         raise CLIError("jobs must be at least 1")
-    return flag_value
+    return jobs
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -97,13 +88,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--backends", default="pattern,boolean,divisible")
     p.add_argument("--force", action="store_true")
     p.add_argument("--format", choices=["table", "json"], default=None)
-    p.add_argument("--jobs", type=int, default=None)
+    p.add_argument("--jobs", type=int, default=os.cpu_count() or 1)
 
     p = sub.add_parser("count", help="spherical counts per degree")
     p.add_argument("--max-n", type=int, required=True, dest="max_n")
     p.add_argument("--format", choices=["table", "csv", "json"], default="table")
     p.add_argument("--force", action="store_true")
-    p.add_argument("--jobs", type=int, default=None)
+    p.add_argument("--jobs", type=int, default=os.cpu_count() or 1)
 
     p = sub.add_parser("patterns", help="list the blocking-pattern catalog")
     p.add_argument("--subset", choices=["all", "321", "3412", "both"], default="all")

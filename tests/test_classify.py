@@ -4,6 +4,7 @@ from concurrent.futures.process import BrokenProcessPool
 import pytest
 from hypothesis import given, strategies as st
 
+from spherical import classify
 from spherical.classify import (
     BACKENDS,
     CrossCheckReport,
@@ -26,6 +27,29 @@ from spherical.permutations import (
     longest_parabolic,
     symmetric_group,
 )
+
+
+@pytest.fixture
+def recording_pool(monkeypatch):
+    # an in-process stand-in for ProcessPoolExecutor; returns the worker
+    # count of every pool built
+    built = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            built.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr("spherical.classify.ProcessPoolExecutor", RecordingPool)
+    return built
 
 
 @st.composite
@@ -256,6 +280,7 @@ class TestCrossCheck:
 
         serial = cross_check(5)
         monkeypatch.setattr("spherical.classify.ProcessPoolExecutor", CrashingPool)
+        monkeypatch.setattr("spherical.classify.os.cpu_count", lambda: 8)
         with pytest.warns(UserWarning, match="scanning serially"):
             fallback = cross_check(5, jobs=3)
         assert fallback == serial
@@ -263,28 +288,33 @@ class TestCrossCheck:
     @pytest.mark.parametrize(
         "jobs, cpus, workers", [(3, 8, 3), (30, 2, 2), (30, None, 1)]
     )
-    def test_workers_capped_at_cpu_count(self, monkeypatch, jobs, cpus, workers):
-        # one chunk per job, but never more worker processes than CPUs
-        seen = []
-
-        class RecordingPool:
-            def __init__(self, max_workers):
-                seen.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, items):
-                return map(fn, items)
-
+    def test_workers_capped_at_cpu_count(
+        self, monkeypatch, recording_pool, jobs, cpus, workers
+    ):
+        # S_5 scans as 5 blocks by first value whatever jobs is; the pool
+        # gets at most one worker per block and per CPU, and a single
+        # worker scans in-process with no pool at all
         serial = cross_check(5)
-        monkeypatch.setattr("spherical.classify.ProcessPoolExecutor", RecordingPool)
         monkeypatch.setattr("spherical.classify.os.cpu_count", lambda: cpus)
         assert cross_check(5, jobs=jobs) == serial
-        assert seen == [workers]
+        assert recording_pool == ([workers] if workers > 1 else [])
+
+    def test_disagreements_through_a_scan(self, monkeypatch, recording_pool):
+        # a stub backend that flips the pattern verdict on every word
+        # whose second letter is 3: 24 offenders spread over every block
+        pattern = classify._DECIDERS["pattern"]
+        monkeypatch.setitem(
+            classify._DECIDERS, "stub", lambda word: pattern(word) ^ (word[1] == 3)
+        )
+        monkeypatch.setattr("spherical.classify.os.cpu_count", lambda: 8)
+        offenders = [p for p in symmetric_group(5) if p.oneline[1] == 3]
+        serial = cross_check(5, ("pattern", "stub"))
+        parallel = cross_check(5, ("pattern", "stub"), jobs=3)
+        assert recording_pool == [3]
+        for report in (serial, parallel):
+            assert report.disagreement_count == len(offenders) == 24
+            assert [d.perm for d in report.disagreements] == offenders[:20]
+        assert parallel == serial
 
     def test_report_serialization(self):
         report = cross_check(4)
@@ -329,6 +359,12 @@ class TestDensity:
             DensityRow(4, 24, 24, 1.0),
             DensityRow(5, 99, 120, 0.825),
         ]
+
+    def test_one_pool_for_all_degrees(self, monkeypatch, recording_pool):
+        serial = density_table(6)
+        monkeypatch.setattr("spherical.classify.os.cpu_count", lambda: 2)
+        assert density_table(6, jobs=2) == serial
+        assert recording_pool == [2]
 
     def test_bound_needs_force(self):
         with pytest.raises(ValueError):

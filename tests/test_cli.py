@@ -148,17 +148,11 @@ class TestCrosscheck:
         assert status == 2
         assert out == ""
 
-    def test_jobs_env_mirror(self, capsys, monkeypatch):
-        monkeypatch.setenv("SPHERICAL_JOBS", "2")
-        status, out, _ = run_cli(capsys, "crosscheck", "--n=5")
-        assert status == 0
-        assert out.strip() == "120 permutations, 99 spherical, 0 disagreements"
-
-    def test_bad_jobs_env(self, capsys, monkeypatch):
-        monkeypatch.setenv("SPHERICAL_JOBS", "many")
-        status, out, err = run_cli(capsys, "crosscheck", "--n=4")
+    def test_zero_jobs_is_usage_error(self, capsys):
+        status, out, err = run_cli(capsys, "crosscheck", "--n=4", "--jobs=0")
         assert status == 2
         assert out == ""
+        assert "jobs" in err
 
 
 class TestCount:
