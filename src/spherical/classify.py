@@ -334,6 +334,8 @@ def _scan(
 ) -> list[tuple[int, int, list[tuple[tuple[int, ...], tuple[bool, ...]]]]]:
     """Scan every chunk, on at most ``jobs`` worker processes; the results
     come back in chunk order."""
+    if jobs < 1:
+        raise ValueError("jobs must be at least 1")
     size = sum(math.factorial(n - len(head)) for n, head, _ in chunks)
     workers = min(jobs, len(chunks), os.cpu_count() or 1)
     if workers < 2 or size < 4 * jobs:
@@ -413,8 +415,7 @@ def density_table(
 ) -> list[DensityRow]:
     """Spherical counts and densities for every degree 1..max_n.
 
-    Counting uses the pattern backend.  Rows for degree 6 and beyond are
-    computed values, not quoted ones.  The default bound is degree 8;
+    Counting uses the pattern backend.  The default bound is degree 8;
     ``force=True`` overrides it.
 
     >>> density_table(5)[-1]

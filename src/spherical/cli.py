@@ -61,12 +61,6 @@ def _resolve_backend_names(tokens: Sequence[str]) -> tuple[str, ...]:
     return tuple(names)
 
 
-def _resolve_jobs(jobs: int) -> int:
-    if jobs < 1:
-        raise CLIError("jobs must be at least 1")
-    return jobs
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="spherical",
@@ -146,7 +140,6 @@ def _cmd_crosscheck(ns: argparse.Namespace) -> tuple[int, str]:
     if ns.n < 1:
         raise CLIError("--n must be at least 1")
     backends = _resolve_backend_names([t for t in ns.backends.split(",") if t])
-    jobs = _resolve_jobs(ns.jobs)
     try:
         if ns.force:
             secs = estimate_seconds(ns.n, backends)
@@ -154,7 +147,7 @@ def _cmd_crosscheck(ns: argparse.Namespace) -> tuple[int, str]:
                 f"estimated {secs:.1f}s for {math.factorial(ns.n)} permutations",
                 file=sys.stderr,
             )
-        report = cross_check(ns.n, backends, force=ns.force, jobs=jobs)
+        report = cross_check(ns.n, backends, force=ns.force, jobs=ns.jobs)
     except ValueError as err:
         raise CLIError(str(err)) from None
     if ns.format == "json":
@@ -171,7 +164,6 @@ def _cmd_crosscheck(ns: argparse.Namespace) -> tuple[int, str]:
 def _cmd_count(ns: argparse.Namespace) -> tuple[int, str]:
     if ns.max_n < 1:
         raise CLIError("--max-n must be at least 1")
-    jobs = _resolve_jobs(ns.jobs)
     if ns.force:
         secs = sum(
             estimate_seconds(n, ("pattern",))
@@ -179,7 +171,7 @@ def _cmd_count(ns: argparse.Namespace) -> tuple[int, str]:
         )
         print(f"estimated {secs:.1f}s for degrees 1..{ns.max_n}", file=sys.stderr)
     try:
-        rows = density_table(ns.max_n, force=ns.force, jobs=jobs)
+        rows = density_table(ns.max_n, force=ns.force, jobs=ns.jobs)
     except ValueError as err:
         raise CLIError(str(err)) from None
     if ns.format == "csv":

@@ -4,17 +4,27 @@ Words are tuples of generator indices; the word (i1, ..., il) stands for
 the product s_{i1} * s_{i2} * ... * s_{il} in the package's composition
 convention (rightmost factor acts first).  Enumeration works from the left:
 the first letter of any reduced word of w is a left descent of w, and
-stripping it leaves a shorter permutation.  The generator budgets of the
-``definition`` search are computed by ``_budget``.
+stripping it leaves a shorter permutation.
+
+One walker, ``_reduced_words``, serves every search here: enumeration,
+the repetition-free word of the ``boolean_quotient`` backend and the
+budgeted witness of the ``definition`` backend.  Each caller threads its
+own state through the walk and prunes letters it may not spend; an
+(element, state) pair whose subtree yielded no word is memoized as dead.
+The generator budgets of the ``definition`` search are computed by
+``_budget``.
 """
 
 from __future__ import annotations
 
-from typing import Sequence
+import itertools
+from typing import Callable, Hashable, Iterator, Sequence, TypeVar
 
 from .permutations import Permutation, _left_descents, _length
 
 WORD_ESTIMATE_LIMIT = 10_000_000
+
+_State = TypeVar("_State", bound=Hashable)
 
 
 def _swap_values(word: tuple[int, ...], i: int) -> tuple[int, ...]:
@@ -56,6 +66,48 @@ def _reduced_word_count(word: tuple[int, ...], cap: int) -> int:
     return counts[word]
 
 
+def _reduced_words(
+    word: tuple[int, ...],
+    state: _State,
+    spend: Callable[[_State, int], _State | None],
+) -> Iterator[tuple[int, ...]]:
+    # Reduced words of ``word`` in lexicographic order: depth-first over
+    # left descents, ascending, with an explicit stack so long elements
+    # stay clear of the recursion limit.  ``spend(state, i)`` is the state
+    # after letter i, or None to prune it.  A frame records how many words
+    # had been yielded when it was pushed; it is dead only if none were
+    # yielded beneath it, since the same element is reached along many
+    # paths and a subtree that produced words must not be pruned.
+    first = _left_descents(word)
+    if not first:
+        yield ()
+        return
+    dead: set[tuple[tuple[int, ...], _State]] = set()
+    yielded = 0
+    prefix: list[int] = []
+    stack = [((word, state), iter(first), yielded)]
+    while stack:
+        (u, s), todo, before = stack[-1]
+        i = next(todo, None)
+        if i is None:
+            stack.pop()
+            if yielded == before:
+                dead.add((u, s))
+            del prefix[-1:]
+            continue
+        t = spend(s, i)
+        if t is None:
+            continue
+        v = _swap_values(u, i)
+        ds = _left_descents(v)
+        if not ds:
+            yielded += 1
+            yield (*prefix, i)
+        elif (v, t) not in dead:
+            prefix.append(i)
+            stack.append(((v, t), iter(ds), yielded))
+
+
 def enumerate_reduced_words(
     w: Permutation, limit: int | None = None
 ) -> list[tuple[int, ...]]:
@@ -72,8 +124,6 @@ def enumerate_reduced_words(
     """
     if limit is not None and limit < 0:
         raise ValueError("limit must be nonnegative")
-    if limit == 0:
-        return []
     if limit is None:
         count = _reduced_word_count(w.oneline, WORD_ESTIMATE_LIMIT + 1)
         if count > WORD_ESTIMATE_LIMIT:
@@ -81,34 +131,8 @@ def enumerate_reduced_words(
                 f"{w} has more than {WORD_ESTIMATE_LIMIT} reduced words; "
                 "pass limit= to enumerate anyway"
             )
-    # Depth-first over left descents, ascending, so words come out in
-    # lexicographic order; an explicit stack keeps long elements clear of
-    # the recursion limit.  ``prefix`` holds the letters leading to the
-    # top frame.
-    first = _left_descents(w.oneline)
-    if not first:
-        return [()]
-    words: list[tuple[int, ...]] = []
-    prefix: list[int] = []
-    stack = [(w.oneline, iter(first))]
-    while stack:
-        u, todo = stack[-1]
-        i = next(todo, None)
-        if i is None:
-            stack.pop()
-            del prefix[-1:]
-            continue
-        prefix.append(i)
-        v = _swap_values(u, i)
-        ds = _left_descents(v)
-        if ds:
-            stack.append((v, iter(ds)))
-            continue
-        words.append(tuple(prefix))
-        prefix.pop()
-        if limit is not None and len(words) >= limit:
-            break
-    return words
+    words = _reduced_words(w.oneline, (), lambda state, i: state)
+    return list(itertools.islice(words, limit))
 
 
 def word_to_permutation(letters: Sequence[int], degree: int) -> Permutation:
@@ -141,28 +165,15 @@ def repetition_free_word(w: Permutation) -> tuple[int, ...] | None:
 
 
 def _repetition_free_word(word: tuple[int, ...]) -> tuple[int, ...] | None:
-    # Depth-first over left descents not used yet, with an explicit stack.
+    # The state is the bitmask of letters used so far.
     if _length(word) > len(word) - 1:
         return None  # a repetition-free word has at most n-1 letters
-    first = _left_descents(word)
-    if not first:
-        return ()
-    prefix: list[int] = []
-    stack = [(word, iter(first))]
-    while stack:
-        u, todo = stack[-1]
-        i = next(todo, None)
-        if i is None:
-            stack.pop()
-            del prefix[-1:]
-        elif i not in prefix:
-            prefix.append(i)
-            v = _swap_values(u, i)
-            ds = _left_descents(v)
-            if not ds:
-                return tuple(prefix)
-            stack.append((v, iter(ds)))
-    return None
+    return next(
+        _reduced_words(
+            word, 0, lambda used, i: None if used >> i & 1 else used | 1 << i
+        ),
+        None,
+    )
 
 
 def is_boolean_by_words(w: Permutation) -> bool:
@@ -196,51 +207,23 @@ def _budget(word: tuple[int, ...]) -> tuple[dict[int, int], list[int]]:
 def spherical_witness_word(w: Permutation) -> tuple[int, ...] | None:
     """A reduced word of w that stays within the budgets, if any exists.
 
-    The search walks left descents depth-first, ascending, decrementing
-    the budget pool of each chosen letter and pruning exhausted branches.
-    States that failed once are memoized.
+    The search is the module's one reduced-word walker: left descents
+    depth-first, ascending, each chosen letter decrementing its budget
+    pool and exhausted pools pruning the letter.  (Element, pools left)
+    states that yielded no word are memoized, so the first word found is
+    the lexicographically first that fits.
     """
     return _spherical_witness_word(w.oneline)
 
 
 def _spherical_witness_word(word: tuple[int, ...]) -> tuple[int, ...] | None:
-    # Frames hold a state (element, pools left) and its untried letters;
-    # an explicit stack keeps long elements clear of the recursion limit.
-    first = _left_descents(word)
-    if not first:
-        return ()
+    # The state is the tuple of uses left in each pool.
     slot_of, caps = _budget(word)
-    dead: set[tuple[tuple[int, ...], tuple[int, ...]]] = set()
-    prefix: list[int] = []
-    stack = [((word, tuple(caps)), iter(first))]
-    while stack:
-        (u, left), todo = stack[-1]
-        i = next(todo, None)
-        if i is None:
-            dead.add(stack.pop()[0])
-            del prefix[-1:]
-            continue
+
+    def spend(left: tuple[int, ...], i: int) -> tuple[int, ...] | None:
         s = slot_of[i]
         if left[s] == 0:
-            continue
-        v = _swap_values(u, i)
-        ds = _left_descents(v)
-        if not ds:
-            return (*prefix, i)
-        state = (v, left[:s] + (left[s] - 1,) + left[s + 1 :])
-        if state not in dead:
-            prefix.append(i)
-            stack.append((state, iter(ds)))
-    return None
+            return None
+        return left[:s] + (left[s] - 1,) + left[s + 1 :]
 
-
-def is_spherical_by_definition(w: Permutation) -> bool:
-    """True when some reduced word of w satisfies both budget rules:
-    single use outside the descent set, pooled caps inside each component.
-
-    >>> is_spherical_by_definition(Permutation((3, 2, 1)))
-    True
-    >>> is_spherical_by_definition(Permutation((2, 4, 5, 3, 1)))
-    False
-    """
-    return spherical_witness_word(w) is not None
+    return next(_reduced_words(word, tuple(caps), spend), None)

@@ -259,6 +259,11 @@ class TestCrossCheck:
         with pytest.raises(ValueError):
             cross_check(0)
 
+    @pytest.mark.parametrize("jobs", [0, -1])
+    def test_jobs_below_one_rejected(self, jobs):
+        with pytest.raises(ValueError, match="jobs"):
+            cross_check(4, jobs=jobs)
+
     def test_parallel_matches_serial(self):
         serial = cross_check(5)
         parallel = cross_check(5, jobs=3)
@@ -371,6 +376,11 @@ class TestDensity:
             density_table(9)
         with pytest.raises(ValueError):
             density_table(0)
+
+    @pytest.mark.parametrize("jobs", [0, -1])
+    def test_jobs_below_one_rejected(self, jobs):
+        with pytest.raises(ValueError, match="jobs"):
+            density_table(3, jobs=jobs)
 
     def test_degree_six_to_eight_pins(self):
         # computed values; each count was confirmed by two independent

@@ -149,10 +149,14 @@ class TestCrosscheck:
         assert out == ""
 
     def test_zero_jobs_is_usage_error(self, capsys):
-        status, out, err = run_cli(capsys, "crosscheck", "--n=4", "--jobs=0")
-        assert status == 2
-        assert out == ""
-        assert "jobs" in err
+        for argv in (
+            ("crosscheck", "--n=4", "--jobs=0"),
+            ("count", "--max-n=4", "--jobs=0"),
+        ):
+            status, out, err = run_cli(capsys, *argv)
+            assert status == 2
+            assert out == ""
+            assert "jobs" in err
 
 
 class TestCount:

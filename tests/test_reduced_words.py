@@ -3,6 +3,7 @@ import itertools
 import pytest
 from hypothesis import given, strategies as st
 
+from spherical.classify import is_spherical
 from spherical.permutations import (
     GeneratorSet,
     Permutation,
@@ -15,7 +16,6 @@ from spherical.reduced_words import (
     _reduced_word_count,
     enumerate_reduced_words,
     is_boolean_by_words,
-    is_spherical_by_definition,
     repetition_free_word,
     spherical_witness_word,
     word_is_repetition_free,
@@ -29,6 +29,23 @@ from oracles import generator_sequence_products
 # The six elements of S_7 one step below the longest; each has between
 # 141,892,608 and 214,988,800 reduced words.
 NEAR_LONGEST_S7 = [w for w in symmetric_group(7) if w.length() == 20]
+
+
+def fits_budget(w):
+    # the definition's budget rule for words of w, read straight off _budget
+    slot_of, caps = _budget(w.oneline)
+
+    def fits(word):
+        used = [0] * len(caps)
+        for letter in word:
+            used[slot_of[letter]] += 1
+        return all(u <= c for u, c in zip(used, caps))
+
+    return fits
+
+
+def first(words, keep):
+    return next((word for word in words if keep(word)), None)
 
 
 class TestEnumeration:
@@ -77,6 +94,11 @@ class TestEnumeration:
         assert _reduced_word_count(w0.oneline, 100) == 100
         assert all(word_to_permutation(word, 5) == w0 for word in words[:50])
 
+    @pytest.mark.parametrize("k", [1, 17, 768, 900])
+    def test_limit_keeps_the_lexicographic_prefix(self, k):
+        w0 = Permutation((5, 4, 3, 2, 1))
+        assert enumerate_reduced_words(w0, limit=k) == enumerate_reduced_words(w0)[:k]
+
     def test_counts_match_sequence_oracle_up_to_degree_five(self):
         for n in range(1, 6):
             by_length: dict[int, list[Permutation]] = {}
@@ -117,6 +139,14 @@ class TestBooleanByWords:
         assert word_is_repetition_free(word)
         assert len(word) == w.length()
         assert word_to_permutation(word, 4) == w
+
+    def test_witness_is_the_first_repetition_free_word(self):
+        for n in range(1, 6):
+            for w in symmetric_group(n):
+                words = enumerate_reduced_words(w)
+                assert repetition_free_word(w) == first(
+                    words, word_is_repetition_free
+                )
 
     def test_matches_pattern_criterion_degree_five(self):
         blockers = [Permutation((3, 2, 1)), Permutation((3, 4, 1, 2))]
@@ -184,9 +214,9 @@ class TestBudgets:
 
 class TestDefinitionSearch:
     def test_examples(self):
-        assert is_spherical_by_definition(Permutation.identity(4))
-        assert not is_spherical_by_definition(Permutation((2, 4, 5, 3, 1)))
-        assert is_spherical_by_definition(Permutation((3, 2, 1)))
+        assert is_spherical(Permutation.identity(4), "definition")
+        assert not is_spherical(Permutation((2, 4, 5, 3, 1)), "definition")
+        assert is_spherical(Permutation((3, 2, 1)), "definition")
 
     def test_witness_respects_budgets(self):
         for w in symmetric_group(5):
@@ -195,23 +225,18 @@ class TestDefinitionSearch:
                 continue
             assert word_to_permutation(word, 5) == w
             assert len(word) == w.length()
-            slot_of, caps = _budget(w.oneline)
-            used = [0] * len(caps)
-            for letter in word:
-                used[slot_of[letter]] += 1
-            assert all(u <= c for u, c in zip(used, caps))
+            assert fits_budget(w)(word)
+
+    def test_witness_is_the_first_fitting_word(self):
+        for n in range(1, 6):
+            for w in symmetric_group(n):
+                words = enumerate_reduced_words(w)
+                assert spherical_witness_word(w) == first(words, fits_budget(w))
 
     @given(st.permutations(list(range(1, 7))))
     def test_budget_search_agrees_with_unbudgeted_word_scan(self, values):
         # independently check the search by filtering a full enumeration
         w = Permutation(tuple(values))
-        slot_of, caps = _budget(w.oneline)
-
-        def fits(word):
-            used = [0] * len(caps)
-            for letter in word:
-                used[slot_of[letter]] += 1
-            return all(u <= c for u, c in zip(used, caps))
-
-        expected = any(fits(word) for word in enumerate_reduced_words(w))
-        assert is_spherical_by_definition(w) == expected
+        expected = first(enumerate_reduced_words(w), fits_budget(w))
+        assert spherical_witness_word(w) == expected
+        assert is_spherical(w, "definition") == (expected is not None)
