@@ -9,8 +9,8 @@ Four interchangeable backends decide the same predicate:
 * ``definition``        -- some reduced word of w fits the generator budgets
 
 ``_DECIDERS`` maps each backend name to a function of the raw one-line
-tuple, which ``is_spherical`` and the scan loop call; ``explain`` builds
-witnesses through the public functions.
+tuple, which ``is_spherical`` and the scan loop call; ``explain`` finds
+its pattern witness one catalog pattern at a time, in catalog order.
 ``cross_check`` runs several backends over a whole symmetric group and
 reports any disagreement; ``density_table`` tabulates spherical counts
 per degree.  Both scan S_n in blocks by first value, which joined in order
@@ -34,11 +34,11 @@ from typing import NamedTuple, Sequence
 from .divisibility import _first_witness, is_divisible, witness_text
 from .permutations import (
     Permutation,
-    _contains_any,
     _left_descents,
     _longest_parabolic,
+    _occurrences,
+    _trie,
     contains_pattern,
-    first_pattern_occurrence,
     longest_parabolic,
     symmetric_group,
 )
@@ -174,12 +174,12 @@ def catalog() -> PatternCatalog:
 
 
 @functools.cache
-def _catalog_onelines() -> frozenset[tuple[int, ...]]:
-    return frozenset(p.oneline for p in catalog().all)
+def _catalog_trie() -> list:
+    return _trie(tuple(p.oneline for p in catalog().all))
 
 
 _DECIDERS = {
-    "pattern": lambda word: not _contains_any(word, _catalog_onelines()),
+    "pattern": lambda word: next(_occurrences(word, _catalog_trie()), None) is None,
     "boolean_quotient": lambda word: _repetition_free_word(_quotient(word)) is not None,
     "divisibility": lambda word: _first_witness(_longest_below(word), word) is None,
     "definition": lambda word: _spherical_witness_word(word) is not None,
@@ -209,11 +209,8 @@ def explain(w: Permutation, backend: str) -> str:
     _check_backend(backend)
     if backend == "pattern":
         for p in catalog().all:
-            if p.degree > w.degree:
-                continue
-            occ = first_pattern_occurrence(w, p)
-            if occ is not None:
-                spots = ",".join(str(i) for i in occ.positions)
+            for positions, _ in _occurrences(w.oneline, _trie((p.oneline,))):
+                spots = ",".join(str(i) for i in positions)
                 return f"contains {p} at positions {spots}"
         return "avoids all 21 blocking patterns"
     if backend == "boolean_quotient":

@@ -8,10 +8,17 @@ Composition convention: ``u * w`` is the permutation mapping ``i`` to
 package (parabolic quotients ``longest_parabolic(J) * w``, weak-order
 quotients ``v.inverse() * w``) is written in this convention and reads
 left to right as a formula.
+
+Pattern containment has one scanner, ``_occurrences``.  It walks a trie of
+the patterns keyed by each letter's rank among the letters before it, so
+patterns of any degree share one walk, and it leaves a trie node once too
+few host letters remain to complete a pattern below it.  Occurrences come
+out with their positions in lexicographic order.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from typing import AbstractSet, Iterable, Iterator, NamedTuple, Sequence
@@ -221,37 +228,53 @@ class PatternOccurrence(NamedTuple):
     pattern: Permutation
 
 
-def _scan_occurrences(
-    host: tuple[int, ...], pat: tuple[int, ...], first_only: bool
-) -> list[tuple[int, ...]]:
-    # DFS over increasing position tuples, pruning as soon as the chosen
-    # values stop matching the pattern's relative order.
-    n, k = len(host), len(pat)
-    found: list[tuple[int, ...]] = []
-    chosen: list[int] = []
+@functools.lru_cache(maxsize=256)
+def _trie(patterns: tuple[tuple[int, ...], ...]) -> list:
+    # A node is [children by rank, need, pattern ending here or None], where
+    # ``need`` is the fewest further letters that complete a pattern below it.
+    longest = max(map(len, patterns), default=1)
+    root: list = [{}, longest, None]
+    for p in patterns:
+        node = root
+        for j in range(len(p)):
+            node[1] = min(node[1], len(p) - j)
+            rank = relative_order(p[: j + 1])[-1] - 1
+            node = node[0].setdefault(rank, [{}, longest, None])
+        node[2] = p
+    return root
 
-    def extend(start: int) -> bool:
-        j = len(chosen)
-        if j == k:
-            found.append(tuple(i + 1 for i in chosen))
-            return not first_only
-        for i in range(start, n - (k - j) + 1):
+
+def _occurrences(host: tuple[int, ...], trie: list) -> Iterator[tuple]:
+    # Depth-first over increasing 1-based positions; the explicit stack
+    # keeps patterns a thousand letters deep clear of the recursion limit.
+    n = len(host)
+    stack = [(trie[0], iter(range(n + 1 - trie[1])), (), ())]
+    while stack:
+        children, todo, taken, values = stack[-1]
+        for i in todo:
             x = host[i]
-            ok = True
-            for t, pos in enumerate(chosen):
-                if (x > host[pos]) != (pat[j] > pat[t]):
-                    ok = False
-                    break
-            if ok:
-                chosen.append(i)
-                keep = extend(i + 1)
-                chosen.pop()
-                if not keep:
-                    return False
-        return True
+            rank = 0
+            for y in values:
+                if y < x:
+                    rank += 1
+            node = children.get(rank)
+            if node is not None:
+                break
+        else:
+            stack.pop()
+            continue
+        below, need, pattern = node
+        if pattern is not None:
+            yield (*taken, i + 1), pattern
+        if below and need < n - i:
+            todo = iter(range(i + 1, n + 1 - need))
+            stack.append((below, todo, (*taken, i + 1), (*values, x)))
 
-    extend(0)
-    return found
+
+def _one_pattern(w: Permutation, p: Permutation) -> Iterator[tuple]:
+    if p.degree > w.degree:
+        raise ValueError(f"pattern degree {p.degree} exceeds host degree {w.degree}")
+    return _occurrences(w.oneline, _trie((p.oneline,)))
 
 
 def pattern_occurrences(w: Permutation, p: Permutation) -> list[PatternOccurrence]:
@@ -262,20 +285,13 @@ def pattern_occurrences(w: Permutation, p: Permutation) -> list[PatternOccurrenc
     >>> [occ.positions for occ in pattern_occurrences(Permutation((3, 5, 1, 4, 2)), Permutation((3, 2, 1)))]
     [(2, 4, 5)]
     """
-    if p.degree > w.degree:
-        raise ValueError(f"pattern degree {p.degree} exceeds host degree {w.degree}")
-    return [
-        PatternOccurrence(positions, p)
-        for positions in _scan_occurrences(w.oneline, p.oneline, first_only=False)
-    ]
+    return [PatternOccurrence(hit, p) for hit, _ in _one_pattern(w, p)]
 
 
 def first_pattern_occurrence(w: Permutation, p: Permutation) -> PatternOccurrence | None:
     """The lexicographically first occurrence of p in w, or None."""
-    if p.degree > w.degree:
-        raise ValueError(f"pattern degree {p.degree} exceeds host degree {w.degree}")
-    hits = _scan_occurrences(w.oneline, p.oneline, first_only=True)
-    return PatternOccurrence(hits[0], p) if hits else None
+    hit = next(_one_pattern(w, p), None)
+    return PatternOccurrence(hit[0], p) if hit else None
 
 
 def contains_pattern(w: Permutation, p: Permutation) -> bool:
@@ -291,22 +307,8 @@ def avoids_all(w: Permutation, patterns: Iterable[Permutation]) -> bool:
     >>> avoids_all(Permutation((2, 1, 4, 3)), [Permutation((3, 2, 1)), Permutation((3, 4, 1, 2))])
     True
     """
-    by_degree: dict[int, set[tuple[int, ...]]] = {}
-    for p in patterns:
-        by_degree.setdefault(p.degree, set()).add(p.oneline)
-    return not any(_contains_any(w.oneline, t) for t in by_degree.values())
-
-
-def _contains_any(
-    host: tuple[int, ...], targets: AbstractSet[tuple[int, ...]]
-) -> bool:
-    # Rank every value subset against patterns that share one degree; a
-    # host shorter than that degree has no subsets and contains nothing.
-    k = len(next(iter(targets)))
-    for picked in itertools.combinations(host, k):
-        if relative_order(picked) in targets:
-            return True
-    return False
+    trie = _trie(tuple(p.oneline for p in patterns))
+    return next(_occurrences(w.oneline, trie), None) is None
 
 
 def symmetric_group(n: int) -> Iterator[Permutation]:

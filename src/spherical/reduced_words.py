@@ -219,6 +219,8 @@ def spherical_witness_word(w: Permutation) -> tuple[int, ...] | None:
 def _spherical_witness_word(word: tuple[int, ...]) -> tuple[int, ...] | None:
     # The state is the tuple of uses left in each pool.
     slot_of, caps = _budget(word)
+    if _length(word) > sum(caps):
+        return None  # every letter spends one use from some pool
 
     def spend(left: tuple[int, ...], i: int) -> tuple[int, ...] | None:
         s = slot_of[i]

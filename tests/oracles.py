@@ -31,6 +31,16 @@ def subset_occurrences(w: Permutation, p: Permutation) -> list[tuple[int, ...]]:
     return out
 
 
+def avoids_by_subsets(w: Permutation, patterns) -> bool:
+    """True when no subset of w's letters standardizes to a listed pattern."""
+    targets = {p.oneline for p in patterns}
+    for k in {len(t) for t in targets}:
+        for picked in itertools.combinations(w.oneline, k):
+            if standardize(picked) in targets:
+                return False
+    return True
+
+
 def inversion_count(word) -> int:
     word = list(word)
     return sum(

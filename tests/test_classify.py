@@ -28,6 +28,8 @@ from spherical.permutations import (
     symmetric_group,
 )
 
+from oracles import avoids_by_subsets
+
 
 @pytest.fixture
 def recording_pool(monkeypatch):
@@ -135,8 +137,11 @@ class TestBackends:
 
     def test_pattern_backend_matches_generic_avoidance(self):
         pats = catalog().all
-        for w in symmetric_group(5):
-            assert is_spherical(w, "pattern") == avoids_all(w, pats)
+        for n in range(1, 8):
+            for w in symmetric_group(n):
+                verdict = is_spherical(w, "pattern")
+                assert verdict == avoids_all(w, pats)
+                assert verdict == avoids_by_subsets(w, pats)
 
     def test_unknown_backend(self):
         with pytest.raises(ValueError):
@@ -167,10 +172,12 @@ class TestRandomPastDegreeEight:
     @given(uniform(st.integers(9, 12)))
     def test_uniform(self, w):
         assert_backends_agree(w, self.FAST)
+        assert is_spherical(w) == avoids_by_subsets(w, catalog().all)
 
     @given(block_sums(st.integers(9, 12)))
     def test_block_sums(self, w):
         assert_backends_agree(w, self.FAST)
+        assert is_spherical(w) == avoids_by_subsets(w, catalog().all)
 
     @given(st.one_of(uniform(st.just(9)), block_sums(st.just(9))))
     def test_definition_at_degree_nine(self, w):

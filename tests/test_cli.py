@@ -66,6 +66,11 @@ class TestDeepInputs:
         status, out, err = run_cli(capsys, "classify", perm, f"--backend={flag}")
         assert (status, out, err) == (0, "spherical\n", "")
 
+    def test_definition_longer_than_its_pools(self, capsys):
+        perm = "11,9,7,15,6,12,3,2,4,5,8,18,16,17,10,14,13,1"
+        status, out, err = run_cli(capsys, "classify", perm, "--backend=definition")
+        assert (status, out, err) == (1, "not spherical\n", "")
+
     def test_reduced_words(self, capsys):
         status, out, err = run_cli(capsys, "reduced-words", CYCLE_1100)
         assert status == 0 and err == ""

@@ -1,9 +1,14 @@
 import doctest
+import re
+import shlex
 from pathlib import Path
 
 import pytest
 
 from spherical import bruhat, classify, divisibility, permutations, reduced_words
+from spherical.cli import main
+
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 @pytest.mark.parametrize(
@@ -15,6 +20,18 @@ def test_doctests(module):
 
 
 def test_readme_tour():
-    readme = Path(__file__).resolve().parent.parent / "README.md"
-    failures, _ = doctest.testfile(str(readme), module_relative=False)
+    failures, _ = doctest.testfile(str(README), module_relative=False)
     assert failures == 0
+
+
+# A "$ spherical ..." line in the README and the output lines under it, up
+# to the next command or the closing fence.
+CLI_EXAMPLE = re.compile(r"^\$ spherical (.*)\n((?:(?!\$ |```).*\n)*)", re.M)
+
+
+def test_readme_cli(capsys):
+    examples = CLI_EXAMPLE.findall(README.read_text())
+    assert examples
+    for command, expected in examples:
+        main(shlex.split(command))
+        assert capsys.readouterr().out == expected, command

@@ -15,7 +15,7 @@ from spherical.permutations import (
     symmetric_group,
 )
 
-from oracles import inversion_count, subset_occurrences
+from oracles import avoids_by_subsets, inversion_count, subset_occurrences
 
 perms_of_degree = lambda n: st.permutations(list(range(1, n + 1))).map(
     lambda vals: Permutation(tuple(vals))
@@ -207,6 +207,19 @@ class TestPatterns:
     def test_avoids_all_skips_long_patterns(self):
         assert avoids_all(Permutation((2, 1)), [Permutation((2, 4, 5, 3, 1))])
 
+    def test_deep_self_occurrence(self):
+        e = Permutation.identity(1100)
+        assert contains_pattern(e, e)
+        assert [o.positions for o in pattern_occurrences(e, e)] == [
+            tuple(range(1, 1101))
+        ]
+
+    def test_avoids_long_decreasing_pattern(self):
+        # C(40, 20) position subsets; the rank trie rejects each start at
+        # its second letter
+        w0 = Permutation(tuple(range(20, 0, -1)))
+        assert avoids_all(Permutation.identity(40), [w0])
+
     def test_avoids_321_and_3412(self):
         assert avoids_all(
             Permutation((2, 1, 4, 3)),
@@ -246,3 +259,4 @@ class TestPatterns:
             not contains_pattern(w, p) for p in patterns if p.degree <= w.degree
         )
         assert avoids_all(w, patterns) == expected
+        assert avoids_by_subsets(w, patterns) == expected

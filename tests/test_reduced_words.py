@@ -233,6 +233,13 @@ class TestDefinitionSearch:
                 words = enumerate_reduced_words(w)
                 assert spherical_witness_word(w) == first(words, fits_budget(w))
 
+    def test_longer_than_the_pools_answers_at_once(self):
+        # length 71 against pools holding 29 uses: no word can fit
+        w = Permutation.from_text("11,9,7,15,6,12,3,2,4,5,8,18,16,17,10,14,13,1")
+        assert w.length() > sum(_budget(w.oneline)[1])
+        assert spherical_witness_word(w) is None
+        assert not is_spherical(w, "definition")
+
     @given(st.permutations(list(range(1, 7))))
     def test_budget_search_agrees_with_unbudgeted_word_scan(self, values):
         # independently check the search by filtering a full enumeration
