@@ -49,17 +49,19 @@ def bruhat_leq(v: Permutation, w: Permutation) -> bool:
 
 @functools.lru_cache(maxsize=100_000)
 def _covers_up(w: Permutation) -> tuple[Permutation, ...]:
-    base = w.length()
+    # Swapping positions a < b adds exactly one inversion when w[a] < w[b]
+    # and no value between them sits between them: scanning right from a,
+    # that is each new running minimum among the values above w[a].
     word = list(w.oneline)
     n = w.degree
     out = []
     for a in range(n - 1):
+        low = n + 1
         for b in range(a + 1, n):
-            if word[a] < word[b]:  # swapping a descent pair only lowers length
+            if word[a] < word[b] < low:
+                low = word[b]
                 word[a], word[b] = word[b], word[a]
-                u = Permutation(tuple(word))
-                if u.length() == base + 1:
-                    out.append(u)
+                out.append(Permutation(tuple(word)))
                 word[a], word[b] = word[b], word[a]
     return tuple(sorted(out))
 

@@ -8,9 +8,10 @@ Four interchangeable backends decide the same predicate:
 * ``divisibility``      -- the pair (w0(J(w)), w) is not divisible
 * ``definition``        -- some reduced word of w fits the generator budgets
 
-``_DECIDERS`` maps each backend name to a function of the raw one-line
-tuple, which ``is_spherical`` and the scan loop call; ``explain`` finds
-its pattern witness one catalog pattern at a time, in catalog order.
+``_DECIDERS`` maps each backend name to one search over the raw one-line
+tuple, which returns the verdict and its witness together: ``is_spherical``
+and the scan loop read the verdict, and ``explain`` formats the witness
+from the same call.
 ``cross_check`` runs several backends over a whole symmetric group and
 reports any disagreement; ``density_table`` tabulates spherical counts
 per degree.  Both scan S_n in blocks by first value, which joined in order
@@ -31,7 +32,7 @@ from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
-from .divisibility import _first_witness, is_divisible, witness_text
+from .divisibility import _first_witness, witness_text
 from .permutations import (
     Permutation,
     _left_descents,
@@ -39,16 +40,9 @@ from .permutations import (
     _occurrences,
     _trie,
     contains_pattern,
-    longest_parabolic,
     symmetric_group,
 )
-from .reduced_words import (
-    _repetition_free_word,
-    _spherical_witness_word,
-    repetition_free_word,
-    spherical_witness_word,
-    word_to_text,
-)
+from .reduced_words import _repetition_free_word, _spherical_witness_word, word_to_text
 
 DEFAULT_CROSSCHECK_BOUND = 7
 DEFINITION_CROSSCHECK_BOUND = 6
@@ -178,11 +172,35 @@ def _catalog_trie() -> list:
     return _trie(tuple(p.oneline for p in catalog().all))
 
 
+# Each backend is one search from a one-line tuple to (verdict, witness).
+def _by_pattern(word: tuple[int, ...]) -> tuple[bool, tuple | None]:
+    # The first occurrence in position order among all 21 patterns.
+    hit = next(_occurrences(word, _catalog_trie()), None)
+    return hit is None, hit
+
+
+def _by_quotient(word: tuple[int, ...]) -> tuple[bool, tuple]:
+    q = _quotient(word)
+    found = _repetition_free_word(q)
+    return found is not None, (q, found)
+
+
+def _by_divisibility(word: tuple[int, ...]) -> tuple[bool, tuple]:
+    v = _longest_below(word)
+    found = _first_witness(v, word)
+    return found is None, (v, found)
+
+
+def _by_definition(word: tuple[int, ...]) -> tuple[bool, tuple[int, ...] | None]:
+    found = _spherical_witness_word(word)
+    return found is not None, found
+
+
 _DECIDERS = {
-    "pattern": lambda word: next(_occurrences(word, _catalog_trie()), None) is None,
-    "boolean_quotient": lambda word: _repetition_free_word(_quotient(word)) is not None,
-    "divisibility": lambda word: _first_witness(_longest_below(word), word) is None,
-    "definition": lambda word: _spherical_witness_word(word) is not None,
+    "pattern": _by_pattern,
+    "boolean_quotient": _by_quotient,
+    "divisibility": _by_divisibility,
+    "definition": _by_definition,
 }
 BACKENDS = tuple(_DECIDERS)
 
@@ -201,32 +219,49 @@ def is_spherical(w: Permutation, backend: str = "pattern") -> bool:
     False
     """
     _check_backend(backend)
-    return _DECIDERS[backend](w.oneline)
+    return _DECIDERS[backend](w.oneline)[0]
+
+
+def _explained(w: Permutation, backend: str) -> tuple[bool, str]:
+    # The backend's verdict on w and its witness as text, from one search.
+    _check_backend(backend)
+    verdict, witness = _DECIDERS[backend](w.oneline)
+    if backend == "pattern":
+        if witness is None:
+            text = "avoids all 21 blocking patterns"
+        else:
+            positions, p = witness
+            spots = ",".join(str(i) for i in positions)
+            text = f"contains {Permutation(p)} at positions {spots}"
+    elif backend == "boolean_quotient":
+        q, word = witness
+        if word is None:
+            text = f"parabolic quotient {Permutation(q)} has no repetition-free reduced word"
+        else:
+            text = (
+                f"parabolic quotient {Permutation(q)} has repetition-free "
+                f"reduced word {word_to_text(word)}"
+            )
+    elif backend == "divisibility":
+        v, found = witness
+        text = f"({Permutation(v)}, {w}) divisibility witness {witness_text(found)}"
+    elif witness is None:  # the definition backend
+        text = "no reduced word fits the generator budgets"
+    else:
+        text = f"reduced word {word_to_text(witness)} fits the generator budgets"
+    return verdict, text
 
 
 def explain(w: Permutation, backend: str) -> str:
-    """A one-line witness for the backend's verdict on w."""
-    _check_backend(backend)
-    if backend == "pattern":
-        for p in catalog().all:
-            for positions, _ in _occurrences(w.oneline, _trie((p.oneline,))):
-                spots = ",".join(str(i) for i in positions)
-                return f"contains {p} at positions {spots}"
-        return "avoids all 21 blocking patterns"
-    if backend == "boolean_quotient":
-        q = parabolic_quotient(w)
-        word = repetition_free_word(q)
-        if word is None:
-            return f"parabolic quotient {q} has no repetition-free reduced word"
-        return f"parabolic quotient {q} has repetition-free reduced word {word_to_text(word)}"
-    if backend == "divisibility":
-        v = longest_parabolic(w.left_descents())
-        witness = is_divisible(v, w)
-        return f"({v}, {w}) divisibility witness {witness_text(witness)}"
-    word = spherical_witness_word(w)  # the definition backend
-    if word is None:
-        return "no reduced word fits the generator budgets"
-    return f"reduced word {word_to_text(word)} fits the generator budgets"
+    """A one-line witness for the backend's verdict on w.
+
+    The ``pattern`` witness names the occurrence that comes first in
+    position order among all 21 catalog patterns.
+
+    >>> explain(Permutation.from_text("263415"), "pattern")
+    'contains 25341 at positions 1,2,3,4,5'
+    """
+    return _explained(w, backend)[1]
 
 
 class Disagreement(NamedTuple):
@@ -317,7 +352,7 @@ def _scan_chunk(
     deciders = [_DECIDERS[b] for b in backends]
     for tail in itertools.permutations(rest):
         word = head + tail
-        verdicts = tuple(decide(word) for decide in deciders)
+        verdicts = tuple(decide(word)[0] for decide in deciders)
         total += 1
         if verdicts[0]:
             spherical += 1

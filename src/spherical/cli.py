@@ -18,12 +18,11 @@ from typing import Callable, Sequence
 from .bruhat import build_interval, first_dominance_failure, interval_edge_lines, is_boolean_lattice
 from .classify import (
     BACKENDS,
+    _explained,
     catalog,
     cross_check,
     density_table,
     estimate_seconds,
-    explain,
-    is_spherical,
     verify_catalog_characterizations,
 )
 from .permutations import Permutation
@@ -111,9 +110,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_classify(ns: argparse.Namespace) -> tuple[int, str]:
+    # One search per backend gives both the verdict and the --explain text.
     w = _parse_perm(ns.perm)
     if ns.backend == "all":
-        verdicts = {b: is_spherical(w, b) for b in BACKENDS}
+        judged = {b: _explained(w, b) for b in BACKENDS}
+        verdicts = {b: v for b, (v, _) in judged.items()}
         agree = len(set(verdicts.values())) == 1
         verdict = verdicts["pattern"]
         lines = [
@@ -126,13 +127,12 @@ def _cmd_classify(ns: argparse.Namespace) -> tuple[int, str]:
                 for b, v in verdicts.items()
             )
         if ns.explain:
-            lines.extend(f"{b}: {explain(w, b)}" for b in BACKENDS)
+            lines.extend(f"{b}: {text}" for b, (_, text) in judged.items())
         return (0 if verdict else 1), "\n".join(lines)
-    backend = _BACKEND_FLAGS[ns.backend]
-    verdict = is_spherical(w, backend)
+    verdict, text = _explained(w, _BACKEND_FLAGS[ns.backend])
     lines = ["spherical" if verdict else "not spherical"]
     if ns.explain:
-        lines.append(f"witness: {explain(w, backend)}")
+        lines.append(f"witness: {text}")
     return (0 if verdict else 1), "\n".join(lines)
 
 

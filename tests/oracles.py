@@ -2,9 +2,9 @@
 
 These deliberately avoid the library's own search strategies: pattern
 containment scans every position subset with no pruning, word counting
-multiplies out every generator sequence, and Bruhat comparison comes from
-closing the cover relation.  They exist to pin expected values, so keep
-them dumb.
+multiplies out every generator sequence, Bruhat covers are the swaps that
+add exactly one inversion, and Bruhat comparison comes from closing that
+cover relation.  They exist to pin expected values, so keep them dumb.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ from __future__ import annotations
 import itertools
 from collections import Counter
 
-from spherical.bruhat import bruhat_covers_up
+from spherical.classify import catalog
 from spherical.permutations import Permutation, symmetric_group
 
 
@@ -39,6 +39,18 @@ def avoids_by_subsets(w: Permutation, patterns) -> bool:
             if standardize(picked) in targets:
                 return False
     return True
+
+
+def first_catalog_occurrence(w: Permutation):
+    """The first position 5-subset, in lexicographic order, at which w
+    realizes a catalog pattern, as (positions, pattern); None if w avoids
+    them all."""
+    targets = {p.oneline for p in catalog().all}
+    for combo in itertools.combinations(range(1, w.degree + 1), 5):
+        picked = standardize([w.oneline[i - 1] for i in combo])
+        if picked in targets:
+            return combo, Permutation(picked)
+    return None
 
 
 def inversion_count(word) -> int:
@@ -74,16 +86,31 @@ def generator_sequence_products(n: int, length: int) -> Counter:
     return counter
 
 
+def covers_by_length(w: Permutation) -> list[Permutation]:
+    """The words made from w by swapping two positions that add exactly one
+    inversion, sorted: the upward Bruhat covers of w."""
+    base = inversion_count(w.oneline)
+    out = []
+    for a, b in itertools.combinations(range(w.degree), 2):
+        u = list(w.oneline)
+        u[a], u[b] = u[b], u[a]
+        if inversion_count(u) == base + 1:
+            out.append(Permutation(tuple(u)))
+    return sorted(out)
+
+
 def leq_by_cover_closure(n: int) -> dict[Permutation, set[Permutation]]:
     """Reflexive-transitive closure of the upward cover relation.
 
     up[w] is the set of all u with w <= u, built from the top down.
     """
-    by_length_desc = sorted(symmetric_group(n), key=lambda w: -w.length())
+    by_length_desc = sorted(
+        symmetric_group(n), key=lambda w: -inversion_count(w.oneline)
+    )
     up: dict[Permutation, set[Permutation]] = {}
     for w in by_length_desc:
         reach = {w}
-        for c in bruhat_covers_up(w):
+        for c in covers_by_length(w):
             reach |= up[c]
         up[w] = reach
     return up

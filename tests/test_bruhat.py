@@ -11,7 +11,7 @@ from spherical.bruhat import (
 )
 from spherical.permutations import Permutation, avoids_all, symmetric_group
 
-from oracles import leq_by_cover_closure
+from oracles import covers_by_length, leq_by_cover_closure
 
 
 class TestBruhatLeq:
@@ -66,6 +66,11 @@ class TestCovers:
     def test_covers_of_s1(self):
         got = {str(u) for u in bruhat_covers_up(Permutation((2, 1, 3)))}
         assert got == {"312", "231"}
+
+    def test_covers_match_length_oracle(self):
+        for n in range(1, 7):
+            for w in symmetric_group(n):
+                assert bruhat_covers_up(w) == covers_by_length(w)
 
     def test_cover_shape(self):
         # each cover differs in exactly two positions and one length step

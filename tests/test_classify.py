@@ -28,7 +28,7 @@ from spherical.permutations import (
     symmetric_group,
 )
 
-from oracles import avoids_by_subsets
+from oracles import avoids_by_subsets, first_catalog_occurrence
 
 
 @pytest.fixture
@@ -74,6 +74,14 @@ def uniform(degrees):
             lambda values: Permutation(tuple(values))
         )
     )
+
+
+def oracle_pattern_text(w):
+    hit = first_catalog_occurrence(w)
+    if hit is None:
+        return "avoids all 21 blocking patterns"
+    positions, p = hit
+    return f"contains {p} at positions {','.join(map(str, positions))}"
 
 
 def assert_backends_agree(w, backends):
@@ -209,6 +217,22 @@ class TestExplain:
         assert text == "contains 24531 at positions 1,2,3,4,5"
         assert "avoids" in explain(Permutation.identity(5), "pattern")
 
+    def test_pattern_witness_is_first_occurrence(self):
+        # the first catalog occurrence in position order, over all patterns
+        for n in range(1, 8):
+            for w in symmetric_group(n):
+                assert explain(w, "pattern") == oracle_pattern_text(w)
+
+    @given(st.one_of(uniform(st.integers(9, 12)), block_sums(st.integers(9, 12))))
+    def test_pattern_witness_past_degree_eight(self, w):
+        assert explain(w, "pattern") == oracle_pattern_text(w)
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_one_search_per_call(self, counted_searches, backend):
+        explain(Permutation.from_text("263415"), backend)
+        assert counted_searches["decider"] == {backend: 1}
+        assert counted_searches["search"] == {backend: 1}
+
     def test_quotient_witness(self):
         text = explain(Permutation.from_text("54321"), "boolean_quotient")
         assert "repetition-free" in text and "12345" in text
@@ -316,7 +340,9 @@ class TestCrossCheck:
         # whose second letter is 3: 24 offenders spread over every block
         pattern = classify._DECIDERS["pattern"]
         monkeypatch.setitem(
-            classify._DECIDERS, "stub", lambda word: pattern(word) ^ (word[1] == 3)
+            classify._DECIDERS,
+            "stub",
+            lambda word: (pattern(word)[0] ^ (word[1] == 3), None),
         )
         monkeypatch.setattr("spherical.classify.os.cpu_count", lambda: 8)
         offenders = [p for p in symmetric_group(5) if p.oneline[1] == 3]

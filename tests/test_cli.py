@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from spherical.classify import BACKENDS
 from spherical.cli import main
 from spherical.permutations import Permutation, symmetric_group
 
@@ -19,6 +20,17 @@ class TestClassify:
         lines = out.strip().splitlines()
         assert lines[0] == "not spherical"
         assert lines[1] == "witness: contains 24531 at positions 1,2,3,4,5"
+
+    @pytest.mark.parametrize("word", ["24531", "54321", "263415"])
+    def test_one_search_per_backend(self, capsys, counted_searches, word):
+        # the verdict and the --explain text come from the same call
+        run_cli(capsys, "classify", word, "--explain")
+        for layer in ("decider", "search"):
+            assert counted_searches[layer] == {"pattern": 1}
+            counted_searches[layer].clear()
+        run_cli(capsys, "classify", word, "--backend=all", "--explain")
+        for layer in ("decider", "search"):
+            assert counted_searches[layer] == dict.fromkeys(BACKENDS, 1)
 
     def test_identity(self, capsys):
         status, out, _ = run_cli(capsys, "classify", "12345")
@@ -299,6 +311,13 @@ class TestInterval:
             lo, up = edge.split(" < ")
             assert Permutation.from_text(lo).degree == 4
             assert Permutation.from_text(up).degree == 4
+
+    def test_high_degree_answers(self, capsys):
+        # covers are listed in one pass per position, so degree 300 is quick
+        word = ",".join(str(v) for v in (2, 1, *range(3, 301)))
+        status, out, _ = run_cli(capsys, "interval", word)
+        assert status == 0
+        assert out.strip() == "2 elements, boolean: true"
 
     def test_rank_bound_is_usage_error(self, capsys):
         status, out, err = run_cli(capsys, "interval", "7,6,5,4,3,2,1")
