@@ -9,7 +9,6 @@ Boolean-lattice recognizer build on that test.
 from __future__ import annotations
 
 import functools
-from bisect import insort
 from dataclasses import dataclass
 
 from .permutations import Permutation
@@ -25,14 +24,21 @@ def first_dominance_failure(v: Permutation, w: Permutation) -> int | None:
     vo, wo = v.oneline, w.oneline
     if vo == wo:
         return None
-    vp: list[int] = []
-    wp: list[int] = []
+    # Sorted prefixes dominate exactly when, for every threshold j, the
+    # prefix of w holds at least as many values >= j as that of v.
+    # surplus[j] keeps that difference; step i moves it only for the
+    # thresholds between v_i and w_i, and only a fall can make it negative.
+    surplus = [0] * (v.degree + 2)
     for i in range(v.degree - 1):  # the full prefix is always equal
-        insort(vp, vo[i])
-        insort(wp, wo[i])
-        for a, b in zip(vp, wp):
-            if a > b:
-                return i + 1
+        a, b = vo[i], wo[i]
+        if a < b:
+            for j in range(a + 1, b + 1):
+                surplus[j] += 1
+        else:
+            for j in range(b + 1, a + 1):
+                surplus[j] -= 1
+                if surplus[j] < 0:
+                    return i + 1
     return None
 
 

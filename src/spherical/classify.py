@@ -13,10 +13,14 @@ tuple, which returns the verdict and its witness together: ``is_spherical``
 and the scan loop read the verdict, and ``explain`` formats the witness
 from the same call.
 ``cross_check`` runs several backends over a whole symmetric group and
-reports any disagreement; ``density_table`` tabulates spherical counts
-per degree.  Both scan S_n in blocks by first value, which joined in order
-give the lexicographic stream; ``jobs`` only sets how many worker
-processes share the blocks.
+reports any disagreement; it scans S_n in blocks by first value, which
+joined in order give the lexicographic stream.  ``density_table``
+tabulates spherical counts per degree by walking the generating tree of
+the class: each spherical word of degree n+1 is a spherical word of
+degree n with n+1 inserted, and the catalog's two positional tests say
+where the insertion is allowed.  Both hand their blocks (subtrees for the
+tree) to one scan driver; ``jobs`` only sets how many worker processes
+share them.
 """
 
 from __future__ import annotations
@@ -30,7 +34,7 @@ import warnings
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from .divisibility import _first_witness, witness_text
 from .permutations import (
@@ -361,23 +365,21 @@ def _scan_chunk(
     return total, spherical, bad
 
 
-def _scan(
-    chunks: list[tuple[int, tuple[int, ...], tuple[str, ...]]], jobs: int
-) -> list[tuple[int, int, list[tuple[tuple[int, ...], tuple[bool, ...]]]]]:
-    """Scan every chunk, on at most ``jobs`` worker processes; the results
-    come back in chunk order."""
+def _scan(work: Callable, chunks: list, jobs: int, size: int) -> list:
+    """Apply ``work`` to every chunk, on at most ``jobs`` worker processes;
+    the results come back in chunk order.  ``size`` measures the whole
+    scan, so that a small one skips the pool."""
     if jobs < 1:
         raise ValueError("jobs must be at least 1")
-    size = sum(math.factorial(n - len(head)) for n, head, _ in chunks)
     workers = min(jobs, len(chunks), os.cpu_count() or 1)
     if workers < 2 or size < 4 * jobs:
-        return [_scan_chunk(c) for c in chunks]
+        return [work(c) for c in chunks]
     try:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(_scan_chunk, chunks))
+            return list(pool.map(work, chunks))
     except (OSError, BrokenProcessPool) as err:
         warnings.warn(f"process pool unavailable ({err}); scanning serially")
-        return [_scan_chunk(c) for c in chunks]
+        return [work(c) for c in chunks]
 
 
 def cross_check(
@@ -416,7 +418,8 @@ def cross_check(
         )
     # S_n in blocks by first value: joined in order they give the
     # lexicographic stream, so disagreements keep their order.
-    results = _scan([(n, (first,), names) for first in range(1, n + 1)], jobs)
+    chunks = [(n, (first,), names) for first in range(1, n + 1)]
+    results = _scan(_scan_chunk, chunks, jobs, math.factorial(n))
     bad = [item for _, _, block_bad in results for item in block_bad]
     reported = []
     for word, verdicts in bad[:MAX_REPORTED_DISAGREEMENTS]:
@@ -442,13 +445,102 @@ class DensityRow(NamedTuple):
     ratio: float
 
 
+# The generating tree.  Deleting the maximum from a spherical word leaves a
+# spherical word (the class is closed under patterns), so each member of
+# degree n+1 is a member w of degree n with n+1 inserted at one site: site
+# s puts it after the first s letters of w.  Members of degree up to
+# _TREE_CUT come from one serial walk; the subtree below each member of
+# that degree is one chunk for the scan driver.
+_TREE_CUT = 5
+
+
+def _allowed_sites(w: tuple[int, ...]) -> list[int]:
+    """The sites where inserting len(w)+1 into the spherical word w keeps
+    it spherical, in increasing order.
+
+    w avoids the catalog, so an occurrence in a child uses the new
+    maximum, and only as its "5".  The catalog's positional tests
+    (``_position_test_321``, ``_position_test_3412``) then read as
+    forbidden sites on w: a prefix of sites, and one stretch per middle
+    entry of the 321 half.
+    """
+    n = len(w)
+    pos = [-1] * (n + 1)
+    for i, v in enumerate(w):
+        pos[v] = i
+    # last_upto[v]: the last position holding a value at most v, or -1.
+    last_upto = list(itertools.accumulate(pos, max))
+    prefix = -1  # sites 0..prefix are forbidden; never past the current j
+    starts = [n + 1] * (n + 1)  # sites starts[j]..j are forbidden
+    for j, wj in enumerate(w):
+        after = w[j + 1:]
+        # 321 half, w_j the "3": a "1" at k > j with w_k < w_j and a "2"
+        # valued in (w_k, w_j) before j or after k.  Among the values below
+        # w_j after j, such a "1" exists unless they fall and the last of
+        # them is above every value below w_j before j.  The new "5" must
+        # then come before j, with a "4" (any value above w_j) before it
+        # or after j.
+        lows = [y for y in after if y < wj]
+        if lows and (
+            lows != sorted(lows, reverse=True)
+            or lows[-1] < max([y for y in w[:j] if y < wj], default=0)
+        ):
+            if len(lows) < len(after):
+                prefix = j
+            elif wj < n:
+                starts[j] = 1 + next(p for p, y in enumerate(w) if y > wj)
+        # 3412 half, w_j the "2": a "4" at i < j with w_i > w_j, a "3"
+        # valued in (w_j, w_i) before i or after j, and a "1" (any value
+        # below w_j) after i, the latest at last_upto[w_j - 1].  Among the
+        # values above w_j before both, such a "4" exists unless they fall
+        # and the first of them is below every value above w_j after j.
+        # The new "5" must then come before both j and that "1".
+        reach = min(j, last_upto[wj - 1])
+        if reach > prefix:
+            highs = [y for y in w[:reach] if y > wj]
+            if highs and (
+                highs != sorted(highs, reverse=True)
+                or highs[0] > min([y for y in after if y > wj], default=n + 1)
+            ):
+                prefix = reach
+    allowed = []
+    start = n + 1  # the least start among stretches ending at or after s
+    for s in range(n, prefix, -1):
+        start = min(start, starts[s])
+        if start > s:
+            allowed.append(s)
+    allowed.reverse()
+    return allowed
+
+
+def _count_subtree(args: tuple[tuple[int, ...], int]) -> list[int]:
+    """Members of each degree len(root)+1..max_n below ``root``, walked
+    depth-first; the last degree is counted from the sites alone."""
+    root, max_n = args
+    counts = [0] * (max_n - len(root))
+    stack = [root]
+    while stack:
+        w = stack.pop()
+        n = len(w)
+        sites = _allowed_sites(w)
+        counts[n - len(root)] += len(sites)
+        if n + 1 < max_n:
+            top = (n + 1,)
+            stack.extend(w[:s] + top + w[s:] for s in sites)
+    return counts
+
+
 def density_table(
     max_n: int, *, force: bool = False, jobs: int = 1
 ) -> list[DensityRow]:
     """Spherical counts and densities for every degree 1..max_n.
 
-    Counting uses the pattern backend.  The default bound is degree 8;
-    ``force=True`` overrides it.
+    Counting walks the generating tree of the class from (1,): the
+    children of a spherical word of degree n are the words made by
+    inserting n+1 at each site where the result still avoids the catalog,
+    found in one quadratic pass over the parent.  The cost follows the
+    class size, not n!.  The default bound is degree 8; ``force=True``
+    overrides it.
 
     >>> density_table(5)[-1]
     DensityRow(n=5, spherical=99, total=120, ratio=0.825)
@@ -460,19 +552,19 @@ def density_table(
             f"degree {max_n} exceeds the density bound {DENSITY_BOUND}; "
             "pass force=True to run anyway"
         )
-    chunks = [
-        (n, (first,), ("pattern",))
-        for n in range(1, max_n + 1)
-        for first in range(1, n + 1)
-    ]
-    totals = [0] * (max_n + 1)
-    spherical = [0] * (max_n + 1)
-    for (n, _, _), (total, count, _) in zip(chunks, _scan(chunks, jobs)):
-        totals[n] += total
-        spherical[n] += count
+    catalog()  # the tree rests on the self-checked characterizations
+    level = [(1,)]
+    counts = [1]
+    while len(level[0]) < min(max_n, _TREE_CUT):
+        top = (len(level[0]) + 1,)
+        level = [w[:s] + top + w[s:] for w in level for s in _allowed_sites(w)]
+        counts.append(len(level))
+    chunks = [(w, max_n) for w in level] if max_n > len(level[0]) else []
+    below = _scan(_count_subtree, chunks, jobs, len(chunks))
+    counts.extend(sum(col) for col in zip(*below))
     return [
-        DensityRow(n, spherical[n], totals[n], spherical[n] / totals[n])
-        for n in range(1, max_n + 1)
+        DensityRow(n, count, math.factorial(n), count / math.factorial(n))
+        for n, count in enumerate(counts, start=1)
     ]
 
 

@@ -9,6 +9,7 @@ stderr only; a verb never emits partial stdout.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -81,13 +82,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--backends", default="pattern,boolean,divisible")
     p.add_argument("--force", action="store_true")
     p.add_argument("--format", choices=["table", "json"], default=None)
-    p.add_argument("--jobs", type=int, default=os.cpu_count() or 1)
+    p.add_argument("--jobs", type=int, default=None)
 
     p = sub.add_parser("count", help="spherical counts per degree")
     p.add_argument("--max-n", type=int, required=True, dest="max_n")
     p.add_argument("--format", choices=["table", "csv", "json"], default="table")
     p.add_argument("--force", action="store_true")
-    p.add_argument("--jobs", type=int, default=os.cpu_count() or 1)
+    p.add_argument("--jobs", type=int, default=None)
 
     p = sub.add_parser("patterns", help="list the blocking-pattern catalog")
     p.add_argument("--subset", choices=["all", "321", "3412", "both"], default="all")
@@ -107,6 +108,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--edges", action="store_true")
 
     return parser
+
+
+# One parser serves every call in the process; it keeps no state between
+# parses.
+_parser = functools.cache(build_parser)
+
+
+def _jobs(ns: argparse.Namespace) -> int:
+    # --jobs defaults to the CPU count at the time the command runs.
+    return ns.jobs if ns.jobs is not None else os.cpu_count() or 1
 
 
 def _cmd_classify(ns: argparse.Namespace) -> tuple[int, str]:
@@ -147,7 +158,7 @@ def _cmd_crosscheck(ns: argparse.Namespace) -> tuple[int, str]:
                 f"estimated {secs:.1f}s for {math.factorial(ns.n)} permutations",
                 file=sys.stderr,
             )
-        report = cross_check(ns.n, backends, force=ns.force, jobs=ns.jobs)
+        report = cross_check(ns.n, backends, force=ns.force, jobs=_jobs(ns))
     except ValueError as err:
         raise CLIError(str(err)) from None
     if ns.format == "json":
@@ -162,16 +173,12 @@ def _cmd_crosscheck(ns: argparse.Namespace) -> tuple[int, str]:
 
 
 def _cmd_count(ns: argparse.Namespace) -> tuple[int, str]:
+    # No estimate even when forced: the generating tree's cost follows the
+    # class size, which is what it counts.
     if ns.max_n < 1:
         raise CLIError("--max-n must be at least 1")
-    if ns.force:
-        secs = sum(
-            estimate_seconds(n, ("pattern",))
-            for n in range(1, ns.max_n + 1)
-        )
-        print(f"estimated {secs:.1f}s for degrees 1..{ns.max_n}", file=sys.stderr)
     try:
-        rows = density_table(ns.max_n, force=ns.force, jobs=ns.jobs)
+        rows = density_table(ns.max_n, force=ns.force, jobs=_jobs(ns))
     except ValueError as err:
         raise CLIError(str(err)) from None
     if ns.format == "csv":
@@ -260,9 +267,8 @@ _HANDLERS: dict[str, Callable[[argparse.Namespace], tuple[int, str]]] = {
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        ns = parser.parse_args(argv)
+        ns = _parser().parse_args(argv)
     except SystemExit as exc:  # argparse reports usage errors with status 2
         return int(exc.code or 0)
     try:

@@ -3,13 +3,14 @@
 These deliberately avoid the library's own search strategies: pattern
 containment scans every position subset with no pruning, word counting
 multiplies out every generator sequence, Bruhat covers are the swaps that
-add exactly one inversion, and Bruhat comparison comes from closing that
-cover relation.  They exist to pin expected values, so keep them dumb.
+add exactly one inversion, Bruhat comparison comes from closing that
+cover relation, and prefix dominance compares whole sorted prefixes.  They exist to pin expected values, so keep them dumb.
 """
 
 from __future__ import annotations
 
 import itertools
+import operator
 from collections import Counter
 
 from spherical.classify import catalog
@@ -114,3 +115,14 @@ def leq_by_cover_closure(n: int) -> dict[Permutation, set[Permutation]]:
             reach |= up[c]
         up[w] = reach
     return up
+
+
+def dominance_failure_by_sorted_prefixes(v: Permutation, w: Permutation):
+    """The first prefix length at which some entry of v's sorted prefix
+    exceeds the matching entry of w's, comparing the whole sorted prefixes
+    at every length; None if there is none."""
+    vo, wo = v.oneline, w.oneline
+    for i in range(1, len(vo) + 1):
+        if any(map(operator.gt, sorted(vo[:i]), sorted(wo[:i]))):
+            return i
+    return None

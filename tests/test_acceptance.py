@@ -8,7 +8,14 @@ and prints a single PASS line once its assertions hold (run with
 import random
 
 from spherical.bruhat import build_interval, bruhat_leq, is_boolean_lattice
-from spherical.classify import BACKENDS, cross_check, density_table, verify_catalog_characterizations
+from spherical.classify import (
+    BACKENDS,
+    _allowed_sites,
+    cross_check,
+    density_table,
+    is_spherical,
+    verify_catalog_characterizations,
+)
 from spherical.divisibility import is_divisible
 from spherical.permutations import (
     Permutation,
@@ -117,3 +124,31 @@ def test_criterion_8_parabolic_factor_lengths_add():
             v = longest_parabolic(w.left_descents())
             assert v.length() + (v * w).length() == w.length(), str(w)
     print("criterion 8 (parabolic factorization lengths add to degree 6): PASS")
+
+
+def test_criterion_9_generating_tree_confirmed_by_divisibility():
+    # Every child of every member through degree 8, on an allowed site or
+    # not, is classified by the divisibility backend, which shares nothing
+    # with the tree's site rule.
+    members = {1: 1}
+    rejected = 0
+    level = [(1,)]
+    for n in range(1, 9):
+        grown = []
+        for w in level:
+            sites = _allowed_sites(w)
+            for s in range(n + 1):
+                child = w[:s] + (n + 1,) + w[s:]
+                verdict = is_spherical(Permutation(child), "divisibility")
+                assert verdict == (s in sites), child
+                if verdict:
+                    grown.append(child)
+                else:
+                    rejected += 1
+        level = grown
+        members[n + 1] = len(level)
+    assert sum(members.values()) - 1 == 33_130 and rejected == 39_629
+    assert members[9] == 24_732
+    rows = density_table(9, force=True)
+    assert [row.spherical for row in rows] == [members[n] for n in range(1, 10)]
+    print("criterion 9 (generating tree confirmed child by child by divisibility to degree 9, n=9 count 24732): PASS")

@@ -11,7 +11,11 @@ from spherical.bruhat import (
 )
 from spherical.permutations import Permutation, avoids_all, symmetric_group
 
-from oracles import covers_by_length, leq_by_cover_closure
+from oracles import (
+    covers_by_length,
+    dominance_failure_by_sorted_prefixes,
+    leq_by_cover_closure,
+)
 
 
 class TestBruhatLeq:
@@ -35,6 +39,15 @@ class TestBruhatLeq:
         assert first_dominance_failure(
             Permutation((2, 1, 3)), Permutation((3, 1, 2))
         ) is None
+
+    def test_failure_index_matches_sorted_prefix_oracle(self):
+        for n in range(1, 7):
+            perms = list(symmetric_group(n))
+            for v in perms:
+                for w in perms:
+                    assert first_dominance_failure(
+                        v, w
+                    ) == dominance_failure_by_sorted_prefixes(v, w), (v, w)
 
     def test_partial_order_axioms_exhaustive(self):
         for n in range(1, 6):

@@ -404,6 +404,30 @@ class TestDensity:
         assert density_table(6, jobs=2) == serial
         assert recording_pool == [2]
 
+    @pytest.mark.parametrize("jobs", [2, 3])
+    def test_rows_identical_for_any_jobs(self, monkeypatch, recording_pool, jobs):
+        serial = density_table(8)
+        monkeypatch.setattr("spherical.classify.os.cpu_count", lambda: 8)
+        assert density_table(8, jobs=jobs) == serial
+        assert recording_pool == [jobs]
+
+    def test_allowed_sites_match_brute_force_children(self):
+        # every spherical parent of degree at most 6, found by the oracle;
+        # a site is allowed exactly when the child avoids the catalog
+        patterns = catalog().all
+        for n in range(1, 7):
+            for parent in symmetric_group(n):
+                if not avoids_by_subsets(parent, patterns):
+                    continue
+                w = parent.oneline
+                children = [w[:s] + (n + 1,) + w[s:] for s in range(n + 1)]
+                expected = [
+                    s
+                    for s, child in enumerate(children)
+                    if avoids_by_subsets(Permutation(child), patterns)
+                ]
+                assert classify._allowed_sites(w) == expected, parent
+
     def test_bound_needs_force(self):
         with pytest.raises(ValueError):
             density_table(9)

@@ -3,6 +3,7 @@ import json
 import pytest
 
 from spherical.classify import BACKENDS
+from spherical import cli
 from spherical.cli import main
 from spherical.permutations import Permutation, symmetric_group
 
@@ -218,6 +219,16 @@ class TestCount:
         assert status == 2
         assert out == ""
 
+    def test_force_prints_no_estimate(self, capsys):
+        status, out, err = run_cli(
+            capsys, "count", "--max-n=9", "--force", "--format=csv", "--jobs=1"
+        )
+        assert status == 0
+        rows = out.strip().splitlines()
+        assert len(rows) == 9
+        assert rows[-1] == f"9,24732,362880,{24732 / 362880}"
+        assert "estimated" not in err
+
 
 class TestPatterns:
     def test_default_lists_21(self, capsys):
@@ -329,6 +340,34 @@ class TestInterval:
 class TestUsage:
     def test_no_verb(self, capsys):
         assert main([]) == 2
+
+    def test_one_parser_per_process(self, capsys, monkeypatch):
+        # a run of calls through the shared parser, a usage error among
+        # them, answers each call as a freshly built parser does
+        runs = [
+            ("classify", "24531", "--explain"),
+            ("count", "--max-n=4", "--format=csv"),
+            ("crosscheck", "--n=9"),
+            ("bruhat", "21"),
+            ("count", "--max-n=3", "--jobs=1"),
+            ("classify", "54321", "--backend=all"),
+            ("patterns", "--subset=both"),
+        ]
+        shared = [run_cli(capsys, *argv) for argv in runs]
+        monkeypatch.setattr(cli, "_parser", cli.build_parser)
+        fresh = [run_cli(capsys, *argv) for argv in runs]
+        assert shared == fresh
+        assert [status for status, _, _ in shared] == [1, 0, 2, 2, 0, 0, 0]
+
+    def test_jobs_default_read_when_the_command_runs(self, capsys, monkeypatch):
+        seen = []
+        monkeypatch.setattr(
+            cli, "density_table", lambda max_n, force, jobs: seen.append(jobs) or []
+        )
+        for cpus in (3, None):
+            monkeypatch.setattr("spherical.cli.os.cpu_count", lambda: cpus)
+            run_cli(capsys, "count", "--max-n=2")
+        assert seen == [3, 1]
 
     def test_unknown_verb(self, capsys):
         assert main(["frobnicate"]) == 2
