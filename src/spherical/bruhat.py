@@ -110,10 +110,7 @@ def build_interval(w: Permutation, rank_bound: int = DEFAULT_RANK_BOUND) -> Bruh
     """
     rank = w.length()
     if rank > rank_bound:
-        raise ValueError(
-            f"interval rank {rank} exceeds bound {rank_bound}; "
-            "pass a larger rank_bound explicitly"
-        )
+        raise ValueError(f"interval rank {rank} exceeds bound {rank_bound}")
     e = Permutation.identity(w.degree)
     elements = {e}
     frontier = [e]

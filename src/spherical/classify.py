@@ -19,8 +19,8 @@ tabulates spherical counts per degree by walking the generating tree of
 the class: each spherical word of degree n+1 is a spherical word of
 degree n with n+1 inserted, and the catalog's two positional tests say
 where the insertion is allowed.  Both hand their blocks (subtrees for the
-tree) to one scan driver; ``jobs`` only sets how many worker processes
-share them.
+tree) to one scan driver; below its degree bound a scan is one block, run
+in-process, since a pool costs more to start than such a scan takes.
 """
 
 from __future__ import annotations
@@ -31,8 +31,6 @@ import math
 import os
 import time
 import warnings
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Sequence
 
@@ -50,7 +48,7 @@ from .reduced_words import _repetition_free_word, _spherical_witness_word, word_
 
 DEFAULT_CROSSCHECK_BOUND = 7
 DEFINITION_CROSSCHECK_BOUND = 6
-DENSITY_BOUND = 8
+DENSITY_BOUND = 9
 MAX_REPORTED_DISAGREEMENTS = 20
 
 # The 21 blocking patterns.  The two sublists record which base pattern
@@ -365,21 +363,36 @@ def _scan_chunk(
     return total, spherical, bad
 
 
-def _scan(work: Callable, chunks: list, jobs: int, size: int) -> list:
+def _scan(work: Callable, chunks: list, jobs: int) -> list:
     """Apply ``work`` to every chunk, on at most ``jobs`` worker processes;
-    the results come back in chunk order.  ``size`` measures the whole
-    scan, so that a small one skips the pool."""
+    the results come back in chunk order."""
     if jobs < 1:
         raise ValueError("jobs must be at least 1")
     workers = min(jobs, len(chunks), os.cpu_count() or 1)
-    if workers < 2 or size < 4 * jobs:
+    if workers < 2:
         return [work(c) for c in chunks]
+    # Imported here: a fifth of the package's import time, for pools only.
+    from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures.process import BrokenProcessPool
+
     try:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(work, chunks))
     except (OSError, BrokenProcessPool) as err:
         warnings.warn(f"process pool unavailable ({err}); scanning serially")
         return [work(c) for c in chunks]
+
+
+def _cross_check_names(n: int, backends: Sequence[str]) -> tuple[str, ...]:
+    # Every refusal of a cross-check but its bound, before any work starts.
+    if n < 1:
+        raise ValueError("degree must be at least 1")
+    names = tuple(backends)
+    for b in names:
+        _check_backend(b)
+    if len(set(names)) < 2:
+        raise ValueError("a cross-check needs at least two distinct backends")
+    return names
 
 
 def cross_check(
@@ -394,18 +407,13 @@ def cross_check(
     S_n streams in lexicographic order.  The default exhaustive bound is
     degree 7, or 6 whenever the slower ``definition`` backend is included;
     ``force=True`` overrides the bound.  At least two backends must be
-    listed, since a single backend cross-checks nothing.
+    listed, since a single backend cross-checks nothing.  Below the bound
+    S_n is scanned in-process as one block whatever ``jobs`` says.
 
     >>> cross_check(4).summary_line()
     '24 permutations, 24 spherical, 0 disagreements'
     """
-    if n < 1:
-        raise ValueError("degree must be at least 1")
-    names = tuple(backends)
-    for b in names:
-        _check_backend(b)
-    if len(set(names)) < 2:
-        raise ValueError("cross_check needs at least two distinct backends")
+    names = _cross_check_names(n, backends)
     bound = (
         DEFINITION_CROSSCHECK_BOUND
         if "definition" in names
@@ -414,12 +422,12 @@ def cross_check(
     if n > bound and not force:
         raise ValueError(
             f"degree {n} exceeds the exhaustive bound {bound} for backends "
-            f"{names}; pass force=True to run anyway"
+            f"{names}; pass --force (force=True) to run anyway"
         )
-    # S_n in blocks by first value: joined in order they give the
-    # lexicographic stream, so disagreements keep their order.
-    chunks = [(n, (first,), names) for first in range(1, n + 1)]
-    results = _scan(_scan_chunk, chunks, jobs, math.factorial(n))
+    # From the bound up, S_n in blocks by first value: joined in order they
+    # give the lexicographic stream, so disagreements keep their order.
+    heads = [(first,) for first in range(1, n + 1)] if n >= bound else [()]
+    results = _scan(_scan_chunk, [(n, head, names) for head in heads], jobs)
     bad = [item for _, _, block_bad in results for item in block_bad]
     reported = []
     for word, verdicts in bad[:MAX_REPORTED_DISAGREEMENTS]:
@@ -448,9 +456,9 @@ class DensityRow(NamedTuple):
 # The generating tree.  Deleting the maximum from a spherical word leaves a
 # spherical word (the class is closed under patterns), so each member of
 # degree n+1 is a member w of degree n with n+1 inserted at one site: site
-# s puts it after the first s letters of w.  Members of degree up to
-# _TREE_CUT come from one serial walk; the subtree below each member of
-# that degree is one chunk for the scan driver.
+# s puts it after the first s letters of w.  From DENSITY_BOUND up, each
+# subtree below a member of degree _TREE_CUT (found by one serial walk) is
+# one chunk for the scan driver; below the bound the tree is one chunk.
 _TREE_CUT = 5
 
 
@@ -539,8 +547,8 @@ def density_table(
     children of a spherical word of degree n are the words made by
     inserting n+1 at each site where the result still avoids the catalog,
     found in one quadratic pass over the parent.  The cost follows the
-    class size, not n!.  The default bound is degree 8; ``force=True``
-    overrides it.
+    class size, not n!.  The default bound is degree 9; ``force=True``
+    overrides it.  Below the bound the walk runs in-process for any ``jobs``.
 
     >>> density_table(5)[-1]
     DensityRow(n=5, spherical=99, total=120, ratio=0.825)
@@ -550,17 +558,17 @@ def density_table(
     if max_n > DENSITY_BOUND and not force:
         raise ValueError(
             f"degree {max_n} exceeds the density bound {DENSITY_BOUND}; "
-            "pass force=True to run anyway"
+            "pass --force (force=True) to run anyway"
         )
     catalog()  # the tree rests on the self-checked characterizations
     level = [(1,)]
     counts = [1]
-    while len(level[0]) < min(max_n, _TREE_CUT):
+    while max_n >= DENSITY_BOUND and len(level[0]) < min(max_n, _TREE_CUT):
         top = (len(level[0]) + 1,)
         level = [w[:s] + top + w[s:] for w in level for s in _allowed_sites(w)]
         counts.append(len(level))
     chunks = [(w, max_n) for w in level] if max_n > len(level[0]) else []
-    below = _scan(_count_subtree, chunks, jobs, len(chunks))
+    below = _scan(_count_subtree, chunks, jobs)
     counts.extend(sum(col) for col in zip(*below))
     return [
         DensityRow(n, count, math.factorial(n), count / math.factorial(n))
@@ -571,15 +579,11 @@ def density_table(
 def estimate_seconds(n: int, backends: Sequence[str]) -> float:
     """Rough wall-clock estimate for a full degree-n scan: time the block
     of S_n that fixes all but the last min(n, 6) values and scale it up by
-    the number of such blocks."""
-    if n < 1:
-        raise ValueError("degree must be at least 1")
-    if not backends:
-        raise ValueError("estimate_seconds needs at least one backend")
-    for b in backends:
-        _check_backend(b)
+    the number of such blocks.  Refuses the inputs ``cross_check``
+    refuses, other than a degree past its bound."""
+    names = _cross_check_names(n, backends)
     free = min(n, 6)
     start = time.perf_counter()
-    _scan_chunk((n, tuple(range(1, n - free + 1)), tuple(backends)))
+    _scan_chunk((n, tuple(range(1, n - free + 1)), names))
     elapsed = time.perf_counter() - start
     return elapsed * math.factorial(n) / math.factorial(free)

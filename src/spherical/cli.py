@@ -2,8 +2,10 @@
 
 Verbs: classify, crosscheck, count, patterns, reduced-words, bruhat,
 interval.  Exit status 0 is success (for classify: spherical), 1 is a
-negative verdict or disagreement, 2 is a usage error.  Errors go to
-stderr only; a verb never emits partial stdout.
+negative verdict or disagreement, 2 is a usage error.  Refusals have one
+path: the library checks each input once, and ``main`` turns any
+``ValueError`` into its message on stderr and status 2; other exceptions
+are faults and surface as tracebacks.  A verb never emits partial stdout.
 """
 
 from __future__ import annotations
@@ -35,30 +37,6 @@ _BACKEND_FLAGS = {
     "divisible": "divisibility",
     "definition": "definition",
 }
-
-
-class CLIError(Exception):
-    pass
-
-
-def _parse_perm(text: str) -> Permutation:
-    try:
-        return Permutation.from_text(text)
-    except ValueError as err:
-        raise CLIError(str(err)) from None
-
-
-def _resolve_backend_names(tokens: Sequence[str]) -> tuple[str, ...]:
-    names = []
-    for tok in tokens:
-        name = _BACKEND_FLAGS.get(tok, tok)
-        if name not in BACKENDS:
-            raise CLIError(
-                f"unknown backend {tok!r}; choose from "
-                f"{', '.join(_BACKEND_FLAGS)} or the full names"
-            )
-        names.append(name)
-    return tuple(names)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -122,7 +100,7 @@ def _jobs(ns: argparse.Namespace) -> int:
 
 def _cmd_classify(ns: argparse.Namespace) -> tuple[int, str]:
     # One search per backend gives both the verdict and the --explain text.
-    w = _parse_perm(ns.perm)
+    w = Permutation.from_text(ns.perm)
     if ns.backend == "all":
         judged = {b: _explained(w, b) for b in BACKENDS}
         verdicts = {b: v for b, (v, _) in judged.items()}
@@ -148,19 +126,15 @@ def _cmd_classify(ns: argparse.Namespace) -> tuple[int, str]:
 
 
 def _cmd_crosscheck(ns: argparse.Namespace) -> tuple[int, str]:
-    if ns.n < 1:
-        raise CLIError("--n must be at least 1")
-    backends = _resolve_backend_names([t for t in ns.backends.split(",") if t])
-    try:
-        if ns.force:
-            secs = estimate_seconds(ns.n, backends)
-            print(
-                f"estimated {secs:.1f}s for {math.factorial(ns.n)} permutations",
-                file=sys.stderr,
-            )
-        report = cross_check(ns.n, backends, force=ns.force, jobs=_jobs(ns))
-    except ValueError as err:
-        raise CLIError(str(err)) from None
+    # Short names map to full ones; the library refuses unknown names.
+    backends = tuple(_BACKEND_FLAGS.get(t, t) for t in ns.backends.split(",") if t)
+    if ns.force:
+        secs = estimate_seconds(ns.n, backends)
+        print(
+            f"estimated {secs:.1f}s for {math.factorial(ns.n)} permutations",
+            file=sys.stderr,
+        )
+    report = cross_check(ns.n, backends, force=ns.force, jobs=_jobs(ns))
     if ns.format == "json":
         text = json.dumps(report.as_dict(), indent=2)
     elif ns.format == "table":
@@ -175,12 +149,7 @@ def _cmd_crosscheck(ns: argparse.Namespace) -> tuple[int, str]:
 def _cmd_count(ns: argparse.Namespace) -> tuple[int, str]:
     # No estimate even when forced: the generating tree's cost follows the
     # class size, which is what it counts.
-    if ns.max_n < 1:
-        raise CLIError("--max-n must be at least 1")
-    try:
-        rows = density_table(ns.max_n, force=ns.force, jobs=_jobs(ns))
-    except ValueError as err:
-        raise CLIError(str(err)) from None
+    rows = density_table(ns.max_n, force=ns.force, jobs=_jobs(ns))
     if ns.format == "csv":
         text = "\n".join(
             f"{r.n},{r.spherical},{r.total},{r.ratio}" for r in rows
@@ -218,21 +187,15 @@ def _cmd_patterns(ns: argparse.Namespace) -> tuple[int, str]:
 
 
 def _cmd_reduced_words(ns: argparse.Namespace) -> tuple[int, str]:
-    w = _parse_perm(ns.perm)
-    try:
-        words = enumerate_reduced_words(w, ns.limit)
-    except ValueError as err:
-        raise CLIError(str(err)) from None
+    w = Permutation.from_text(ns.perm)
+    words = enumerate_reduced_words(w, ns.limit)
     return 0, "\n".join(word_to_text(word) for word in words)
 
 
 def _cmd_bruhat(ns: argparse.Namespace) -> tuple[int, str]:
-    v = _parse_perm(ns.v)
-    w = _parse_perm(ns.w)
-    try:
-        failure = first_dominance_failure(v, w)
-    except ValueError as err:
-        raise CLIError(str(err)) from None
+    v = Permutation.from_text(ns.v)
+    w = Permutation.from_text(ns.w)
+    failure = first_dominance_failure(v, w)
     lines = ["true" if failure is None else "false"]
     if ns.explain:
         if failure is None:
@@ -243,11 +206,8 @@ def _cmd_bruhat(ns: argparse.Namespace) -> tuple[int, str]:
 
 
 def _cmd_interval(ns: argparse.Namespace) -> tuple[int, str]:
-    w = _parse_perm(ns.perm)
-    try:
-        iv = build_interval(w)
-    except ValueError as err:
-        raise CLIError(str(err)) from None
+    w = Permutation.from_text(ns.perm)
+    iv = build_interval(w)
     boolean = "true" if is_boolean_lattice(iv) else "false"
     lines = [f"{len(iv.elements)} elements, boolean: {boolean}"]
     if ns.edges:
@@ -273,7 +233,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         status, text = _HANDLERS[ns.verb](ns)
-    except CLIError as err:
+    except ValueError as err:
         print(err, file=sys.stderr)
         return 2
     if text:

@@ -56,8 +56,6 @@ class Permutation:
         >>> str(Permutation.identity(3))
         '123'
         """
-        if n < 1:
-            raise ValueError("degree must be at least 1")
         return cls(tuple(range(1, n + 1)))
 
     @classmethod
@@ -313,7 +311,5 @@ def avoids_all(w: Permutation, patterns: Iterable[Permutation]) -> bool:
 
 def symmetric_group(n: int) -> Iterator[Permutation]:
     """All degree-n permutations, in lexicographic one-line order."""
-    if n < 1:
-        raise ValueError("degree must be at least 1")
     for word in itertools.permutations(range(1, n + 1)):
         yield Permutation(word)

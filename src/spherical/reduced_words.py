@@ -129,7 +129,7 @@ def enumerate_reduced_words(
         if count > WORD_ESTIMATE_LIMIT:
             raise ValueError(
                 f"{w} has more than {WORD_ESTIMATE_LIMIT} reduced words; "
-                "pass limit= to enumerate anyway"
+                "pass --limit (limit=N) to enumerate anyway"
             )
     words = _reduced_words(w.oneline, (), lambda state, i: state)
     return list(itertools.islice(words, limit))

@@ -50,7 +50,7 @@ def recording_pool(monkeypatch):
         def map(self, fn, items):
             return map(fn, items)
 
-    monkeypatch.setattr("spherical.classify.ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", RecordingPool)
     return built
 
 
@@ -295,7 +295,9 @@ class TestCrossCheck:
         with pytest.raises(ValueError, match="jobs"):
             cross_check(4, jobs=jobs)
 
-    def test_parallel_matches_serial(self):
+    def test_parallel_matches_serial(self, monkeypatch):
+        # a scan at its bound runs in blocks on a real pool
+        monkeypatch.setattr(classify, "DEFAULT_CROSSCHECK_BOUND", 5)
         serial = cross_check(5)
         parallel = cross_check(5, jobs=3)
         assert serial == parallel
@@ -315,7 +317,8 @@ class TestCrossCheck:
                 raise BrokenProcessPool("a worker died")
 
         serial = cross_check(5)
-        monkeypatch.setattr("spherical.classify.ProcessPoolExecutor", CrashingPool)
+        monkeypatch.setattr(classify, "DEFAULT_CROSSCHECK_BOUND", 5)
+        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", CrashingPool)
         monkeypatch.setattr("spherical.classify.os.cpu_count", lambda: 8)
         with pytest.warns(UserWarning, match="scanning serially"):
             fallback = cross_check(5, jobs=3)
@@ -327,9 +330,10 @@ class TestCrossCheck:
     def test_workers_capped_at_cpu_count(
         self, monkeypatch, recording_pool, jobs, cpus, workers
     ):
-        # S_5 scans as 5 blocks by first value whatever jobs is; the pool
-        # gets at most one worker per block and per CPU, and a single
-        # worker scans in-process with no pool at all
+        # At its bound S_5 scans as 5 blocks by first value whatever jobs
+        # is; the pool gets at most one worker per block and per CPU, and a
+        # single worker scans in-process with no pool at all
+        monkeypatch.setattr(classify, "DEFAULT_CROSSCHECK_BOUND", 5)
         serial = cross_check(5)
         monkeypatch.setattr("spherical.classify.os.cpu_count", lambda: cpus)
         assert cross_check(5, jobs=jobs) == serial
@@ -344,6 +348,7 @@ class TestCrossCheck:
             "stub",
             lambda word: (pattern(word)[0] ^ (word[1] == 3), None),
         )
+        monkeypatch.setattr(classify, "DEFAULT_CROSSCHECK_BOUND", 5)
         monkeypatch.setattr("spherical.classify.os.cpu_count", lambda: 8)
         offenders = [p for p in symmetric_group(5) if p.oneline[1] == 3]
         serial = cross_check(5, ("pattern", "stub"))
@@ -399,6 +404,7 @@ class TestDensity:
         ]
 
     def test_one_pool_for_all_degrees(self, monkeypatch, recording_pool):
+        monkeypatch.setattr(classify, "DENSITY_BOUND", 6)
         serial = density_table(6)
         monkeypatch.setattr("spherical.classify.os.cpu_count", lambda: 2)
         assert density_table(6, jobs=2) == serial
@@ -406,10 +412,19 @@ class TestDensity:
 
     @pytest.mark.parametrize("jobs", [2, 3])
     def test_rows_identical_for_any_jobs(self, monkeypatch, recording_pool, jobs):
+        monkeypatch.setattr(classify, "DENSITY_BOUND", 8)
         serial = density_table(8)
         monkeypatch.setattr("spherical.classify.os.cpu_count", lambda: 8)
         assert density_table(8, jobs=jobs) == serial
         assert recording_pool == [jobs]
+
+    @pytest.mark.parametrize("jobs", [2, 3])
+    def test_no_pool_below_the_bounds(self, monkeypatch, recording_pool, jobs):
+        # a pool costs more to start than a scan below its bound takes
+        monkeypatch.setattr("spherical.classify.os.cpu_count", lambda: 8)
+        assert cross_check(6, jobs=jobs) == cross_check(6)
+        assert density_table(8, jobs=jobs) == density_table(8)
+        assert recording_pool == []
 
     def test_allowed_sites_match_brute_force_children(self):
         # every spherical parent of degree at most 6, found by the oracle;
@@ -430,7 +445,7 @@ class TestDensity:
 
     def test_bound_needs_force(self):
         with pytest.raises(ValueError):
-            density_table(9)
+            density_table(10)
         with pytest.raises(ValueError):
             density_table(0)
 

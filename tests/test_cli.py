@@ -1,4 +1,7 @@
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -215,7 +218,7 @@ class TestCount:
         ]
 
     def test_bound_exceeded(self, capsys):
-        status, out, err = run_cli(capsys, "count", "--max-n=9")
+        status, out, err = run_cli(capsys, "count", "--max-n=10")
         assert status == 2
         assert out == ""
 
@@ -337,7 +340,54 @@ class TestInterval:
         assert "rank" in err
 
 
+# Each refusal with a phrase its message must hold: library refusals reach
+# the user word for word, so they name CLI options, not Python ones.
+REFUSALS = [
+    (("classify", "1,1"), "not a permutation of 1..2"),
+    (("crosscheck", "--n=0"), "degree must be at least 1"),
+    (("crosscheck", "--n=0", "--force"), "degree must be at least 1"),
+    (("crosscheck", "--n=4", "--backends=pattern"), "two distinct backends"),
+    (("crosscheck", "--n=4", "--backends=pattern", "--force"), "two distinct backends"),
+    (("crosscheck", "--n=4", "--backends=pattern,astral", "--force"), "unknown backend 'astral'"),
+    (("crosscheck", "--n=8"), "pass --force"),
+    (("count", "--max-n=0"), "degree must be at least 1"),
+    (("count", "--max-n=10"), "pass --force"),
+    (("reduced-words", "321", "--limit=-1"), "limit must be nonnegative"),
+    (("reduced-words", "7654321"), "pass --limit"),
+    (("interval", "654321"), "interval rank 15 exceeds bound 12"),
+]
+
+
 class TestUsage:
+    @pytest.mark.parametrize(
+        "argv, phrase", REFUSALS, ids=[" ".join(argv) for argv, _ in REFUSALS]
+    )
+    def test_refusal(self, capsys, argv, phrase):
+        status, out, err = run_cli(capsys, *argv)
+        assert (status, out) == (2, "")
+        assert len(err.splitlines()) == 1 and err.endswith("\n")
+        assert phrase in err and "Traceback" not in err
+        # no Python spelling without its option, and no private name
+        assert "force=True" not in err or "--force" in err
+        assert "limit=" not in err or "--limit" in err
+        assert "rank_bound" not in err and " _" not in err
+
+    def test_classify_imports_no_process_pool(self):
+        # the pool machinery is imported only when a scan starts a pool
+        src = str(Path(cli.__file__).parents[1])
+        code = (
+            f"import sys; sys.path.insert(0, {src!r})\n"
+            "import spherical\n"
+            "from spherical import cli\n"
+            "assert cli.main(['classify', '12345']) == 0\n"
+            "print('concurrent.futures' in sys.modules)\n"
+        )
+        done = subprocess.run(
+            [sys.executable, "-c", code],
+            capture_output=True, text=True, check=True, timeout=60,
+        )
+        assert done.stdout.splitlines() == ["spherical", "False"]
+
     def test_no_verb(self, capsys):
         assert main([]) == 2
 
