@@ -11,7 +11,9 @@ Four interchangeable backends decide the same predicate:
 ``_DECIDERS`` maps each backend name to one search over the raw one-line
 tuple, which returns the verdict and its witness together: ``is_spherical``
 and the scan loop read the verdict, and ``explain`` formats the witness
-from the same call.
+from the same call.  The ``pattern`` search never lists occurrences: the
+catalog's self-check proves its 21 literals are the patterns passing two
+positional tests, and the search reads those tests on w in O(n^2) steps.
 ``cross_check`` runs several backends over a whole symmetric group and
 reports any disagreement; it scans S_n in blocks by first value, which
 joined in order give the lexicographic stream.  ``density_table``
@@ -39,9 +41,8 @@ from .permutations import (
     Permutation,
     _left_descents,
     _longest_parabolic,
-    _occurrences,
-    _trie,
     contains_pattern,
+    relative_order,
     symmetric_group,
 )
 from .reduced_words import _repetition_free_word, _spherical_witness_word, word_to_text
@@ -169,15 +170,98 @@ def catalog() -> PatternCatalog:
     return cat
 
 
-@functools.cache
-def _catalog_trie() -> list:
-    return _trie(tuple(p.oneline for p in catalog().all))
+# The pattern backend.  catalog() proves over S_5 that the 21 literals are
+# exactly the patterns that pass _position_test_321 or _position_test_3412,
+# so w contains one exactly when five of its letters pass a test.  Read on
+# w, each test is one quadratic search.  Below, "the 5" of five letters is
+# the largest, and so on down to "the 1".
+def _catalog_occurrence(w: tuple[int, ...]) -> tuple[int, ...] | None:
+    """The positions, 1-based and ascending, of the occurrence that
+    ``explain`` names, or None when w avoids the catalog.
+
+    The 321 half comes first, with w_j as the 3.  A 5 before j with a 4
+    before the 5 or after j exists unless the values above w_j before j
+    are w_j+L, ..., w_j+1 in that order.  A 1 after j with a 2 before j or
+    after the 1 exists unless the values below w_j after j are
+    w_j-1, ..., w_j-L in that order.  The two sides are independent once
+    j is fixed.
+    """
+    n = len(w)
+    for j in range(1, n - 1):
+        c = w[j]
+        if c < 3 or c > n - 2:  # a 3 needs two values on either side
+            continue
+        highs = [v for v in w[:j] if v > c]
+        if highs == list(range(c + len(highs), c, -1)):
+            continue
+        lows = [v for v in w[j + 1:] if v < c]
+        if lows == list(range(c - 1, c - 1 - len(lows), -1)):
+            continue
+        # The leftmost 5 is the first of highs above some value above w_j
+        # before it or after j; the leftmost 1 the first of lows below some
+        # value below w_j before j or after it.
+        least = min([v for v in w[j + 1:] if v > c], default=n + 1)
+        for five in highs:
+            if five > least:
+                break
+            least = five
+        greatest = max([v for v in w[:j] if v < c], default=0)
+        for v in reversed(lows):
+            if v < greatest:
+                one = v
+            else:
+                greatest = v
+        four = next(v for v in w[: w.index(five)] + w[j + 1:] if c < v < five)
+        two = next(v for v in w[:j] + w[w.index(one) + 1:] if one < v < c)
+        return _positions(w, (five, four, c, two, one))
+    # The 3412 half: w_x > w_y with x < y are the 4 and the 2.  The 5 must
+    # sit before y, the 1 after x, and the 5 before the 1, so the earliest
+    # value above w_x and the latest value below w_y are the ones to try.
+    # A 3 valued in (w_y, w_x) before x or after y exists exactly when the
+    # greatest value below w_x before x exceeds w_y, or the least value
+    # above w_y after y is below w_x; each is found only once a pair passes
+    # the rest.  The witness takes the earliest 1 and 3 that fit.
+    pos = [-1] * (n + 2)
+    for p, v in enumerate(w):
+        pos[v] = p
+    pos[n + 1] = n
+    # last_upto[v]: the last position of a value at most v, or -1;
+    # first_from[v]: the first position of a value at least v, or n.
+    last_upto = list(itertools.accumulate(pos[: n + 1], max))
+    first_from = list(itertools.accumulate(reversed(pos), min))[::-1]
+    least_above: dict[int, int] = {}
+    for x in range(n - 2):
+        wx = w[x]
+        if wx < 4:  # a 4 needs three values below it
+            continue
+        i5 = first_from[wx + 1]
+        m = max(x, i5)
+        greatest = None
+        for y in range(m + 1, n):
+            wy = w[y]
+            if wy > wx or last_upto[wy - 1] <= m:
+                continue
+            if greatest is None:
+                greatest = max([v for v in w[:x] if v < wx], default=0)
+            if greatest <= wy:
+                if y not in least_above:
+                    least_above[y] = min([v for v in w[y + 1:] if v > wy], default=n + 1)
+                if least_above[y] > wx:
+                    continue
+            one = next(v for v in w[m + 1:] if v < wy)
+            three = next(v for v in w[:x] + w[y + 1:] if wy < v < wx)
+            return _positions(w, (w[i5], wx, three, wy, one))
+    return None
+
+
+def _positions(w: tuple[int, ...], values: tuple[int, ...]) -> tuple[int, ...]:
+    return tuple(sorted(w.index(v) + 1 for v in values))
 
 
 # Each backend is one search from a one-line tuple to (verdict, witness).
-def _by_pattern(word: tuple[int, ...]) -> tuple[bool, tuple | None]:
-    # The first occurrence in position order among all 21 patterns.
-    hit = next(_occurrences(word, _catalog_trie()), None)
+def _by_pattern(word: tuple[int, ...]) -> tuple[bool, tuple[int, ...] | None]:
+    catalog()  # the search rests on the self-checked characterizations
+    hit = _catalog_occurrence(word)
     return hit is None, hit
 
 
@@ -232,8 +316,8 @@ def _explained(w: Permutation, backend: str) -> tuple[bool, str]:
         if witness is None:
             text = "avoids all 21 blocking patterns"
         else:
-            positions, p = witness
-            spots = ",".join(str(i) for i in positions)
+            p = relative_order([w.oneline[i - 1] for i in witness])
+            spots = ",".join(str(i) for i in witness)
             text = f"contains {Permutation(p)} at positions {spots}"
     elif backend == "boolean_quotient":
         q, word = witness
@@ -257,11 +341,16 @@ def _explained(w: Permutation, backend: str) -> tuple[bool, str]:
 def explain(w: Permutation, backend: str) -> str:
     """A one-line witness for the backend's verdict on w.
 
-    The ``pattern`` witness names the occurrence that comes first in
-    position order among all 21 catalog patterns.
+    The ``pattern`` witness is the occurrence of a 321-half pattern
+    (``catalog().sub321``) whose letters ranked 3, 5, 4, 1 and 2 sit
+    leftmost, compared in that order, or, when w has none, the occurrence
+    of a 3412-half pattern whose letters ranked 4, 2, 5, 1 and 3 sit
+    leftmost, compared likewise.  In 256314 the 24531 at positions 1-5
+    comes first in position order, but the 25314 below shares its 3 and
+    has its 5 further left.
 
-    >>> explain(Permutation.from_text("263415"), "pattern")
-    'contains 25341 at positions 1,2,3,4,5'
+    >>> explain(Permutation.from_text("256314"), "pattern")
+    'contains 25314 at positions 1,2,4,5,6'
     """
     return _explained(w, backend)[1]
 
@@ -363,11 +452,16 @@ def _scan_chunk(
     return total, spherical, bad
 
 
+def _check_jobs(jobs: int) -> int:
+    if jobs < 1:
+        raise ValueError("jobs must be at least 1")
+    return jobs
+
+
 def _scan(work: Callable, chunks: list, jobs: int) -> list:
     """Apply ``work`` to every chunk, on at most ``jobs`` worker processes;
     the results come back in chunk order."""
-    if jobs < 1:
-        raise ValueError("jobs must be at least 1")
+    _check_jobs(jobs)
     workers = min(jobs, len(chunks), os.cpu_count() or 1)
     if workers < 2:
         return [work(c) for c in chunks]

@@ -21,6 +21,7 @@ from typing import Callable, Sequence
 from .bruhat import build_interval, first_dominance_failure, interval_edge_lines, is_boolean_lattice
 from .classify import (
     BACKENDS,
+    _check_jobs,
     _explained,
     catalog,
     cross_check,
@@ -94,8 +95,9 @@ _parser = functools.cache(build_parser)
 
 
 def _jobs(ns: argparse.Namespace) -> int:
-    # --jobs defaults to the CPU count at the time the command runs.
-    return ns.jobs if ns.jobs is not None else os.cpu_count() or 1
+    # --jobs defaults to the CPU count at the time the command runs; a
+    # given count is checked here, before a forced scan times its estimate.
+    return _check_jobs(ns.jobs) if ns.jobs is not None else os.cpu_count() or 1
 
 
 def _cmd_classify(ns: argparse.Namespace) -> tuple[int, str]:
@@ -128,13 +130,14 @@ def _cmd_classify(ns: argparse.Namespace) -> tuple[int, str]:
 def _cmd_crosscheck(ns: argparse.Namespace) -> tuple[int, str]:
     # Short names map to full ones; the library refuses unknown names.
     backends = tuple(_BACKEND_FLAGS.get(t, t) for t in ns.backends.split(",") if t)
+    jobs = _jobs(ns)
     if ns.force:
         secs = estimate_seconds(ns.n, backends)
         print(
             f"estimated {secs:.1f}s for {math.factorial(ns.n)} permutations",
             file=sys.stderr,
         )
-    report = cross_check(ns.n, backends, force=ns.force, jobs=_jobs(ns))
+    report = cross_check(ns.n, backends, force=ns.force, jobs=jobs)
     if ns.format == "json":
         text = json.dumps(report.as_dict(), indent=2)
     elif ns.format == "table":

@@ -42,15 +42,30 @@ def avoids_by_subsets(w: Permutation, patterns) -> bool:
     return True
 
 
-def first_catalog_occurrence(w: Permutation):
-    """The first position 5-subset, in lexicographic order, at which w
-    realizes a catalog pattern, as (positions, pattern); None if w avoids
-    them all."""
-    targets = {p.oneline for p in catalog().all}
-    for combo in itertools.combinations(range(1, w.degree + 1), 5):
-        picked = standardize([w.oneline[i - 1] for i in combo])
-        if picked in targets:
-            return combo, Permutation(picked)
+def leftmost_occurrence(w: Permutation):
+    """The catalog occurrence ``explain`` names, as (positions, pattern),
+    or None if w avoids the catalog.
+
+    Every position 5-subset is scanned.  Among the occurrences of 321-half
+    patterns, the one whose letters ranked 3, 5, 4, 1, 2 sit leftmost,
+    compared in that order, wins; with none, the same among the 3412-half
+    occurrences with the ranks taken in the order 4, 2, 5, 1, 3.
+    """
+    cat = catalog()
+    halves = (
+        ({p.oneline for p in cat.sub321}, (3, 5, 4, 1, 2)),
+        ({p.oneline for p in cat.sub3412}, (4, 2, 5, 1, 3)),
+    )
+    for members, ranks in halves:
+        found = []
+        for combo in itertools.combinations(range(1, w.degree + 1), 5):
+            picked = standardize([w.oneline[i - 1] for i in combo])
+            if picked in members:
+                key = [combo[picked.index(r)] for r in ranks]
+                found.append((key, combo, Permutation(picked)))
+        if found:
+            _, combo, p = min(found)
+            return combo, p
     return None
 
 

@@ -11,6 +11,7 @@ from spherical.bruhat import build_interval, bruhat_leq, is_boolean_lattice
 from spherical.classify import (
     BACKENDS,
     _allowed_sites,
+    catalog,
     cross_check,
     density_table,
     is_spherical,
@@ -25,7 +26,7 @@ from spherical.permutations import (
 )
 from spherical.reduced_words import is_boolean_by_words
 
-from oracles import leq_by_cover_closure
+from oracles import avoids_by_subsets, leq_by_cover_closure
 
 FAST_BACKENDS = ("pattern", "boolean_quotient", "divisibility")
 
@@ -152,3 +153,16 @@ def test_criterion_9_generating_tree_confirmed_by_divisibility():
     rows = density_table(9, force=True)
     assert [row.spherical for row in rows] == [members[n] for n in range(1, 10)]
     print("criterion 9 (generating tree confirmed child by child by divisibility to degree 9, n=9 count 24732): PASS")
+
+
+def test_criterion_10_pattern_backend_matches_subset_oracle():
+    # The literal catalog is the contract: the quadratic search beneath the
+    # pattern backend against a scan of every letter subset, no pruning.
+    patterns = catalog().all
+    checked = 0
+    for n in range(1, 9):
+        for w in symmetric_group(n):
+            assert is_spherical(w, "pattern") == avoids_by_subsets(w, patterns), str(w)
+            checked += 1
+    assert checked == 46_233
+    print("criterion 10 (pattern backend equals the subset oracle over the 21 literals to degree 8): PASS")

@@ -1,4 +1,5 @@
 import math
+import random
 from concurrent.futures.process import BrokenProcessPool
 
 import pytest
@@ -25,10 +26,11 @@ from spherical.permutations import (
     avoids_all,
     contains_pattern,
     longest_parabolic,
+    relative_order,
     symmetric_group,
 )
 
-from oracles import avoids_by_subsets, first_catalog_occurrence
+from oracles import avoids_by_subsets, leftmost_occurrence
 
 
 @pytest.fixture
@@ -77,7 +79,7 @@ def uniform(degrees):
 
 
 def oracle_pattern_text(w):
-    hit = first_catalog_occurrence(w)
+    hit = leftmost_occurrence(w)
     if hit is None:
         return "avoids all 21 blocking patterns"
     positions, p = hit
@@ -117,6 +119,16 @@ class TestCatalog:
         bad_split = type(good)(good.all, good.sub3412, good.sub321)
         assert not _characterizations_hold(bad_split)
 
+    def test_pattern_backend_runs_behind_the_self_check(self, monkeypatch):
+        # the quadratic search is only as sound as the characterizations
+        monkeypatch.setattr(classify, "_characterizations_hold", lambda cat: False)
+        catalog.cache_clear()
+        try:
+            with pytest.raises(RuntimeError, match="self-check"):
+                is_spherical(Permutation.identity(5))
+        finally:
+            catalog.cache_clear()
+
     def test_position_characterization_on_53142(self):
         from spherical.classify import _position_test_321, _position_test_3412
 
@@ -144,12 +156,11 @@ class TestBackends:
         assert len(verdicts) == 1
 
     def test_pattern_backend_matches_generic_avoidance(self):
+        # the subset oracle is acceptance criterion 10, to degree 8
         pats = catalog().all
         for n in range(1, 8):
             for w in symmetric_group(n):
-                verdict = is_spherical(w, "pattern")
-                assert verdict == avoids_all(w, pats)
-                assert verdict == avoids_by_subsets(w, pats)
+                assert is_spherical(w, "pattern") == avoids_all(w, pats)
 
     def test_unknown_backend(self):
         with pytest.raises(ValueError):
@@ -191,6 +202,34 @@ class TestRandomPastDegreeEight:
     def test_definition_at_degree_nine(self, w):
         assert_backends_agree(w, BACKENDS)
 
+    def test_spherical_sums_to_degree_sixty(self):
+        # Direct sums of blocks that avoid the catalog, half of them with
+        # two letters swapped: the pattern decider against the trie scanner
+        # behind avoids_all, at degrees the subset oracle cannot reach.
+        cat = catalog()
+        members = {p.oneline for p in cat.all}
+        rng = random.Random(2104)
+        verdicts = set()
+        for trial in range(40):
+            n = rng.randint(13, 60)
+            word: list[int] = []
+            while len(word) < n:
+                shift = len(word)
+                k = rng.randint(1, min(5, n - shift))
+                block = tuple(rng.sample(range(1, k + 1), k))
+                if block not in members:
+                    word.extend(v + shift for v in block)
+            if trial % 2:
+                i, j = rng.sample(range(n), 2)
+                word[i], word[j] = word[j], word[i]
+            w = Permutation(tuple(word))
+            verdict, positions = classify._DECIDERS["pattern"](w.oneline)
+            assert verdict == avoids_all(w, cat.all), str(w)
+            if positions is not None:
+                assert relative_order([w(i) for i in positions]) in members
+            verdicts.add(verdict)
+        assert verdicts == {True, False}
+
 
 class TestTuplePath:
     def test_quotient_equals_public_product(self):
@@ -217,8 +256,8 @@ class TestExplain:
         assert text == "contains 24531 at positions 1,2,3,4,5"
         assert "avoids" in explain(Permutation.identity(5), "pattern")
 
-    def test_pattern_witness_is_first_occurrence(self):
-        # the first catalog occurrence in position order, over all patterns
+    def test_pattern_witness_is_leftmost_occurrence(self):
+        # the rule in explain's docstring, applied to every 5-subset
         for n in range(1, 8):
             for w in symmetric_group(n):
                 assert explain(w, "pattern") == oracle_pattern_text(w)

@@ -5,10 +5,10 @@ from pathlib import Path
 
 import pytest
 
-from spherical.classify import BACKENDS
+from spherical.classify import BACKENDS, catalog, is_spherical
 from spherical import cli
 from spherical.cli import main
-from spherical.permutations import Permutation, symmetric_group
+from spherical.permutations import Permutation, relative_order, symmetric_group
 
 
 def run_cli(capsys, *argv):
@@ -62,10 +62,13 @@ class TestClassify:
 
 
 # Inputs whose searches run about a thousand letters deep: the cycle
-# 2,3,...,1100,1 (length 1099, one reduced word) and the longest element
-# of S_60 (length 1770).
+# 2,3,...,1100,1 (length 1099, one reduced word), the longest element of
+# S_60 (length 1770), and the longest element of S_1100 with its two
+# middle letters swapped, whose catalog occurrences all belong to the
+# 3412 half, so the pattern search runs through the whole 321 half first.
 CYCLE_1100 = ",".join(str(v) for v in [*range(2, 1101), 1])
 LONGEST_S60 = ",".join(str(v) for v in range(60, 0, -1))
+SWAPPED_S1100 = ",".join(str(v) for v in [*range(1100, 551, -1), 550, 551, *range(549, 0, -1)])
 
 
 class TestDeepInputs:
@@ -81,6 +84,32 @@ class TestDeepInputs:
     def test_classify(self, capsys, perm, flag):
         status, out, err = run_cli(capsys, "classify", perm, f"--backend={flag}")
         assert (status, out, err) == (0, "spherical\n", "")
+
+    def test_pattern_backend(self, capsys):
+        status, out, err = run_cli(capsys, "classify", CYCLE_1100)
+        assert (status, out, err) == (0, "spherical\n", "")
+        status, out, err = run_cli(
+            capsys, "classify", CYCLE_1100, "--backend=all", "--explain"
+        )
+        assert (status, err) == (0, "")
+        assert out.splitlines()[:3] == [
+            "spherical",
+            "backends agree: yes",
+            "pattern: avoids all 21 blocking patterns",
+        ]
+
+    def test_pattern_witness(self, capsys):
+        status, out, err = run_cli(capsys, "classify", SWAPPED_S1100, "--explain")
+        assert (status, err) == (1, "")
+        verdict, witness = out.splitlines()
+        assert verdict == "not spherical"
+        pattern, spots = witness.removeprefix("witness: contains ").split(" at positions ")
+        w = Permutation.from_text(SWAPPED_S1100)
+        assert Permutation.from_text(pattern) in catalog().all
+        assert relative_order([w(int(i)) for i in spots.split(",")]) == (
+            Permutation.from_text(pattern).oneline
+        )
+        assert not is_spherical(w, "divisibility")
 
     def test_definition_longer_than_its_pools(self, capsys):
         perm = "11,9,7,15,6,12,3,2,4,5,8,18,16,17,10,14,13,1"
@@ -350,6 +379,7 @@ REFUSALS = [
     (("crosscheck", "--n=4", "--backends=pattern", "--force"), "two distinct backends"),
     (("crosscheck", "--n=4", "--backends=pattern,astral", "--force"), "unknown backend 'astral'"),
     (("crosscheck", "--n=8"), "pass --force"),
+    (("crosscheck", "--n=4", "--jobs=0", "--force"), "jobs must be at least 1"),
     (("count", "--max-n=0"), "degree must be at least 1"),
     (("count", "--max-n=10"), "pass --force"),
     (("reduced-words", "321", "--limit=-1"), "limit must be nonnegative"),
