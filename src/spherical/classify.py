@@ -34,7 +34,7 @@ import os
 import time
 import warnings
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .divisibility import _first_witness, witness_text
 from .permutations import (
@@ -430,19 +430,25 @@ class CrossCheckReport:
         }
 
 
-def _scan_chunk(
-    args: tuple[int, tuple[int, ...], tuple[str, ...]]
-) -> tuple[int, int, list[tuple[tuple[int, ...], tuple[bool, ...]]]]:
+_Tally = tuple[int, int, list[tuple[tuple[int, ...], tuple[bool, ...]]]]
+
+
+def _scan_chunk(args: tuple[int, tuple[int, ...], tuple[str, ...]]) -> _Tally:
     # One block of S_n: the words that start with ``head``, in
     # lexicographic order.
     n, head, backends = args
+    rest = [v for v in range(1, n + 1) if v not in head]
+    return _tally(map(head.__add__, itertools.permutations(rest)), backends)
+
+
+def _tally(words: Iterable[tuple[int, ...]], backends: tuple[str, ...]) -> _Tally:
+    # (words, spherical by the first backend, disagreeing words with their
+    # verdicts) over ``words``.
     total = 0
     spherical = 0
     bad: list[tuple[tuple[int, ...], tuple[bool, ...]]] = []
-    rest = [v for v in range(1, n + 1) if v not in head]
     deciders = [_DECIDERS[b] for b in backends]
-    for tail in itertools.permutations(rest):
-        word = head + tail
+    for word in words:
         verdicts = tuple(decide(word)[0] for decide in deciders)
         total += 1
         if verdicts[0]:
@@ -670,14 +676,26 @@ def density_table(
     ]
 
 
+def _unrank(n: int, rank: int) -> tuple[int, ...]:
+    # The word of S_n at ``rank`` (from 0) in lexicographic order.
+    rest = list(range(1, n + 1))
+    word = []
+    for k in range(n - 1, -1, -1):
+        i, rank = divmod(rank, math.factorial(k))
+        word.append(rest.pop(i))
+    return tuple(word)
+
+
 def estimate_seconds(n: int, backends: Sequence[str]) -> float:
-    """Rough wall-clock estimate for a full degree-n scan: time the block
-    of S_n that fixes all but the last min(n, 6) values and scale it up by
-    the number of such blocks.  Refuses the inputs ``cross_check``
-    refuses, other than a degree past its bound."""
+    """Rough wall-clock estimate for a full degree-n scan: time at most 720
+    words of S_n, evenly spaced in lexicographic order so that every first
+    value gets its share, and scale up to n!.  Refuses the inputs
+    ``cross_check`` refuses, other than a degree past its bound."""
     names = _cross_check_names(n, backends)
-    free = min(n, 6)
+    total = math.factorial(n)
+    count = min(total, 720)
+    sample = [_unrank(n, r * total // count) for r in range(count)]
     start = time.perf_counter()
-    _scan_chunk((n, tuple(range(1, n - free + 1)), names))
+    _tally(sample, names)
     elapsed = time.perf_counter() - start
-    return elapsed * math.factorial(n) / math.factorial(free)
+    return elapsed * total / count

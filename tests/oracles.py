@@ -5,6 +5,11 @@ containment scans every position subset with no pruning, word counting
 multiplies out every generator sequence, Bruhat covers are the swaps that
 add exactly one inversion, Bruhat comparison comes from closing that
 cover relation, and prefix dominance compares whole sorted prefixes.  They exist to pin expected values, so keep them dumb.
+
+The one exception is ``first_repetition_free_word_by_walk``: it runs the
+library's backtracking reduced-word walker with a used-letter mask, a
+search independent of the greedy descent walk beneath
+``repetition_free_word``, to pin that witness past enumeration reach.
 """
 
 from __future__ import annotations
@@ -15,6 +20,7 @@ from collections import Counter
 
 from spherical.classify import catalog
 from spherical.permutations import Permutation, symmetric_group
+from spherical.reduced_words import _reduced_words
 
 
 def standardize(values) -> tuple[int, ...]:
@@ -141,3 +147,24 @@ def dominance_failure_by_sorted_prefixes(v: Permutation, w: Permutation):
         if any(map(operator.gt, sorted(vo[:i]), sorted(wo[:i]))):
             return i
     return None
+
+
+def first_repetition_free_word_by_walk(w: Permutation):
+    """The lexicographically first reduced word of w that repeats no
+    letter, or None: a depth-first walk over (element, used-letter mask)
+    states that prunes a letter already used and backtracks."""
+    if w.length() > w.degree - 1:
+        return None  # a repetition-free word has at most n-1 letters
+    return next(
+        _reduced_words(
+            w.oneline, 0, lambda used, i: None if used >> i & 1 else used | 1 << i
+        ),
+        None,
+    )
+
+
+def is_boolean_by_support(w: Permutation) -> bool:
+    """True when the length of w equals the size of its support: s_i is in
+    the support exactly when w moves some value of 1..i past i."""
+    support = sum(1 for i in range(1, w.degree) if max(w.oneline[:i]) > i)
+    return inversion_count(w.oneline) == support

@@ -50,7 +50,13 @@ def test_criterion_2_boolean_interval_criteria_agree():
             by_words = is_boolean_by_words(w)
             by_patterns = avoids_all(w, blockers)
             assert by_interval == by_words == by_patterns, str(w)
-    print("criterion 2 (interval, word, and pattern Boolean tests agree to degree 6): PASS")
+    for n in (7, 8):
+        for w in symmetric_group(n):
+            assert is_boolean_by_words(w) == avoids_all(w, blockers), str(w)
+    print(
+        "criterion 2 (interval, word, and pattern Boolean tests agree to degree 6; "
+        "word and pattern tests to degree 8): PASS"
+    )
 
 
 def test_criterion_3_divisible_pairs_match_non_boolean_quotients():

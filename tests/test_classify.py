@@ -329,6 +329,22 @@ class TestCrossCheck:
         with pytest.raises(ValueError):
             cross_check(0)
 
+    @pytest.mark.parametrize("n", [4, 6, 8, 9])
+    def test_estimate_samples_every_first_value_evenly(self, monkeypatch, n):
+        # the cost per word depends on its first values, so the timed
+        # sample is spread over S_n rather than taken from its first block
+        timed = []
+        monkeypatch.setattr(
+            classify, "_tally", lambda words, backends: timed.extend(words)
+        )
+        classify.estimate_seconds(n, ("pattern", "divisibility"))
+        assert len(timed) == min(math.factorial(n), 720)
+        assert len(set(timed)) == len(timed)
+        assert timed == sorted(timed)
+        assert all(sorted(w) == list(range(1, n + 1)) for w in timed)
+        shares = [sum(w[0] == v for w in timed) for v in range(1, n + 1)]
+        assert max(shares) - min(shares) <= 1
+
     @pytest.mark.parametrize("jobs", [0, -1])
     def test_jobs_below_one_rejected(self, jobs):
         with pytest.raises(ValueError, match="jobs"):

@@ -111,6 +111,22 @@ class TestDeepInputs:
         )
         assert not is_spherical(w, "divisibility")
 
+    def test_boolean_witness_past_the_length_bound(self, capsys):
+        # the quotient has length 26 = n - 1 and 2^k orders of commuting
+        # letters that all end in a repeat; a backtracking walk took
+        # seconds here
+        perm = "3,1,6,2,4,5,9,7,12,10,15,8,11,13,16,14,19,23,21,17,26,18,20,22,24,27,25"
+        status, out, err = run_cli(
+            capsys, "classify", perm, "--backend=boolean", "--explain"
+        )
+        assert (status, err) == (1, "")
+        assert out == (
+            "not spherical\n"
+            "witness: parabolic quotient 2,1,5,3,4,6,8,7,11,10,14,9,12,13,16,"
+            "15,18,22,20,17,25,19,21,23,24,27,26 has no repetition-free "
+            "reduced word\n"
+        )
+
     def test_definition_longer_than_its_pools(self, capsys):
         perm = "11,9,7,15,6,12,3,2,4,5,8,18,16,17,10,14,13,1"
         status, out, err = run_cli(capsys, "classify", perm, "--backend=definition")
@@ -384,6 +400,7 @@ REFUSALS = [
     (("count", "--max-n=10"), "pass --force"),
     (("reduced-words", "321", "--limit=-1"), "limit must be nonnegative"),
     (("reduced-words", "7654321"), "pass --limit"),
+    (("reduced-words", "7654123"), "more than 1000000 reduced words"),
     (("interval", "654321"), "interval rank 15 exceeds bound 12"),
 ]
 

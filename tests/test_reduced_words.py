@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 from hypothesis import given, strategies as st
@@ -11,6 +12,7 @@ from spherical.permutations import (
     longest_parabolic,
     symmetric_group,
 )
+from spherical import reduced_words
 from spherical.reduced_words import (
     _budget,
     _reduced_word_count,
@@ -23,7 +25,11 @@ from spherical.reduced_words import (
     word_to_text,
 )
 
-from oracles import generator_sequence_products
+from oracles import (
+    first_repetition_free_word_by_walk,
+    generator_sequence_products,
+    is_boolean_by_support,
+)
 
 
 # The six elements of S_7 one step below the longest; each has between
@@ -48,6 +54,35 @@ def first(words, keep):
     return next((word for word in words if keep(word)), None)
 
 
+def seeded_words(seed, degrees, count, extra):
+    # A product of distinct generators in random order is Boolean; each of
+    # ``extra`` further random generators may break that, often while the
+    # length stays under n, the walk's pruning bound.
+    rng = random.Random(seed)
+    for _ in range(count):
+        n = rng.choice(degrees)
+        letters = rng.sample(range(1, n), rng.randint(0, n - 1))
+        letters += [rng.randrange(1, n) for _ in range(extra)]
+        yield word_to_permutation(letters, n)
+
+
+def commuting_pairs_then_321(n):
+    # s_1, s_3, ..., s_{n-5} applied to the identity, then the last three
+    # values reversed: l(w) = k + 3 <= n - 1 for k swapped pairs, and a
+    # backtracking walk meets 2^k dead orders of those commuting letters.
+    w = list(range(1, n + 1))
+    for i in range(1, n - 4, 2):
+        w[i - 1], w[i] = w[i], w[i - 1]
+    w[-3:] = w[-3:][::-1]
+    return Permutation(tuple(w))
+
+
+def assert_repetition_free_word_of(word, w):
+    assert word_to_permutation(word, w.degree) == w
+    assert len(word) == w.length()
+    assert word_is_repetition_free(word)
+
+
 class TestEnumeration:
     def test_examples(self):
         assert enumerate_reduced_words(Permutation((3, 2, 1))) == [
@@ -70,6 +105,23 @@ class TestEnumeration:
         with pytest.raises(ValueError):
             enumerate_reduced_words(w0)
         assert len(enumerate_reduced_words(w0, limit=3)) == 3
+
+    def test_refuses_past_a_million_words(self):
+        w = Permutation.from_text("7654123")  # 3,734,016 reduced words
+        with pytest.raises(ValueError, match="limit"):
+            enumerate_reduced_words(w)
+        assert enumerate_reduced_words(w, limit=2) == [
+            (3, 2, 1, 4, 3, 2, 1, 5, 4, 3, 2, 1, 6, 5, 4, 3, 2, 1),
+            (3, 2, 1, 4, 3, 2, 1, 5, 4, 3, 2, 6, 1, 5, 4, 3, 2, 1),
+        ]
+
+    def test_admits_the_longest_element_of_s6(self, monkeypatch):
+        # 292,864 reduced words, under the cap; listing them all takes
+        # seconds, so the walk is stubbed and only the guard runs
+        monkeypatch.setattr(
+            reduced_words, "_reduced_words", lambda word, state, spend: iter([()])
+        )
+        assert enumerate_reduced_words(Permutation.from_text("654321")) == [()]
 
     @pytest.mark.parametrize("w", NEAR_LONGEST_S7, ids=str)
     def test_refuses_elements_just_below_the_longest(self, w):
@@ -147,6 +199,43 @@ class TestBooleanByWords:
                 assert repetition_free_word(w) == first(
                     words, word_is_repetition_free
                 )
+
+    def test_witness_matches_the_walk_through_degree_eight(self):
+        for n in range(1, 9):
+            for w in symmetric_group(n):
+                word = repetition_free_word(w)
+                assert word == first_repetition_free_word_by_walk(w), str(w)
+                if word is not None:
+                    assert_repetition_free_word_of(word, w)
+
+    @pytest.mark.parametrize("extra", [0, 1, 2])
+    def test_witness_matches_the_walk_on_seeded_words(self, extra):
+        verdicts = set()
+        for w in seeded_words(910 + extra, range(9, 23), 40, extra):
+            word = repetition_free_word(w)
+            assert word == first_repetition_free_word_by_walk(w), str(w)
+            verdicts.add(word is not None)
+            if word is not None:
+                assert_repetition_free_word_of(word, w)
+        assert verdicts == ({True} if extra == 0 else {True, False})
+
+    @pytest.mark.parametrize("extra", [0, 1, 2])
+    def test_verdict_matches_the_support_past_the_walk(self, extra):
+        verdicts = set()
+        for w in seeded_words(920 + extra, range(23, 61), 300, extra):
+            word = repetition_free_word(w)
+            assert (word is not None) == is_boolean_by_support(w), str(w)
+            verdicts.add(word is not None)
+            if word is not None:
+                assert_repetition_free_word_of(word, w)
+        assert verdicts == ({True} if extra == 0 else {True, False})
+
+    @pytest.mark.parametrize("n", [40, 1100])
+    def test_exponentially_many_dead_orders_cost_nothing(self, n):
+        w = commuting_pairs_then_321(n)
+        assert w.length() <= n - 1
+        assert not is_boolean_by_words(w)
+        assert not is_boolean_by_support(w)
 
     def test_matches_pattern_criterion_degree_five(self):
         blockers = [Permutation((3, 2, 1)), Permutation((3, 4, 1, 2))]
