@@ -48,7 +48,6 @@ from .permutations import (
 from .reduced_words import _repetition_free_word, _spherical_witness_word, word_to_text
 
 DEFAULT_CROSSCHECK_BOUND = 7
-DEFINITION_CROSSCHECK_BOUND = 6
 DENSITY_BOUND = 9
 MAX_REPORTED_DISAGREEMENTS = 20
 
@@ -504,25 +503,21 @@ def cross_check(
 ) -> CrossCheckReport:
     """Evaluate every listed backend on all of S_n and collect disagreements.
 
-    S_n streams in lexicographic order.  The default exhaustive bound is
-    degree 7, or 6 whenever the slower ``definition`` backend is included;
-    ``force=True`` overrides the bound.  At least two backends must be
-    listed, since a single backend cross-checks nothing.  Below the bound
-    S_n is scanned in-process as one block whatever ``jobs`` says.
+    S_n streams in lexicographic order.  The exhaustive bound is degree 7
+    for any list of backends; ``force=True`` overrides it.  At least two
+    backends must be listed, since a single backend cross-checks nothing.
+    Below the bound S_n is scanned in-process as one block whatever
+    ``jobs`` says.
 
     >>> cross_check(4).summary_line()
     '24 permutations, 24 spherical, 0 disagreements'
     """
     names = _cross_check_names(n, backends)
-    bound = (
-        DEFINITION_CROSSCHECK_BOUND
-        if "definition" in names
-        else DEFAULT_CROSSCHECK_BOUND
-    )
+    bound = DEFAULT_CROSSCHECK_BOUND
     if n > bound and not force:
         raise ValueError(
-            f"degree {n} exceeds the exhaustive bound {bound} for backends "
-            f"{names}; pass --force (force=True) to run anyway"
+            f"degree {n} exceeds the exhaustive bound {bound}; "
+            "pass --force (force=True) to run anyway"
         )
     # From the bound up, S_n in blocks by first value: joined in order they
     # give the lexicographic stream, so disagreements keep their order.

@@ -228,21 +228,21 @@ class PatternOccurrence(NamedTuple):
 
 @functools.lru_cache(maxsize=256)
 def _trie(patterns: tuple[tuple[int, ...], ...]) -> list:
-    # A node is [children by rank, need, pattern ending here or None], where
+    # A node is [children by rank, need, whether a pattern ends here], where
     # ``need`` is the fewest further letters that complete a pattern below it.
     longest = max(map(len, patterns), default=1)
-    root: list = [{}, longest, None]
+    root: list = [{}, longest, False]
     for p in patterns:
         node = root
         for j in range(len(p)):
             node[1] = min(node[1], len(p) - j)
             rank = relative_order(p[: j + 1])[-1] - 1
-            node = node[0].setdefault(rank, [{}, longest, None])
-        node[2] = p
+            node = node[0].setdefault(rank, [{}, longest, False])
+        node[2] = True
     return root
 
 
-def _occurrences(host: tuple[int, ...], trie: list) -> Iterator[tuple]:
+def _occurrences(host: tuple[int, ...], trie: list) -> Iterator[tuple[int, ...]]:
     # Depth-first over increasing 1-based positions; the explicit stack
     # keeps patterns a thousand letters deep clear of the recursion limit.
     n = len(host)
@@ -261,15 +261,15 @@ def _occurrences(host: tuple[int, ...], trie: list) -> Iterator[tuple]:
         else:
             stack.pop()
             continue
-        below, need, pattern = node
-        if pattern is not None:
-            yield (*taken, i + 1), pattern
+        below, need, ends = node
+        if ends:
+            yield (*taken, i + 1)
         if below and need < n - i:
             todo = iter(range(i + 1, n + 1 - need))
             stack.append((below, todo, (*taken, i + 1), (*values, x)))
 
 
-def _one_pattern(w: Permutation, p: Permutation) -> Iterator[tuple]:
+def _one_pattern(w: Permutation, p: Permutation) -> Iterator[tuple[int, ...]]:
     if p.degree > w.degree:
         raise ValueError(f"pattern degree {p.degree} exceeds host degree {w.degree}")
     return _occurrences(w.oneline, _trie((p.oneline,)))
@@ -283,13 +283,13 @@ def pattern_occurrences(w: Permutation, p: Permutation) -> list[PatternOccurrenc
     >>> [occ.positions for occ in pattern_occurrences(Permutation((3, 5, 1, 4, 2)), Permutation((3, 2, 1)))]
     [(2, 4, 5)]
     """
-    return [PatternOccurrence(hit, p) for hit, _ in _one_pattern(w, p)]
+    return [PatternOccurrence(hit, p) for hit in _one_pattern(w, p)]
 
 
 def first_pattern_occurrence(w: Permutation, p: Permutation) -> PatternOccurrence | None:
     """The lexicographically first occurrence of p in w, or None."""
     hit = next(_one_pattern(w, p), None)
-    return PatternOccurrence(hit[0], p) if hit else None
+    return None if hit is None else PatternOccurrence(hit, p)
 
 
 def contains_pattern(w: Permutation, p: Permutation) -> bool:

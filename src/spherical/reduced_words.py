@@ -6,11 +6,14 @@ convention (rightmost factor acts first).  Enumeration works from the left:
 the first letter of any reduced word of w is a left descent of w, and
 stripping it leaves a shorter permutation.
 
-One walker, ``_reduced_words``, serves enumeration and the budgeted
-witness of the ``definition`` backend.  Each caller threads its own state
-through the walk and prunes letters it may not spend; an (element, state)
-pair whose subtree yielded no word is memoized as dead.  The generator
-budgets of the ``definition`` search are computed by ``_budget``.
+One walker, ``_reduced_words``, serves enumeration and the witness of the
+``definition`` backend.  Budgets are data: letter i spends one use of pool
+``slot_of[i]``, letters of an empty pool are pruned, and an (element, uses
+left) state whose subtree yielded no word is memoized as dead.  The
+``definition`` search passes ``_budget``'s pools; enumeration passes one
+pool of l(w) uses, which every reduced word fills, so nothing is pruned.
+The walks hold each element u as its inverse: i is a left descent of u
+exactly when its entries i and i+1 are out of order, and s_i * u swaps them.
 
 The ``boolean_quotient`` backend needs no search.  All reduced words of w
 have length l(w) and use every letter of w's support, so one of them
@@ -23,20 +26,22 @@ stops at the first repeated letter: O(n) steps, no backtracking.
 from __future__ import annotations
 
 import itertools
-from typing import Callable, Hashable, Iterator, Sequence, TypeVar
+import operator
+from typing import Iterator, Mapping, Sequence
 
 from .permutations import Permutation, _left_descents, _length
 
 WORD_ESTIMATE_LIMIT = 1_000_000
 
-_State = TypeVar("_State", bound=Hashable)
+
+def _inverse(word: tuple[int, ...]) -> tuple[int, ...]:
+    return tuple(p for _, p in sorted(zip(word, itertools.count(1))))
 
 
-def _swap_values(word: tuple[int, ...], i: int) -> tuple[int, ...]:
-    # Left multiplication by s_i: exchange the values i and i+1.
-    return tuple(
-        i + 1 if x == i else i if x == i + 1 else x for x in word
-    )
+def _descents(inverse: tuple[int, ...]) -> list[int]:
+    # Left descents, ascending, of the element with this inverse.
+    flags = map(operator.gt, inverse, inverse[1:])
+    return list(itertools.compress(range(1, len(inverse)), flags))
 
 
 def _reduced_word_count(word: tuple[int, ...], cap: int) -> int:
@@ -44,73 +49,75 @@ def _reduced_word_count(word: tuple[int, ...], cap: int) -> int:
     # words of u number the sum, over left descents i, of those of s_i * u.
     # Counts saturate at ``cap``, so a huge element stops the walk as soon
     # as one partial sum reaches it.  An explicit stack keeps long elements
-    # clear of the recursion limit.
-    def frame(
-        u: tuple[int, ...],
-    ) -> tuple[tuple[int, ...], list[tuple[int, ...]]]:
-        return u, [_swap_values(u, i) for i in _left_descents(u)]
+    # clear of the recursion limit; a frame holds an inverse, its untried
+    # descents and its running total, which a finished child adds to.
+    def frame(u: tuple[int, ...]) -> list:
+        ds = _descents(u)
+        return [u, iter(ds), 0 if ds else 1]
 
     counts: dict[tuple[int, ...], int] = {}
-    stack = [frame(word)]
+    top = _inverse(word)
+    stack = [frame(top)]
     while stack:
-        u, below = stack[-1]
-        total = 0 if below else 1
-        pending = None
-        for c in below:
-            if c not in counts:
-                pending = c
-                break
-            total += counts[c]
-            if total >= cap:
-                break
-        if pending is None:
+        entry = stack[-1]
+        u, todo, total = entry
+        i = next(todo, None) if total < cap else None
+        if i is None:
             counts[u] = min(total, cap)
             stack.pop()
+            if stack:
+                stack[-1][2] += counts[u]
+            continue
+        v = u[: i - 1] + (u[i], u[i - 1]) + u[i + 1 :]
+        if v in counts:
+            entry[2] += counts[v]
         else:
-            stack.append(frame(pending))
-    return counts[word]
+            stack.append(frame(v))
+    return counts[top]
 
 
 def _reduced_words(
-    word: tuple[int, ...],
-    state: _State,
-    spend: Callable[[_State, int], _State | None],
+    word: tuple[int, ...], slot_of: Mapping[int, int], caps: Sequence[int]
 ) -> Iterator[tuple[int, ...]]:
-    # Reduced words of ``word`` in lexicographic order: depth-first over
-    # left descents, ascending, with an explicit stack so long elements
-    # stay clear of the recursion limit.  ``spend(state, i)`` is the state
-    # after letter i, or None to prune it.  A frame records how many words
-    # had been yielded when it was pushed; it is dead only if none were
-    # yielded beneath it, since the same element is reached along many
-    # paths and a subtree that produced words must not be pruned.
-    first = _left_descents(word)
-    if not first:
+    # Reduced words of ``word`` that fit the pools, in lexicographic order:
+    # depth-first over left descents, ascending, on an explicit stack.  Each
+    # has l(word) letters, so none fits pools holding fewer uses.  A frame
+    # records how many words had been yielded when it was pushed; its state
+    # is dead only if none were yielded beneath it, since the same element
+    # is reached along many paths and a subtree that produced words must
+    # not be pruned.
+    length = _length(word)
+    if length > sum(caps):
+        return
+    if not length:
         yield ()
         return
-    dead: set[tuple[tuple[int, ...], _State]] = set()
+    dead: set[tuple[tuple[int, ...], tuple[int, ...]]] = set()
     yielded = 0
     prefix: list[int] = []
-    stack = [((word, state), iter(first), yielded)]
+    top = _inverse(word)
+    stack = [(top, tuple(caps), iter(_descents(top)), yielded)]
     while stack:
-        (u, s), todo, before = stack[-1]
+        u, left, todo, before = stack[-1]
         i = next(todo, None)
         if i is None:
             stack.pop()
             if yielded == before:
-                dead.add((u, s))
+                dead.add((u, left))
             del prefix[-1:]
             continue
-        t = spend(s, i)
-        if t is None:
+        s = slot_of[i]
+        if not left[s]:
             continue
-        v = _swap_values(u, i)
-        ds = _left_descents(v)
-        if not ds:
+        if len(prefix) + 1 == length:
             yielded += 1
             yield (*prefix, i)
-        elif (v, t) not in dead:
+            continue
+        v = u[: i - 1] + (u[i], u[i - 1]) + u[i + 1 :]
+        t = left[:s] + (left[s] - 1,) + left[s + 1 :]
+        if (v, t) not in dead:
             prefix.append(i)
-            stack.append(((v, t), iter(ds), yielded))
+            stack.append((v, t, iter(_descents(v)), yielded))
 
 
 def enumerate_reduced_words(
@@ -120,7 +127,7 @@ def enumerate_reduced_words(
 
     Without a limit the call refuses outright when w has more than 10**6
     reduced words, instead of running for minutes (listing 10**6 words
-    takes on the order of 15 s); pass an explicit limit to enumerate
+    takes about 10 s on a 2-core VM); pass an explicit limit to enumerate
     anyway.
 
     >>> enumerate_reduced_words(Permutation((3, 2, 1)))
@@ -137,7 +144,7 @@ def enumerate_reduced_words(
                 f"{w} has more than {WORD_ESTIMATE_LIMIT} reduced words; "
                 "pass --limit (limit=N) to enumerate anyway"
             )
-    words = _reduced_words(w.oneline, (), lambda state, i: state)
+    words = _reduced_words(w.oneline, dict.fromkeys(range(w.degree), 0), (w.length(),))
     return list(itertools.islice(words, limit))
 
 
@@ -240,15 +247,4 @@ def spherical_witness_word(w: Permutation) -> tuple[int, ...] | None:
 
 
 def _spherical_witness_word(word: tuple[int, ...]) -> tuple[int, ...] | None:
-    # The state is the tuple of uses left in each pool.
-    slot_of, caps = _budget(word)
-    if _length(word) > sum(caps):
-        return None  # every letter spends one use from some pool
-
-    def spend(left: tuple[int, ...], i: int) -> tuple[int, ...] | None:
-        s = slot_of[i]
-        if left[s] == 0:
-            return None
-        return left[:s] + (left[s] - 1,) + left[s + 1 :]
-
-    return next(_reduced_words(word, tuple(caps), spend), None)
+    return next(_reduced_words(word, *_budget(word)), None)

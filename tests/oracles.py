@@ -7,7 +7,7 @@ add exactly one inversion, Bruhat comparison comes from closing that
 cover relation, and prefix dominance compares whole sorted prefixes.  They exist to pin expected values, so keep them dumb.
 
 The one exception is ``first_repetition_free_word_by_walk``: it runs the
-library's backtracking reduced-word walker with a used-letter mask, a
+library's backtracking reduced-word walker with one use per generator, a
 search independent of the greedy descent walk beneath
 ``repetition_free_word``, to pin that witness past enumeration reach.
 """
@@ -151,16 +151,12 @@ def dominance_failure_by_sorted_prefixes(v: Permutation, w: Permutation):
 
 def first_repetition_free_word_by_walk(w: Permutation):
     """The lexicographically first reduced word of w that repeats no
-    letter, or None: a depth-first walk over (element, used-letter mask)
-    states that prunes a letter already used and backtracks."""
-    if w.length() > w.degree - 1:
-        return None  # a repetition-free word has at most n-1 letters
-    return next(
-        _reduced_words(
-            w.oneline, 0, lambda used, i: None if used >> i & 1 else used | 1 << i
-        ),
-        None,
-    )
+    letter, or None: a depth-first walk over (element, uses left) states
+    with one use per generator, which prunes a letter already used and
+    backtracks."""
+    n = w.degree
+    pools = {i: i - 1 for i in range(1, n)}
+    return next(_reduced_words(w.oneline, pools, [1] * (n - 1)), None)
 
 
 def is_boolean_by_support(w: Permutation) -> bool:

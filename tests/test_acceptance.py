@@ -36,10 +36,10 @@ def test_criterion_1_backends_agree_exhaustively():
         report = cross_check(n, FAST_BACKENDS)
         assert report.disagreement_count == 0, report.disagreement_lines()
         assert report.total == report.spherical or n >= 5
-    for n in range(1, 7):
+    for n in range(1, 8):
         report = cross_check(n, BACKENDS)
         assert report.disagreement_count == 0, report.disagreement_lines()
-    print("criterion 1 (three fast backends to degree 7, all four to degree 6): PASS")
+    print("criterion 1 (all four backends to degree 7): PASS")
 
 
 def test_criterion_2_boolean_interval_criteria_agree():

@@ -310,10 +310,16 @@ class TestCrossCheck:
         assert report.summary_line() == "1 permutation, 1 spherical, 0 disagreements"
 
     def test_bound_needs_force(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="force"):
             cross_check(8)
-        with pytest.raises(ValueError):
-            cross_check(7, BACKENDS)
+        with pytest.raises(ValueError, match="force"):
+            cross_check(8, BACKENDS)
+
+    def test_all_four_backends_at_degree_seven_unforced(self):
+        report = cross_check(7, BACKENDS)
+        assert report.summary_line() == (
+            "5040 permutations, 1590 spherical, 0 disagreements"
+        )
 
     def test_needs_two_distinct_backends(self):
         with pytest.raises(ValueError):

@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -153,6 +154,17 @@ class TestCrosscheck:
         status, out, _ = run_cli(capsys, "crosscheck", "--n=6")
         assert status == 0
         assert out.strip() == "720 permutations, 400 spherical, 0 disagreements"
+
+    def test_all_four_backends_at_degree_seven(self, capsys):
+        status, out, _ = run_cli(
+            capsys,
+            "crosscheck",
+            "--n=7",
+            "--backends=pattern,boolean,divisible,definition",
+            "--jobs=1",
+        )
+        assert status == 0
+        assert out.strip() == "5040 permutations, 1590 spherical, 0 disagreements"
 
     def test_bound_exceeded_without_force(self, capsys):
         status, out, err = run_cli(capsys, "crosscheck", "--n=9")
@@ -434,6 +446,15 @@ class TestUsage:
             capture_output=True, text=True, check=True, timeout=60,
         )
         assert done.stdout.splitlines() == ["spherical", "False"]
+
+    def test_runs_as_a_module(self):
+        # a bare checkout has no installed script; the module form answers
+        src = str(Path(cli.__file__).parents[1])
+        done = subprocess.run(
+            [sys.executable, "-m", "spherical.cli", "classify", "24531"],
+            capture_output=True, text=True, timeout=60, env={**os.environ, "PYTHONPATH": src},
+        )
+        assert (done.returncode, done.stdout, done.stderr) == (1, "not spherical\n", "")
 
     def test_no_verb(self, capsys):
         assert main([]) == 2

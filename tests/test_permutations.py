@@ -153,27 +153,6 @@ class TestDescentsAndParabolics:
                     assert w0 * w0 == Permutation.identity(n)
                     assert w0.left_descents() == gens
 
-    def test_parabolic_factor_lengths_add(self):
-        for n in range(1, 7):
-            for w in symmetric_group(n):
-                v = longest_parabolic(w.left_descents())
-                assert v.length() + (v * w).length() == w.length()
-
-    def test_parabolic_run_order_matches_position_chains(self):
-        # v = w0(J(w)) places b before a exactly when the positions of
-        # b, b-1, ..., a in w increase in that listing order.
-        for n in range(2, 7):
-            for w in symmetric_group(n):
-                v_inv = longest_parabolic(w.left_descents()).inverse()
-                w_inv = w.inverse()
-                for a in range(1, n):
-                    for b in range(a + 1, n + 1):
-                        chain = [w_inv(x) for x in range(b, a - 1, -1)]
-                        increasing = all(
-                            x < y for x, y in zip(chain, chain[1:])
-                        )
-                        assert (v_inv(b) < v_inv(a)) == increasing
-
 
 class TestPatterns:
     def test_relative_order(self):

@@ -8,7 +8,6 @@ from spherical.classify import is_spherical
 from spherical.permutations import (
     GeneratorSet,
     Permutation,
-    avoids_all,
     longest_parabolic,
     symmetric_group,
 )
@@ -119,7 +118,7 @@ class TestEnumeration:
         # 292,864 reduced words, under the cap; listing them all takes
         # seconds, so the walk is stubbed and only the guard runs
         monkeypatch.setattr(
-            reduced_words, "_reduced_words", lambda word, state, spend: iter([()])
+            reduced_words, "_reduced_words", lambda word, slot_of, caps: iter([()])
         )
         assert enumerate_reduced_words(Permutation.from_text("654321")) == [()]
 
@@ -236,11 +235,6 @@ class TestBooleanByWords:
         assert w.length() <= n - 1
         assert not is_boolean_by_words(w)
         assert not is_boolean_by_support(w)
-
-    def test_matches_pattern_criterion_degree_five(self):
-        blockers = [Permutation((3, 2, 1)), Permutation((3, 4, 1, 2))]
-        for w in symmetric_group(5):
-            assert is_boolean_by_words(w) == avoids_all(w, blockers)
 
     def test_boolean_means_every_word_repetition_free(self):
         # the some-word and every-word readings coincide; check the
