@@ -20,13 +20,17 @@ joined in order give the lexicographic stream.  ``density_table``
 tabulates spherical counts per degree by walking the generating tree of
 the class: each spherical word of degree n+1 is a spherical word of
 degree n with n+1 inserted, and the catalog's two positional tests say
-where the insertion is allowed.  Both hand their blocks (subtrees for the
-tree) to one scan driver; below its degree bound a scan is one block, run
-in-process, since a pool costs more to start than such a scan takes.
+where the insertion is allowed.  The same pass over a member also says
+how many sites each of its children has, so the walk stops two degrees
+short of the last and counts the last two from the sites.  Both hand
+their blocks (subtrees for the tree) to one scan driver; below its degree
+bound a scan is one block, run in-process, since a pool costs more to
+start than such a scan takes.
 """
 
 from __future__ import annotations
 
+import bisect
 import functools
 import itertools
 import math
@@ -48,7 +52,7 @@ from .permutations import (
 from .reduced_words import _repetition_free_word, _spherical_witness_word, word_to_text
 
 DEFAULT_CROSSCHECK_BOUND = 7
-DENSITY_BOUND = 9
+DENSITY_BOUND = 10
 MAX_REPORTED_DISAGREEMENTS = 20
 
 # The 21 blocking patterns.  The two sublists record which base pattern
@@ -551,15 +555,24 @@ class DensityRow(NamedTuple):
 # The generating tree.  Deleting the maximum from a spherical word leaves a
 # spherical word (the class is closed under patterns), so each member of
 # degree n+1 is a member w of degree n with n+1 inserted at one site: site
-# s puts it after the first s letters of w.  From DENSITY_BOUND up, each
-# subtree below a member of degree _TREE_CUT (found by one serial walk) is
-# one chunk for the scan driver; below the bound the tree is one chunk.
+# s puts it after the first s letters of w.  The walk builds members down
+# to degree max_n-2 and counts the last two degrees from their sites: a
+# child's allowed sites are its parent's, lifted past the new maximum, less
+# those where the next maximum would complete an occurrence with it.  From
+# DENSITY_BOUND up, each subtree below a member of degree _TREE_CUT (found
+# by one serial walk) is one chunk for the scan driver; below the bound the
+# tree is one chunk.
 _TREE_CUT = 5
 
 
-def _allowed_sites(w: tuple[int, ...]) -> list[int]:
-    """The sites where inserting len(w)+1 into the spherical word w keeps
-    it spherical, in increasing order.
+def _site_pass(w: tuple[int, ...]) -> tuple[list[int], list[int], list[int]]:
+    """One quadratic pass over the spherical word w, where M = len(w)+1 is
+    inserted.  It returns the allowed sites, in increasing order; the
+    middles, the positions j where a "1" and a "2" of the 321 half exist
+    with w_j as the "3"; and ``reach_at``, whose entry at site t is the
+    greatest ``reach`` among the j whose ``opens`` is t, or -1 (both are
+    defined below).  A child with M at a site s in opens..reach of some j
+    has M as that j's "4" in the 3412 half.
 
     w avoids the catalog, so an occurrence in a child uses the new
     maximum, and only as its "5".  The catalog's positional tests
@@ -575,23 +588,32 @@ def _allowed_sites(w: tuple[int, ...]) -> list[int]:
     last_upto = list(itertools.accumulate(pos, max))
     prefix = -1  # sites 0..prefix are forbidden; never past the current j
     starts = [n + 1] * (n + 1)  # sites starts[j]..j are forbidden
+    middles = []
+    reach_at = [-1] * (n + 1)
     for j, wj in enumerate(w):
         after = w[j + 1:]
+        lows = [y for y in after if y < wj]
+        # opens: the least site s such that a value above w_j lies after j
+        # or among the first s letters of w; n+1 when none is above w_j.
+        if len(lows) < len(after):
+            opens = 0
+        else:
+            opens = 1 + min(pos[wj + 1:], default=n)
         # 321 half, w_j the "3": a "1" at k > j with w_k < w_j and a "2"
         # valued in (w_k, w_j) before j or after k.  Among the values below
         # w_j after j, such a "1" exists unless they fall and the last of
         # them is above every value below w_j before j.  The new "5" must
         # then come before j, with a "4" (any value above w_j) before it
-        # or after j.
-        lows = [y for y in after if y < wj]
+        # or after j: sites opens..j are forbidden.
         if lows and (
             lows != sorted(lows, reverse=True)
             or lows[-1] < max([y for y in w[:j] if y < wj], default=0)
         ):
-            if len(lows) < len(after):
+            middles.append(j)
+            if opens:
+                starts[j] = opens
+            else:
                 prefix = j
-            elif wj < n:
-                starts[j] = 1 + next(p for p, y in enumerate(w) if y > wj)
         # 3412 half, w_j the "2": a "4" at i < j with w_i > w_j, a "3"
         # valued in (w_j, w_i) before i or after j, and a "1" (any value
         # below w_j) after i, the latest at last_upto[w_j - 1].  Among the
@@ -606,6 +628,10 @@ def _allowed_sites(w: tuple[int, ...]) -> list[int]:
                 or highs[0] > min([y for y in after if y > wj], default=n + 1)
             ):
                 prefix = reach
+        # In a child with M at a site s <= reach, M is such a "4", with a
+        # "3" exactly when s >= opens; M+1 is then forbidden at 0..reach+1.
+        if reach >= opens and reach > reach_at[opens]:
+            reach_at[opens] = reach
     allowed = []
     start = n + 1  # the least start among stretches ending at or after s
     for s in range(n, prefix, -1):
@@ -613,23 +639,71 @@ def _allowed_sites(w: tuple[int, ...]) -> list[int]:
         if start > s:
             allowed.append(s)
     allowed.reverse()
-    return allowed
+    return allowed, middles, reach_at
+
+
+def _allowed_sites(w: tuple[int, ...]) -> list[int]:
+    """The sites where inserting len(w)+1 into the spherical word w keeps
+    it spherical, in increasing order."""
+    return _site_pass(w)[0]
+
+
+def _child_site_counts(w: tuple[int, ...]) -> tuple[list[int], list[int]]:
+    """The allowed sites of the spherical word w and, for each site s, the
+    number of allowed sites of the child made by inserting M = len(w)+1
+    at s, all from one pass over w.
+
+    The child's sites are w's, lifted: s splits into s and s+1, and every
+    later site moves up by one.  Any occurrence that the child's next
+    maximum M+1 completes without M would also be completed in w by
+    inserting M at the matching site.  So the lifted sites are all that
+    can remain, and only an occurrence with M as its "4" removes any.  In
+    the child's numbering, M+1 is then forbidden at sites 0..(the last
+    middle before s), at sites s+1..(the last middle)+1 when a middle lies
+    at or after s, and at sites 0..r+1 when r, the greatest reach among
+    the j whose opens is at most s, is at least s.
+    """
+    sites, middles, reach_at = _site_pass(w)
+    reach_from = list(itertools.accumulate(reach_at, max))
+    last = middles[-1] if middles else -1
+
+    def above(x: int) -> int:  # the sites of w past x
+        return len(sites) - bisect.bisect_right(sites, x)
+
+    counts = []
+    for s in sites:
+        reach = reach_from[s]
+        if reach >= s:
+            # sites 0..reach+1 take s, s+1 and each t+1 with t <= reach
+            counts.append(above(max(reach, last)))
+            continue
+        i = bisect.bisect_left(middles, s)
+        before = middles[i - 1] if i else -1
+        # what remains: the sites of w in (before, s], s+1 unless a middle
+        # lies at or after s, and t+1 for each site t of w past s and last
+        counts.append(above(before) - above(s) + (last < s) + above(max(s, last)))
+    return sites, counts
 
 
 def _count_subtree(args: tuple[tuple[int, ...], int]) -> list[int]:
     """Members of each degree len(root)+1..max_n below ``root``, walked
-    depth-first; the last degree is counted from the sites alone."""
+    depth-first; the last two degrees are counted from the sites alone."""
     root, max_n = args
     counts = [0] * (max_n - len(root))
     stack = [root]
     while stack:
         w = stack.pop()
         n = len(w)
-        sites = _allowed_sites(w)
-        counts[n - len(root)] += len(sites)
-        if n + 1 < max_n:
+        depth = n - len(root)
+        if n + 2 < max_n:
+            sites = _allowed_sites(w)
             top = (n + 1,)
             stack.extend(w[:s] + top + w[s:] for s in sites)
+        else:
+            sites, grandchildren = _child_site_counts(w)
+            if n + 2 == max_n:  # otherwise w is a root of degree max_n-1
+                counts[depth + 1] += sum(grandchildren)
+        counts[depth] += len(sites)
     return counts
 
 
@@ -641,9 +715,11 @@ def density_table(
     Counting walks the generating tree of the class from (1,): the
     children of a spherical word of degree n are the words made by
     inserting n+1 at each site where the result still avoids the catalog,
-    found in one quadratic pass over the parent.  The cost follows the
-    class size, not n!.  The default bound is degree 9; ``force=True``
-    overrides it.  Below the bound the walk runs in-process for any ``jobs``.
+    found in one quadratic pass over the parent.  That pass also gives
+    each child's number of sites, so members are built only to degree
+    max_n-2.  The cost follows the class size, not n!.  The default bound
+    is degree 10; ``force=True`` overrides it.  Below the bound the walk
+    runs in-process for any ``jobs``.
 
     >>> density_table(5)[-1]
     DensityRow(n=5, spherical=99, total=120, ratio=0.825)

@@ -6,10 +6,13 @@ multiplies out every generator sequence, Bruhat covers are the swaps that
 add exactly one inversion, Bruhat comparison comes from closing that
 cover relation, and prefix dominance compares whole sorted prefixes.  They exist to pin expected values, so keep them dumb.
 
-The one exception is ``first_repetition_free_word_by_walk``: it runs the
-library's backtracking reduced-word walker with one use per generator, a
-search independent of the greedy descent walk beneath
+Two exceptions run library code.  ``first_repetition_free_word_by_walk``
+runs the library's backtracking reduced-word walker with one use per
+generator, a search independent of the greedy descent walk beneath
 ``repetition_free_word``, to pin that witness past enumeration reach.
+``own_site_counts`` finds the sites of each generating-tree member with
+``_allowed_sites`` (itself checked against brute force), the
+child-by-child derivation that the tree's walk skips for its last degree.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ import itertools
 import operator
 from collections import Counter
 
-from spherical.classify import catalog
+from spherical.classify import _allowed_sites, catalog
 from spherical.permutations import Permutation, symmetric_group
 from spherical.reduced_words import _reduced_words
 
@@ -164,3 +167,11 @@ def is_boolean_by_support(w: Permutation) -> bool:
     the support exactly when w moves some value of 1..i past i."""
     support = sum(1 for i in range(1, w.degree) if max(w.oneline[:i]) > i)
     return inversion_count(w.oneline) == support
+
+
+def own_site_counts(members) -> list[int]:
+    """The number of allowed sites of each spherical word in ``members``,
+    found on the word itself: the generating tree's child-by-child count
+    of the next degree, which the tree's walk replaces by counting from
+    the grandparents."""
+    return [len(_allowed_sites(w)) for w in members]

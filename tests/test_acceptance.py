@@ -26,7 +26,7 @@ from spherical.permutations import (
 )
 from spherical.reduced_words import is_boolean_by_words
 
-from oracles import avoids_by_subsets, leq_by_cover_closure
+from oracles import avoids_by_subsets, leq_by_cover_closure, own_site_counts
 
 FAST_BACKENDS = ("pattern", "boolean_quotient", "divisibility")
 
@@ -136,7 +136,11 @@ def test_criterion_8_parabolic_factor_lengths_add():
 def test_criterion_9_generating_tree_confirmed_by_divisibility():
     # Every child of every member through degree 8, on an allowed site or
     # not, is classified by the divisibility backend, which shares nothing
-    # with the tree's site rule.
+    # with the tree's site rule.  Degree 10 is derived a second way: the
+    # sites of each confirmed degree-9 member, found on the member itself,
+    # against the walk, which counts the last two degrees from the sites of
+    # their grandparents.  The divisibility confirmation of degree 10
+    # (97,422; about 5 s) runs only outside the suite.
     members = {1: 1}
     rejected = 0
     level = [(1,)]
@@ -158,7 +162,9 @@ def test_criterion_9_generating_tree_confirmed_by_divisibility():
     assert members[9] == 24_732
     rows = density_table(9, force=True)
     assert [row.spherical for row in rows] == [members[n] for n in range(1, 10)]
-    print("criterion 9 (generating tree confirmed child by child by divisibility to degree 9, n=9 count 24732): PASS")
+    by_own_sites = sum(own_site_counts(level))
+    assert by_own_sites == density_table(10, force=True)[-1].spherical == 97_422
+    print("criterion 9 (generating tree confirmed child by child by divisibility to degree 9, n=9 count 24732; n=10 count 97422 from the degree-9 members' own sites): PASS")
 
 
 def test_criterion_10_pattern_backend_matches_subset_oracle():

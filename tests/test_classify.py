@@ -30,7 +30,7 @@ from spherical.permutations import (
     symmetric_group,
 )
 
-from oracles import avoids_by_subsets, leftmost_occurrence
+from oracles import avoids_by_subsets, leftmost_occurrence, own_site_counts
 
 
 @pytest.fixture
@@ -465,11 +465,15 @@ class TestDensity:
         ]
 
     def test_one_pool_for_all_degrees(self, monkeypatch, recording_pool):
+        # the chunk roots, of degree 5, sit one and two degrees below max_n,
+        # where the walk counts from the sites alone
+        whole = {max_n: density_table(max_n) for max_n in (6, 7)}
         monkeypatch.setattr(classify, "DENSITY_BOUND", 6)
-        serial = density_table(6)
         monkeypatch.setattr("spherical.classify.os.cpu_count", lambda: 2)
-        assert density_table(6, jobs=2) == serial
-        assert recording_pool == [2]
+        for max_n, rows in whole.items():
+            assert density_table(max_n, force=True) == rows
+            assert density_table(max_n, force=True, jobs=2) == rows
+        assert recording_pool == [2, 2]
 
     @pytest.mark.parametrize("jobs", [2, 3])
     def test_rows_identical_for_any_jobs(self, monkeypatch, recording_pool, jobs):
@@ -484,7 +488,7 @@ class TestDensity:
         # a pool costs more to start than a scan below its bound takes
         monkeypatch.setattr("spherical.classify.os.cpu_count", lambda: 8)
         assert cross_check(6, jobs=jobs) == cross_check(6)
-        assert density_table(8, jobs=jobs) == density_table(8)
+        assert density_table(9, jobs=jobs) == density_table(9)
         assert recording_pool == []
 
     def test_allowed_sites_match_brute_force_children(self):
@@ -504,9 +508,24 @@ class TestDensity:
                 ]
                 assert classify._allowed_sites(w) == expected, parent
 
+    def test_child_site_counts_match_the_children(self):
+        # every spherical parent of degree at most 7 (2,122 of them): each
+        # child's site count, read from the parent alone, against the sites
+        # found on the child itself
+        level = [(1,)]
+        for n in range(1, 8):
+            grown = []
+            for w in level:
+                sites, counts = classify._child_site_counts(w)
+                children = [w[:s] + (n + 1,) + w[s:] for s in sites]
+                assert counts == own_site_counts(children), w
+                grown.extend(children)
+            level = grown
+        assert len(level) == 6277
+
     def test_bound_needs_force(self):
         with pytest.raises(ValueError):
-            density_table(10)
+            density_table(11)
         with pytest.raises(ValueError):
             density_table(0)
 

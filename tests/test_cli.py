@@ -275,7 +275,7 @@ class TestCount:
         ]
 
     def test_bound_exceeded(self, capsys):
-        status, out, err = run_cli(capsys, "count", "--max-n=10")
+        status, out, err = run_cli(capsys, "count", "--max-n=11")
         assert status == 2
         assert out == ""
 
@@ -409,7 +409,7 @@ REFUSALS = [
     (("crosscheck", "--n=8"), "pass --force"),
     (("crosscheck", "--n=4", "--jobs=0", "--force"), "jobs must be at least 1"),
     (("count", "--max-n=0"), "degree must be at least 1"),
-    (("count", "--max-n=10"), "pass --force"),
+    (("count", "--max-n=11"), "pass --force"),
     (("reduced-words", "321", "--limit=-1"), "limit must be nonnegative"),
     (("reduced-words", "7654321"), "pass --limit"),
     (("reduced-words", "7654123"), "more than 1000000 reduced words"),
