@@ -14,9 +14,14 @@ and the scan loop read the verdict, and ``explain`` formats the witness
 from the same call.  The ``pattern`` search never lists occurrences: the
 catalog's self-check proves its 21 literals are the patterns passing two
 positional tests, and the search reads those tests on w in O(n^2) steps.
-``cross_check`` runs several backends over a whole symmetric group and
-reports any disagreement; it scans S_n in blocks by first value, which
-joined in order give the lexicographic stream.  ``density_table``
+Its witness is a certificate of where the search stopped (the 3 of a
+321-half occurrence, or the 4 and the 2 of a 3412-half one), which only
+``explain`` expands into five positions, in O(n) steps and no second
+search.  ``cross_check`` runs several backends over a whole symmetric
+group and reports any disagreement; it scans S_n in blocks by first value,
+which joined in order give the lexicographic stream.  Within a block it
+runs backend by backend over slices of at most 5,040 words, compares the
+verdict columns, and times each backend.  ``density_table``
 tabulates spherical counts per degree by walking the generating tree of
 the class: each spherical word of degree n+1 is a spherical word of
 degree n with n+1 inserted, and the catalog's two positional tests say
@@ -37,14 +42,13 @@ import math
 import os
 import time
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .divisibility import _first_witness, witness_text
 from .permutations import (
     Permutation,
-    _left_descents,
-    _longest_parabolic,
+    _reverse_blocks,
     contains_pattern,
     relative_order,
     symmetric_group,
@@ -103,8 +107,16 @@ def parabolic_quotient(w: Permutation) -> Permutation:
 
 
 def _longest_below(word: tuple[int, ...]) -> tuple[int, ...]:
-    # w0(J(w)): the longest element generated by the left descents of w.
-    return _longest_parabolic(len(word), set(_left_descents(word)))
+    # w0(J(w)): the longest element generated by the left descents of w,
+    # read from the position table.  s_i is a left descent when the value
+    # i+1 sits left of i, so a block of w0(J(w)) ends at each i whose
+    # successor sits to its right, and at n.
+    n = len(word)
+    pos = [0] * (n + 2)
+    for p, v in enumerate(word):
+        pos[v] = p
+    pos[n + 1] = n
+    return _reverse_blocks([i for i in range(1, n + 1) if pos[i] < pos[i + 1]])
 
 
 def _quotient(word: tuple[int, ...]) -> tuple[int, ...]:
@@ -176,11 +188,15 @@ def catalog() -> PatternCatalog:
 # The pattern backend.  catalog() proves over S_5 that the 21 literals are
 # exactly the patterns that pass _position_test_321 or _position_test_3412,
 # so w contains one exactly when five of its letters pass a test.  Read on
-# w, each test is one quadratic search.  Below, "the 5" of five letters is
-# the largest, and so on down to "the 1".
-def _catalog_occurrence(w: tuple[int, ...]) -> tuple[int, ...] | None:
-    """The positions, 1-based and ascending, of the occurrence that
-    ``explain`` names, or None when w avoids the catalog.
+# w, each test is one quadratic search, which stops at a certificate: the
+# 3 of an occurrence in the 321 half, or the 4 and the 2 of one in the 3412
+# half.  A scan reads only whether there is one; ``explain`` expands it into
+# the five positions.  Below, "the 5" of five letters is the largest, and
+# so on down to "the 1".
+def _catalog_certificate(w: tuple[int, ...]) -> tuple[int, ...] | None:
+    """Where the search for the occurrence that ``explain`` names stops:
+    ``(j,)`` when w_j is its 3 (321 half), ``(x, y)`` when w_x and w_y are
+    its 4 and its 2 (3412 half), or None when w avoids the catalog.
 
     The 321 half comes first, with w_j as the 3.  A 5 before j with a 4
     before the 5 or after j exists unless the values above w_j before j
@@ -200,10 +216,65 @@ def _catalog_occurrence(w: tuple[int, ...]) -> tuple[int, ...] | None:
         lows = [v for v in w[j + 1:] if v < c]
         if lows == list(range(c - 1, c - 1 - len(lows), -1)):
             continue
+        return (j,)
+    # The 3412 half: w_x > w_y with x < y are the 4 and the 2.  The 5 must
+    # sit before y, the 1 after x, and the 5 before the 1, so the earliest
+    # value above w_x and the latest value below w_y are the ones to try.
+    # A 3 valued in (w_y, w_x) before x or after y exists exactly when the
+    # greatest value below w_x before x exceeds w_y, or the least value
+    # above w_y after y is below w_x; each is found only once a pair passes
+    # the rest.
+    pos = [-1] * (n + 2)
+    for p, v in enumerate(w):
+        pos[v] = p
+    pos[n + 1] = n
+    # last_upto[v]: the last position of a value at most v, or -1;
+    # first_from[v]: the first position of a value at least v, or n.
+    last_upto = pos[: n + 1]
+    for v in range(1, n + 1):
+        if last_upto[v] < last_upto[v - 1]:
+            last_upto[v] = last_upto[v - 1]
+    first_from = pos[:]
+    for v in range(n, 0, -1):
+        if first_from[v] > first_from[v + 1]:
+            first_from[v] = first_from[v + 1]
+    least_above: dict[int, int] = {}
+    for x in range(n - 2):
+        wx = w[x]
+        if wx < 4:  # a 4 needs three values below it
+            continue
+        m = max(x, first_from[wx + 1])
+        greatest = None
+        for y in range(m + 1, n):
+            wy = w[y]
+            if wy > wx or last_upto[wy - 1] <= m:
+                continue
+            if greatest is None:
+                greatest = max([v for v in w[:x] if v < wx], default=0)
+            if greatest <= wy:
+                if y not in least_above:
+                    least_above[y] = min([v for v in w[y + 1:] if v > wy], default=n + 1)
+                if least_above[y] > wx:
+                    continue
+            return (x, y)
+    return None
+
+
+def _certificate_positions(
+    w: tuple[int, ...], certificate: tuple[int, ...]
+) -> tuple[int, ...]:
+    """The positions, 1-based and ascending, of the occurrence that
+    ``explain`` names, from the certificate ``_catalog_certificate`` found
+    on w; O(n) steps."""
+    if len(certificate) == 1:
+        (j,) = certificate
+        c = w[j]
+        highs = [v for v in w[:j] if v > c]
+        lows = [v for v in w[j + 1:] if v < c]
         # The leftmost 5 is the first of highs above some value above w_j
         # before it or after j; the leftmost 1 the first of lows below some
         # value below w_j before j or after it.
-        least = min([v for v in w[j + 1:] if v > c], default=n + 1)
+        least = min([v for v in w[j + 1:] if v > c], default=len(w) + 1)
         for five in highs:
             if five > least:
                 break
@@ -217,44 +288,14 @@ def _catalog_occurrence(w: tuple[int, ...]) -> tuple[int, ...] | None:
         four = next(v for v in w[: w.index(five)] + w[j + 1:] if c < v < five)
         two = next(v for v in w[:j] + w[w.index(one) + 1:] if one < v < c)
         return _positions(w, (five, four, c, two, one))
-    # The 3412 half: w_x > w_y with x < y are the 4 and the 2.  The 5 must
-    # sit before y, the 1 after x, and the 5 before the 1, so the earliest
-    # value above w_x and the latest value below w_y are the ones to try.
-    # A 3 valued in (w_y, w_x) before x or after y exists exactly when the
-    # greatest value below w_x before x exceeds w_y, or the least value
-    # above w_y after y is below w_x; each is found only once a pair passes
-    # the rest.  The witness takes the earliest 1 and 3 that fit.
-    pos = [-1] * (n + 2)
-    for p, v in enumerate(w):
-        pos[v] = p
-    pos[n + 1] = n
-    # last_upto[v]: the last position of a value at most v, or -1;
-    # first_from[v]: the first position of a value at least v, or n.
-    last_upto = list(itertools.accumulate(pos[: n + 1], max))
-    first_from = list(itertools.accumulate(reversed(pos), min))[::-1]
-    least_above: dict[int, int] = {}
-    for x in range(n - 2):
-        wx = w[x]
-        if wx < 4:  # a 4 needs three values below it
-            continue
-        i5 = first_from[wx + 1]
-        m = max(x, i5)
-        greatest = None
-        for y in range(m + 1, n):
-            wy = w[y]
-            if wy > wx or last_upto[wy - 1] <= m:
-                continue
-            if greatest is None:
-                greatest = max([v for v in w[:x] if v < wx], default=0)
-            if greatest <= wy:
-                if y not in least_above:
-                    least_above[y] = min([v for v in w[y + 1:] if v > wy], default=n + 1)
-                if least_above[y] > wx:
-                    continue
-            one = next(v for v in w[m + 1:] if v < wy)
-            three = next(v for v in w[:x] + w[y + 1:] if wy < v < wx)
-            return _positions(w, (w[i5], wx, three, wy, one))
-    return None
+    # The 5 is the earliest value above w_x; the 1 and the 3 are the
+    # earliest that fit.
+    x, y = certificate
+    wx, wy = w[x], w[y]
+    i5 = next(p for p, v in enumerate(w) if v > wx)
+    one = next(v for v in w[max(x, i5) + 1:] if v < wy)
+    three = next(v for v in w[:x] + w[y + 1:] if wy < v < wx)
+    return _positions(w, (w[i5], wx, three, wy, one))
 
 
 def _positions(w: tuple[int, ...], values: tuple[int, ...]) -> tuple[int, ...]:
@@ -264,8 +305,8 @@ def _positions(w: tuple[int, ...], values: tuple[int, ...]) -> tuple[int, ...]:
 # Each backend is one search from a one-line tuple to (verdict, witness).
 def _by_pattern(word: tuple[int, ...]) -> tuple[bool, tuple[int, ...] | None]:
     catalog()  # the search rests on the self-checked characterizations
-    hit = _catalog_occurrence(word)
-    return hit is None, hit
+    stop = _catalog_certificate(word)
+    return stop is None, stop
 
 
 def _by_quotient(word: tuple[int, ...]) -> tuple[bool, tuple]:
@@ -319,8 +360,9 @@ def _explained(w: Permutation, backend: str) -> tuple[bool, str]:
         if witness is None:
             text = "avoids all 21 blocking patterns"
         else:
-            p = relative_order([w.oneline[i - 1] for i in witness])
-            spots = ",".join(str(i) for i in witness)
+            positions = _certificate_positions(w.oneline, witness)
+            p = relative_order([w.oneline[i - 1] for i in positions])
+            spots = ",".join(str(i) for i in positions)
             text = f"contains {Permutation(p)} at positions {spots}"
     elif backend == "boolean_quotient":
         q, word = witness
@@ -381,6 +423,9 @@ class CrossCheckReport:
     backends: tuple[str, ...]
     disagreements: tuple[Disagreement, ...]
     disagreement_count: int
+    # wall seconds spent in each backend, summed over slices and workers;
+    # they vary from run to run, so reports compare without them
+    backend_seconds: dict[str, float] = field(default_factory=dict, compare=False)
 
     def summary_line(self) -> str:
         perms = "permutation" if self.total == 1 else "permutations"
@@ -430,10 +475,17 @@ class CrossCheckReport:
                 }
                 for d in self.disagreements
             ],
+            "backend_seconds": dict(self.backend_seconds),
         }
 
 
-_Tally = tuple[int, int, list[tuple[tuple[int, ...], tuple[bool, ...]]]]
+# (words, spherical by the first backend, disagreeing words with their
+# verdicts in order, seconds spent in each backend)
+_Tally = tuple[int, int, list[tuple[tuple[int, ...], tuple[bool, ...]]], list[float]]
+
+# Words decided per backend in one go: a scan keeps one slice and one
+# verdict column per backend in memory, whatever the degree.
+_SLICE = 5040
 
 
 def _scan_chunk(args: tuple[int, tuple[int, ...], tuple[str, ...]]) -> _Tally:
@@ -445,20 +497,29 @@ def _scan_chunk(args: tuple[int, tuple[int, ...], tuple[str, ...]]) -> _Tally:
 
 
 def _tally(words: Iterable[tuple[int, ...]], backends: tuple[str, ...]) -> _Tally:
-    # (words, spherical by the first backend, disagreeing words with their
-    # verdicts) over ``words``.
+    # Backend by backend over each slice of ``words``: every backend fills
+    # a column of verdicts, and only a slice whose columns differ is read
+    # word by word.
     total = 0
     spherical = 0
     bad: list[tuple[tuple[int, ...], tuple[bool, ...]]] = []
+    seconds = [0.0] * len(backends)
     deciders = [_DECIDERS[b] for b in backends]
-    for word in words:
-        verdicts = tuple(decide(word)[0] for decide in deciders)
-        total += 1
-        if verdicts[0]:
-            spherical += 1
-        if any(v != verdicts[0] for v in verdicts[1:]):
-            bad.append((word, verdicts))
-    return total, spherical, bad
+    words = iter(words)
+    while block := list(itertools.islice(words, _SLICE)):
+        columns = []
+        for k, decide in enumerate(deciders):
+            start = time.perf_counter()
+            columns.append([decide(word)[0] for word in block])
+            seconds[k] += time.perf_counter() - start
+        first = columns[0]
+        total += len(block)
+        spherical += sum(first)
+        if any(column != first for column in columns[1:]):
+            for word, verdicts in zip(block, zip(*columns)):
+                if any(v != verdicts[0] for v in verdicts[1:]):
+                    bad.append((word, verdicts))
+    return total, spherical, bad, seconds
 
 
 def _check_jobs(jobs: int) -> int:
@@ -527,7 +588,8 @@ def cross_check(
     # give the lexicographic stream, so disagreements keep their order.
     heads = [(first,) for first in range(1, n + 1)] if n >= bound else [()]
     results = _scan(_scan_chunk, [(n, head, names) for head in heads], jobs)
-    bad = [item for _, _, block_bad in results for item in block_bad]
+    bad = [item for _, _, block_bad, _ in results for item in block_bad]
+    seconds = [sum(column) for column in zip(*(r[3] for r in results))]
     reported = []
     for word, verdicts in bad[:MAX_REPORTED_DISAGREEMENTS]:
         w = Permutation(word)
@@ -540,6 +602,7 @@ def cross_check(
         backends=names,
         disagreements=tuple(reported),
         disagreement_count=len(bad),
+        backend_seconds=dict(zip(names, seconds)),
     )
 
 

@@ -21,7 +21,7 @@ from __future__ import annotations
 import functools
 import itertools
 from dataclasses import dataclass
-from typing import AbstractSet, Iterable, Iterator, NamedTuple, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 
 @dataclass(frozen=True, order=True)
@@ -196,16 +196,19 @@ def longest_parabolic(gens: GeneratorSet) -> Permutation:
     >>> str(longest_parabolic(GeneratorSet(4)))
     '1234'
     """
-    return Permutation(_longest_parabolic(gens.degree, gens.members))
+    # a block ends at each i with s_i outside gens, n among them
+    ends = [i for i in range(1, gens.degree + 1) if i not in gens.members]
+    return Permutation(_reverse_blocks(ends))
 
 
-def _longest_parabolic(n: int, gens: AbstractSet[int]) -> tuple[int, ...]:
+def _reverse_blocks(ends: Iterable[int]) -> tuple[int, ...]:
+    # 1..n with each block of consecutive values reversed in place; ``ends``
+    # lists the last value of every block, ascending, the last being n.
     out: list[int] = []
     start = 1
-    for i in range(1, n + 1):
-        if i == n or i not in gens:
-            out.extend(range(i, start - 1, -1))
-            start = i + 1
+    for end in ends:
+        out.extend(range(end, start - 1, -1))
+        start = end + 1
     return tuple(out)
 
 

@@ -10,7 +10,7 @@ settings.load_profile("suite")
 
 # The search beneath each backend, under every name it is reached by.
 _SEARCHES = {
-    "pattern": [(classify, "_catalog_occurrence")],
+    "pattern": [(classify, "_catalog_certificate")],
     "boolean_quotient": [
         (classify, "_repetition_free_word"),
         (reduced_words, "_repetition_free_word"),

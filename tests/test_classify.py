@@ -86,6 +86,19 @@ def oracle_pattern_text(w):
     return f"contains {p} at positions {','.join(map(str, positions))}"
 
 
+def flip_on_second_letter_three(monkeypatch):
+    # a stub backend that flips the pattern verdict on every word whose
+    # second letter is 3; returns its offenders in S_5, 24 of them spread
+    # over every block
+    pattern = classify._DECIDERS["pattern"]
+    monkeypatch.setitem(
+        classify._DECIDERS,
+        "stub",
+        lambda word: (pattern(word)[0] ^ (word[1] == 3), None),
+    )
+    return [p for p in symmetric_group(5) if p.oneline[1] == 3]
+
+
 def assert_backends_agree(w, backends):
     verdicts = {b: is_spherical(w, b) for b in backends}
     assert len(set(verdicts.values())) == 1, (str(w), verdicts)
@@ -205,7 +218,8 @@ class TestRandomPastDegreeEight:
     def test_spherical_sums_to_degree_sixty(self):
         # Direct sums of blocks that avoid the catalog, half of them with
         # two letters swapped: the pattern decider against the trie scanner
-        # behind avoids_all, at degrees the subset oracle cannot reach.
+        # behind avoids_all, at degrees the subset oracle cannot reach, and
+        # its certificate expanded into five positions of a catalog pattern.
         cat = catalog()
         members = {p.oneline for p in cat.all}
         rng = random.Random(2104)
@@ -223,15 +237,29 @@ class TestRandomPastDegreeEight:
                 i, j = rng.sample(range(n), 2)
                 word[i], word[j] = word[j], word[i]
             w = Permutation(tuple(word))
-            verdict, positions = classify._DECIDERS["pattern"](w.oneline)
+            verdict, certificate = classify._DECIDERS["pattern"](w.oneline)
             assert verdict == avoids_all(w, cat.all), str(w)
-            if positions is not None:
+            if certificate is not None:
+                positions = classify._certificate_positions(w.oneline, certificate)
+                assert list(positions) == sorted(set(positions))
                 assert relative_order([w(i) for i in positions]) in members
             verdicts.add(verdict)
         assert verdicts == {True, False}
 
 
 class TestTuplePath:
+    def test_longest_below_equals_public_longest_parabolic(self):
+        rng = random.Random(1404)
+        words = [p.oneline for n in range(1, 9) for p in symmetric_group(n)]
+        for _ in range(300):
+            n = rng.randint(9, 200)
+            words.append(tuple(rng.sample(range(1, n + 1), n)))
+        for word in words:
+            w = Permutation(word)
+            assert classify._longest_below(word) == (
+                longest_parabolic(w.left_descents()).oneline
+            ), word
+
     def test_quotient_equals_public_product(self):
         for n in range(1, 8):
             for w in symmetric_group(n):
@@ -261,6 +289,12 @@ class TestExplain:
         for n in range(1, 8):
             for w in symmetric_group(n):
                 assert explain(w, "pattern") == oracle_pattern_text(w)
+
+    def test_pattern_witness_on_sampled_degree_eight(self):
+        rng = random.Random(1408)
+        for _ in range(2000):
+            w = Permutation(tuple(rng.sample(range(1, 9), 8)))
+            assert explain(w, "pattern") == oracle_pattern_text(w)
 
     @given(st.one_of(uniform(st.integers(9, 12)), block_sums(st.integers(9, 12))))
     def test_pattern_witness_past_degree_eight(self, w):
@@ -401,17 +435,9 @@ class TestCrossCheck:
         assert recording_pool == ([workers] if workers > 1 else [])
 
     def test_disagreements_through_a_scan(self, monkeypatch, recording_pool):
-        # a stub backend that flips the pattern verdict on every word
-        # whose second letter is 3: 24 offenders spread over every block
-        pattern = classify._DECIDERS["pattern"]
-        monkeypatch.setitem(
-            classify._DECIDERS,
-            "stub",
-            lambda word: (pattern(word)[0] ^ (word[1] == 3), None),
-        )
+        offenders = flip_on_second_letter_three(monkeypatch)
         monkeypatch.setattr(classify, "DEFAULT_CROSSCHECK_BOUND", 5)
         monkeypatch.setattr("spherical.classify.os.cpu_count", lambda: 8)
-        offenders = [p for p in symmetric_group(5) if p.oneline[1] == 3]
         serial = cross_check(5, ("pattern", "stub"))
         parallel = cross_check(5, ("pattern", "stub"), jobs=3)
         assert recording_pool == [3]
@@ -419,6 +445,49 @@ class TestCrossCheck:
             assert report.disagreement_count == len(offenders) == 24
             assert [d.perm for d in report.disagreements] == offenders[:20]
         assert parallel == serial
+
+    def test_slices_leave_reports_unchanged(self, monkeypatch, recording_pool):
+        # slices of 7 words split every block of S_5, and the one block
+        # below the bound, mid-way
+        whole = cross_check(5)
+        offenders = flip_on_second_letter_three(monkeypatch)
+        monkeypatch.setattr(classify, "_SLICE", 7)
+        assert cross_check(5) == whole
+        monkeypatch.setattr(classify, "DEFAULT_CROSSCHECK_BOUND", 5)
+        monkeypatch.setattr("spherical.classify.os.cpu_count", lambda: 8)
+        for jobs in (1, 3):
+            report = cross_check(5, ("pattern", "stub"), jobs=jobs)
+            assert report.disagreement_count == 24
+            assert [d.perm for d in report.disagreements] == offenders[:20]
+        assert recording_pool == [3]
+
+    def test_scan_expands_only_reported_witnesses(self, monkeypatch):
+        # a scan reads verdicts only; positions are built for the words a
+        # report shows, here 53124 and 53142 among the stub's first 20
+        expanded = []
+        expand = classify._certificate_positions
+
+        def counting(word, certificate):
+            expanded.append(word)
+            return expand(word, certificate)
+
+        monkeypatch.setattr(classify, "_certificate_positions", counting)
+        assert cross_check(6).summary_line() == (
+            "720 permutations, 400 spherical, 0 disagreements"
+        )
+        assert expanded == []
+        flip_on_second_letter_three(monkeypatch)
+        report = cross_check(5, ("pattern", "stub"))
+        assert expanded == [(5, 3, 1, 2, 4), (5, 3, 1, 4, 2)]
+        witnesses = {str(d.perm): d.witnesses[0] for d in report.disagreements}
+        assert witnesses["53124"] == "contains 53124 at positions 1,2,3,4,5"
+        assert witnesses["13245"] == "avoids all 21 blocking patterns"
+
+    def test_backend_seconds(self):
+        report = cross_check(5, BACKENDS)
+        assert tuple(report.backend_seconds) == BACKENDS
+        assert all(seconds >= 0 for seconds in report.backend_seconds.values())
+        assert report.as_dict()["backend_seconds"] == report.backend_seconds
 
     def test_report_serialization(self):
         report = cross_check(4)

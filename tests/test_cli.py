@@ -202,6 +202,9 @@ class TestCrosscheck:
         assert data["n"] == 4
         assert data["spherical"] == 24
         assert data["disagreements"] == []
+        seconds = data["backend_seconds"]
+        assert list(seconds) == ["pattern", "boolean_quotient", "divisibility"]
+        assert all(value >= 0 for value in seconds.values())
 
     def test_table_format(self, capsys):
         status, out, _ = run_cli(
