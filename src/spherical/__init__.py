@@ -6,7 +6,6 @@ Composition is ``u * w``: apply w first, then u.
 
 from .bruhat import (
     BruhatInterval,
-    bruhat_covers_up,
     bruhat_leq,
     build_interval,
     first_dominance_failure,
@@ -68,7 +67,6 @@ __all__ = [
     "PatternOccurrence",
     "Permutation",
     "avoids_all",
-    "bruhat_covers_up",
     "bruhat_leq",
     "build_interval",
     "catalog",

@@ -2,13 +2,13 @@
 
 Bruhat comparison uses prefix value-set dominance: v <= w exactly when,
 for every i, the i smallest values among v_1..v_i are componentwise at
-most the i smallest among w_1..w_i.  Interval construction and the
-Boolean-lattice recognizer build on that test.
+most the i smallest among w_1..w_i.  Interval construction makes no
+comparison: it grows down from the top through lower covers, and the
+Boolean-lattice recognizer reads the covers it recorded.
 """
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 from .permutations import Permutation
@@ -53,32 +53,22 @@ def bruhat_leq(v: Permutation, w: Permutation) -> bool:
     return first_dominance_failure(v, w) is None
 
 
-@functools.lru_cache(maxsize=100_000)
-def _covers_up(w: Permutation) -> tuple[Permutation, ...]:
-    # Swapping positions a < b adds exactly one inversion when w[a] < w[b]
-    # and no value between them sits between them: scanning right from a,
-    # that is each new running minimum among the values above w[a].
-    word = list(w.oneline)
-    n = w.degree
+def _covers_down(word: tuple[int, ...]) -> list[tuple[int, ...]]:
+    # Swapping positions a < b removes exactly one inversion when
+    # word[a] > word[b] and no value between them sits between them:
+    # scanning right from a, that is each new running maximum among the
+    # values below word[a].
+    w = list(word)
     out = []
-    for a in range(n - 1):
-        low = n + 1
-        for b in range(a + 1, n):
-            if word[a] < word[b] < low:
-                low = word[b]
-                word[a], word[b] = word[b], word[a]
-                out.append(Permutation(tuple(word)))
-                word[a], word[b] = word[b], word[a]
-    return tuple(sorted(out))
-
-
-def bruhat_covers_up(w: Permutation) -> list[Permutation]:
-    """All permutations covering w: w times a transposition, one longer.
-
-    >>> [str(u) for u in bruhat_covers_up(Permutation((2, 1, 3)))]
-    ['231', '312']
-    """
-    return list(_covers_up(w))
+    for a in range(len(w) - 1):
+        high = 0
+        for b in range(a + 1, len(w)):
+            if high < w[b] < w[a]:
+                high = w[b]
+                w[a], w[b] = w[b], w[a]
+                out.append(tuple(w))
+                w[a], w[b] = w[b], w[a]
+    return out
 
 
 @dataclass(frozen=True)
@@ -99,10 +89,10 @@ def build_interval(w: Permutation, rank_bound: int = DEFAULT_RANK_BOUND) -> Bruh
     """Construct the interval from the identity up to w.
 
     Refuses when length(w) exceeds ``rank_bound`` (the element count can
-    reach 2**length).  The interval grows upward from the identity through
-    cover relations, keeping each cover that passes the Bruhat test
-    against w.  Every u <= w is reached, because a chain of covers from
-    the identity up to u stays below w.
+    reach 2**length).  The interval grows down from w through lower
+    covers, each element's computed once and each recorded as a cover.
+    No candidate needs a Bruhat test: every u <= w lies on a chain of
+    covers down from w, and whatever lies below u lies below w.
 
     >>> iv = build_interval(Permutation((2, 1, 4, 3)))
     >>> len(iv.elements), len(iv.covers)
@@ -111,77 +101,57 @@ def build_interval(w: Permutation, rank_bound: int = DEFAULT_RANK_BOUND) -> Bruh
     rank = w.length()
     if rank > rank_bound:
         raise ValueError(f"interval rank {rank} exceeds bound {rank_bound}")
-    e = Permutation.identity(w.degree)
-    elements = {e}
-    frontier = [e]
-    while frontier:
-        grown: list[Permutation] = []
-        for u in frontier:
-            for c in _covers_up(u):
-                if c not in elements and bruhat_leq(c, w):
-                    elements.add(c)
-                    grown.append(c)
-        frontier = grown
-    covers = [
-        (u, c) for u in elements for c in _covers_up(u) if c in elements
-    ]
-    return BruhatInterval(w, tuple(sorted(elements)), tuple(sorted(covers)))
+    lower = {w.oneline: _covers_down(w.oneline)}
+    stack = [w.oneline]
+    while stack:
+        for c in lower[stack.pop()]:
+            if c not in lower:
+                lower[c] = _covers_down(c)
+                stack.append(c)
+    # Permutations order as their one-line tuples, so sort those.
+    perm = {u: Permutation(u) for u in lower}
+    covers = sorted((c, u) for u, below in lower.items() for c in below)
+    return BruhatInterval(
+        w,
+        tuple(perm[u] for u in sorted(lower)),
+        tuple((perm[c], perm[u]) for c, u in covers),
+    )
 
 
 def is_boolean_lattice(iv: BruhatInterval) -> bool:
     """Decide order-isomorphism with the subset lattice of the interval's atoms.
 
-    Checks that the element count is 2**rank, that mapping each element to
-    the set of atoms below it is a bijection onto all subsets, and that the
-    interval order agrees with subset containment of atom sets.
+    ``iv.covers`` must be the interval's cover relations, sorted, as
+    ``build_interval`` records them.  With r the rank, the interval is
+    Boolean exactly when it has 2**r elements, r atoms and r * 2**(r-1)
+    covers, the atom sets pushed up the covers are pairwise distinct, and
+    each cover's upper end has its lower end's atoms plus exactly one more.
+    The atom sets are then all 2**r subsets, and the covers all the
+    subset covers, so the two orders agree.
 
     >>> is_boolean_lattice(build_interval(Permutation((2, 1, 4, 3))))
     True
     >>> is_boolean_lattice(build_interval(Permutation((3, 2, 1))))
     False
     """
-    elements = iv.elements
+    elements, covers = iv.elements, iv.covers
     rank = iv.top.length()
-    if len(elements) != 2**rank:
+    if len(elements) != 1 << rank or 2 * len(covers) != rank << rank:
         return False
-    index = {u: i for i, u in enumerate(elements)}
-    atoms = [index[u] for u in elements if u.length() == 1]
+    e = Permutation.identity(iv.top.degree)
+    atoms = [up for lo, up in covers if lo == e]
     if len(atoms) != rank:
         return False
-
-    # Upward reachability through covers; in a graded interval this closure
-    # is the induced order.
-    reach = [1 << i for i in range(len(elements))]
-    by_level: dict[int, list[tuple[int, int]]] = {}
-    for lo, up in iv.covers:
-        by_level.setdefault(lo.length(), []).append((index[lo], index[up]))
-    for level in sorted(by_level, reverse=True):
-        for i, j in by_level[level]:
-            reach[i] |= reach[j]
-
-    masks = []
-    for i in range(len(elements)):
-        m = 0
-        for k, atom in enumerate(atoms):
-            if (reach[atom] >> i) & 1:
-                m |= 1 << k
-        masks.append(m)
-    if len(set(masks)) != len(elements):
+    below = dict.fromkeys(elements, 0)
+    for k, atom in enumerate(atoms):
+        below[atom] = 1 << k
+    # Going up a cover raises the one-line word lexicographically, so in
+    # the sorted covers each lower end's atoms are complete when pushed.
+    for lo, up in covers:
+        below[up] |= below[lo]
+    if len(set(below.values())) != len(elements):
         return False
-
-    full = (1 << len(elements)) - 1
-    for i in range(len(elements)):
-        above_by_mask = full
-        m = masks[i]
-        k = 0
-        while m:
-            if m & 1:
-                above_by_mask &= reach[atoms[k]]
-            m >>= 1
-            k += 1
-        if above_by_mask != reach[i]:
-            return False
-    return True
+    return all(below[up].bit_count() == below[lo].bit_count() + 1 for lo, up in covers)
 
 
 def interval_edge_lines(iv: BruhatInterval) -> list[str]:

@@ -663,15 +663,12 @@ def _site_pass(w: tuple[int, ...]) -> tuple[list[int], list[int], list[int]]:
         else:
             opens = 1 + min(pos[wj + 1:], default=n)
         # 321 half, w_j the "3": a "1" at k > j with w_k < w_j and a "2"
-        # valued in (w_k, w_j) before j or after k.  Among the values below
-        # w_j after j, such a "1" exists unless they fall and the last of
-        # them is above every value below w_j before j.  The new "5" must
-        # then come before j, with a "4" (any value above w_j) before it
-        # or after j: sites opens..j are forbidden.
-        if lows and (
-            lows != sorted(lows, reverse=True)
-            or lows[-1] < max([y for y in w[:j] if y < wj], default=0)
-        ):
+        # valued in (w_k, w_j) before j or after k.  Such a "1" exists
+        # unless the values below w_j after j are w_j-1, ..., w_j-L in that
+        # order, as in ``_catalog_certificate``.  The new "5" must then come
+        # before j, with a "4" (any value above w_j) before it or after j:
+        # sites opens..j are forbidden.
+        if lows != list(range(wj - 1, wj - 1 - len(lows), -1)):
             middles.append(j)
             if opens:
                 starts[j] = opens

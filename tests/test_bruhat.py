@@ -1,8 +1,8 @@
 import pytest
 
+import spherical.bruhat
 from spherical.bruhat import (
     BruhatInterval,
-    bruhat_covers_up,
     bruhat_leq,
     build_interval,
     first_dominance_failure,
@@ -69,29 +69,24 @@ class TestBruhatLeq:
 
 
 class TestCovers:
-    def test_covers_of_identity(self):
-        got = {str(u) for u in bruhat_covers_up(Permutation.identity(3))}
-        assert got == {"213", "132"}
-
-    def test_maximum_has_no_covers(self):
-        assert bruhat_covers_up(Permutation((3, 2, 1))) == []
-
-    def test_covers_of_s1(self):
-        got = {str(u) for u in bruhat_covers_up(Permutation((2, 1, 3)))}
-        assert got == {"312", "231"}
-
     def test_covers_match_length_oracle(self):
-        for n in range(1, 7):
+        # the recorded covers are exactly the oracle's covers between the
+        # interval's elements
+        for n in range(1, 6):
             for w in symmetric_group(n):
-                assert bruhat_covers_up(w) == covers_by_length(w)
-
-    def test_cover_shape(self):
-        # each cover differs in exactly two positions and one length step
-        for w in symmetric_group(4):
-            for u in bruhat_covers_up(w):
-                assert u.length() == w.length() + 1
-                diff = [i for i in range(4) if u.oneline[i] != w.oneline[i]]
-                assert len(diff) == 2
+                iv = build_interval(w)
+                inside = set(iv.elements)
+                expected = sorted(
+                    (u, c) for u in inside for c in covers_by_length(u) if c in inside
+                )
+                assert list(iv.covers) == expected, w
+        # the interval below the longest element of S6 is all of S6
+        w0 = Permutation((6, 5, 4, 3, 2, 1))
+        expected = sorted(
+            (u, c) for u in symmetric_group(6) for c in covers_by_length(u)
+        )
+        assert len(expected) == 3708
+        assert list(build_interval(w0, rank_bound=15).covers) == expected
 
 
 def test_degree_six_order_invariants():
@@ -135,9 +130,9 @@ class TestIntervals:
         iv = build_interval(w0)
         assert len(iv.elements) == 120
 
-    def test_upward_growth_matches_filtering(self):
-        # fixed points appended past the end leave the interval's shape
-        # unchanged; embed a small permutation into S9 and compare
+    def test_fixed_points_past_the_end_keep_the_shape(self):
+        # fixed points appended past the end add no cover below the top;
+        # embed a small permutation into S9 and compare
         w = Permutation((2, 1, 4, 3, 5, 6, 7, 8, 9))
         small = build_interval(Permutation((2, 1, 4, 3)))
         grown = build_interval(w)
@@ -150,6 +145,15 @@ class TestIntervals:
             for w in symmetric_group(n):
                 below = {u for u, reach in up.items() if w in reach}
                 assert set(build_interval(w).elements) == below
+
+    def test_no_bruhat_comparison(self, monkeypatch):
+        # growth down through covers needs no candidate test
+        def refuse(v, w):
+            raise AssertionError("build_interval compared two permutations")
+
+        monkeypatch.setattr(spherical.bruhat, "first_dominance_failure", refuse)
+        for text in ["2143", "3412", "54321"]:
+            build_interval(Permutation.from_text(text))
 
     def test_edge_lines(self):
         iv = build_interval(Permutation((2, 1, 4, 3)))
@@ -201,9 +205,30 @@ class TestBooleanLattice:
         )
         assert not is_boolean_lattice(fake)
 
+    def test_repeated_atom_set_rejects_synthetic_interval(self):
+        # the Boolean lattice's counts at every rank, but two coatoms
+        # above the same two atoms
+        e, a1, a2, a3, c1, c2, c3, top = map(
+            Permutation.from_text,
+            ["1234", "1243", "1324", "2134", "1342", "1423", "2314", "3214"],
+        )
+        covers = [(e, a1), (e, a2), (e, a3), (a1, c1), (a2, c1), (a1, c2)]
+        covers += [(a2, c2), (a2, c3), (a3, c3), (c1, top), (c2, top), (c3, top)]
+        elements = tuple(sorted({u for pair in covers for u in pair}))
+        fake = BruhatInterval(top, elements, tuple(sorted(covers)))
+        assert not is_boolean_lattice(fake)
+
+    def test_non_cover_pair_is_not_boolean(self):
+        # covers must be the interval's cover relations: a pair two
+        # length steps apart among them is refused
+        iv = build_interval(Permutation((2, 1, 4, 3)))
+        e, top = Permutation.identity(4), iv.top
+        fake = BruhatInterval(top, iv.elements, tuple(sorted(iv.covers + ((e, top),))))
+        assert not is_boolean_lattice(fake)
+
     def test_cover_closure_matches_bruhat_inside_intervals(self):
-        # the recognizer trusts the cover closure as the interval order;
-        # check that against the dominance test on sample intervals
+        # the recognizer reads the recorded covers as the interval order;
+        # check their closure against the dominance test on sample intervals
         for text in ["2143", "3412", "4231", "21435", "35142"]:
             iv = build_interval(Permutation.from_text(text))
             reach = {u: {u} for u in iv.elements}
