@@ -68,7 +68,32 @@ class TestBruhatLeq:
                         assert up[j] & ~up[i] == 0
 
 
+def _covers_from(u, top):
+    return {str(c) for v, c in build_interval(top).covers if v == u}
+
+
 class TestCovers:
+    def test_covers_of_identity(self):
+        top = Permutation((3, 2, 1))
+        assert _covers_from(Permutation.identity(3), top) == {"213", "132"}
+
+    def test_maximum_has_no_covers(self):
+        top = Permutation((3, 2, 1))
+        assert _covers_from(top, top) == set()
+
+    def test_covers_of_s1(self):
+        top = Permutation((3, 2, 1))
+        assert _covers_from(Permutation((2, 1, 3)), top) == {"312", "231"}
+
+    def test_cover_shape(self):
+        # each recorded cover differs in exactly two positions and one
+        # length step
+        for w in symmetric_group(4):
+            for u, c in build_interval(w).covers:
+                assert c.length() == u.length() + 1
+                diff = [i for i in range(4) if c.oneline[i] != u.oneline[i]]
+                assert len(diff) == 2
+
     def test_covers_match_length_oracle(self):
         # the recorded covers are exactly the oracle's covers between the
         # interval's elements
