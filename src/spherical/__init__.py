@@ -9,7 +9,6 @@ from .bruhat import (
     bruhat_leq,
     build_interval,
     first_dominance_failure,
-    interval_edge_lines,
     is_boolean_lattice,
 )
 from .classify import (
@@ -26,22 +25,14 @@ from .classify import (
     parabolic_quotient,
     verify_catalog_characterizations,
 )
-from .divisibility import (
-    DivisibilityWitness,
-    divisible_after,
-    divisible_at,
-    is_divisible,
-    witness_text,
-)
+from .divisibility import DivisibilityWitness, is_divisible
 from .permutations import (
     GeneratorSet,
     PatternOccurrence,
     Permutation,
     avoids_all,
-    contains_pattern,
     first_pattern_occurrence,
     longest_parabolic,
-    pattern_occurrences,
     relative_order,
     symmetric_group,
 )
@@ -50,7 +41,6 @@ from .reduced_words import (
     is_boolean_by_words,
     repetition_free_word,
     spherical_witness_word,
-    word_is_repetition_free,
     word_to_permutation,
     word_to_text,
 )
@@ -70,30 +60,23 @@ __all__ = [
     "bruhat_leq",
     "build_interval",
     "catalog",
-    "contains_pattern",
     "cross_check",
     "density_table",
-    "divisible_after",
-    "divisible_at",
     "enumerate_reduced_words",
     "explain",
     "first_dominance_failure",
     "first_pattern_occurrence",
-    "interval_edge_lines",
     "is_boolean_by_words",
     "is_boolean_lattice",
     "is_divisible",
     "is_spherical",
     "longest_parabolic",
     "parabolic_quotient",
-    "pattern_occurrences",
     "relative_order",
     "repetition_free_word",
     "spherical_witness_word",
     "symmetric_group",
     "verify_catalog_characterizations",
-    "witness_text",
-    "word_is_repetition_free",
     "word_to_permutation",
     "word_to_text",
 ]

@@ -45,11 +45,11 @@ import warnings
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, NamedTuple, Sequence
 
-from .divisibility import _first_witness, witness_text
+from .divisibility import _first_witness
 from .permutations import (
     Permutation,
     _reverse_blocks,
-    contains_pattern,
+    avoids_all,
     relative_order,
     symmetric_group,
 )
@@ -157,12 +157,10 @@ def _characterizations_hold(cat: PatternCatalog) -> bool:
         return False
     if {p for p in fives if _position_test_3412(p)} != s3412:
         return False
-    base321 = Permutation.from_text("321")
-    base3412 = Permutation.from_text("3412")
-    if {p for p in cat.all if contains_pattern(parabolic_quotient(p), base321)} != s321:
-        return False
-    if {p for p in cat.all if contains_pattern(parabolic_quotient(p), base3412)} != s3412:
-        return False
+    for text, half in (("321", s321), ("3412", s3412)):
+        base = (Permutation.from_text(text),)
+        if {p for p in cat.all if not avoids_all(parabolic_quotient(p), base)} != half:
+            return False
     return True
 
 
@@ -375,7 +373,7 @@ def _explained(w: Permutation, backend: str) -> tuple[bool, str]:
             )
     elif backend == "divisibility":
         v, found = witness
-        text = f"({Permutation(v)}, {w}) divisibility witness {witness_text(found)}"
+        text = f"({Permutation(v)}, {w}) divisibility witness {found or 'none'}"
     elif witness is None:  # the definition backend
         text = "no reduced word fits the generator budgets"
     else:

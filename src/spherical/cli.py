@@ -18,7 +18,7 @@ import os
 import sys
 from typing import Callable, Sequence
 
-from .bruhat import build_interval, first_dominance_failure, interval_edge_lines, is_boolean_lattice
+from .bruhat import build_interval, first_dominance_failure, is_boolean_lattice
 from .classify import (
     BACKENDS,
     _check_jobs,
@@ -214,7 +214,7 @@ def _cmd_interval(ns: argparse.Namespace) -> tuple[int, str]:
     boolean = "true" if is_boolean_lattice(iv) else "false"
     lines = [f"{len(iv.elements)} elements, boolean: {boolean}"]
     if ns.edges:
-        lines.extend(interval_edge_lines(iv))
+        lines.extend(f"{lo} < {up}" for lo, up in iv.covers)
     return 0, "\n".join(lines)
 
 

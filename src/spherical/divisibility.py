@@ -24,42 +24,6 @@ class DivisibilityWitness(NamedTuple):
         return f"{self.kind}@{self.position}"
 
 
-def witness_text(witness: DivisibilityWitness | None) -> str:
-    """Render a witness as "after@i" or "at@i"; absence prints "none"."""
-    return "none" if witness is None else str(witness)
-
-
-def _check_pair(v: Permutation, w: Permutation, i: int) -> None:
-    if v.degree != w.degree:
-        raise ValueError(f"degree mismatch: {v.degree} vs {w.degree}")
-    if not 1 <= i <= v.degree:
-        raise ValueError(f"position {i} outside 1..{v.degree}")
-
-
-def divisible_after(v: Permutation, w: Permutation, i: int) -> bool:
-    """Prefixes of length i share at most i-2 values.
-
-    >>> divisible_after(Permutation.identity(4), Permutation((3, 4, 1, 2)), 2)
-    True
-    """
-    _check_pair(v, w, i)
-    shared = len(frozenset(v.oneline[:i]) & frozenset(w.oneline[:i]))
-    return shared <= i - 2
-
-
-def divisible_at(v: Permutation, w: Permutation, i: int) -> bool:
-    """v_i equals w_i and the length-i prefixes share at most i-1 values.
-
-    >>> divisible_at(Permutation.identity(3), Permutation((3, 2, 1)), 2)
-    True
-    """
-    _check_pair(v, w, i)
-    if v.oneline[i - 1] != w.oneline[i - 1]:
-        return False
-    shared = len(frozenset(v.oneline[:i]) & frozenset(w.oneline[:i]))
-    return shared <= i - 1
-
-
 def is_divisible(v: Permutation, w: Permutation) -> DivisibilityWitness | None:
     """Smallest-position witness that (v, w) is divisible, or None.
 

@@ -9,11 +9,16 @@ package (parabolic quotients ``longest_parabolic(J) * w``, weak-order
 quotients ``v.inverse() * w``) is written in this convention and reads
 left to right as a formula.
 
-Pattern containment has one scanner, ``_occurrences``.  It walks a trie of
-the patterns keyed by each letter's rank among the letters before it, so
-patterns of any degree share one walk, and it leaves a trie node once too
-few host letters remain to complete a pattern below it.  Occurrences come
-out with their positions in lexicographic order.
+``avoids_all`` and ``first_pattern_occurrence`` share one scanner,
+``_occurrences``.  It walks a trie of the patterns keyed by each letter's
+rank among the letters before it, so patterns of any degree share one walk,
+and it leaves a trie node once too few host letters remain to complete a
+pattern below it.  Occurrences come out with their positions in
+lexicographic order.  The ``pattern`` backend's decider does not scan with
+it (the catalog self-check does, on degree-5 words); the trie stays as the
+reference that decider is tested against at degrees a plain subset scan
+cannot reach, where one walk over all 21 catalog patterns is much cheaper
+than 21 separate scans.
 """
 
 from __future__ import annotations
@@ -67,16 +72,11 @@ class Permutation:
         s = text.strip()
         if not s:
             raise ValueError("empty permutation text")
-        if "," in s:
-            try:
-                values = tuple(int(tok) for tok in s.split(","))
-            except ValueError:
-                raise ValueError(f"bad permutation text: {text!r}") from None
-        else:
-            if not (s.isascii() and s.isdigit()):
-                raise ValueError(f"bad permutation text: {text!r}")
-            values = tuple(int(ch) for ch in s)
-        return cls(values)
+        # int() alone would also take "+1", "1_0" and non-ASCII digits
+        tokens = [tok.strip() for tok in s.split(",")] if "," in s else list(s)
+        if not all(tok.isascii() and tok.isdigit() for tok in tokens):
+            raise ValueError(f"bad permutation text: {text!r}")
+        return cls(tuple(map(int, tokens)))
 
     def to_text(self) -> str:
         """Digit string for degree at most 9, comma-separated otherwise."""
@@ -272,32 +272,16 @@ def _occurrences(host: tuple[int, ...], trie: list) -> Iterator[tuple[int, ...]]
             stack.append((below, todo, (*taken, i + 1), (*values, x)))
 
 
-def _one_pattern(w: Permutation, p: Permutation) -> Iterator[tuple[int, ...]]:
+def first_pattern_occurrence(w: Permutation, p: Permutation) -> PatternOccurrence | None:
+    """The lexicographically first occurrence of p in w, or None.
+
+    >>> first_pattern_occurrence(Permutation((3, 5, 1, 4, 2)), Permutation((3, 2, 1))).positions
+    (2, 4, 5)
+    """
     if p.degree > w.degree:
         raise ValueError(f"pattern degree {p.degree} exceeds host degree {w.degree}")
-    return _occurrences(w.oneline, _trie((p.oneline,)))
-
-
-def pattern_occurrences(w: Permutation, p: Permutation) -> list[PatternOccurrence]:
-    """Every increasing position tuple at which w realizes the pattern p.
-
-    An empty list means w avoids p.
-
-    >>> [occ.positions for occ in pattern_occurrences(Permutation((3, 5, 1, 4, 2)), Permutation((3, 2, 1)))]
-    [(2, 4, 5)]
-    """
-    return [PatternOccurrence(hit, p) for hit in _one_pattern(w, p)]
-
-
-def first_pattern_occurrence(w: Permutation, p: Permutation) -> PatternOccurrence | None:
-    """The lexicographically first occurrence of p in w, or None."""
-    hit = next(_one_pattern(w, p), None)
+    hit = next(_occurrences(w.oneline, _trie((p.oneline,))), None)
     return None if hit is None else PatternOccurrence(hit, p)
-
-
-def contains_pattern(w: Permutation, p: Permutation) -> bool:
-    """Short-circuit containment test; stops at the first occurrence."""
-    return first_pattern_occurrence(w, p) is not None
 
 
 def avoids_all(w: Permutation, patterns: Iterable[Permutation]) -> bool:

@@ -167,11 +167,6 @@ def word_to_text(letters: Sequence[int]) -> str:
     return "[" + ",".join(str(i) for i in letters) + "]"
 
 
-def word_is_repetition_free(letters: Sequence[int]) -> bool:
-    """True when no generator index occurs twice in the word."""
-    return len(set(letters)) == len(letters)
-
-
 def repetition_free_word(w: Permutation) -> tuple[int, ...] | None:
     """The lexicographically first reduced word of w, if it repeats no
     generator; then every reduced word of w is repetition-free, else none is.

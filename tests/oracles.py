@@ -4,7 +4,9 @@ These deliberately avoid the library's own search strategies: pattern
 containment scans every position subset with no pruning, word counting
 multiplies out every generator sequence, Bruhat covers are the swaps that
 add exactly one inversion, Bruhat comparison comes from closing that
-cover relation, and prefix dominance compares whole sorted prefixes.  They exist to pin expected values, so keep them dumb.
+cover relation, prefix dominance compares whole sorted prefixes, and
+divisibility intersects whole prefix sets.  They exist to pin expected
+values, so keep them dumb.
 
 Two exceptions run library code.  ``first_repetition_free_word_by_walk``
 runs the library's backtracking reduced-word walker with one use per
@@ -150,6 +152,22 @@ def dominance_failure_by_sorted_prefixes(v: Permutation, w: Permutation):
         if any(map(operator.gt, sorted(vo[:i]), sorted(wo[:i]))):
             return i
     return None
+
+
+def shared_prefix_values(v: Permutation, w: Permutation, i: int) -> int:
+    """How many values the length-i prefixes of v and w have in common,
+    intersecting the two prefix sets afresh."""
+    return len(set(v.oneline[:i]) & set(w.oneline[:i]))
+
+
+def divisible_after(v: Permutation, w: Permutation, i: int) -> bool:
+    """The length-i prefixes of v and w share at most i-2 values."""
+    return shared_prefix_values(v, w, i) <= i - 2
+
+
+def divisible_at(v: Permutation, w: Permutation, i: int) -> bool:
+    """v_i equals w_i and the length-i prefixes share at most i-1 values."""
+    return v(i) == w(i) and shared_prefix_values(v, w, i) <= i - 1
 
 
 def first_repetition_free_word_by_walk(w: Permutation):

@@ -6,9 +6,9 @@ from spherical.bruhat import (
     bruhat_leq,
     build_interval,
     first_dominance_failure,
-    interval_edge_lines,
     is_boolean_lattice,
 )
+from spherical.cli import main
 from spherical.permutations import Permutation, symmetric_group
 
 from oracles import (
@@ -180,9 +180,9 @@ class TestIntervals:
         for text in ["2143", "3412", "54321"]:
             build_interval(Permutation.from_text(text))
 
-    def test_edge_lines(self):
-        iv = build_interval(Permutation((2, 1, 4, 3)))
-        assert interval_edge_lines(iv) == [
+    def test_edge_lines(self, capsys):
+        assert main(["interval", "2143", "--edges"]) == 0
+        assert capsys.readouterr().out.splitlines()[1:] == [
             "1234 < 1243",
             "1234 < 2134",
             "1243 < 2143",
@@ -240,6 +240,17 @@ class TestBooleanLattice:
         covers = [(e, a1), (e, a2), (e, a3), (a1, c1), (a2, c1), (a1, c2)]
         covers += [(a2, c2), (a2, c3), (a3, c3), (c1, top), (c2, top), (c3, top)]
         elements = tuple(sorted({u for pair in covers for u in pair}))
+        fake = BruhatInterval(top, elements, tuple(sorted(covers)))
+        assert not is_boolean_lattice(fake)
+
+    def test_cover_adding_two_atoms_rejects_synthetic_interval(self):
+        # the Boolean lattice's element and cover counts with pairwise
+        # distinct atom sets, but 1243 < 3214 adds two atoms at once
+        texts = "1234 1243 1324 1342 2134 2314 3124 3214".split()
+        e, a1, a2, c1, a3, c2, c3, top = map(Permutation.from_text, texts)
+        covers = [(e, a1), (e, a2), (e, a3), (a1, c2), (a1, c3), (a1, top)]
+        covers += [(a2, c1), (a2, c3), (a2, top), (a3, c1), (a3, c2), (c2, top)]
+        elements = tuple(map(Permutation.from_text, texts))
         fake = BruhatInterval(top, elements, tuple(sorted(covers)))
         assert not is_boolean_lattice(fake)
 

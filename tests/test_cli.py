@@ -404,6 +404,9 @@ class TestInterval:
 # the user word for word, so they name CLI options, not Python ones.
 REFUSALS = [
     (("classify", "1,1"), "not a permutation of 1..2"),
+    (("classify", "2,+1"), "bad permutation text"),
+    (("classify", "\uff12,1"), "bad permutation text"),
+    (("classify", "1_0,1,2,3,4,5,6,7,8,9"), "bad permutation text"),
     (("crosscheck", "--n=0"), "degree must be at least 1"),
     (("crosscheck", "--n=0", "--force"), "degree must be at least 1"),
     (("crosscheck", "--n=4", "--backends=pattern"), "two distinct backends"),

@@ -3,18 +3,15 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
-from spherical.divisibility import (
-    DivisibilityWitness,
-    divisible_after,
-    divisible_at,
-    is_divisible,
-    witness_text,
-)
+from spherical.divisibility import DivisibilityWitness, is_divisible
 from spherical.permutations import Permutation, symmetric_group
 from spherical.reduced_words import is_boolean_by_words
 
+from oracles import divisible_after, divisible_at
+
 
 class TestPositionTests:
+    # the prefix-set definitions the witness search is pinned against
     def test_after_examples(self):
         e = Permutation.identity(4)
         w = Permutation((3, 4, 1, 2))
@@ -27,15 +24,6 @@ class TestPositionTests:
         assert divisible_at(e, Permutation((3, 2, 1)), 2)
         assert not divisible_at(e, e, 2)
         assert not divisible_at(e, Permutation((2, 1, 3)), 3)
-
-    def test_errors(self):
-        e3, e4 = Permutation.identity(3), Permutation.identity(4)
-        with pytest.raises(ValueError):
-            divisible_after(e3, e4, 1)
-        with pytest.raises(ValueError):
-            divisible_at(e3, e3, 0)
-        with pytest.raises(ValueError):
-            divisible_after(e3, e3, 4)
 
     @given(st.permutations(list(range(1, 7))), st.permutations(list(range(1, 7))))
     def test_never_divisible_after_position_one(self, a, b):
@@ -53,8 +41,6 @@ class TestWitness:
         got = is_divisible(e3, Permutation((3, 2, 1)))
         assert got == DivisibilityWitness("at", 2, 1)
         assert str(got) == "at@2"
-        assert witness_text(got) == "at@2"
-        assert witness_text(None) == "none"
 
     def test_degree_mismatch(self):
         with pytest.raises(ValueError):

@@ -19,7 +19,6 @@ from spherical.reduced_words import (
     is_boolean_by_words,
     repetition_free_word,
     spherical_witness_word,
-    word_is_repetition_free,
     word_to_permutation,
     word_to_text,
 )
@@ -76,10 +75,14 @@ def commuting_pairs_then_321(n):
     return Permutation(tuple(w))
 
 
+def repetition_free(word) -> bool:
+    return len(set(word)) == len(word)
+
+
 def assert_repetition_free_word_of(word, w):
     assert word_to_permutation(word, w.degree) == w
     assert len(word) == w.length()
-    assert word_is_repetition_free(word)
+    assert repetition_free(word)
 
 
 class TestEnumeration:
@@ -171,11 +174,6 @@ class TestWordHelpers:
         with pytest.raises(ValueError):
             word_to_permutation((3,), 3)
 
-    def test_repetition_free(self):
-        assert not word_is_repetition_free((1, 2, 1))
-        assert word_is_repetition_free(())
-        assert word_is_repetition_free((2, 1, 3))
-
 
 class TestBooleanByWords:
     def test_examples(self):
@@ -187,7 +185,7 @@ class TestBooleanByWords:
         w = Permutation((2, 1, 4, 3))
         word = repetition_free_word(w)
         assert word is not None
-        assert word_is_repetition_free(word)
+        assert repetition_free(word)
         assert len(word) == w.length()
         assert word_to_permutation(word, 4) == w
 
@@ -196,7 +194,7 @@ class TestBooleanByWords:
             for w in symmetric_group(n):
                 words = enumerate_reduced_words(w)
                 assert repetition_free_word(w) == first(
-                    words, word_is_repetition_free
+                    words, repetition_free
                 )
 
     def test_witness_matches_the_walk_through_degree_eight(self):
@@ -243,7 +241,7 @@ class TestBooleanByWords:
             for w in symmetric_group(n):
                 if is_boolean_by_words(w):
                     assert all(
-                        word_is_repetition_free(word)
+                        repetition_free(word)
                         for word in enumerate_reduced_words(w)
                     )
 
