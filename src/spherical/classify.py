@@ -6,7 +6,7 @@ Four interchangeable backends decide the same predicate:
 * ``boolean_quotient``  -- the parabolic quotient w0(J(w)) * w has a
                            repetition-free reduced word
 * ``divisibility``      -- the pair (w0(J(w)), w) is not divisible
-* ``definition``        -- some reduced word of w fits the generator budgets
+* ``definition``        -- some reduced word of w0(J(w)) * w fits the pools
 
 ``_DECIDERS`` maps each backend name to one search over the raw one-line
 tuple, which returns the verdict and its witness together: ``is_spherical``
@@ -48,14 +48,15 @@ from typing import Callable, Iterable, NamedTuple, Sequence
 from .divisibility import _first_witness
 from .permutations import (
     Permutation,
-    _reverse_blocks,
+    _longest_below,
+    _quotient,
     avoids_all,
     relative_order,
     symmetric_group,
 )
 from .reduced_words import _repetition_free_word, _spherical_witness_word, word_to_text
 
-DEFAULT_CROSSCHECK_BOUND = 7
+DEFAULT_CROSSCHECK_BOUND = 8
 DENSITY_BOUND = 10
 MAX_REPORTED_DISAGREEMENTS = 20
 
@@ -104,24 +105,6 @@ def _raw_catalog() -> PatternCatalog:
 def parabolic_quotient(w: Permutation) -> Permutation:
     """The product w0(J(w)) * w, with J(w) the left descent set of w."""
     return Permutation(_quotient(w.oneline))
-
-
-def _longest_below(word: tuple[int, ...]) -> tuple[int, ...]:
-    # w0(J(w)): the longest element generated by the left descents of w,
-    # read from the position table.  s_i is a left descent when the value
-    # i+1 sits left of i, so a block of w0(J(w)) ends at each i whose
-    # successor sits to its right, and at n.
-    n = len(word)
-    pos = [0] * (n + 2)
-    for p, v in enumerate(word):
-        pos[v] = p
-    pos[n + 1] = n
-    return _reverse_blocks([i for i in range(1, n + 1) if pos[i] < pos[i + 1]])
-
-
-def _quotient(word: tuple[int, ...]) -> tuple[int, ...]:
-    v = _longest_below(word)
-    return tuple(v[j - 1] for j in word)
 
 
 def _position_test_321(p: Permutation) -> bool:
@@ -566,7 +549,7 @@ def cross_check(
 ) -> CrossCheckReport:
     """Evaluate every listed backend on all of S_n and collect disagreements.
 
-    S_n streams in lexicographic order.  The exhaustive bound is degree 7
+    S_n streams in lexicographic order.  The exhaustive bound is degree 8
     for any list of backends; ``force=True`` overrides it.  At least two
     backends must be listed, since a single backend cross-checks nothing.
     Below the bound S_n is scanned in-process as one block whatever

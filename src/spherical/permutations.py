@@ -212,6 +212,24 @@ def _reverse_blocks(ends: Iterable[int]) -> tuple[int, ...]:
     return tuple(out)
 
 
+def _longest_below(word: tuple[int, ...]) -> tuple[int, ...]:
+    # w0(J(w)): the longest element generated by the left descents of w,
+    # read from the position table.  s_i is a left descent when the value
+    # i+1 sits left of i, so a block of w0(J(w)) ends at each i whose
+    # successor sits to its right, and at n.
+    n = len(word)
+    pos = [0] * (n + 2)
+    for p, v in enumerate(word):
+        pos[v] = p
+    pos[n + 1] = n
+    return _reverse_blocks([i for i in range(1, n + 1) if pos[i] < pos[i + 1]])
+
+
+def _quotient(word: tuple[int, ...]) -> tuple[int, ...]:
+    v = _longest_below(word)
+    return tuple(v[j - 1] for j in word)
+
+
 def relative_order(values: Sequence[int]) -> tuple[int, ...]:
     """Ranks 1..k of the values, in the order given (the pattern they form).
 

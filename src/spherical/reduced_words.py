@@ -6,12 +6,15 @@ convention (rightmost factor acts first).  Enumeration works from the left:
 the first letter of any reduced word of w is a left descent of w, and
 stripping it leaves a shorter permutation.
 
-One walker, ``_reduced_words``, serves enumeration and the witness of the
-``definition`` backend.  Budgets are data: letter i spends one use of pool
-``slot_of[i]``, letters of an empty pool are pruned, and an (element, uses
-left) state whose subtree yielded no word is memoized as dead.  The
-``definition`` search passes ``_budget``'s pools; enumeration passes one
+One walker, ``_reduced_words``, serves enumeration and the ``definition``
+backend.  Budgets are data: letter i spends one use of pool ``slot_of[i]``,
+letters of an empty pool are pruned, and an (element, uses left) state
+whose subtree yielded no word is memoized as dead.  Enumeration passes one
 pool of l(w) uses, which every reduced word fills, so nothing is pruned.
+The ``definition`` search walks only the quotient q = w0(J(w)) * w, whose
+length adds to that of w0(J(w)), under ``_budget``'s pools: a maximal run
+of consecutive left descents of w shares one pool, every other generator
+has its own, and each pool holds one use per generator in it.
 The walks hold each element u as its inverse: i is a left descent of u
 exactly when its entries i and i+1 are out of order, and s_i * u swaps them.
 
@@ -29,7 +32,7 @@ import itertools
 import operator
 from typing import Iterator, Mapping, Sequence
 
-from .permutations import Permutation, _left_descents, _length
+from .permutations import Permutation, _left_descents, _length, _longest_below, _quotient
 
 WORD_ESTIMATE_LIMIT = 1_000_000
 
@@ -213,33 +216,31 @@ def is_boolean_by_words(w: Permutation) -> bool:
 
 
 def _budget(word: tuple[int, ...]) -> tuple[dict[int, int], list[int]]:
-    # Generator-to-pool map and the allowance of each pool.  A generator
-    # outside the left descent set has a pool of one use; a run of c
-    # consecutive descents shares a pool of c(c+1)/2 + c uses, the length
-    # of the run's longest element plus its size.
+    # Generator-to-pool map and the uses each pool holds (module docstring).
     descents = set(_left_descents(word))
     slot_of: dict[int, int] = {}
-    runs: list[int] = []  # descent-run sizes; 0 for a non-descent
+    caps = [0] * len(word)
     for g in range(1, len(word)):
-        if g in descents and g - 1 in descents:
-            runs[-1] += 1
-        else:
-            runs.append(1 if g in descents else 0)
-        slot_of[g] = len(runs) - 1
-    return slot_of, [c * (c + 1) // 2 + c if c else 1 for c in runs]
+        slot_of[g] = slot_of[g - 1] if g in descents and g - 1 in descents else g
+        caps[slot_of[g]] += 1
+    return slot_of, caps
 
 
 def spherical_witness_word(w: Permutation) -> tuple[int, ...] | None:
-    """A reduced word of w that stays within the budgets, if any exists.
+    """A reduced word of w whose letters after those of w0(J(w)) fit the
+    pools, if the quotient q = w0(J(w)) * w has a reduced word that does.
 
-    The search is the module's one reduced-word walker: left descents
-    depth-first, ascending, each chosen letter decrementing its budget
-    pool and exhausted pools pruning the letter.  (Element, pools left)
-    states that yielded no word are memoized, so the first word found is
-    the lexicographically first that fits.
+    The word is the first reduced word of w0(J(w)) followed by the
+    lexicographically first reduced word of q that fits the pools (module
+    docstring); l(w) = l(w0(J(w))) + l(q), so it is a reduced word of w.
     """
     return _spherical_witness_word(w.oneline)
 
 
 def _spherical_witness_word(word: tuple[int, ...]) -> tuple[int, ...] | None:
-    return next(_reduced_words(word, *_budget(word)), None)
+    rest = next(_reduced_words(_quotient(word), *_budget(word)), None)
+    if rest is None:
+        return None
+    # the first reduced word of w0(J(w)), from the one-pool walk
+    v = _longest_below(word)
+    return next(_reduced_words(v, dict.fromkeys(range(len(v)), 0), (_length(v),))) + rest

@@ -8,10 +8,13 @@ cover relation, prefix dominance compares whole sorted prefixes, and
 divisibility intersects whole prefix sets.  They exist to pin expected
 values, so keep them dumb.
 
-Two exceptions run library code.  ``first_repetition_free_word_by_walk``
+Three exceptions run library code.  ``first_repetition_free_word_by_walk``
 runs the library's backtracking reduced-word walker with one use per
 generator, a search independent of the greedy descent walk beneath
 ``repetition_free_word``, to pin that witness past enumeration reach.
+``first_word_in_w_form_allowance`` runs the same walker over words of w
+itself under the padded allowance the ``definition`` backend once
+searched, the reference for its search of the quotient.
 ``own_site_counts`` finds the sites of each generating-tree member with
 ``_allowed_sites`` (itself checked against brute force), the
 child-by-child derivation that the tree's walk skips for its last degree.
@@ -24,7 +27,7 @@ import operator
 from collections import Counter
 
 from spherical.classify import _allowed_sites, catalog
-from spherical.permutations import Permutation, symmetric_group
+from spherical.permutations import Permutation, _left_descents, symmetric_group
 from spherical.reduced_words import _reduced_words
 
 
@@ -178,6 +181,30 @@ def first_repetition_free_word_by_walk(w: Permutation):
     n = w.degree
     pools = {i: i - 1 for i in range(1, n)}
     return next(_reduced_words(w.oneline, pools, [1] * (n - 1)), None)
+
+
+def w_form_allowance(w: Permutation) -> tuple[dict[int, int], list[int]]:
+    """Generator-to-pool map and allowances for words of w itself: a run of
+    c consecutive left descents shares a pool of c(c+1)/2 + c uses, the
+    length of the run's longest element plus its size; every other
+    generator has a pool of one use."""
+    descents = set(_left_descents(w.oneline))
+    slot_of: dict[int, int] = {}
+    runs: list[int] = []  # descent-run sizes; 0 for a non-descent
+    for g in range(1, w.degree):
+        if g in descents and g - 1 in descents:
+            runs[-1] += 1
+        else:
+            runs.append(1 if g in descents else 0)
+        slot_of[g] = len(runs) - 1
+    return slot_of, [c * (c + 1) // 2 + c if c else 1 for c in runs]
+
+
+def first_word_in_w_form_allowance(w: Permutation):
+    """The lexicographically first reduced word of w within
+    ``w_form_allowance``, or None: the search of all of w, letters of
+    w0(J) included, that the quotient search replaced."""
+    return next(_reduced_words(w.oneline, *w_form_allowance(w)), None)
 
 
 def is_boolean_by_support(w: Permutation) -> bool:

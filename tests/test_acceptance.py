@@ -28,18 +28,14 @@ from spherical.reduced_words import is_boolean_by_words
 
 from oracles import avoids_by_subsets, leq_by_cover_closure, own_site_counts
 
-FAST_BACKENDS = ("pattern", "boolean_quotient", "divisibility")
-
 
 def test_criterion_1_backends_agree_exhaustively():
-    for n in range(1, 8):
-        report = cross_check(n, FAST_BACKENDS)
-        assert report.disagreement_count == 0, report.disagreement_lines()
-        assert report.total == report.spherical or n >= 5
-    for n in range(1, 8):
+    for n in range(1, 9):
         report = cross_check(n, BACKENDS)
         assert report.disagreement_count == 0, report.disagreement_lines()
-    print("criterion 1 (all four backends to degree 7): PASS")
+        assert report.total == report.spherical or n >= 5
+    assert report.summary_line() == "40320 permutations, 6277 spherical, 0 disagreements"
+    print("criterion 1 (all four backends to degree 8): PASS")
 
 
 def test_criterion_2_boolean_interval_criteria_agree():

@@ -200,33 +200,24 @@ class TestBooleanLattice:
         assert is_boolean_lattice(build_interval(Permutation((3, 1, 2))))
         assert not is_boolean_lattice(build_interval(Permutation((3, 4, 1, 2))))
 
-    def test_atom_count_rejects_synthetic_interval(self):
-        # right size (4 = 2**2) but only one atom
-        e = Permutation.identity(3)
-        s1, top, extra = (
-            Permutation((2, 1, 3)),
-            Permutation((3, 1, 2)),
-            Permutation((2, 3, 1)),
-        )
+    @pytest.mark.parametrize(
+        "elements, covers",
+        [
+            # one atom, and a cover to 231, which lies outside [e, 312]
+            (("123", "213", "231", "312"), (("123", "213"), ("213", "312"), ("213", "231"))),
+            # two atoms, but 312 covers only one of them
+            (("123", "132", "213", "312"), (("123", "213"), ("123", "132"), ("213", "312"))),
+        ],
+        ids=["one-atom", "top-above-one-atom"],
+    )
+    def test_cover_count_rejects_synthetic_interval(self, elements, covers):
+        # the right number of elements (4 = 2**2) but 3 covers where rank 2
+        # needs 4, so the cover count refuses before any atom set is read
+        parse = Permutation.from_text
         fake = BruhatInterval(
-            top,
-            (e, s1, extra, top),
-            ((e, s1), (s1, top), (s1, extra)),
-        )
-        assert not is_boolean_lattice(fake)
-
-    def test_atom_set_bijection_rejects_synthetic_interval(self):
-        # two atoms but an element reachable from only one of them
-        e = Permutation.identity(3)
-        s1, s2, top = (
-            Permutation((2, 1, 3)),
-            Permutation((1, 3, 2)),
-            Permutation((3, 1, 2)),
-        )
-        fake = BruhatInterval(
-            top,
-            (e, s2, s1, top),
-            ((e, s1), (e, s2), (s1, top)),
+            parse("312"),
+            tuple(map(parse, elements)),
+            tuple((parse(lo), parse(up)) for lo, up in covers),
         )
         assert not is_boolean_lattice(fake)
 

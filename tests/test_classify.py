@@ -342,9 +342,9 @@ class TestCrossCheck:
 
     def test_bound_needs_force(self):
         with pytest.raises(ValueError, match="force"):
-            cross_check(8)
+            cross_check(9)
         with pytest.raises(ValueError, match="force"):
-            cross_check(8, BACKENDS)
+            cross_check(9, BACKENDS)
 
     def test_all_four_backends_at_degree_seven_unforced(self):
         report = cross_check(7, BACKENDS)

@@ -70,6 +70,12 @@ class TestClassify:
 CYCLE_1100 = ",".join(str(v) for v in [*range(2, 1101), 1])
 LONGEST_S60 = ",".join(str(v) for v in range(60, 0, -1))
 SWAPPED_S1100 = ",".join(str(v) for v in [*range(1100, 551, -1), 550, 551, *range(549, 0, -1)])
+# A spherical direct sum of degree 38 that took a search over reduced
+# words of w itself, letters of w0(J) included, about 15 s.
+SUM_38 = (
+    "5,1,3,4,2,9,7,6,10,8,14,11,16,12,13,15,19,18,17,20,21,24,23,25,22,"
+    "27,28,26,29,32,30,31,33,34,35,37,38,36"
+)
 
 
 class TestDeepInputs:
@@ -79,8 +85,14 @@ class TestDeepInputs:
             (LONGEST_S60, "definition"),
             (CYCLE_1100, "boolean"),
             (CYCLE_1100, "definition"),
+            (SUM_38, "definition"),
         ],
-        ids=["longest-S60-definition", "cycle-1100-boolean", "cycle-1100-definition"],
+        ids=[
+            "longest-S60-definition",
+            "cycle-1100-boolean",
+            "cycle-1100-definition",
+            "sum-38-definition",
+        ],
     )
     def test_classify(self, capsys, perm, flag):
         status, out, err = run_cli(capsys, "classify", perm, f"--backend={flag}")
@@ -412,7 +424,7 @@ REFUSALS = [
     (("crosscheck", "--n=4", "--backends=pattern"), "two distinct backends"),
     (("crosscheck", "--n=4", "--backends=pattern", "--force"), "two distinct backends"),
     (("crosscheck", "--n=4", "--backends=pattern,astral", "--force"), "unknown backend 'astral'"),
-    (("crosscheck", "--n=8"), "pass --force"),
+    (("crosscheck", "--n=9"), "pass --force"),
     (("crosscheck", "--n=4", "--jobs=0", "--force"), "jobs must be at least 1"),
     (("count", "--max-n=0"), "degree must be at least 1"),
     (("count", "--max-n=11"), "pass --force"),

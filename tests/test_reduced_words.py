@@ -11,6 +11,7 @@ from spherical.permutations import (
     longest_parabolic,
     symmetric_group,
 )
+from spherical.classify import parabolic_quotient
 from spherical import reduced_words
 from spherical.reduced_words import (
     _budget,
@@ -25,8 +26,10 @@ from spherical.reduced_words import (
 
 from oracles import (
     first_repetition_free_word_by_walk,
+    first_word_in_w_form_allowance,
     generator_sequence_products,
     is_boolean_by_support,
+    w_form_allowance,
 )
 
 
@@ -35,17 +38,31 @@ from oracles import (
 NEAR_LONGEST_S7 = [w for w in symmetric_group(7) if w.length() == 20]
 
 
-def fits_budget(w):
-    # the definition's budget rule for words of w, read straight off _budget
-    slot_of, caps = _budget(w.oneline)
-
-    def fits(word):
+def fits(slot_of, caps):
+    # whether a word spends at most each pool's uses
+    def fits_word(word):
         used = [0] * len(caps)
         for letter in word:
             used[slot_of[letter]] += 1
         return all(u <= c for u, c in zip(used, caps))
 
-    return fits
+    return fits_word
+
+
+def fits_pools(w):
+    # the definition's pool rule for words of the quotient q, read straight
+    # off _budget
+    return fits(*_budget(w.oneline))
+
+
+def expected_witness(w):
+    # the first reduced word of w0(J) and then the first of q that fits
+    # the pools, both filtered from full enumerations
+    rest = first(enumerate_reduced_words(parabolic_quotient(w)), fits_pools(w))
+    if rest is None:
+        return None
+    v = longest_parabolic(w.left_descents())
+    return enumerate_reduced_words(v, limit=1)[0] + rest
 
 
 def first(words, keep):
@@ -256,32 +273,25 @@ def pools(slot_of):
 
 class TestBudgets:
     def test_component_caps_match_longest_elements(self):
+        # w0(J) has left descent set exactly J; its pools are the maximal
+        # runs of J and the generators outside J, one use per member
         for n in range(2, 8):
             for size in range(n):
                 for members in itertools.combinations(range(1, n), size):
                     gens = GeneratorSet(n, frozenset(members))
-                    # w0(J) has left descent set exactly J
                     slot_of, caps = _budget(longest_parabolic(gens).oneline)
                     by_pool = pools(slot_of)
-                    singletons = {
-                        g
-                        for g, s in slot_of.items()
-                        if by_pool[s] == [g] and caps[s] == 1
-                    }
-                    assert singletons == frozenset(range(1, n)) - gens.members
                     runs = [
                         [g for _, g in run]
                         for _, run in itertools.groupby(
                             enumerate(members), lambda t: t[1] - t[0]
                         )
                     ]
-                    for run in runs:
-                        assert by_pool[slot_of[run[0]]] == run
-                        comp = GeneratorSet(n, frozenset(run))
-                        c = len(run)
-                        cap = caps[slot_of[run[0]]]
-                        assert cap == c * (c + 1) // 2 + c
-                        assert cap == longest_parabolic(comp).length() + c
+                    outside = [[g] for g in range(1, n) if g not in gens]
+                    assert sorted(by_pool.values()) == sorted(runs + outside)
+                    for s, pool in by_pool.items():
+                        assert caps[s] == len(pool)
+                    assert sum(caps) == n - 1
 
     def test_slots_cover_every_generator(self):
         slot_of, caps = _budget(
@@ -289,7 +299,7 @@ class TestBudgets:
         )
         assert set(slot_of) == {1, 2, 3, 4, 5}
         assert slot_of[1] == slot_of[2] != slot_of[4]
-        assert caps[slot_of[1]] == 5 and caps[slot_of[4]] == 2
+        assert caps[slot_of[1]] == 2 and caps[slot_of[4]] == 1
         assert caps[slot_of[3]] == 1 and caps[slot_of[5]] == 1
 
 
@@ -300,31 +310,42 @@ class TestDefinitionSearch:
         assert is_spherical(Permutation((3, 2, 1)), "definition")
 
     def test_witness_respects_budgets(self):
-        for w in symmetric_group(5):
-            word = spherical_witness_word(w)
-            if word is None:
-                continue
-            assert word_to_permutation(word, 5) == w
-            assert len(word) == w.length()
-            assert fits_budget(w)(word)
+        # a reduced word of w within the allowance once searched on all of
+        # w, whose part after w0(J) fits the quotient's pools
+        for n in range(1, 7):
+            for w in symmetric_group(n):
+                word = spherical_witness_word(w)
+                if word is None:
+                    continue
+                assert word_to_permutation(word, n) == w
+                assert len(word) == w.length()
+                assert fits(*w_form_allowance(w))(word)
+                head = longest_parabolic(w.left_descents()).length()
+                assert fits_pools(w)(word[head:])
 
     def test_witness_is_the_first_fitting_word(self):
         for n in range(1, 6):
             for w in symmetric_group(n):
-                words = enumerate_reduced_words(w)
-                assert spherical_witness_word(w) == first(words, fits_budget(w))
+                assert spherical_witness_word(w) == expected_witness(w)
+
+    def test_verdict_matches_the_w_form_through_degree_seven(self):
+        for n in range(1, 8):
+            for w in symmetric_group(n):
+                expected = first_word_in_w_form_allowance(w) is not None
+                assert is_spherical(w, "definition") == expected, str(w)
 
     def test_longer_than_the_pools_answers_at_once(self):
-        # length 71 against pools holding 29 uses: no word can fit
+        # a quotient of length 59 against pools holding 17 uses: no word
+        # can fit
         w = Permutation.from_text("11,9,7,15,6,12,3,2,4,5,8,18,16,17,10,14,13,1")
-        assert w.length() > sum(_budget(w.oneline)[1])
+        assert parabolic_quotient(w).length() > sum(_budget(w.oneline)[1])
         assert spherical_witness_word(w) is None
         assert not is_spherical(w, "definition")
 
     @given(st.permutations(list(range(1, 7))))
     def test_budget_search_agrees_with_unbudgeted_word_scan(self, values):
-        # independently check the search by filtering a full enumeration
+        # independently check the search by filtering full enumerations
         w = Permutation(tuple(values))
-        expected = first(enumerate_reduced_words(w), fits_budget(w))
+        expected = expected_witness(w)
         assert spherical_witness_word(w) == expected
         assert is_spherical(w, "definition") == (expected is not None)
