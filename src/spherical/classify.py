@@ -17,9 +17,12 @@ positional tests, and the search reads those tests on w in O(n^2) steps.
 Its witness is a certificate of where the search stopped (the 3 of a
 321-half occurrence, or the 4 and the 2 of a 3412-half one), which only
 ``explain`` expands into five positions, in O(n) steps and no second
-search.  ``cross_check`` runs several backends over a whole symmetric
-group and reports any disagreement; it scans S_n in blocks by first value,
-which joined in order give the lexicographic stream.  Within a block it
+search.  The ``definition`` search likewise returns only the quotient's
+fitting word; ``explain`` puts the first reduced word of w0(J(w)) in
+front, so a scan never builds that word.  ``cross_check`` runs several
+backends over a whole symmetric group and reports any disagreement; it
+scans S_n in blocks by first value, which joined in order give the
+lexicographic stream.  Within a block it
 runs backend by backend over slices of at most 5,040 words, compares the
 verdict columns, and times each backend.  ``density_table``
 tabulates spherical counts per degree by walking the generating tree of
@@ -54,7 +57,12 @@ from .permutations import (
     relative_order,
     symmetric_group,
 )
-from .reduced_words import _repetition_free_word, _spherical_witness_word, word_to_text
+from .reduced_words import (
+    _after_parabolic_word,
+    _fitting_quotient_word,
+    _repetition_free_word,
+    word_to_text,
+)
 
 DEFAULT_CROSSCHECK_BOUND = 8
 DENSITY_BOUND = 10
@@ -303,7 +311,7 @@ def _by_divisibility(word: tuple[int, ...]) -> tuple[bool, tuple]:
 
 
 def _by_definition(word: tuple[int, ...]) -> tuple[bool, tuple[int, ...] | None]:
-    found = _spherical_witness_word(word)
+    found = _fitting_quotient_word(word)
     return found is not None, found
 
 
@@ -360,7 +368,8 @@ def _explained(w: Permutation, backend: str) -> tuple[bool, str]:
     elif witness is None:  # the definition backend
         text = "no reduced word fits the generator budgets"
     else:
-        text = f"reduced word {word_to_text(witness)} fits the generator budgets"
+        word = _after_parabolic_word(w.oneline, witness)
+        text = f"reduced word {word_to_text(word)} fits the generator budgets"
     return verdict, text
 
 

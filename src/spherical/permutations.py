@@ -23,6 +23,7 @@ than 21 separate scans.
 
 from __future__ import annotations
 
+import bisect
 import functools
 import itertools
 from dataclasses import dataclass
@@ -141,7 +142,15 @@ class Permutation:
 
 
 def _length(word: tuple[int, ...]) -> int:
-    return sum(a > b for i, a in enumerate(word) for b in word[i + 1 :])
+    # Inversions: each value counts the larger values before it, found by
+    # bisecting the sorted prefix.
+    seen: list[int] = []
+    total = 0
+    for v in word:
+        k = bisect.bisect(seen, v)
+        total += len(seen) - k
+        seen.insert(k, v)
+    return total
 
 
 def _left_descents(word: tuple[int, ...]) -> list[int]:

@@ -7,16 +7,30 @@ the first letter of any reduced word of w is a left descent of w, and
 stripping it leaves a shorter permutation.
 
 One walker, ``_reduced_words``, serves enumeration and the ``definition``
-backend.  Budgets are data: letter i spends one use of pool ``slot_of[i]``,
-letters of an empty pool are pruned, and an (element, uses left) state
-whose subtree yielded no word is memoized as dead.  Enumeration passes one
-pool of l(w) uses, which every reduced word fills, so nothing is pruned.
+backend.  Budgets are data: letter i spends one use of pool ``slot_of[i]``.
+Enumeration passes one pool of l(w) uses, which every reduced word fills.
 The ``definition`` search walks only the quotient q = w0(J(w)) * w, whose
 length adds to that of w0(J(w)), under ``_budget``'s pools: a maximal run
 of consecutive left descents of w shares one pool, every other generator
-has its own, and each pool holds one use per generator in it.
-The walks hold each element u as its inverse: i is a left descent of u
-exactly when its entries i and i+1 are out of order, and s_i * u swaps them.
+has its own, and each pool holds one use per generator in it.  It returns
+q's first fitting word alone; ``spherical_witness_word`` and ``explain``
+put the first reduced word of w0(J(w)) in front of it.
+
+The walks hold each element as its inverse u, one list stepped in place:
+i is a left descent exactly when u_i > u_{i+1}, the step to s_i times the
+element swaps u_i and u_{i+1}, and stepping back swaps them again.  The
+crossing number c_i = #{j <= i : u_j > i}, the same for an element and
+its inverse, counts the values that a reduced word must carry across
+place i, one per letter i, so every reduced word has at least c_i letters
+i.  The walker keeps, per pool, a slack: its uses left minus the sum of
+c_i over its generators.  A root with a negative slack has no fitting
+word.  A step at i lowers c_i by one exactly when u_i > i >= u_{i+1};
+that step keeps the slack, any other step spends one, and a step the
+slack cannot pay for is pruned.  A state whose subtree yielded no word
+is remembered as dead under the key (u, slack), built only once some
+state has died.  Under enumeration's one pool the slack is the length
+left minus the sum of the c_i, never negative, and a state of slack 0 has
+only steps that lower some c_i, so nothing is pruned and no key is built.
 
 The ``boolean_quotient`` backend needs no search.  All reduced words of w
 have length l(w) and use every letter of w's support, so one of them
@@ -37,45 +51,71 @@ from .permutations import Permutation, _left_descents, _length, _longest_below, 
 WORD_ESTIMATE_LIMIT = 1_000_000
 
 
-def _inverse(word: tuple[int, ...]) -> tuple[int, ...]:
-    return tuple(p for _, p in sorted(zip(word, itertools.count(1))))
+def _inverse(word: tuple[int, ...]) -> list[int]:
+    inverse = [0] * len(word)
+    for p, v in enumerate(word, 1):
+        inverse[v - 1] = p
+    return inverse
 
 
-def _descents(inverse: tuple[int, ...]) -> list[int]:
-    # Left descents, ascending, of the element with this inverse.
+def _descents(inverse: list[int]) -> Iterator[int]:
+    # Left descents, ascending, of the element with this inverse, read
+    # lazily: a walk steps the inverse back before it reads on.
     flags = map(operator.gt, inverse, inverse[1:])
-    return list(itertools.compress(range(1, len(inverse)), flags))
+    return itertools.compress(range(1, len(inverse)), flags)
+
+
+def _crossings(word: tuple[int, ...], inverse: list[int]) -> list[int]:
+    # c_i = #{j <= i : w_j > i} for i = 1..n-1, from the number of values
+    # at most i in the first i places: place i adds one when w_i <= i, and
+    # the value i, sitting at place inverse_i, adds one when it sits left
+    # of place i.
+    out: list[int] = []
+    small = 0
+    for i, (a, b) in enumerate(zip(word[:-1], inverse), 1):
+        small += (a <= i) + (b < i)
+        out.append(i - small)
+    return out
 
 
 def _reduced_word_count(word: tuple[int, ...], cap: int) -> int:
     # Exact count over the weak-order ideal below ``word``: the reduced
-    # words of u number the sum, over left descents i, of those of s_i * u.
-    # Counts saturate at ``cap``, so a huge element stops the walk as soon
-    # as one partial sum reaches it.  An explicit stack keeps long elements
-    # clear of the recursion limit; a frame holds an inverse, its untried
-    # descents and its running total, which a finished child adds to.
-    def frame(u: tuple[int, ...]) -> list:
-        ds = _descents(u)
-        return [u, iter(ds), 0 if ds else 1]
-
+    # words of u number the sum, over left descents i, of those of s_i * u,
+    # and an element of length 2 has one word per left descent.  Counts
+    # saturate at ``cap``, so a huge element stops the walk as soon as one
+    # partial sum reaches it.  The walk steps one inverse in place (module
+    # docstring) on an explicit stack, which keeps long elements clear of
+    # the recursion limit; a frame holds the element's memo key, its
+    # untried descents, its running total, which a finished child adds to,
+    # and the letter that led to it.
+    length = _length(word)
+    u = _inverse(word)
+    if length <= 2:
+        return min(max(1, sum(map(operator.gt, u, u[1:]))), cap)
     counts: dict[tuple[int, ...], int] = {}
-    top = _inverse(word)
-    stack = [frame(top)]
+    top = tuple(u)
+    stack = [[top, _descents(u), 0, 0]]
     while stack:
         entry = stack[-1]
-        u, todo, total = entry
+        key, todo, total, letter = entry
         i = next(todo, None) if total < cap else None
         if i is None:
-            counts[u] = min(total, cap)
+            counts[key] = total = min(total, cap)
             stack.pop()
             if stack:
-                stack[-1][2] += counts[u]
+                stack[-1][2] += total
+                u[letter - 1], u[letter] = u[letter], u[letter - 1]
             continue
-        v = u[: i - 1] + (u[i], u[i - 1]) + u[i + 1 :]
-        if v in counts:
-            entry[2] += counts[v]
+        u[i - 1], u[i] = u[i], u[i - 1]
+        if length - len(stack) == 2:  # s_i * u has length 2
+            entry[2] += sum(map(operator.gt, u, u[1:]))
         else:
-            stack.append(frame(v))
+            v = tuple(u)
+            if v not in counts:
+                stack.append([v, _descents(u), 0, i])
+                continue
+            entry[2] += counts[v]
+        u[i - 1], u[i] = u[i], u[i - 1]
     return counts[top]
 
 
@@ -83,44 +123,65 @@ def _reduced_words(
     word: tuple[int, ...], slot_of: Mapping[int, int], caps: Sequence[int]
 ) -> Iterator[tuple[int, ...]]:
     # Reduced words of ``word`` that fit the pools, in lexicographic order:
-    # depth-first over left descents, ascending, on an explicit stack.  Each
-    # has l(word) letters, so none fits pools holding fewer uses.  A frame
-    # records how many words had been yielded when it was pushed; its state
-    # is dead only if none were yielded beneath it, since the same element
-    # is reached along many paths and a subtree that produced words must
-    # not be pruned.
+    # depth-first over left descents, ascending, on an explicit stack of
+    # frames (untried descents, words yielded when pushed), stepping one
+    # inverse and one slack list in place (module docstring).  Frames stop
+    # two letters above the identity: the last letter is forced and free.
+    # A state is dead only if no word was yielded beneath it, since the
+    # same element is reached along many paths and a subtree that produced
+    # words must not be pruned.
     length = _length(word)
     if length > sum(caps):
         return
-    if not length:
-        yield ()
+    u = _inverse(word)
+    slack = list(caps)
+    for i, c in enumerate(_crossings(word, u), 1):
+        slack[slot_of[i]] -= c
+    if min(slack) < 0:
+        return
+    if length < 2:
+        yield tuple(_descents(u))
         return
     dead: set[tuple[tuple[int, ...], tuple[int, ...]]] = set()
     yielded = 0
     prefix: list[int] = []
-    top = _inverse(word)
-    stack = [(top, tuple(caps), iter(_descents(top)), yielded)]
+    last = length - 2
+    stack = [(_descents(u), yielded)]
     while stack:
-        u, left, todo, before = stack[-1]
+        todo, before = stack[-1]
         i = next(todo, None)
         if i is None:
             stack.pop()
             if yielded == before:
-                dead.add((u, left))
-            del prefix[-1:]
+                dead.add((tuple(u), tuple(slack)))
+            if prefix:
+                i = prefix.pop()
+                u[i - 1], u[i] = u[i], u[i - 1]
+                if not u[i - 1] > i >= u[i]:
+                    slack[slot_of[i]] += 1
             continue
-        s = slot_of[i]
-        if not left[s]:
-            continue
-        if len(prefix) + 1 == length:
+        a, b = u[i - 1], u[i]
+        free = a > i >= b  # the step lowers c_i
+        if not free:
+            s = slot_of[i]
+            if not slack[s]:
+                continue
+        u[i - 1], u[i] = b, a
+        if len(prefix) == last:
+            # s_i * u is some s_j, and the step at j lowers c_j = 1
             yielded += 1
-            yield (*prefix, i)
+            yield (*prefix, i, next(_descents(u)))
+            u[i - 1], u[i] = a, b
             continue
-        v = u[: i - 1] + (u[i], u[i - 1]) + u[i + 1 :]
-        t = left[:s] + (left[s] - 1,) + left[s + 1 :]
-        if (v, t) not in dead:
-            prefix.append(i)
-            stack.append((v, t, iter(_descents(v)), yielded))
+        if not free:
+            slack[s] -= 1
+        if dead and (tuple(u), tuple(slack)) in dead:
+            u[i - 1], u[i] = a, b
+            if not free:
+                slack[s] += 1
+            continue
+        prefix.append(i)
+        stack.append((_descents(u), yielded))
 
 
 def enumerate_reduced_words(
@@ -129,9 +190,9 @@ def enumerate_reduced_words(
     """All reduced words of w, in lexicographic order (up to ``limit``).
 
     Without a limit the call refuses outright when w has more than 10**6
-    reduced words, instead of running for minutes (listing 10**6 words
-    takes about 10 s on a 2-core VM); pass an explicit limit to enumerate
-    anyway.
+    reduced words, instead of running for minutes (listing 10**6 words of
+    the longest element of S_7 takes about 7 s on a 2-core VM); pass an
+    explicit limit to enumerate anyway.
 
     >>> enumerate_reduced_words(Permutation((3, 2, 1)))
     [(1, 2, 1), (2, 1, 2)]
@@ -234,13 +295,16 @@ def spherical_witness_word(w: Permutation) -> tuple[int, ...] | None:
     lexicographically first reduced word of q that fits the pools (module
     docstring); l(w) = l(w0(J(w))) + l(q), so it is a reduced word of w.
     """
-    return _spherical_witness_word(w.oneline)
+    rest = _fitting_quotient_word(w.oneline)
+    return None if rest is None else _after_parabolic_word(w.oneline, rest)
 
 
-def _spherical_witness_word(word: tuple[int, ...]) -> tuple[int, ...] | None:
-    rest = next(_reduced_words(_quotient(word), *_budget(word)), None)
-    if rest is None:
-        return None
-    # the first reduced word of w0(J(w)), from the one-pool walk
+def _fitting_quotient_word(word: tuple[int, ...]) -> tuple[int, ...] | None:
+    # The definition search: q's first reduced word that fits the pools.
+    return next(_reduced_words(_quotient(word), *_budget(word)), None)
+
+
+def _after_parabolic_word(word: tuple[int, ...], rest: tuple[int, ...]) -> tuple[int, ...]:
+    # The first reduced word of w0(J(w)), from the one-pool walk, then rest.
     v = _longest_below(word)
     return next(_reduced_words(v, dict.fromkeys(range(len(v)), 0), (_length(v),))) + rest

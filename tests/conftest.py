@@ -17,8 +17,8 @@ _SEARCHES = {
     ],
     "divisibility": [(classify, "_first_witness"), (divisibility, "_first_witness")],
     "definition": [
-        (classify, "_spherical_witness_word"),
-        (reduced_words, "_spherical_witness_word"),
+        (classify, "_fitting_quotient_word"),
+        (reduced_words, "_fitting_quotient_word"),
     ],
 }
 

@@ -8,16 +8,21 @@ cover relation, prefix dominance compares whole sorted prefixes, and
 divisibility intersects whole prefix sets.  They exist to pin expected
 values, so keep them dumb.
 
-Three exceptions run library code.  ``first_repetition_free_word_by_walk``
-runs the library's backtracking reduced-word walker with one use per
+``budgeted_words`` walks reduced words under pool budgets the plain way:
+it copies the element at every step and prunes a letter only when its
+pool is empty, with no crossing-number bound, so the library's pruned
+walker is checked against a search that shares none of its pruning.
+``first_repetition_free_word_by_walk`` runs it with one use per
 generator, a search independent of the greedy descent walk beneath
 ``repetition_free_word``, to pin that witness past enumeration reach.
-``first_word_in_w_form_allowance`` runs the same walker over words of w
-itself under the padded allowance the ``definition`` backend once
-searched, the reference for its search of the quotient.
-``own_site_counts`` finds the sites of each generating-tree member with
-``_allowed_sites`` (itself checked against brute force), the
-child-by-child derivation that the tree's walk skips for its last degree.
+``first_word_in_w_form_allowance`` runs it over words of w itself under
+the padded allowance the ``definition`` backend once searched, the
+reference for its search of the quotient.
+
+One exception runs library code: ``own_site_counts`` finds the sites of
+each generating-tree member with ``_allowed_sites`` (itself checked
+against brute force), the child-by-child derivation that the tree's walk
+skips for its last degree.
 """
 
 from __future__ import annotations
@@ -28,7 +33,6 @@ from collections import Counter
 
 from spherical.classify import _allowed_sites, catalog
 from spherical.permutations import Permutation, _left_descents, symmetric_group
-from spherical.reduced_words import _reduced_words
 
 
 def standardize(values) -> tuple[int, ...]:
@@ -173,6 +177,53 @@ def divisible_at(v: Permutation, w: Permutation, i: int) -> bool:
     return v(i) == w(i) and shared_prefix_values(v, w, i) <= i - 1
 
 
+def budgeted_words(w: Permutation, slot_of, caps):
+    """Reduced words of w that spend at most ``caps[slot_of[i]]`` uses of
+    each pool on its letters i, in lexicographic order.
+
+    Depth-first over left descents, ascending, on an explicit stack; each
+    step builds the next element's inverse and uses left as new tuples,
+    and a letter whose pool is empty is pruned.  An (element, uses left)
+    state whose subtree yielded no word is remembered as dead.
+    """
+    length = inversion_count(w.oneline)
+    if length > sum(caps):
+        return
+    if not length:
+        yield ()
+        return
+
+    def descents(u):
+        return [i for i in range(1, len(u)) if u[i - 1] > u[i]]
+
+    dead = set()
+    yielded = 0
+    prefix = []
+    top = w.inverse().oneline
+    stack = [(top, tuple(caps), iter(descents(top)), yielded)]
+    while stack:
+        u, left, todo, before = stack[-1]
+        i = next(todo, None)
+        if i is None:
+            stack.pop()
+            if yielded == before:
+                dead.add((u, left))
+            del prefix[-1:]
+            continue
+        s = slot_of[i]
+        if not left[s]:
+            continue
+        if len(prefix) + 1 == length:
+            yielded += 1
+            yield (*prefix, i)
+            continue
+        v = u[: i - 1] + (u[i], u[i - 1]) + u[i + 1 :]
+        t = left[:s] + (left[s] - 1,) + left[s + 1 :]
+        if (v, t) not in dead:
+            prefix.append(i)
+            stack.append((v, t, iter(descents(v)), yielded))
+
+
 def first_repetition_free_word_by_walk(w: Permutation):
     """The lexicographically first reduced word of w that repeats no
     letter, or None: a depth-first walk over (element, uses left) states
@@ -180,7 +231,7 @@ def first_repetition_free_word_by_walk(w: Permutation):
     backtracks."""
     n = w.degree
     pools = {i: i - 1 for i in range(1, n)}
-    return next(_reduced_words(w.oneline, pools, [1] * (n - 1)), None)
+    return next(budgeted_words(w, pools, [1] * (n - 1)), None)
 
 
 def w_form_allowance(w: Permutation) -> tuple[dict[int, int], list[int]]:
@@ -204,7 +255,7 @@ def first_word_in_w_form_allowance(w: Permutation):
     """The lexicographically first reduced word of w within
     ``w_form_allowance``, or None: the search of all of w, letters of
     w0(J) included, that the quotient search replaced."""
-    return next(_reduced_words(w.oneline, *w_form_allowance(w)), None)
+    return next(budgeted_words(w, *w_form_allowance(w)), None)
 
 
 def is_boolean_by_support(w: Permutation) -> bool:

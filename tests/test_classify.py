@@ -212,11 +212,34 @@ class TestRandomPastDegreeEight:
     def test_definition_at_degree_nine(self, w):
         assert_backends_agree(w, BACKENDS)
 
+    def test_definition_matches_divisibility_to_degree_thirty(self):
+        # In turn: a uniform word (one block of degree n), a direct sum of
+        # blocks of degree at most 5, and such a sum with two letters
+        # swapped, the kind whose searches ran longest before the
+        # crossing-number bound.
+        rng = random.Random(1810)
+        verdicts = set()
+        for trial in range(180):
+            n = rng.randint(10, 30)
+            word = []
+            while len(word) < n:
+                shift = len(word)
+                k = rng.randint(1, min(5, n - shift)) if trial % 3 else n
+                word.extend(v + shift for v in rng.sample(range(1, k + 1), k))
+            if trial % 3 == 2:
+                i, j = rng.sample(range(n), 2)
+                word[i], word[j] = word[j], word[i]
+            verdict = classify._DECIDERS["definition"](tuple(word))[0]
+            assert verdict == classify._DECIDERS["divisibility"](tuple(word))[0], word
+            verdicts.add(verdict)
+        assert verdicts == {True, False}
+
     def test_spherical_sums_to_degree_sixty(self):
         # Direct sums of blocks that avoid the catalog, half of them with
         # two letters swapped: the pattern decider against the trie scanner
         # behind avoids_all, at degrees the subset oracle cannot reach, and
-        # its certificate expanded into five positions of a catalog pattern.
+        # its certificate expanded into five positions of a catalog pattern;
+        # the definition search agrees.
         cat = catalog()
         members = {p.oneline for p in cat.all}
         rng = random.Random(2104)
@@ -236,6 +259,7 @@ class TestRandomPastDegreeEight:
             w = Permutation(tuple(word))
             verdict, certificate = classify._DECIDERS["pattern"](w.oneline)
             assert verdict == avoids_all(w, cat.all), str(w)
+            assert classify._DECIDERS["definition"](w.oneline)[0] == verdict, str(w)
             if certificate is not None:
                 positions = classify._certificate_positions(w.oneline, certificate)
                 assert list(positions) == sorted(set(positions))
