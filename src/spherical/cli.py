@@ -30,7 +30,7 @@ from .classify import (
     verify_catalog_characterizations,
 )
 from .permutations import Permutation
-from .reduced_words import enumerate_reduced_words, word_to_text
+from .reduced_words import enumerate_reduced_words
 
 _BACKEND_FLAGS = {
     "pattern": "pattern",
@@ -192,7 +192,9 @@ def _cmd_patterns(ns: argparse.Namespace) -> tuple[int, str]:
 def _cmd_reduced_words(ns: argparse.Namespace) -> tuple[int, str]:
     w = Permutation.from_text(ns.perm)
     words = enumerate_reduced_words(w, ns.limit)
-    return 0, "\n".join(word_to_text(word) for word in words)
+    # word_to_text's form, with each letter's text built once per call
+    names = [str(i) for i in range(w.degree)]
+    return 0, "\n".join("[" + ",".join(map(names.__getitem__, word)) + "]" for word in words)
 
 
 def _cmd_bruhat(ns: argparse.Namespace) -> tuple[int, str]:

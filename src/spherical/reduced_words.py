@@ -32,6 +32,20 @@ state has died.  Under enumeration's one pool the slack is the length
 left minus the sum of the c_i, never negative, and a state of slack 0 has
 only steps that lower some c_i, so nothing is pruned and no key is built.
 
+``enumerate_reduced_words`` without a limit refuses an element with more
+than 10**6 reduced words, and decides that first from the shape of w's
+Lehmer code, before any walk.  The Stanley symmetric function of w holds
+the Schur function of lambda(w), the code sorted into a partition, with
+coefficient 1 (Stanley, "On the number of reduced decompositions of
+elements of Coxeter groups", 1984; Edelman and Greene, "Balanced
+tableaux", 1987), so w has at least f^lambda(w) reduced words, the number
+of standard Young tableaux of that shape, with equality when w avoids
+2143.  ``_shape_bound`` keeps the 16 largest parts, each cut to 16: a
+shape inside lambda has no more tableaux, so the value stays a lower
+bound, and the hook-length formula on at most 256 cells costs
+microseconds whatever l(w) is.  Only a bound past the cap refuses; any
+other element takes ``_reduced_word_count``, the exact capped walk.
+
 The ``boolean_quotient`` backend needs no search.  All reduced words of w
 have length l(w) and use every letter of w's support, so one of them
 repeats no letter exactly when all of them do (w is Boolean).
@@ -42,13 +56,17 @@ stops at the first repeated letter: O(n) steps, no backtracking.
 
 from __future__ import annotations
 
+import bisect
 import itertools
+import math
 import operator
 from typing import Iterator, Mapping, Sequence
 
 from .permutations import Permutation, _left_descents, _length, _longest_below, _quotient
 
 WORD_ESTIMATE_LIMIT = 1_000_000
+# ``_shape_bound`` cuts lambda(w) to a square of this side.
+SHAPE_BOX = 16
 
 
 def _inverse(word: tuple[int, ...]) -> list[int]:
@@ -76,6 +94,27 @@ def _crossings(word: tuple[int, ...], inverse: list[int]) -> list[int]:
         small += (a <= i) + (b < i)
         out.append(i - small)
     return out
+
+
+def _shape_bound(word: tuple[int, ...]) -> int:
+    # f^mu for mu = lambda(w) cut to the SHAPE_BOX square (module
+    # docstring), at most the number of reduced words of ``word``.  Code
+    # entry i counts the smaller values right of place i, found by
+    # bisecting the sorted suffix; the hook of cell (r, c) is the cells
+    # right of it in row r, below it in column c, and itself.
+    seen: list[int] = []
+    code: list[int] = []
+    for v in reversed(word):
+        k = bisect.bisect(seen, v)
+        code.append(k)
+        seen.insert(k, v)
+    rows = [min(c, SHAPE_BOX) for c in sorted(code, reverse=True)[:SHAPE_BOX] if c]
+    columns = [sum(r > c for r in rows) for c in range(SHAPE_BOX)]
+    hooks = 1
+    for r, row in enumerate(rows):
+        for c in range(row):
+            hooks *= row - c + columns[c] - r - 1
+    return math.factorial(sum(rows)) // hooks
 
 
 def _reduced_word_count(word: tuple[int, ...], cap: int) -> int:
@@ -192,7 +231,10 @@ def enumerate_reduced_words(
     Without a limit the call refuses outright when w has more than 10**6
     reduced words, instead of running for minutes (listing 10**6 words of
     the longest element of S_7 takes about 7 s on a 2-core VM); pass an
-    explicit limit to enumerate anyway.
+    explicit limit to enumerate anyway.  The refusal reads the shape of
+    w's Lehmer code first: when the tableaux of that shape, cut to a
+    16 x 16 box, already number more than 10**6, it refuses without a
+    walk.  Otherwise the capped count over w's weak-order ideal decides.
 
     >>> enumerate_reduced_words(Permutation((3, 2, 1)))
     [(1, 2, 1), (2, 1, 2)]
@@ -202,10 +244,10 @@ def enumerate_reduced_words(
     if limit is not None and limit < 0:
         raise ValueError("limit must be nonnegative")
     if limit is None:
-        count = _reduced_word_count(w.oneline, WORD_ESTIMATE_LIMIT + 1)
-        if count > WORD_ESTIMATE_LIMIT:
+        cap = WORD_ESTIMATE_LIMIT
+        if _shape_bound(w.oneline) > cap or _reduced_word_count(w.oneline, cap + 1) > cap:
             raise ValueError(
-                f"{w} has more than {WORD_ESTIMATE_LIMIT} reduced words; "
+                f"{w} has more than {cap} reduced words; "
                 "pass --limit (limit=N) to enumerate anyway"
             )
     words = _reduced_words(w.oneline, dict.fromkeys(range(w.degree), 0), (w.length(),))

@@ -28,6 +28,7 @@ skips for its last degree.
 from __future__ import annotations
 
 import itertools
+import math
 import operator
 from collections import Counter
 
@@ -95,6 +96,45 @@ def inversion_count(word) -> int:
         for j in range(i + 1, len(word))
         if word[i] > word[j]
     )
+
+
+def reduced_word_counts(n: int) -> dict[tuple[int, ...], int]:
+    """The number of reduced words of every element of S_n, by one-line
+    tuple, filled in by length: a word of w starts with some left descent
+    i, the value i+1 left of i, and goes on with a word of w with the two
+    values swapped."""
+    counts: dict[tuple[int, ...], int] = {}
+    for w in sorted((w.oneline for w in symmetric_group(n)), key=inversion_count):
+        total = 0
+        for i in range(1, n):
+            a, b = w.index(i), w.index(i + 1)
+            if b < a:
+                below = list(w)
+                below[a], below[b] = i + 1, i
+                total += counts[tuple(below)]
+        counts[w] = total or 1
+    return counts
+
+
+def lehmer_shape(w: Permutation) -> list[int]:
+    """The nonzero entries of w's Lehmer code, the number of smaller values
+    right of each place, sorted into a partition."""
+    word = w.oneline
+    code = [sum(1 for b in word[i + 1 :] if b < a) for i, a in enumerate(word)]
+    return sorted((c for c in code if c), reverse=True)
+
+
+def standard_tableaux(shape) -> int:
+    """f^shape by Frobenius: with k rows and l_i = shape_i + k - i, it is
+    m! * prod_{i<j} (l_i - l_j) / prod_i l_i!, m the number of cells."""
+    k = len(shape)
+    ls = [part + k - i for i, part in enumerate(shape, 1)]
+    top = math.factorial(sum(shape))
+    for a, b in itertools.combinations(ls, 2):
+        top *= a - b
+    bottom = math.prod(map(math.factorial, ls))
+    assert top % bottom == 0
+    return top // bottom
 
 
 def generator_sequence_products(n: int, length: int) -> Counter:

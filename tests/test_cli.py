@@ -69,6 +69,7 @@ class TestClassify:
 # 3412 half, so the pattern search runs through the whole 321 half first.
 CYCLE_1100 = ",".join(str(v) for v in [*range(2, 1101), 1])
 LONGEST_S60 = ",".join(str(v) for v in range(60, 0, -1))
+LONGEST_S400 = ",".join(str(v) for v in range(400, 0, -1))
 SWAPPED_S1100 = ",".join(str(v) for v in [*range(1100, 551, -1), 550, 551, *range(549, 0, -1)])
 # A spherical direct sum of degree 38 that took a search over reduced
 # words of w itself, letters of w0(J) included, about 15 s.
@@ -159,6 +160,15 @@ class TestDeepInputs:
         status, out, err = run_cli(capsys, "reduced-words", CYCLE_1100)
         assert status == 0 and err == ""
         assert out == "[" + ",".join(str(i) for i in range(1, 1100)) + "]\n"
+
+    def test_reduced_words_refuses_the_longest_element(self, capsys):
+        # refused from the shape of its code, with no walk of its ideal
+        status, out, err = run_cli(capsys, "reduced-words", LONGEST_S400)
+        assert (status, out) == (2, "")
+        assert err == (
+            f"{LONGEST_S400} has more than 1000000 reduced words; "
+            "pass --limit (limit=N) to enumerate anyway\n"
+        )
 
 
 class TestCrosscheck:
@@ -441,6 +451,7 @@ REFUSALS = [
     (("reduced-words", "321", "--limit=-1"), "limit must be nonnegative"),
     (("reduced-words", "7654321"), "pass --limit"),
     (("reduced-words", "7654123"), "more than 1000000 reduced words"),
+    (("reduced-words", "15847632"), "more than 1000000 reduced words"),
     (("interval", "654321"), "interval rank 15 exceeds bound 12"),
 ]
 

@@ -15,8 +15,11 @@ from spherical.permutations import (
 from spherical.classify import parabolic_quotient
 from spherical import reduced_words
 from spherical.reduced_words import (
+    SHAPE_BOX,
+    WORD_ESTIMATE_LIMIT,
     _budget,
     _reduced_word_count,
+    _shape_bound,
     enumerate_reduced_words,
     is_boolean_by_words,
     repetition_free_word,
@@ -26,11 +29,15 @@ from spherical.reduced_words import (
 )
 
 from oracles import (
+    avoids_by_subsets,
     budgeted_words,
     first_repetition_free_word_by_walk,
     first_word_in_w_form_allowance,
     generator_sequence_products,
     is_boolean_by_support,
+    lehmer_shape,
+    reduced_word_counts,
+    standard_tableaux,
     w_form_allowance,
 )
 
@@ -38,6 +45,11 @@ from oracles import (
 # The six elements of S_7 one step below the longest; each has between
 # 141,892,608 and 214,988,800 reduced words.
 NEAR_LONGEST_S7 = [w for w in symmetric_group(7) if w.length() == 20]
+P2143 = Permutation((2, 1, 4, 3))
+
+
+def longest(n):
+    return Permutation(tuple(range(n, 0, -1)))
 
 
 def fits(slot_of, caps):
@@ -218,6 +230,61 @@ class TestEnumeration:
                     for word in enumerate_reduced_words(w):
                         uses = [word.count(i) for i in range(n)]
                         assert all(map(int.__ge__, uses, floor)), (str(w), word)
+
+
+class TestShapeBound:
+    # The guard's lower bound on the number of reduced words: the tableaux
+    # of w's code shape cut to a SHAPE_BOX square.
+
+    def test_at_most_the_count_and_equal_on_2143_avoiders(self):
+        for n in range(1, 8):
+            counts = reduced_word_counts(n)
+            for w in symmetric_group(n):
+                bound, count = _shape_bound(w.oneline), counts[w.oneline]
+                assert bound <= count, str(w)
+                if avoids_by_subsets(w, [P2143]):
+                    assert bound == count, str(w)
+                if n <= 6:
+                    assert _reduced_word_count(w.oneline, 10**12) == count
+
+    def test_no_cut_below_degree_seventeen(self):
+        # code entries are at most n - 1 and at most n - 1 of them are
+        # nonzero, so up to degree 17 the shape fits the box whole
+        for n in range(1, 8):
+            for w in symmetric_group(n):
+                assert _shape_bound(w.oneline) == standard_tableaux(lehmer_shape(w)), str(w)
+        for n in (16, 17):
+            assert _shape_bound(longest(n).oneline) == standard_tableaux(range(n - 1, 0, -1))
+
+    def test_box_cut_gives_at_most_the_whole_shape(self):
+        rng = random.Random(19)
+        uniform = [Permutation(tuple(rng.sample(range(1, n + 1), n))) for n in (20, 40, 60)]
+        cycle = Permutation((*range(2, 41), 1))
+        for w in [longest(18), longest(25), longest(50), cycle, *uniform]:
+            shape = lehmer_shape(w)
+            cut = [min(part, SHAPE_BOX) for part in shape[:SHAPE_BOX]]
+            assert cut != shape
+            assert _shape_bound(w.oneline) == standard_tableaux(cut)
+            assert standard_tableaux(cut) <= standard_tableaux(shape)
+
+    def test_large_shapes_refused_without_a_walk(self, monkeypatch):
+        def no_walk(word, cap):
+            raise AssertionError("walked")
+
+        monkeypatch.setattr(reduced_words, "_reduced_word_count", no_walk)
+        refused = [longest(7), longest(400), longest(1000), Permutation.from_text("7654123")]
+        for w in refused + NEAR_LONGEST_S7:
+            with pytest.raises(ValueError, match=f"more than {WORD_ESTIMATE_LIMIT}"):
+                enumerate_reduced_words(w)
+
+    def test_small_shape_falls_through_to_the_walk(self):
+        # a 2143-containing element whose shape bound sits under the cap
+        # while its words do not: the walk refuses it
+        w = Permutation.from_text("15847632")
+        assert _shape_bound(w.oneline) == 648_648
+        assert _reduced_word_count(w.oneline, WORD_ESTIMATE_LIMIT + 1) > WORD_ESTIMATE_LIMIT
+        with pytest.raises(ValueError, match="limit"):
+            enumerate_reduced_words(w)
 
 
 class TestWordHelpers:
