@@ -9,9 +9,7 @@ Boolean-lattice recognizer reads the covers it recorded.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .permutations import Permutation
+from .permutations import Permutation, _Frozen
 
 DEFAULT_RANK_BOUND = 12
 
@@ -71,8 +69,7 @@ def _covers_down(word: tuple[int, ...]) -> list[tuple[int, ...]]:
     return out
 
 
-@dataclass(frozen=True)
-class BruhatInterval:
+class BruhatInterval(_Frozen):
     """The full interval [identity, top] with its internal cover relations.
 
     ``elements`` is sorted lexicographically by one-line notation and
@@ -80,9 +77,18 @@ class BruhatInterval:
     and one length step, sorted the same way.
     """
 
+    __slots__ = ("top", "elements", "covers")
     top: Permutation
     elements: tuple[Permutation, ...]
     covers: tuple[tuple[Permutation, Permutation], ...]
+
+    def __init__(
+        self,
+        top: Permutation,
+        elements: tuple[Permutation, ...],
+        covers: tuple[tuple[Permutation, Permutation], ...],
+    ) -> None:
+        self._init(top, elements, covers)
 
 
 def build_interval(w: Permutation, rank_bound: int = DEFAULT_RANK_BOUND) -> BruhatInterval:

@@ -45,12 +45,12 @@ import math
 import os
 import time
 import warnings
-from dataclasses import dataclass, field
 from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .divisibility import _first_witness
 from .permutations import (
     Permutation,
+    _Frozen,
     _longest_below,
     _quotient,
     avoids_all,
@@ -87,13 +87,21 @@ _SUB_3412 = (
 )
 
 
-@dataclass(frozen=True)
-class PatternCatalog:
+class PatternCatalog(_Frozen):
     """The 21 degree-5 blocking patterns and their two overlapping halves."""
 
+    __slots__ = ("all", "sub321", "sub3412")
     all: tuple[Permutation, ...]
     sub321: tuple[Permutation, ...]
     sub3412: tuple[Permutation, ...]
+
+    def __init__(
+        self,
+        all: tuple[Permutation, ...],
+        sub321: tuple[Permutation, ...],
+        sub3412: tuple[Permutation, ...],
+    ) -> None:
+        self._init(all, sub321, sub3412)
 
     @property
     def in_both(self) -> tuple[Permutation, ...]:
@@ -118,16 +126,14 @@ def parabolic_quotient(w: Permutation) -> Permutation:
 def _position_test_321(p: Permutation) -> bool:
     # 5, 3, 1 appear in that order; 4 avoids the stretch between 5 and 3;
     # 2 avoids the stretch between 3 and 1.
-    inv = p.inverse()
-    i1, i2, i3, i4, i5 = (inv(v) for v in (1, 2, 3, 4, 5))
+    i1, i2, i3, i4, i5 = map(p.oneline.index, (1, 2, 3, 4, 5))
     return i5 < i3 < i1 and not (i5 <= i4 <= i3) and not (i3 <= i2 <= i1)
 
 
 def _position_test_3412(p: Permutation) -> bool:
     # 4 and 5 both appear before 1 and 2; 3 avoids the stretch between
     # the positions of 4 and 2.
-    inv = p.inverse()
-    i1, i2, i3, i4, i5 = (inv(v) for v in (1, 2, 3, 4, 5))
+    i1, i2, i3, i4, i5 = map(p.oneline.index, (1, 2, 3, 4, 5))
     return max(i4, i5) < min(i1, i2) and not (i4 <= i3 <= i2)
 
 
@@ -398,24 +404,45 @@ class Disagreement(NamedTuple):
     witnesses: tuple[str, ...]
 
 
-@dataclass(frozen=True)
-class CrossCheckReport:
+class CrossCheckReport(_Frozen):
     """Outcome of evaluating several backends over all of S_n.
 
     ``spherical`` counts by the first listed backend; ``disagreements``
     holds at most the first 20 offenders in lexicographic order while
-    ``disagreement_count`` is the full tally.
+    ``disagreement_count`` is the full tally.  ``backend_seconds`` holds
+    the wall seconds spent in each backend, summed over slices and
+    workers; they vary from run to run, so reports compare and hash
+    without them.
     """
 
+    __slots__ = (
+        "n", "total", "spherical", "backends", "disagreements",
+        "disagreement_count", "backend_seconds",
+    )
     n: int
     total: int
     spherical: int
     backends: tuple[str, ...]
     disagreements: tuple[Disagreement, ...]
     disagreement_count: int
-    # wall seconds spent in each backend, summed over slices and workers;
-    # they vary from run to run, so reports compare without them
-    backend_seconds: dict[str, float] = field(default_factory=dict, compare=False)
+    backend_seconds: dict[str, float]
+
+    def __init__(
+        self,
+        n: int,
+        total: int,
+        spherical: int,
+        backends: tuple[str, ...],
+        disagreements: tuple[Disagreement, ...],
+        disagreement_count: int,
+        backend_seconds: dict[str, float] | None = None,
+    ) -> None:
+        self._init(n, total, spherical, backends, disagreements, disagreement_count,
+                   {} if backend_seconds is None else backend_seconds)
+
+    def _key(self) -> tuple:
+        return (self.n, self.total, self.spherical, self.backends,
+                self.disagreements, self.disagreement_count)
 
     def summary_line(self) -> str:
         perms = "permutation" if self.total == 1 else "permutations"

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import math
 import os
 import sys
@@ -139,6 +138,8 @@ def _cmd_crosscheck(ns: argparse.Namespace) -> tuple[int, str]:
         )
     report = cross_check(ns.n, backends, force=ns.force, jobs=jobs)
     if ns.format == "json":
+        import json  # only JSON output needs it; classify starts without it
+
         text = json.dumps(report.as_dict(), indent=2)
     elif ns.format == "table":
         text = "\n".join(report.table_lines())
@@ -158,6 +159,8 @@ def _cmd_count(ns: argparse.Namespace) -> tuple[int, str]:
             f"{r.n},{r.spherical},{r.total},{r.ratio}" for r in rows
         )
     elif ns.format == "json":
+        import json
+
         text = json.dumps([r._asdict() for r in rows], indent=2)
     else:
         lines = [f"{'n':>3} {'spherical':>12} {'total':>12} {'ratio':>10}"]

@@ -1,3 +1,6 @@
+import copy
+import pickle
+
 import pytest
 
 import spherical.bruhat
@@ -188,6 +191,24 @@ class TestIntervals:
             "1243 < 2143",
             "2134 < 2143",
         ]
+
+    def test_value_semantics(self):
+        iv = build_interval(Permutation((2, 1, 4, 3)))
+        for clone in (pickle.loads(pickle.dumps(iv)), copy.deepcopy(iv)):
+            assert type(clone) is BruhatInterval
+            assert clone == iv and hash(clone) == hash(iv)
+            assert repr(clone) == repr(iv)
+        assert repr(build_interval(Permutation((1, 2)))) == (
+            "BruhatInterval(top=Permutation(oneline=(1, 2)), "
+            "elements=(Permutation(oneline=(1, 2)),), covers=())"
+        )
+        with pytest.raises(AttributeError):
+            iv.top = Permutation.identity(4)
+        assert iv.top == Permutation((2, 1, 4, 3))
+        # a value, not a tuple: it neither equals nor unpacks as one
+        assert iv != (iv.top, iv.elements, iv.covers)
+        with pytest.raises(TypeError):
+            top, elements, covers = iv
 
 
 class TestBooleanLattice:

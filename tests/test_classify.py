@@ -1,4 +1,6 @@
+import copy
 import math
+import pickle
 import random
 from concurrent.futures.process import BrokenProcessPool
 
@@ -121,6 +123,17 @@ class TestCatalog:
 
     def test_characterizations_pass(self):
         assert verify_catalog_characterizations()
+
+    def test_catalog_is_a_value_not_a_tuple(self):
+        cat = catalog()
+        fields = (cat.all, cat.sub321, cat.sub3412)
+        assert cat == _raw_catalog() and hash(cat) == hash(_raw_catalog())
+        assert cat != fields
+        with pytest.raises(TypeError):
+            len(cat)
+        with pytest.raises(AttributeError):
+            cat.all = ()
+        assert repr(cat).startswith("PatternCatalog(all=(Permutation(oneline=(2, 4, 5, 3, 1)),")
 
     def test_tampered_catalog_fails_the_checker(self):
         good = _raw_catalog()
@@ -543,8 +556,46 @@ class TestCrossCheck:
             "divisibility": False,
         }
 
+    def test_report_value_semantics(self):
+        report = cross_check(4)
+        for clone in (pickle.loads(pickle.dumps(report)), copy.deepcopy(report)):
+            assert type(clone) is CrossCheckReport
+            assert clone == report and hash(clone) == hash(report)
+            assert clone.backend_seconds == report.backend_seconds
+            assert repr(clone) == repr(report)
+        with pytest.raises(AttributeError):
+            report.total = 0
+        with pytest.raises(AttributeError):
+            del report.backend_seconds
+        assert report.total == 24
+
+    def test_report_compares_without_backend_seconds(self):
+        fields = dict(
+            n=2, total=2, spherical=2, backends=("pattern",), disagreements=(),
+            disagreement_count=0,
+        )
+        timed = CrossCheckReport(**fields, backend_seconds={"pattern": 0.5})
+        untimed = CrossCheckReport(**fields)
+        assert timed == untimed and hash(timed) == hash(untimed)
+        assert untimed != CrossCheckReport(**{**fields, "spherical": 1})
+        assert repr(untimed) == (
+            "CrossCheckReport(n=2, total=2, spherical=2, backends=('pattern',), "
+            "disagreements=(), disagreement_count=0, backend_seconds={})"
+        )
+        # each report gets its own empty dict
+        assert untimed.backend_seconds is not CrossCheckReport(**fields).backend_seconds
+
 
 class TestDensity:
+    def test_row_value_semantics(self):
+        row = density_table(5)[-1]
+        assert repr(row) == "DensityRow(n=5, spherical=99, total=120, ratio=0.825)"
+        for clone in (pickle.loads(pickle.dumps(row)), copy.deepcopy(row)):
+            assert type(clone) is DensityRow
+            assert clone == row and hash(clone) == hash(row)
+        with pytest.raises(AttributeError):
+            row.spherical = 0
+
     def test_rows_up_to_five(self):
         assert density_table(5) == [
             DensityRow(1, 1, 1, 1.0),

@@ -470,21 +470,32 @@ class TestUsage:
         assert "limit=" not in err or "--limit" in err
         assert "rank_bound" not in err and " _" not in err
 
-    def test_classify_imports_no_process_pool(self):
-        # the pool machinery is imported only when a scan starts a pool
+    # Modules the first verdict does without: dataclasses (with inspect
+    # and ast) would cost more than the verdict, json serves only
+    # --format=json, and the pool machinery only a scan that starts a pool.
+    @pytest.mark.parametrize(
+        "argv, loaded",
+        [
+            (["classify", "12345"], []),
+            (["count", "--max-n=2", "--format=json"], ["json"]),
+        ],
+        ids=["classify", "count-json"],
+    )
+    def test_start_up_imports(self, argv, loaded):
         src = str(Path(cli.__file__).parents[1])
+        watched = ["concurrent.futures", "dataclasses", "inspect", "json"]
         code = (
             f"import sys; sys.path.insert(0, {src!r})\n"
             "import spherical\n"
             "from spherical import cli\n"
-            "assert cli.main(['classify', '12345']) == 0\n"
-            "print('concurrent.futures' in sys.modules)\n"
+            f"assert cli.main({argv!r}) == 0\n"
+            f"print([m for m in {watched!r} if m in sys.modules])\n"
         )
         done = subprocess.run(
             [sys.executable, "-c", code],
             capture_output=True, text=True, check=True, timeout=60,
         )
-        assert done.stdout.splitlines() == ["spherical", "False"]
+        assert done.stdout.splitlines()[-1] == repr(loaded)
 
     def test_runs_as_a_module(self):
         # a bare checkout has no installed script; the module form answers

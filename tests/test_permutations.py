@@ -1,4 +1,7 @@
+import copy
 import itertools
+import pickle
+import random
 
 import pytest
 from hypothesis import given, strategies as st
@@ -41,6 +44,68 @@ class TestConstruction:
     def test_accepts_any_iterable(self):
         assert Permutation([2, 1]).oneline == (2, 1)
         assert Permutation(v for v in (3, 1, 2)).oneline == (3, 1, 2)
+
+
+class TestValueSemantics:
+    # the classes are slotted by hand; pickle and copy must go round the
+    # assignment guard, and everything else must read as before
+    def test_pickle_and_copies_round_trip(self):
+        for value in (
+            Permutation((2, 5, 3, 1, 4)),
+            Permutation.identity(1),
+            GeneratorSet(5, frozenset({1, 2, 4})),
+            GeneratorSet(3),
+        ):
+            for clone in (
+                pickle.loads(pickle.dumps(value)),
+                copy.copy(value),
+                copy.deepcopy(value),
+            ):
+                assert type(clone) is type(value)
+                assert clone == value and hash(clone) == hash(value)
+                assert repr(clone) == repr(value)
+
+    def test_repr(self):
+        assert repr(Permutation((2, 1, 3))) == "Permutation(oneline=(2, 1, 3))"
+        assert repr(GeneratorSet(4, frozenset({2}))) == (
+            "GeneratorSet(degree=4, members=frozenset({2}))"
+        )
+        assert repr(GeneratorSet(2)) == "GeneratorSet(degree=2, members=frozenset())"
+
+    def test_fields_refuse_assignment(self):
+        w = Permutation((2, 1, 3))
+        gens = GeneratorSet(3, frozenset({1}))
+        for value, name, new in (
+            (w, "oneline", (1, 2, 3)),
+            (w, "other", 0),
+            (gens, "degree", 4),
+            (gens, "members", frozenset()),
+        ):
+            with pytest.raises(AttributeError):
+                setattr(value, name, new)
+            with pytest.raises(AttributeError):
+                delattr(value, name)
+        assert w.oneline == (2, 1, 3)
+        assert (gens.degree, gens.members) == (3, frozenset({1}))
+
+    def test_equal_values_hash_equal(self):
+        assert Permutation([3, 1, 2]) == Permutation((3, 1, 2))
+        assert hash(Permutation([3, 1, 2])) == hash(Permutation((3, 1, 2)))
+        assert GeneratorSet(4, {1, 3}) == GeneratorSet(4, frozenset({3, 1}))
+        assert hash(GeneratorSet(4, {1, 3})) == hash(GeneratorSet(4, frozenset({1, 3})))
+        assert GeneratorSet(4, {1}) != GeneratorSet(5, {1})
+        assert Permutation((1, 2)) != (1, 2)
+        assert len({Permutation(w) for w in itertools.permutations((1, 2, 3))}) == 6
+
+    def test_order_is_the_one_line_order(self):
+        perms = [Permutation(w) for n in (3, 4) for w in itertools.permutations(range(1, n + 1))]
+        random.Random(7).shuffle(perms)
+        assert [w.oneline for w in sorted(perms)] == sorted(w.oneline for w in perms)
+        v, w = Permutation((1, 3, 2)), Permutation((2, 1, 3))
+        assert v < w and v <= w and w > v and w >= v and v <= v and v >= v
+        assert not (v > w or v >= w or w < v or w <= v)
+        with pytest.raises(TypeError):
+            v < (2, 1, 3)
 
 
 class TestTextEncoding:
