@@ -347,36 +347,30 @@ def is_spherical(w: Permutation, backend: str = "pattern") -> bool:
     return _DECIDERS[backend](w.oneline)[0]
 
 
-def _explained(w: Permutation, backend: str) -> tuple[bool, str]:
-    # The backend's verdict on w and its witness as text, from one search.
-    _check_backend(backend)
-    verdict, witness = _DECIDERS[backend](w.oneline)
+def _describe(w: Permutation, backend: str, witness) -> str:
+    # The witness that the backend's decider returned for w, as text.
     if backend == "pattern":
         if witness is None:
-            text = "avoids all 21 blocking patterns"
-        else:
-            positions = _certificate_positions(w.oneline, witness)
-            p = relative_order([w.oneline[i - 1] for i in positions])
-            spots = ",".join(str(i) for i in positions)
-            text = f"contains {Permutation(p)} at positions {spots}"
-    elif backend == "boolean_quotient":
+            return "avoids all 21 blocking patterns"
+        positions = _certificate_positions(w.oneline, witness)
+        p = relative_order([w.oneline[i - 1] for i in positions])
+        spots = ",".join(str(i) for i in positions)
+        return f"contains {Permutation(p)} at positions {spots}"
+    if backend == "boolean_quotient":
         q, word = witness
         if word is None:
-            text = f"parabolic quotient {Permutation(q)} has no repetition-free reduced word"
-        else:
-            text = (
-                f"parabolic quotient {Permutation(q)} has repetition-free "
-                f"reduced word {word_to_text(word)}"
-            )
-    elif backend == "divisibility":
+            return f"parabolic quotient {Permutation(q)} has no repetition-free reduced word"
+        return (
+            f"parabolic quotient {Permutation(q)} has repetition-free "
+            f"reduced word {word_to_text(word)}"
+        )
+    if backend == "divisibility":
         v, found = witness
-        text = f"({Permutation(v)}, {w}) divisibility witness {found or 'none'}"
-    elif witness is None:  # the definition backend
-        text = "no reduced word fits the generator budgets"
-    else:
-        word = _after_parabolic_word(w.oneline, witness)
-        text = f"reduced word {word_to_text(word)} fits the generator budgets"
-    return verdict, text
+        return f"({Permutation(v)}, {w}) divisibility witness {found or 'none'}"
+    if witness is None:  # the definition backend
+        return "no reduced word fits the generator budgets"
+    word = _after_parabolic_word(w.oneline, witness)
+    return f"reduced word {word_to_text(word)} fits the generator budgets"
 
 
 def explain(w: Permutation, backend: str) -> str:
@@ -393,7 +387,8 @@ def explain(w: Permutation, backend: str) -> str:
     >>> explain(Permutation.from_text("256314"), "pattern")
     'contains 25314 at positions 1,2,4,5,6'
     """
-    return _explained(w, backend)[1]
+    _check_backend(backend)
+    return _describe(w, backend, _DECIDERS[backend](w.oneline)[1])
 
 
 class Disagreement(NamedTuple):

@@ -20,8 +20,9 @@ from typing import Callable, Sequence
 from .bruhat import build_interval, first_dominance_failure, is_boolean_lattice
 from .classify import (
     BACKENDS,
+    _DECIDERS,
     _check_jobs,
-    _explained,
+    _describe,
     catalog,
     cross_check,
     density_table,
@@ -100,10 +101,11 @@ def _jobs(ns: argparse.Namespace) -> int:
 
 
 def _cmd_classify(ns: argparse.Namespace) -> tuple[int, str]:
-    # One search per backend gives both the verdict and the --explain text.
+    # One search per backend gives both the verdict and the witness, which
+    # becomes text only under --explain.
     w = Permutation.from_text(ns.perm)
     if ns.backend == "all":
-        judged = {b: _explained(w, b) for b in BACKENDS}
+        judged = {b: _DECIDERS[b](w.oneline) for b in BACKENDS}
         verdicts = {b: v for b, (v, _) in judged.items()}
         agree = len(set(verdicts.values())) == 1
         verdict = verdicts["pattern"]
@@ -117,12 +119,13 @@ def _cmd_classify(ns: argparse.Namespace) -> tuple[int, str]:
                 for b, v in verdicts.items()
             )
         if ns.explain:
-            lines.extend(f"{b}: {text}" for b, (_, text) in judged.items())
+            lines.extend(f"{b}: {_describe(w, b, found)}" for b, (_, found) in judged.items())
         return (0 if verdict else 1), "\n".join(lines)
-    verdict, text = _explained(w, _BACKEND_FLAGS[ns.backend])
+    backend = _BACKEND_FLAGS[ns.backend]
+    verdict, found = _DECIDERS[backend](w.oneline)
     lines = ["spherical" if verdict else "not spherical"]
     if ns.explain:
-        lines.append(f"witness: {text}")
+        lines.append(f"witness: {_describe(w, backend, found)}")
     return (0 if verdict else 1), "\n".join(lines)
 
 

@@ -6,21 +6,25 @@ convention (rightmost factor acts first).  Enumeration works from the left:
 the first letter of any reduced word of w is a left descent of w, and
 stripping it leaves a shorter permutation.
 
-One walker, ``_reduced_words``, serves enumeration and the ``definition``
-backend.  Budgets are data: letter i spends one use of pool ``slot_of[i]``.
-Enumeration passes one pool of l(w) uses, which every reduced word fills.
-The ``definition`` search walks only the quotient q = w0(J(w)) * w, whose
-length adds to that of w0(J(w)), under ``_budget``'s pools: a maximal run
-of consecutive left descents of w shares one pool, every other generator
-has its own, and each pool holds one use per generator in it.  It returns
-q's first fitting word alone; ``spherical_witness_word`` and ``explain``
-put the first reduced word of w0(J(w)) in front of it.
+One walker, ``_reduced_words``, runs the two searches: enumeration and
+the ``definition`` backend.  Budgets are data: letter i spends one use of
+pool ``slot_of[i]``.  Enumeration passes one pool of l(w) uses, which
+every reduced word fills.  The ``definition`` search walks only the
+quotient q = w0(J(w)) * w, whose length adds to that of w0(J(w)), under
+``_budget``'s pools: a maximal run of consecutive left descents of w
+shares one pool, every other generator has its own, and each pool holds
+one use per generator in it.  It returns q's first fitting word alone;
+``spherical_witness_word`` and ``explain`` put the first reduced word of
+w0(J(w)) in front of it, which needs no search: for each run a..b of J,
+in increasing order, it is a; a+1, a; ...; b, ..., a.
 
-The walks hold each element as its inverse u, one list stepped in place:
-i is a left descent exactly when u_i > u_{i+1}, the step to s_i times the
-element swaps u_i and u_{i+1}, and stepping back swaps them again.  The
-crossing number c_i = #{j <= i : u_j > i}, the same for an element and
-its inverse, counts the values that a reduced word must carry across
+The walker holds each element as its inverse u, one list stepped in
+place: i is a left descent exactly when u_i > u_{i+1}, the step to s_i
+times the element swaps u_i and u_{i+1}, and stepping back swaps them
+again.  A frame reads its descents lazily off that live list, since the
+walker steps u back before the frame reads on, so no frame holds a copy.
+The crossing number c_i = #{j <= i : u_j > i}, the same for an element
+and its inverse, counts the values that a reduced word must carry across
 place i, one per letter i, so every reduced word has at least c_i letters
 i.  The walker keeps, per pool, a slack: its uses left minus the sum of
 c_i over its generators.  A root with a negative slack has no fitting
@@ -44,7 +48,12 @@ of standard Young tableaux of that shape, with equality when w avoids
 shape inside lambda has no more tableaux, so the value stays a lower
 bound, and the hook-length formula on at most 256 cells costs
 microseconds whatever l(w) is.  Only a bound past the cap refuses; any
-other element takes ``_reduced_word_count``, the exact capped walk.
+other element takes ``_reduced_word_count``, the exact capped count.  It
+sweeps down the weak order one length at a time and keeps one level: the
+number of paths from w down to each element of that length.  Every
+element below w has a reduced word, so a level's sum never falls and
+never passes w's count; the identity's level holds the count, and the
+sweep stops as soon as a partial sum reaches the cap.
 
 The ``boolean_quotient`` backend needs no search.  All reduced words of w
 have length l(w) and use every letter of w's support, so one of them
@@ -62,7 +71,7 @@ import math
 import operator
 from typing import Iterator, Mapping, Sequence
 
-from .permutations import Permutation, _left_descents, _length, _longest_below, _quotient
+from .permutations import Permutation, _left_descents, _length, _quotient
 
 WORD_ESTIMATE_LIMIT = 1_000_000
 # ``_shape_bound`` cuts lambda(w) to a square of this side.
@@ -78,8 +87,9 @@ def _inverse(word: tuple[int, ...]) -> list[int]:
 
 def _descents(inverse: list[int]) -> Iterator[int]:
     # Left descents, ascending, of the element with this inverse, read
-    # lazily: a walk steps the inverse back before it reads on.
-    flags = map(operator.gt, inverse, inverse[1:])
+    # lazily off the live list: a walk steps the inverse back before it
+    # reads on, so no frame needs a copy.
+    flags = map(operator.gt, inverse, itertools.islice(inverse, 1, None))
     return itertools.compress(range(1, len(inverse)), flags)
 
 
@@ -118,44 +128,25 @@ def _shape_bound(word: tuple[int, ...]) -> int:
 
 
 def _reduced_word_count(word: tuple[int, ...], cap: int) -> int:
-    # Exact count over the weak-order ideal below ``word``: the reduced
-    # words of u number the sum, over left descents i, of those of s_i * u,
-    # and an element of length 2 has one word per left descent.  Counts
-    # saturate at ``cap``, so a huge element stops the walk as soon as one
-    # partial sum reaches it.  The walk steps one inverse in place (module
-    # docstring) on an explicit stack, which keeps long elements clear of
-    # the recursion limit; a frame holds the element's memo key, its
-    # untried descents, its running total, which a finished child adds to,
-    # and the letter that led to it.
-    length = _length(word)
-    u = _inverse(word)
-    if length <= 2:
-        return min(max(1, sum(map(operator.gt, u, u[1:]))), cap)
-    counts: dict[tuple[int, ...], int] = {}
-    top = tuple(u)
-    stack = [[top, _descents(u), 0, 0]]
-    while stack:
-        entry = stack[-1]
-        key, todo, total, letter = entry
-        i = next(todo, None) if total < cap else None
-        if i is None:
-            counts[key] = total = min(total, cap)
-            stack.pop()
-            if stack:
-                stack[-1][2] += total
-                u[letter - 1], u[letter] = u[letter], u[letter - 1]
-            continue
-        u[i - 1], u[i] = u[i], u[i - 1]
-        if length - len(stack) == 2:  # s_i * u has length 2
-            entry[2] += sum(map(operator.gt, u, u[1:]))
-        else:
-            v = tuple(u)
-            if v not in counts:
-                stack.append([v, _descents(u), 0, i])
-                continue
-            entry[2] += counts[v]
-        u[i - 1], u[i] = u[i], u[i - 1]
-    return counts[top]
+    # The number of reduced words of ``word``, saturated at ``cap``, by the
+    # level sweep of the module docstring: a level maps each element's
+    # inverse to its number of paths from ``word``, and the step at a left
+    # descent i swaps the inverse's entries i and i+1.
+    level = {tuple(_inverse(word)): 1}
+    places = range(1, len(word))
+    for _ in range(_length(word)):
+        below: dict[tuple[int, ...], int] = {}
+        total = 0
+        for u, c in level.items():
+            for i in places:
+                if u[i - 1] > u[i]:
+                    v = u[: i - 1] + (u[i], u[i - 1]) + u[i + 1 :]
+                    below[v] = below.get(v, 0) + c
+                    total += c
+                    if total >= cap:
+                        return cap
+        level = below
+    return min(sum(level.values()), cap)
 
 
 def _reduced_words(
@@ -336,6 +327,9 @@ def spherical_witness_word(w: Permutation) -> tuple[int, ...] | None:
     The word is the first reduced word of w0(J(w)) followed by the
     lexicographically first reduced word of q that fits the pools (module
     docstring); l(w) = l(w0(J(w))) + l(q), so it is a reduced word of w.
+
+    >>> spherical_witness_word(Permutation.from_text("4321"))
+    (1, 2, 1, 3, 2, 1)
     """
     rest = _fitting_quotient_word(w.oneline)
     return None if rest is None else _after_parabolic_word(w.oneline, rest)
@@ -347,6 +341,7 @@ def _fitting_quotient_word(word: tuple[int, ...]) -> tuple[int, ...] | None:
 
 
 def _after_parabolic_word(word: tuple[int, ...], rest: tuple[int, ...]) -> tuple[int, ...]:
-    # The first reduced word of w0(J(w)), from the one-pool walk, then rest.
-    v = _longest_below(word)
-    return next(_reduced_words(v, dict.fromkeys(range(len(v)), 0), (_length(v),))) + rest
+    # The first reduced word of w0(J(w)), read off the pools' runs (module
+    # docstring), then rest.
+    slot_of = _budget(word)[0]
+    return (*(j for g in _left_descents(word) for j in range(g, slot_of[g] - 1, -1)), *rest)

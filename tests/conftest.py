@@ -26,8 +26,9 @@ _SEARCHES = {
 @pytest.fixture
 def counted_searches(monkeypatch):
     # Counts, per backend, the calls to its entry in classify._DECIDERS
-    # ("decider") and to the search beneath it ("search").
-    calls = {"decider": Counter(), "search": Counter()}
+    # ("decider") and to the search beneath it ("search"), and the entries
+    # into the reduced-word walker ("walker", under "definition").
+    calls = {"decider": Counter(), "search": Counter(), "walker": Counter()}
 
     def counting(layer, backend, fn):
         def wrapper(*args):
@@ -44,4 +45,6 @@ def counted_searches(monkeypatch):
         for module, name in names:
             search = getattr(module, name)
             monkeypatch.setattr(module, name, counting("search", backend, search))
+    walker = counting("walker", "definition", reduced_words._reduced_words)
+    monkeypatch.setattr(reduced_words, "_reduced_words", walker)
     return calls

@@ -339,6 +339,8 @@ class TestExplain:
         explain(Permutation.from_text("263415"), backend)
         assert counted_searches["decider"] == {backend: 1}
         assert counted_searches["search"] == {backend: 1}
+        walks = {"definition": 1} if backend == "definition" else {}
+        assert counted_searches["walker"] == walks
 
     def test_quotient_witness(self):
         text = explain(Permutation.from_text("54321"), "boolean_quotient")

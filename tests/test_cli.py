@@ -2,6 +2,8 @@ import json
 import os
 import subprocess
 import sys
+import time
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -36,6 +38,8 @@ class TestClassify:
         run_cli(capsys, "classify", word, "--backend=all", "--explain")
         for layer in ("decider", "search"):
             assert counted_searches[layer] == dict.fromkeys(BACKENDS, 1)
+        # w0(J)'s letters of the definition witness are read off, not walked
+        assert counted_searches["walker"] == {"definition": 1}
 
     def test_identity(self, capsys):
         status, out, _ = run_cli(capsys, "classify", "12345")
@@ -62,14 +66,14 @@ class TestClassify:
         assert err.strip()
 
 
-# Inputs whose searches run about a thousand letters deep: the cycle
-# 2,3,...,1100,1 (length 1099, one reduced word), the longest element of
-# S_60 (length 1770), and the longest element of S_1100 with its two
-# middle letters swapped, whose catalog occurrences all belong to the
-# 3412 half, so the pattern search runs through the whole 321 half first.
+# Inputs whose searches run a thousand letters deep or more: the cycle
+# 2,3,...,1100,1 (length 1099, one reduced word), the longest elements of
+# S_60 (length 1770) up to S_3000, and the longest element of S_1100 with
+# its two middle letters swapped, whose catalog occurrences all belong to
+# the 3412 half, so the pattern search runs through the whole 321 half
+# first.
 CYCLE_1100 = ",".join(str(v) for v in [*range(2, 1101), 1])
-LONGEST_S60 = ",".join(str(v) for v in range(60, 0, -1))
-LONGEST_S400 = ",".join(str(v) for v in range(400, 0, -1))
+LONGEST = {n: ",".join(str(v) for v in range(n, 0, -1)) for n in (60, 300, 400, 1000, 3000)}
 SWAPPED_S1100 = ",".join(str(v) for v in [*range(1100, 551, -1), 550, 551, *range(549, 0, -1)])
 # A spherical direct sum of degree 38 that took a search over reduced
 # words of w itself, letters of w0(J) included, about 15 s.
@@ -91,7 +95,7 @@ class TestDeepInputs:
     @pytest.mark.parametrize(
         "perm, flag, status, verdict",
         [
-            (LONGEST_S60, "definition", 0, "spherical"),
+            (LONGEST[60], "definition", 0, "spherical"),
             (CYCLE_1100, "boolean", 0, "spherical"),
             (CYCLE_1100, "definition", 0, "spherical"),
             (SUM_38, "definition", 0, "spherical"),
@@ -163,12 +167,85 @@ class TestDeepInputs:
 
     def test_reduced_words_refuses_the_longest_element(self, capsys):
         # refused from the shape of its code, with no walk of its ideal
-        status, out, err = run_cli(capsys, "reduced-words", LONGEST_S400)
+        status, out, err = run_cli(capsys, "reduced-words", LONGEST[400])
         assert (status, out) == (2, "")
         assert err == (
-            f"{LONGEST_S400} has more than 1000000 reduced words; "
+            f"{LONGEST[400]} has more than 1000000 reduced words; "
             "pass --limit (limit=N) to enumerate anyway\n"
         )
+
+
+def run_bounded(capsys, *argv, traced=False):
+    # run_cli under a generous wall bound, with the tracemalloc peak in MB
+    # when ``traced``
+    if traced:
+        tracemalloc.start()
+    try:
+        start = time.perf_counter()
+        result = run_cli(capsys, *argv)
+        assert time.perf_counter() - start < 15, argv[:2]
+        peak = tracemalloc.get_traced_memory()[1] / 2**20 if traced else None
+    finally:
+        tracemalloc.stop()
+    return result, peak
+
+
+class TestLongestElements:
+    # The longest element of S_n is spherical, and the definition witness is
+    # the first reduced word of w0 itself, n(n-1)/2 letters, which a walk of
+    # the weak order built in cubic memory.
+
+    @pytest.mark.parametrize("n", [1000, 3000])
+    @pytest.mark.parametrize("flag", ["definition", "all"])
+    def test_witness_under_explain(self, capsys, n, flag):
+        (status, out, err), _ = run_bounded(
+            capsys, "classify", LONGEST[n], f"--backend={flag}", "--explain"
+        )
+        assert (status, err) == (0, "")
+        lines = out.splitlines()
+        assert lines[0] == "spherical"
+        prefix = "witness: " if flag == "definition" else "definition: "
+        line = next(line for line in lines if line.startswith(prefix))
+        word = line.removeprefix(f"{prefix}reduced word ").removesuffix(
+            " fits the generator budgets"
+        )
+        assert word.startswith("[1,2,1,3,2,1,")
+        assert word.count(",") + 1 == n * (n - 1) // 2
+
+    # Without --explain no witness becomes text.  tracemalloc follows each
+    # int the pattern search allocates, which stretches its quadratic scan
+    # at degree 3000 to about 35 s, so that run is held to the wall bound
+    # and the untouched witness alone.
+    @pytest.mark.parametrize(
+        "n, flag, traced",
+        [
+            (1000, "definition", True),
+            (3000, "definition", True),
+            (1000, "all", True),
+            (3000, "all", False),
+        ],
+    )
+    def test_no_witness_text_without_explain(self, capsys, monkeypatch, n, flag, traced):
+        def no_text(*args):
+            raise AssertionError("witness described without --explain")
+
+        monkeypatch.setattr(cli, "_describe", no_text)
+        result, peak = run_bounded(
+            capsys, "classify", LONGEST[n], f"--backend={flag}", traced=traced
+        )
+        verdict = "spherical\n" if flag == "definition" else "spherical\nbackends agree: yes\n"
+        assert result == (0, verdict, "")
+        assert peak is None or peak < 20
+
+    def test_first_reduced_word_holds_no_copy_per_letter(self, capsys):
+        # the walk's frames read the live inverse: 127 MB with a slice copied
+        # per frame, about 21 MB without
+        (status, out, err), peak = run_bounded(
+            capsys, "reduced-words", LONGEST[300], "--limit=1", traced=True
+        )
+        assert (status, err) == (0, "")
+        assert out.startswith("[1,2,1,3,2,1,") and out.count(",") + 1 == 300 * 299 // 2
+        assert peak < 50
 
 
 class TestCrosscheck:

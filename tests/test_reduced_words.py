@@ -1,6 +1,7 @@
 import functools
 import itertools
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, strategies as st
@@ -232,6 +233,29 @@ class TestEnumeration:
                         assert all(map(int.__ge__, uses, floor)), (str(w), word)
 
 
+class TestCountSweep:
+    # _reduced_word_count sweeps the weak order one length at a time and
+    # stops once a level's partial sum reaches the cap.
+
+    @pytest.mark.parametrize("cap", [1, 2, 100, 10**9])
+    def test_saturated_counts_match_the_oracle_on_s6(self, cap):
+        counts = reduced_word_counts(6)
+        for w in symmetric_group(6):
+            assert _reduced_word_count(w.oneline, cap) == min(counts[w.oneline], cap), str(w)
+
+    def test_a_long_chain_keeps_one_element(self):
+        # the cycle 2,...,1100,1 has one reduced word, 1,099 letters long;
+        # a memo of every visited element held 19.9 MB
+        cycle = (*range(2, 1101), 1)
+        tracemalloc.start()
+        try:
+            assert _reduced_word_count(cycle, WORD_ESTIMATE_LIMIT + 1) == 1
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+
+
 class TestShapeBound:
     # The guard's lower bound on the number of reduced words: the tableaux
     # of w's code shape cut to a SHAPE_BOX square.
@@ -446,6 +470,14 @@ class TestDefinitionSearch:
                 q = parabolic_quotient(w)
                 expected = next(budgeted_words(q, *_budget(w.oneline)), None)
                 assert reduced_words._fitting_quotient_word(w.oneline) == expected, str(w)
+
+    def test_parabolic_word_matches_the_walk(self):
+        # the closed form of w0(J)'s first reduced word against the walker
+        for n in range(1, 8):
+            for w in symmetric_group(n):
+                v = longest_parabolic(w.left_descents())
+                expected = enumerate_reduced_words(v, limit=1)[0]
+                assert reduced_words._after_parabolic_word(w.oneline, ()) == expected, str(w)
 
     def test_longer_than_the_pools_answers_at_once(self):
         # a quotient of length 59 against pools holding 17 uses: no word
