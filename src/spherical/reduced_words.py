@@ -21,8 +21,15 @@ in increasing order, it is a; a+1, a; ...; b, ..., a.
 The walker holds each element as its inverse u, one list stepped in
 place: i is a left descent exactly when u_i > u_{i+1}, the step to s_i
 times the element swaps u_i and u_{i+1}, and stepping back swaps them
-again.  A frame reads its descents lazily off that live list, since the
-walker steps u back before the frame reads on, so no frame holds a copy.
+again.  Its left descents are one int, the mask with bit i set when i is
+a descent.  A step at i clears bit i and can only set bits i-1 and i+1,
+each exactly when its outer neighbour u_{i-1} or u_{i+2} lies between
+the two values swapped; stepping back undoes the same three bits.  So a
+step reads four entries of u instead of scanning it, and a frame's next
+letter is the lowest set bit of its untried mask.  Letters are tried in
+ascending order, so a frame that returns from its child at i has the
+mask's bits above i untried: no frame holds more than its letter.
+
 The crossing number c_i = #{j <= i : u_j > i}, the same for an element
 and its inverse, counts the values that a reduced word must carry across
 place i, one per letter i, so every reduced word has at least c_i letters
@@ -37,23 +44,28 @@ left minus the sum of the c_i, never negative, and a state of slack 0 has
 only steps that lower some c_i, so nothing is pruned and no key is built.
 
 ``enumerate_reduced_words`` without a limit refuses an element with more
-than 10**6 reduced words, and decides that first from the shape of w's
-Lehmer code, before any walk.  The Stanley symmetric function of w holds
-the Schur function of lambda(w), the code sorted into a partition, with
-coefficient 1 (Stanley, "On the number of reduced decompositions of
-elements of Coxeter groups", 1984; Edelman and Greene, "Balanced
-tableaux", 1987), so w has at least f^lambda(w) reduced words, the number
-of standard Young tableaux of that shape, with equality when w avoids
-2143.  ``_shape_bound`` keeps the 16 largest parts, each cut to 16: a
-shape inside lambda has no more tableaux, so the value stays a lower
-bound, and the hook-length formula on at most 256 cells costs
-microseconds whatever l(w) is.  Only a bound past the cap refuses; any
-other element takes ``_reduced_word_count``, the exact capped count.  It
-sweeps down the weak order one length at a time and keeps one level: the
-number of paths from w down to each element of that length.  Every
-element below w has a reduced word, so a level's sum never falls and
-never passes w's count; the identity's level holds the count, and the
-sweep stops as soon as a partial sum reaches the cap.
+than 10**6 reduced words, and decides that first from the shapes of the
+Lehmer codes of w and w^-1, before any walk.  The Stanley symmetric
+function of w holds the Schur function of lambda(w), the code sorted into
+a partition, with coefficient 1 (Stanley, "On the number of reduced
+decompositions of elements of Coxeter groups", 1984; Edelman and Greene,
+"Balanced tableaux", 1987), so w has at least f^lambda(w) reduced words,
+the number of standard Young tableaux of that shape.  It also holds the
+Schur function of lambda(w^-1)' with coefficient 1, and the two shapes
+differ exactly when w contains 2143; then w has at least f^lambda(w) +
+f^lambda(w^-1) reduced words, a conjugate shape having as many tableaux.
+When w avoids 2143 the first term is the count.  ``_shape_bound`` keeps
+the 16 largest parts of each shape, each cut to 16: a shape inside lambda
+has no more tableaux, so the value stays a lower bound, and the
+hook-length formula on at most 256 cells costs microseconds whatever l(w)
+is.  It reads w^-1's shape only when the first term does not already pass
+the cap.  Only a bound past the cap refuses; any other element takes
+``_reduced_word_count``, the exact capped count.  It sweeps down the weak
+order one length at a time and keeps one level: the number of paths from
+w down to each element of that length.  Every element below w has a
+reduced word, so a level's sum never falls and never passes w's count;
+the identity's level holds the count, and the sweep stops as soon as a
+partial sum reaches the cap.
 
 The ``boolean_quotient`` backend needs no search.  All reduced words of w
 have length l(w) and use every letter of w's support, so one of them
@@ -68,7 +80,6 @@ from __future__ import annotations
 import bisect
 import itertools
 import math
-import operator
 from typing import Iterator, Mapping, Sequence
 
 from .permutations import Permutation, _left_descents, _length, _quotient
@@ -85,14 +96,6 @@ def _inverse(word: tuple[int, ...]) -> list[int]:
     return inverse
 
 
-def _descents(inverse: list[int]) -> Iterator[int]:
-    # Left descents, ascending, of the element with this inverse, read
-    # lazily off the live list: a walk steps the inverse back before it
-    # reads on, so no frame needs a copy.
-    flags = map(operator.gt, inverse, itertools.islice(inverse, 1, None))
-    return itertools.compress(range(1, len(inverse)), flags)
-
-
 def _crossings(word: tuple[int, ...], inverse: list[int]) -> list[int]:
     # c_i = #{j <= i : w_j > i} for i = 1..n-1, from the number of values
     # at most i in the first i places: place i adds one when w_i <= i, and
@@ -106,25 +109,48 @@ def _crossings(word: tuple[int, ...], inverse: list[int]) -> list[int]:
     return out
 
 
-def _shape_bound(word: tuple[int, ...]) -> int:
-    # f^mu for mu = lambda(w) cut to the SHAPE_BOX square (module
-    # docstring), at most the number of reduced words of ``word``.  Code
-    # entry i counts the smaller values right of place i, found by
-    # bisecting the sorted suffix; the hook of cell (r, c) is the cells
-    # right of it in row r, below it in column c, and itself.
+def _code_shape(word: Sequence[int]) -> list[int]:
+    # lambda(w): the nonzero entries of w's Lehmer code, in decreasing
+    # order.  Entry i counts the smaller values right of place i, found by
+    # bisecting the sorted suffix.
     seen: list[int] = []
     code: list[int] = []
     for v in reversed(word):
         k = bisect.bisect(seen, v)
-        code.append(k)
+        if k:
+            code.append(k)
         seen.insert(k, v)
-    rows = [min(c, SHAPE_BOX) for c in sorted(code, reverse=True)[:SHAPE_BOX] if c]
+    return sorted(code, reverse=True)
+
+
+def _box_tableaux(shape: list[int]) -> int:
+    # f^mu for mu = ``shape`` cut to the SHAPE_BOX square, by the hook
+    # length formula: the hook of cell (r, c) is the cells right of it in
+    # row r, below it in column c, and itself.
+    rows = [min(part, SHAPE_BOX) for part in shape[:SHAPE_BOX]]
     columns = [sum(r > c for r in rows) for c in range(SHAPE_BOX)]
     hooks = 1
     for r, row in enumerate(rows):
         for c in range(row):
             hooks *= row - c + columns[c] - r - 1
     return math.factorial(sum(rows)) // hooks
+
+
+def _shape_bound(word: tuple[int, ...], cap: int) -> int:
+    # A lower bound on the number of reduced words of ``word`` from the
+    # shapes of its code (module docstring): f^lambda(w) in the box, and
+    # when that is at most ``cap`` and lambda(w^-1)' differs from
+    # lambda(w), f^lambda(w^-1) in the box added on.
+    shape = _code_shape(word)
+    bound = _box_tableaux(shape)
+    if bound <= cap:
+        other = _code_shape(_inverse(word))
+        # column c of lambda(w^-1) holds the parts longer than c
+        ascending = other[::-1]
+        columns = [len(other) - bisect.bisect(ascending, c) for c in range(max(other, default=0))]
+        if columns != shape:
+            bound += _box_tableaux(other)
+    return bound
 
 
 def _reduced_word_count(word: tuple[int, ...], cap: int) -> int:
@@ -153,65 +179,95 @@ def _reduced_words(
     word: tuple[int, ...], slot_of: Mapping[int, int], caps: Sequence[int]
 ) -> Iterator[tuple[int, ...]]:
     # Reduced words of ``word`` that fit the pools, in lexicographic order:
-    # depth-first over left descents, ascending, on an explicit stack of
-    # frames (untried descents, words yielded when pushed), stepping one
-    # inverse and one slack list in place (module docstring).  Frames stop
-    # two letters above the identity: the last letter is forced and free.
-    # A state is dead only if no word was yielded beneath it, since the
-    # same element is reached along many paths and a subtree that produced
-    # words must not be pruned.
+    # depth-first over left descents, ascending, stepping one inverse, one
+    # descent mask and one slack list in place (module docstring).  The
+    # prefix is the stack: a frame's untried letters are its mask above the
+    # letter that led to its child, so frames hold nothing else.  Frames
+    # stop two letters above the identity: the last letter is forced and
+    # free.  A state is dead only if no word was yielded beneath it, since
+    # the same element is reached along many paths and a subtree that
+    # produced words must not be pruned; ``live`` counts the frames, from
+    # the root, with a word beneath them.
     length = _length(word)
     if length > sum(caps):
         return
-    u = _inverse(word)
+    inverse = _inverse(word)
     slack = list(caps)
-    for i, c in enumerate(_crossings(word, u), 1):
+    for i, c in enumerate(_crossings(word, inverse), 1):
         slack[slot_of[i]] -= c
     if min(slack) < 0:
         return
+    n = len(word)
+    u = [0, *inverse, n + 1]  # the sentinels keep bits 0 and n clear
+    mask = 0
+    for i in range(1, n):
+        if u[i] > u[i + 1]:
+            mask |= 1 << i
     if length < 2:
-        yield tuple(_descents(u))
+        yield (mask.bit_length() - 1,) if mask else ()
         return
     dead: set[tuple[tuple[int, ...], tuple[int, ...]]] = set()
-    yielded = 0
+    live = 0
     prefix: list[int] = []
     last = length - 2
-    stack = [(_descents(u), yielded)]
-    while stack:
-        todo, before = stack[-1]
-        i = next(todo, None)
-        if i is None:
-            stack.pop()
-            if yielded == before:
+    todo = mask
+    while True:
+        if not todo:
+            if not prefix:
+                return
+            depth = len(prefix)
+            if live > depth:
+                live = depth
+            else:
                 dead.add((tuple(u), tuple(slack)))
-            if prefix:
-                i = prefix.pop()
-                u[i - 1], u[i] = u[i], u[i - 1]
-                if not u[i - 1] > i >= u[i]:
-                    slack[slot_of[i]] += 1
+            i = prefix.pop()
+            b, a = u[i], u[i + 1]
+            u[i], u[i + 1] = a, b
+            low = 1 << i
+            mask |= low
+            if b < u[i - 1] < a:
+                mask ^= low >> 1
+            if b < u[i + 2] < a:
+                mask ^= low << 1
+            todo = mask & -(low << 1)
+            if not a > i >= b:
+                slack[slot_of[i]] += 1
             continue
-        a, b = u[i - 1], u[i]
+        low = todo & -todo
+        todo ^= low
+        i = low.bit_length() - 1
+        a, b = u[i], u[i + 1]
         free = a > i >= b  # the step lowers c_i
         if not free:
             s = slot_of[i]
             if not slack[s]:
                 continue
-        u[i - 1], u[i] = b, a
+        u[i], u[i + 1] = b, a
         if len(prefix) == last:
             # s_i * u is some s_j, and the step at j lowers c_j = 1
-            yielded += 1
-            yield (*prefix, i, next(_descents(u)))
-            u[i - 1], u[i] = a, b
+            live = length
+            j = mask ^ low
+            if b < u[i - 1] < a:
+                j |= low >> 1
+            if b < u[i + 2] < a:
+                j |= low << 1
+            yield (*prefix, i, j.bit_length() - 1)
+            u[i], u[i + 1] = a, b
             continue
         if not free:
             slack[s] -= 1
         if dead and (tuple(u), tuple(slack)) in dead:
-            u[i - 1], u[i] = a, b
+            u[i], u[i + 1] = a, b
             if not free:
                 slack[s] += 1
             continue
         prefix.append(i)
-        stack.append((_descents(u), yielded))
+        mask ^= low
+        if b < u[i - 1] < a:
+            mask |= low >> 1
+        if b < u[i + 2] < a:
+            mask |= low << 1
+        todo = mask
 
 
 def enumerate_reduced_words(
@@ -222,10 +278,10 @@ def enumerate_reduced_words(
     Without a limit the call refuses outright when w has more than 10**6
     reduced words, instead of running for minutes (listing 10**6 words of
     the longest element of S_7 takes about 7 s on a 2-core VM); pass an
-    explicit limit to enumerate anyway.  The refusal reads the shape of
-    w's Lehmer code first: when the tableaux of that shape, cut to a
-    16 x 16 box, already number more than 10**6, it refuses without a
-    walk.  Otherwise the capped count over w's weak-order ideal decides.
+    explicit limit to enumerate anyway.  The refusal reads the shapes of
+    the Lehmer codes of w and its inverse first: when their tableaux, cut
+    to a 16 x 16 box, already number more than 10**6, it refuses without
+    a walk.  Otherwise the capped count over w's weak-order ideal decides.
 
     >>> enumerate_reduced_words(Permutation((3, 2, 1)))
     [(1, 2, 1), (2, 1, 2)]
@@ -236,7 +292,7 @@ def enumerate_reduced_words(
         raise ValueError("limit must be nonnegative")
     if limit is None:
         cap = WORD_ESTIMATE_LIMIT
-        if _shape_bound(w.oneline) > cap or _reduced_word_count(w.oneline, cap + 1) > cap:
+        if _shape_bound(w.oneline, cap) > cap or _reduced_word_count(w.oneline, cap + 1) > cap:
             raise ValueError(
                 f"{w} has more than {cap} reduced words; "
                 "pass --limit (limit=N) to enumerate anyway"
@@ -261,7 +317,9 @@ def word_to_permutation(letters: Sequence[int], degree: int) -> Permutation:
 
 def word_to_text(letters: Sequence[int]) -> str:
     """Bracketed comma-separated form, "[1,2,1]"; the empty word is "[]"."""
-    return "[" + ",".join(str(i) for i in letters) + "]"
+    # one text per letter value, shared by every place that letter takes
+    names = [str(i) for i in range(max(letters, default=0) + 1)]
+    return "[" + ",".join(map(names.__getitem__, letters)) + "]"
 
 
 def repetition_free_word(w: Permutation) -> tuple[int, ...] | None:

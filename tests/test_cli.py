@@ -175,15 +175,15 @@ class TestDeepInputs:
         )
 
 
-def run_bounded(capsys, *argv, traced=False):
-    # run_cli under a generous wall bound, with the tracemalloc peak in MB
-    # when ``traced``
+def run_bounded(capsys, *argv, traced=False, seconds=15):
+    # run_cli under a wall bound, generous by default, with the tracemalloc
+    # peak in MB when ``traced``
     if traced:
         tracemalloc.start()
     try:
         start = time.perf_counter()
         result = run_cli(capsys, *argv)
-        assert time.perf_counter() - start < 15, argv[:2]
+        assert time.perf_counter() - start < seconds, argv[:2]
         peak = tracemalloc.get_traced_memory()[1] / 2**20 if traced else None
     finally:
         tracemalloc.stop()
@@ -238,14 +238,24 @@ class TestLongestElements:
         assert peak is None or peak < 20
 
     def test_first_reduced_word_holds_no_copy_per_letter(self, capsys):
-        # the walk's frames read the live inverse: 127 MB with a slice copied
-        # per frame, about 21 MB without
+        # no frame copies the inverse or holds a mask: 127 MB with a slice
+        # copied per frame, about 1.3 MB with frames holding only their letter
         (status, out, err), peak = run_bounded(
             capsys, "reduced-words", LONGEST[300], "--limit=1", traced=True
         )
         assert (status, err) == (0, "")
         assert out.startswith("[1,2,1,3,2,1,") and out.count(",") + 1 == 300 * 299 // 2
         assert peak < 50
+
+    def test_first_reduced_word_steps_without_a_scan(self, capsys):
+        # a step reads four entries of the inverse: about 0.3 s at degree
+        # 1000, where scanning the inverse in every frame took 9 s
+        (status, out, err), _ = run_bounded(
+            capsys, "reduced-words", LONGEST[1000], "--limit=1", seconds=3
+        )
+        assert (status, err) == (0, "")
+        assert out.startswith("[1,2,1,3,2,1,4,3,2,1,5,4,3,2,1,")
+        assert out.count(",") + 1 == 1000 * 999 // 2
 
 
 class TestCrosscheck:

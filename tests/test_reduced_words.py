@@ -18,7 +18,9 @@ from spherical import reduced_words
 from spherical.reduced_words import (
     SHAPE_BOX,
     WORD_ESTIMATE_LIMIT,
+    _box_tableaux,
     _budget,
+    _code_shape,
     _reduced_word_count,
     _shape_bound,
     enumerate_reduced_words,
@@ -51,6 +53,11 @@ P2143 = Permutation((2, 1, 4, 3))
 
 def longest(n):
     return Permutation(tuple(range(n, 0, -1)))
+
+
+def first_shape(w):
+    # the tableaux of lambda(w) alone, cut to the box: the bound's first term
+    return _box_tableaux(_code_shape(w.oneline))
 
 
 def fits(slot_of, caps):
@@ -202,6 +209,16 @@ class TestEnumeration:
         assert _reduced_word_count(w0.oneline, 100) == 100
         assert all(word_to_permutation(word, 5) == w0 for word in words[:50])
 
+    def test_first_words_match_the_reference_through_degree_seven(self):
+        # the descent-mask walk against the plain tuple-copying one under a
+        # single pool of l(w) uses: the first 300 words of every element
+        # through S_6, and the first 20 of S_7's
+        for n in range(1, 8):
+            k = 300 if n < 7 else 20
+            for w in symmetric_group(n):
+                expected = budgeted_words(w, dict.fromkeys(range(n), 0), (w.length(),))
+                assert enumerate_reduced_words(w, k) == list(itertools.islice(expected, k)), str(w)
+
     @pytest.mark.parametrize("k", [1, 17, 768, 900])
     def test_limit_keeps_the_lexicographic_prefix(self, k):
         w0 = Permutation((5, 4, 3, 2, 1))
@@ -258,16 +275,20 @@ class TestCountSweep:
 
 class TestShapeBound:
     # The guard's lower bound on the number of reduced words: the tableaux
-    # of w's code shape cut to a SHAPE_BOX square.
+    # of w's code shape cut to a SHAPE_BOX square, and of w^-1's when w
+    # contains 2143.
 
     def test_at_most_the_count_and_equal_on_2143_avoiders(self):
+        # a cap this high always adds the second shape where there is one
         for n in range(1, 8):
             counts = reduced_word_counts(n)
             for w in symmetric_group(n):
-                bound, count = _shape_bound(w.oneline), counts[w.oneline]
+                bound, count = _shape_bound(w.oneline, 10**12), counts[w.oneline]
                 assert bound <= count, str(w)
                 if avoids_by_subsets(w, [P2143]):
-                    assert bound == count, str(w)
+                    assert bound == first_shape(w) == count, str(w)
+                else:
+                    assert bound == first_shape(w) + first_shape(w.inverse()), str(w)
                 if n <= 6:
                     assert _reduced_word_count(w.oneline, 10**12) == count
 
@@ -276,9 +297,9 @@ class TestShapeBound:
         # nonzero, so up to degree 17 the shape fits the box whole
         for n in range(1, 8):
             for w in symmetric_group(n):
-                assert _shape_bound(w.oneline) == standard_tableaux(lehmer_shape(w)), str(w)
+                assert first_shape(w) == standard_tableaux(lehmer_shape(w)), str(w)
         for n in (16, 17):
-            assert _shape_bound(longest(n).oneline) == standard_tableaux(range(n - 1, 0, -1))
+            assert first_shape(longest(n)) == standard_tableaux(range(n - 1, 0, -1))
 
     def test_box_cut_gives_at_most_the_whole_shape(self):
         rng = random.Random(19)
@@ -288,7 +309,7 @@ class TestShapeBound:
             shape = lehmer_shape(w)
             cut = [min(part, SHAPE_BOX) for part in shape[:SHAPE_BOX]]
             assert cut != shape
-            assert _shape_bound(w.oneline) == standard_tableaux(cut)
+            assert first_shape(w) == standard_tableaux(cut)
             assert standard_tableaux(cut) <= standard_tableaux(shape)
 
     def test_large_shapes_refused_without_a_walk(self, monkeypatch):
@@ -296,16 +317,34 @@ class TestShapeBound:
             raise AssertionError("walked")
 
         monkeypatch.setattr(reduced_words, "_reduced_word_count", no_walk)
-        refused = [longest(7), longest(400), longest(1000), Permutation.from_text("7654123")]
+        # 15847632's first shape gives 648,648 tableaux, and the second
+        # 630,630 more
+        refused = [longest(7), longest(400), longest(1000), Permutation.from_text("7654123"),
+                   Permutation.from_text("15847632")]
         for w in refused + NEAR_LONGEST_S7:
             with pytest.raises(ValueError, match=f"more than {WORD_ESTIMATE_LIMIT}"):
                 enumerate_reduced_words(w)
 
+    def test_second_shape_only_refuses_over_the_cap_on_s8(self):
+        # of S_8's 12,829 elements past the cap, the first shape alone
+        # refuses 11,137 without a sweep and both shapes 12,357; no element
+        # under the cap is refused
+        counts = reduced_word_counts(8)
+        over = first = both = 0
+        for w in symmetric_group(8):
+            bound, count = _shape_bound(w.oneline, WORD_ESTIMATE_LIMIT), counts[w.oneline]
+            assert bound <= WORD_ESTIMATE_LIMIT or count > WORD_ESTIMATE_LIMIT, str(w)
+            if count > WORD_ESTIMATE_LIMIT:
+                over += 1
+                first += first_shape(w) > WORD_ESTIMATE_LIMIT
+                both += bound > WORD_ESTIMATE_LIMIT
+        assert (over, first, both) == (12_829, 11_137, 12_357)
+
     def test_small_shape_falls_through_to_the_walk(self):
-        # a 2143-containing element whose shape bound sits under the cap
+        # a 2143-containing element whose two shapes sit under the cap
         # while its words do not: the walk refuses it
-        w = Permutation.from_text("15847632")
-        assert _shape_bound(w.oneline) == 648_648
+        w = Permutation.from_text("63821754")
+        assert _shape_bound(w.oneline, WORD_ESTIMATE_LIMIT) == 816_816
         assert _reduced_word_count(w.oneline, WORD_ESTIMATE_LIMIT + 1) > WORD_ESTIMATE_LIMIT
         with pytest.raises(ValueError, match="limit"):
             enumerate_reduced_words(w)
@@ -315,6 +354,8 @@ class TestWordHelpers:
     def test_word_to_text(self):
         assert word_to_text((1, 2, 1)) == "[1,2,1]"
         assert word_to_text(()) == "[]"
+        word = (*range(300, 0, -1), 12, 1)
+        assert word_to_text(word) == "[" + ",".join(map(str, word)) + "]"
 
     def test_word_to_permutation_rejects_bad_letters(self):
         with pytest.raises(ValueError):
@@ -465,7 +506,7 @@ class TestDefinitionSearch:
 
     def test_first_fitting_quotient_word_matches_the_reference(self):
         # the pruned, in-place walk against the plain tuple-copying one
-        for n in range(1, 8):
+        for n in range(1, 9):
             for w in symmetric_group(n):
                 q = parabolic_quotient(w)
                 expected = next(budgeted_words(q, *_budget(w.oneline)), None)

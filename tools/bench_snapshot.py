@@ -15,7 +15,10 @@ the machine context, and per workload and metric each side's median and
 quartiles and the number of seeds on which the change did better, by the
 direction ``BENCHMARK.json`` gives.  Any run that fails or reports
 ``correct: false`` is kept in the file, and the script exits 1.  The file
-is written to the root of the checkout this script lives in.
+is written to the root of the checkout this script lives in, and never
+over an existing one: when ``BENCH_<date>.json`` is taken the name is
+``BENCH_<date>-<short hash of the change's HEAD>.json``, and when that is
+taken too the script refuses before running anything.
 """
 
 from __future__ import annotations
@@ -71,6 +74,13 @@ def tree(root: Path) -> dict:
     status = git(root, "status", "--porcelain") if head else None
     return {"head": head, "dirty": None if status is None else bool(status),
             "src_sha256": digest.hexdigest()}
+
+
+def snapshot_path(root: Path, today: str, head: str | None) -> Path | None:
+    # the first free name of BENCH_<today>.json and, given the short hash
+    # of the change's HEAD, BENCH_<today>-<head>.json
+    names = [f"BENCH_{today}.json", *([f"BENCH_{today}-{head}.json"] if head else [])]
+    return next((root / name for name in names if not (root / name).exists()), None)
 
 
 def bench(root: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
@@ -140,6 +150,9 @@ def main(argv=None) -> int:
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     seconds = spec["run_seconds"]
     today = datetime.date.today().isoformat()
+    out = snapshot_path(ROOT, today, git(checkouts["change"], "rev-parse", "--short", "HEAD"))
+    if out is None:
+        parser.error(f"every snapshot name for {today} in {ROOT} is taken")
 
     runs = []
     for w in (w["name"] for w in spec["workloads"]):
@@ -164,8 +177,8 @@ def main(argv=None) -> int:
         "summary": summarize(runs, spec),
         "runs": runs,
     }
-    out = ROOT / f"BENCH_{today}.json"
-    out.write_text(json.dumps(snapshot, indent=1) + "\n")
+    with open(out, "x") as f:  # fails rather than overwrite
+        f.write(json.dumps(snapshot, indent=1) + "\n")
     print(f"wrote {out}", file=sys.stderr)
     bad = [r for r in runs if not r["correct"] or r["status"] != 0]
     return 1 if bad or any(t["status"] != 0 for t in tests.values()) else 0
