@@ -6,15 +6,22 @@ negative verdict or disagreement, 2 is a usage error.  Refusals have one
 path: the library checks each input once, and ``main`` turns any
 ``ValueError`` into its message on stderr and status 2; other exceptions
 are faults and surface as tracebacks.  A verb never emits partial stdout.
+
+One table, ``_VERBS``, lists each verb's positionals and options;
+``parse_args`` reads argv against it, prints help and usage errors from
+it, and accepts what argparse's subparsers accepted, namespace for
+namespace (``tests/oracles.py`` keeps that parser as the reference).
+argparse and gettext stay off the start-up path, and a query pays a few
+microseconds for its arguments, not argparse's 30-50.
 """
 
 from __future__ import annotations
 
-import argparse
-import functools
 import math
 import os
+import re
 import sys
+from types import SimpleNamespace
 from typing import Callable, Sequence
 
 from .bruhat import build_interval, first_dominance_failure, is_boolean_lattice
@@ -40,67 +47,254 @@ _BACKEND_FLAGS = {
 }
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="spherical",
-        description="Classify spherical permutations and cross-check the equivalent criteria.",
-    )
-    sub = parser.add_subparsers(dest="verb", required=True)
+# The verb table.  Per verb: its help line, its positionals and its
+# options.  An option is (name, kind, default, required, metavar), where
+# kind is "flag", int, str or the tuple of its choices, and metavar names
+# an int or str value in the synopsis.  Its dest is the name without its
+# dashes, "-" read as "_".
+_VERBS: dict[str, tuple[str, tuple[str, ...], tuple[tuple, ...]]] = {
+    "classify": (
+        "classify one permutation",
+        ("perm",),
+        (
+            ("--backend", (*_BACKEND_FLAGS, "all"), "pattern", False, None),
+            ("--explain", "flag", False, False, None),
+        ),
+    ),
+    "crosscheck": (
+        "compare backends across all of S_n",
+        (),
+        (
+            ("--n", int, None, True, "<k>"),
+            ("--backends", str, "pattern,boolean,divisible", False, "..."),
+            ("--force", "flag", False, False, None),
+            ("--format", ("table", "json"), None, False, None),
+            ("--jobs", int, None, False, "<j>"),
+        ),
+    ),
+    "count": (
+        "spherical counts per degree",
+        (),
+        (
+            ("--max-n", int, None, True, "<k>"),
+            ("--format", ("table", "csv", "json"), "table", False, None),
+            ("--force", "flag", False, False, None),
+            ("--jobs", int, None, False, "<j>"),
+        ),
+    ),
+    "patterns": (
+        "list the blocking-pattern catalog",
+        (),
+        (
+            ("--subset", ("all", "321", "3412", "both"), "all", False, None),
+            ("--verify", "flag", False, False, None),
+        ),
+    ),
+    "reduced-words": (
+        "enumerate reduced words",
+        ("perm",),
+        (("--limit", int, None, False, "<m>"),),
+    ),
+    "bruhat": (
+        "compare two permutations in Bruhat order",
+        ("v", "w"),
+        (("--explain", "flag", False, False, None),),
+    ),
+    "interval": (
+        "build the interval below a permutation",
+        ("perm",),
+        (("--edges", "flag", False, False, None),),
+    ),
+}
 
-    p = sub.add_parser("classify", help="classify one permutation")
-    p.add_argument("perm")
-    p.add_argument(
-        "--backend",
-        choices=[*_BACKEND_FLAGS, "all"],
-        default="pattern",
-    )
-    p.add_argument("--explain", action="store_true")
-
-    p = sub.add_parser("crosscheck", help="compare backends across all of S_n")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--backends", default="pattern,boolean,divisible")
-    p.add_argument("--force", action="store_true")
-    p.add_argument("--format", choices=["table", "json"], default=None)
-    p.add_argument("--jobs", type=int, default=None)
-
-    p = sub.add_parser("count", help="spherical counts per degree")
-    p.add_argument("--max-n", type=int, required=True, dest="max_n")
-    p.add_argument("--format", choices=["table", "csv", "json"], default="table")
-    p.add_argument("--force", action="store_true")
-    p.add_argument("--jobs", type=int, default=None)
-
-    p = sub.add_parser("patterns", help="list the blocking-pattern catalog")
-    p.add_argument("--subset", choices=["all", "321", "3412", "both"], default="all")
-    p.add_argument("--verify", action="store_true")
-
-    p = sub.add_parser("reduced-words", help="enumerate reduced words")
-    p.add_argument("perm")
-    p.add_argument("--limit", type=int, default=None)
-
-    p = sub.add_parser("bruhat", help="compare two permutations in Bruhat order")
-    p.add_argument("v")
-    p.add_argument("w")
-    p.add_argument("--explain", action="store_true")
-
-    p = sub.add_parser("interval", help="build the interval below a permutation")
-    p.add_argument("perm")
-    p.add_argument("--edges", action="store_true")
-
-    return parser
+_ABOUT = "Classify spherical permutations and cross-check the equivalent criteria."
+_FORMS = (
+    "Options take --name=value or --name value, before, between or after the\n"
+    "positionals, and any unique prefix of their name; the last of a repeated\n"
+    "option wins, and -- ends the options."
+)
 
 
-# One parser serves every call in the process; it keeps no state between
-# parses.
-_parser = functools.cache(build_parser)
+def _compile(positionals, options):
+    # The lookup from option name to (dest, kind), -h and --help included,
+    # and the namespace before any argument is read.
+    names = dict.fromkeys(("-h", "--help"), ("", "help"))
+    start = dict.fromkeys(positionals)
+    for name, kind, default, _, _ in options:
+        dest = name[2:].replace("-", "_")
+        names[name] = (dest, kind)
+        start[dest] = default
+    return names, start
 
 
-def _jobs(ns: argparse.Namespace) -> int:
+_COMPILED = {verb: _compile(p, o) for verb, (_, p, o) in _VERBS.items()}
+_TOP = _compile((), ())[0]
+# argparse reads these as positionals, not as unknown options
+_NEGATIVE = re.compile(r"^-\d+$|^-\d*\.\d+$")
+
+
+def _synopsis(verb: str) -> str:
+    _, positionals, options = _VERBS[verb]
+    parts = [f"spherical {verb}", *(f"<{p}>" for p in positionals)]
+    for name, kind, _, required, metavar in options:
+        form = name if kind == "flag" else f"{name}={metavar or '|'.join(kind)}"
+        parts.append(form if required else f"[{form}]")
+    return " ".join(parts)
+
+
+def _usage(verb: str | None) -> str:
+    return "usage: " + (_synopsis(verb) if verb else "spherical <verb> [<arguments>]")
+
+
+def _fail(verb: str | None, message: str):
+    prog = f"spherical {verb}" if verb else "spherical"
+    print(f"{_usage(verb)}\n{prog}: error: {message}", file=sys.stderr)
+    raise SystemExit(2)
+
+
+def _read(tok: str, names: dict, verb: str | None):
+    # argparse's reading of one token: None for a positional, else the
+    # option's name (None when unknown) and its explicit value, if any.
+    if tok[:1] != "-" or tok in ("-", "--"):
+        return None
+    if tok in names:
+        return tok, None
+    name, eq, value = tok.partition("=")
+    if eq and name in names:
+        return name, value
+    if tok[1] == "-":
+        # a unique prefix, looked up only once the exact name is missing
+        found = [n for n in names if n.startswith(name)]
+        if len(found) > 1:
+            _fail(verb, f"ambiguous option: {name} could match {', '.join(found)}")
+        if found:
+            return found[0], value if eq else None
+    elif tok[1] == "h":
+        return "-h", tok[2:]  # short flags run together: -hh is -h -h
+    if " " in tok or _NEGATIVE.match(tok):
+        return None
+    return None, None
+
+
+def _help(verb: str | None, name: str, value: str | None, rest: Sequence[str]):
+    # -h or --help, read at its place in argv: the help on stdout, status 0
+    if value is not None and (name != "-h" or not value or value.strip("h")):
+        _fail(verb, f"argument -h/--help: ignored explicit argument {value!r}")
+    if verb:
+        # argparse reads every option before it acts on any, so an
+        # ambiguous one after -h still fails
+        for tok in rest:
+            if tok == "--":
+                break
+            _read(tok, _COMPILED[verb][0], verb)
+        text = f"{_usage(verb)}\n\n{_VERBS[verb][0]}\n\n{_FORMS}"
+    else:
+        verbs = "\n".join(f"  {_synopsis(v)}" for v in _VERBS)
+        text = (
+            f"{_usage(None)}\n\n{_ABOUT}\n\n{verbs}\n\n{_FORMS}\n"
+            "`spherical <verb> -h` describes one verb."
+        )
+    print(text)
+    raise SystemExit(0)
+
+
+def parse_args(argv: Sequence[str]) -> SimpleNamespace:
+    """Read argv against the verb table into the namespace the handlers
+    read: ``verb``, then the verb's positionals and option dests.
+
+    Accepts what argparse's two-level subparser parse accepted (``--opt=v``
+    and ``--opt v``, options anywhere around the positionals, the last
+    repeat winning, unique prefixes, negative numbers as values, ``--``
+    ending the options) and gives the same namespace.  ``-h``/``--help``
+    prints help to stdout and raises ``SystemExit(0)``; a usage error
+    prints the usage and the error to stderr and raises ``SystemExit(2)``.
+    """
+    extras: list[str] = []
+    for i, tok in enumerate(argv):
+        read = _read(tok, _TOP, None)
+        if read is None:
+            verb = tok
+            break
+        if read[0] is None:
+            extras.append(tok)
+        else:
+            _help(None, *read, ())
+    else:
+        _fail(None, "the following arguments are required: verb")
+    if verb not in _VERBS:
+        choices = ", ".join(_VERBS)
+        _fail(None, f"argument verb: invalid choice: {verb!r} (choose from {choices})")
+    names, start = _COMPILED[verb]
+    _, positionals, options = _VERBS[verb]
+    ns = {"verb": verb, **start}
+    seen = set()
+    taken = 0  # positionals filled
+    ended = after_positional = False  # past --; the last token filled a positional
+    args = argv[i + 1:]
+    j = 0
+    while j < len(args):
+        tok = args[j]
+        j += 1
+        if ended:
+            read = None
+        elif tok == "--":
+            ended = True
+            # argparse drops the first -- only where a positional takes it
+            if taken == len(positionals) and not after_positional:
+                extras.append(tok)
+            continue
+        else:
+            read = _read(tok, names, verb)
+        after_positional = read is None
+        if read is None:
+            if taken < len(positionals):
+                ns[positionals[taken]] = tok
+                taken += 1
+            else:
+                extras.append(tok)
+            continue
+        name, value = read
+        if name is None:
+            extras.append(tok)
+            continue
+        dest, kind = names[name]
+        if kind == "help":
+            _help(verb, name, value, args[j:])
+        if kind == "flag":
+            if value is not None:
+                _fail(verb, f"argument {name}: ignored explicit argument {value!r}")
+            value = True
+        else:
+            if value is None:
+                if j == len(args) or args[j] == "--" or _read(args[j], names, verb) is not None:
+                    _fail(verb, f"argument {name}: expected one argument")
+                value = args[j]
+                j += 1
+            if kind is int:
+                try:
+                    value = int(value)
+                except ValueError:
+                    _fail(verb, f"argument {name}: invalid int value: {value!r}")
+            elif kind is not str and value not in kind:
+                choices = ", ".join(kind)
+                _fail(verb, f"argument {name}: invalid choice: {value!r} (choose from {choices})")
+        ns[dest] = value
+        seen.add(name)
+    missing = [*positionals[taken:], *(o[0] for o in options if o[3] and o[0] not in seen)]
+    if missing:
+        _fail(verb, f"the following arguments are required: {', '.join(missing)}")
+    if extras:
+        _fail(verb, f"unrecognized arguments: {' '.join(extras)}")
+    return SimpleNamespace(**ns)
+
+
+def _jobs(ns: SimpleNamespace) -> int:
     # --jobs defaults to the CPU count at the time the command runs; a
     # given count is checked here, before a forced scan times its estimate.
     return _check_jobs(ns.jobs) if ns.jobs is not None else os.cpu_count() or 1
 
 
-def _cmd_classify(ns: argparse.Namespace) -> tuple[int, str]:
+def _cmd_classify(ns: SimpleNamespace) -> tuple[int, str]:
     # One search per backend gives both the verdict and the witness, which
     # becomes text only under --explain.
     w = Permutation.from_text(ns.perm)
@@ -129,7 +323,7 @@ def _cmd_classify(ns: argparse.Namespace) -> tuple[int, str]:
     return (0 if verdict else 1), "\n".join(lines)
 
 
-def _cmd_crosscheck(ns: argparse.Namespace) -> tuple[int, str]:
+def _cmd_crosscheck(ns: SimpleNamespace) -> tuple[int, str]:
     # Short names map to full ones; the library refuses unknown names.
     backends = tuple(_BACKEND_FLAGS.get(t, t) for t in ns.backends.split(",") if t)
     jobs = _jobs(ns)
@@ -153,7 +347,7 @@ def _cmd_crosscheck(ns: argparse.Namespace) -> tuple[int, str]:
     return (0 if report.disagreement_count == 0 else 1), text
 
 
-def _cmd_count(ns: argparse.Namespace) -> tuple[int, str]:
+def _cmd_count(ns: SimpleNamespace) -> tuple[int, str]:
     # No estimate even when forced: the generating tree's cost follows the
     # class size, which is what it counts.
     rows = density_table(ns.max_n, force=ns.force, jobs=_jobs(ns))
@@ -175,7 +369,7 @@ def _cmd_count(ns: argparse.Namespace) -> tuple[int, str]:
     return 0, text
 
 
-def _cmd_patterns(ns: argparse.Namespace) -> tuple[int, str]:
+def _cmd_patterns(ns: SimpleNamespace) -> tuple[int, str]:
     if ns.verify:
         ok = verify_catalog_characterizations()
         return (0 if ok else 1), f"catalog characterizations: {'PASS' if ok else 'FAIL'}"
@@ -195,7 +389,7 @@ def _cmd_patterns(ns: argparse.Namespace) -> tuple[int, str]:
     return 0, "\n".join(lines)
 
 
-def _cmd_reduced_words(ns: argparse.Namespace) -> tuple[int, str]:
+def _cmd_reduced_words(ns: SimpleNamespace) -> tuple[int, str]:
     w = Permutation.from_text(ns.perm)
     words = enumerate_reduced_words(w, ns.limit)
     # word_to_text's form, with each letter's text built once per call
@@ -203,7 +397,7 @@ def _cmd_reduced_words(ns: argparse.Namespace) -> tuple[int, str]:
     return 0, "\n".join("[" + ",".join(map(names.__getitem__, word)) + "]" for word in words)
 
 
-def _cmd_bruhat(ns: argparse.Namespace) -> tuple[int, str]:
+def _cmd_bruhat(ns: SimpleNamespace) -> tuple[int, str]:
     v = Permutation.from_text(ns.v)
     w = Permutation.from_text(ns.w)
     failure = first_dominance_failure(v, w)
@@ -216,7 +410,7 @@ def _cmd_bruhat(ns: argparse.Namespace) -> tuple[int, str]:
     return 0, "\n".join(lines)
 
 
-def _cmd_interval(ns: argparse.Namespace) -> tuple[int, str]:
+def _cmd_interval(ns: SimpleNamespace) -> tuple[int, str]:
     w = Permutation.from_text(ns.perm)
     iv = build_interval(w)
     boolean = "true" if is_boolean_lattice(iv) else "false"
@@ -226,7 +420,7 @@ def _cmd_interval(ns: argparse.Namespace) -> tuple[int, str]:
     return 0, "\n".join(lines)
 
 
-_HANDLERS: dict[str, Callable[[argparse.Namespace], tuple[int, str]]] = {
+_HANDLERS: dict[str, Callable[[SimpleNamespace], tuple[int, str]]] = {
     "classify": _cmd_classify,
     "crosscheck": _cmd_crosscheck,
     "count": _cmd_count,
@@ -239,9 +433,9 @@ _HANDLERS: dict[str, Callable[[argparse.Namespace], tuple[int, str]]] = {
 
 def main(argv: Sequence[str] | None = None) -> int:
     try:
-        ns = _parser().parse_args(argv)
-    except SystemExit as exc:  # argparse reports usage errors with status 2
-        return int(exc.code or 0)
+        ns = parse_args(sys.argv[1:] if argv is None else argv)
+    except SystemExit as exc:  # 0 after help, 2 after a usage error
+        return int(exc.code)
     try:
         status, text = _HANDLERS[ns.verb](ns)
     except ValueError as err:

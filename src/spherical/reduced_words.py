@@ -400,6 +400,8 @@ def _fitting_quotient_word(word: tuple[int, ...]) -> tuple[int, ...] | None:
 
 def _after_parabolic_word(word: tuple[int, ...], rest: tuple[int, ...]) -> tuple[int, ...]:
     # The first reduced word of w0(J(w)), read off the pools' runs (module
-    # docstring), then rest.
+    # docstring), then rest.  The runs are slices of one letter table, so
+    # every place of a letter holds the same int.
     slot_of = _budget(word)[0]
-    return (*(j for g in _left_descents(word) for j in range(g, slot_of[g] - 1, -1)), *rest)
+    letters = list(range(len(word)))
+    return (*(j for g in _left_descents(word) for j in letters[g : slot_of[g] - 1 : -1]), *rest)

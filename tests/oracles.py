@@ -23,16 +23,23 @@ One exception runs library code: ``own_site_counts`` finds the sites of
 each generating-tree member with ``_allowed_sites`` (itself checked
 against brute force), the child-by-child derivation that the tree's walk
 skips for its last degree.
+
+``build_parser`` is the argparse parser the CLI read its arguments with
+before its verb table, kept word for word: the table's ``parse_args``
+must give the same namespace on every argv it accepts, and exit 2 on
+every argv it rejects.
 """
 
 from __future__ import annotations
 
+import argparse
 import itertools
 import math
 import operator
 from collections import Counter
 
 from spherical.classify import _allowed_sites, catalog
+from spherical.cli import _BACKEND_FLAGS
 from spherical.permutations import Permutation, _left_descents, symmetric_group
 
 
@@ -311,3 +318,52 @@ def own_site_counts(members) -> list[int]:
     of the next degree, which the tree's walk replaces by counting from
     the grandparents."""
     return [len(_allowed_sites(w)) for w in members]
+
+
+def build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="spherical",
+        description="Classify spherical permutations and cross-check the equivalent criteria.",
+    )
+    sub = parser.add_subparsers(dest="verb", required=True)
+
+    p = sub.add_parser("classify", help="classify one permutation")
+    p.add_argument("perm")
+    p.add_argument(
+        "--backend",
+        choices=[*_BACKEND_FLAGS, "all"],
+        default="pattern",
+    )
+    p.add_argument("--explain", action="store_true")
+
+    p = sub.add_parser("crosscheck", help="compare backends across all of S_n")
+    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--backends", default="pattern,boolean,divisible")
+    p.add_argument("--force", action="store_true")
+    p.add_argument("--format", choices=["table", "json"], default=None)
+    p.add_argument("--jobs", type=int, default=None)
+
+    p = sub.add_parser("count", help="spherical counts per degree")
+    p.add_argument("--max-n", type=int, required=True, dest="max_n")
+    p.add_argument("--format", choices=["table", "csv", "json"], default="table")
+    p.add_argument("--force", action="store_true")
+    p.add_argument("--jobs", type=int, default=None)
+
+    p = sub.add_parser("patterns", help="list the blocking-pattern catalog")
+    p.add_argument("--subset", choices=["all", "321", "3412", "both"], default="all")
+    p.add_argument("--verify", action="store_true")
+
+    p = sub.add_parser("reduced-words", help="enumerate reduced words")
+    p.add_argument("perm")
+    p.add_argument("--limit", type=int, default=None)
+
+    p = sub.add_parser("bruhat", help="compare two permutations in Bruhat order")
+    p.add_argument("v")
+    p.add_argument("w")
+    p.add_argument("--explain", action="store_true")
+
+    p = sub.add_parser("interval", help="build the interval below a permutation")
+    p.add_argument("perm")
+    p.add_argument("--edges", action="store_true")
+
+    return parser

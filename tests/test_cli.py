@@ -1,3 +1,4 @@
+import ast
 import json
 import os
 import subprocess
@@ -8,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+from oracles import build_parser
 from spherical.classify import BACKENDS, catalog, is_spherical
 from spherical import cli
 from spherical.cli import main
@@ -236,6 +238,17 @@ class TestLongestElements:
         verdict = "spherical\n" if flag == "definition" else "spherical\nbackends agree: yes\n"
         assert result == (0, verdict, "")
         assert peak is None or peak < 20
+
+    def test_witness_shares_one_int_per_letter_value(self, capsys):
+        # w0's 499,500 letters taken from one table of letter ints: about
+        # 9.7 MB traced for word and text, 18.3 MB with a fresh int for
+        # every place of a letter above 256
+        (status, out, err), peak = run_bounded(
+            capsys, "classify", LONGEST[1000], "--backend=definition", "--explain", traced=True
+        )
+        assert (status, err) == (0, "")
+        assert out.count(",") + 1 == 1000 * 999 // 2
+        assert peak < 14
 
     def test_first_reduced_word_holds_no_copy_per_letter(self, capsys):
         # no frame copies the inverse or holds a mask: 127 MB with a slice
@@ -543,6 +556,25 @@ REFUSALS = [
 ]
 
 
+# A run of calls, a usage error among them, through one process.
+SHARED_RUNS = [
+    ("classify", "24531", "--explain"),
+    ("count", "--max-n=4", "--format=csv"),
+    ("crosscheck", "--n=9"),
+    ("bruhat", "21"),
+    ("count", "--max-n=3", "--jobs=1"),
+    ("classify", "54321", "--backend=all"),
+    ("patterns", "--subset=both"),
+]
+HELP_ARGVS = [("--help",), ("-h",), ("classify", "--help"), ("count", "-h")]
+USAGE_ERRORS = [
+    ("classify",),
+    ("count",),
+    ("classify", "123", "--backend=fast"),
+    ("bruhat", "21"),
+]
+
+
 class TestUsage:
     @pytest.mark.parametrize(
         "argv, phrase", REFUSALS, ids=[" ".join(argv) for argv, _ in REFUSALS]
@@ -557,9 +589,10 @@ class TestUsage:
         assert "limit=" not in err or "--limit" in err
         assert "rank_bound" not in err and " _" not in err
 
-    # Modules the first verdict does without: dataclasses (with inspect
-    # and ast) would cost more than the verdict, json serves only
-    # --format=json, and the pool machinery only a scan that starts a pool.
+    # Modules the first verdict does without: argparse (with gettext) and
+    # dataclasses (with inspect and ast) would cost more than the verdict,
+    # json serves only --format=json, and the pool machinery only a scan
+    # that starts a pool.
     @pytest.mark.parametrize(
         "argv, loaded",
         [
@@ -570,7 +603,7 @@ class TestUsage:
     )
     def test_start_up_imports(self, argv, loaded):
         src = str(Path(cli.__file__).parents[1])
-        watched = ["concurrent.futures", "dataclasses", "inspect", "json"]
+        watched = ["argparse", "concurrent.futures", "dataclasses", "gettext", "inspect", "json"]
         code = (
             f"import sys; sys.path.insert(0, {src!r})\n"
             "import spherical\n"
@@ -596,23 +629,26 @@ class TestUsage:
     def test_no_verb(self, capsys):
         assert main([]) == 2
 
-    def test_one_parser_per_process(self, capsys, monkeypatch):
-        # a run of calls through the shared parser, a usage error among
-        # them, answers each call as a freshly built parser does
-        runs = [
-            ("classify", "24531", "--explain"),
-            ("count", "--max-n=4", "--format=csv"),
-            ("crosscheck", "--n=9"),
-            ("bruhat", "21"),
-            ("count", "--max-n=3", "--jobs=1"),
-            ("classify", "54321", "--backend=all"),
-            ("patterns", "--subset=both"),
-        ]
-        shared = [run_cli(capsys, *argv) for argv in runs]
-        monkeypatch.setattr(cli, "_parser", cli.build_parser)
-        fresh = [run_cli(capsys, *argv) for argv in runs]
-        assert shared == fresh
-        assert [status for status, _, _ in shared] == [1, 0, 2, 2, 0, 0, 0]
+    def test_one_parser_per_process(self, capsys):
+        # the verb table serves every call in the process and keeps no
+        # state between parses: a run of calls, a usage error among them,
+        # answers the same the second time through
+        runs = [run_cli(capsys, *argv) for argv in SHARED_RUNS * 2]
+        assert runs[:7] == runs[7:]
+        assert [status for status, _, _ in runs[:7]] == [1, 0, 2, 2, 0, 0, 0]
+
+    @pytest.mark.parametrize("argv", HELP_ARGVS, ids=" ".join)
+    def test_help(self, capsys, argv):
+        status, out, err = run_cli(capsys, *argv)
+        assert (status, err) == (0, "")
+        assert out.startswith("usage: spherical ")
+
+    @pytest.mark.parametrize("argv", USAGE_ERRORS, ids=" ".join)
+    def test_usage_error(self, capsys, argv):
+        status, out, err = run_cli(capsys, *argv)
+        assert (status, out) == (2, "")
+        assert err.startswith("usage: spherical ") and "Traceback" not in err
+        assert f"spherical {argv[0]}: error: " in err
 
     def test_jobs_default_read_when_the_command_runs(self, capsys, monkeypatch):
         seen = []
@@ -629,3 +665,148 @@ class TestUsage:
 
     def test_help_exits_zero(self, capsys):
         assert main(["--help"]) == 0
+
+
+def argvs_in_this_module():
+    # every argv this module sends through run_cli or run_bounded whose
+    # arguments are literals or module-level values
+    for node in ast.walk(ast.parse(Path(__file__).read_text())):
+        called = isinstance(node, ast.Call) and getattr(node.func, "id", None)
+        if called not in ("run_cli", "run_bounded"):
+            continue
+        args = node.args[1:]
+        if any(isinstance(arg, ast.Starred) for arg in args):
+            continue
+        try:
+            yield tuple(
+                eval(compile(ast.Expression(arg), __file__, "eval"), globals()) for arg in args
+            )
+        except NameError:
+            continue  # a test's own parameter
+
+
+# Argvs for the parser's parity with its argparse reference beyond those
+# the tests above send.
+PARSER_CORPUS = [
+    # each verb with its = and space forms
+    *(("classify", "54321", f"--backend={flag}") for flag in (*cli._BACKEND_FLAGS, "all")),
+    ("classify", "123", "--backend", "all", "--explain"),
+    ("crosscheck", "--n=5", "--backends=pattern,boolean", "--force", "--format=json", "--jobs=3"),
+    ("crosscheck", "--n", "5", "--backends", "pattern,boolean", "--format", "table", "--jobs", "3"),
+    ("count", "--max-n=3", "--format=csv", "--force", "--jobs=1"),
+    ("count", "--max-n", "3", "--format", "json", "--jobs", "1"),
+    ("patterns", "--subset=321", "--verify"),
+    ("patterns", "--subset", "3412"),
+    ("reduced-words", "321", "--limit=2"),
+    ("reduced-words", "321", "--limit", "2"),
+    ("bruhat", "21", "12", "--explain"),
+    ("interval", "2143", "--edges"),
+    # options before, between and after the positionals
+    ("classify", "--explain", "123"),
+    ("bruhat", "21", "--explain", "12"),
+    ("reduced-words", "--limit", "2", "321"),
+    # unique prefixes, ambiguous ones, and repeats
+    ("classify", "123", "--exp", "--b=all"),
+    ("crosscheck", "--n=4", "--ba=pattern,divisible", "--forc", "--form", "table", "--j=1"),
+    ("count", "--max=3", "--form=csv"),
+    ("count", "--m", "3", "--fo"),
+    ("count", "--max-n=3", "--for"),
+    ("count", "--max-n=3", "--max-n=4"),
+    ("classify", "123", "--backend=all", "--backend=boolean"),
+    ("patterns", "--verify", "--verify"),
+    # missing and extra positionals, missing required options
+    ("classify",),
+    ("bruhat", "21"),
+    ("bruhat", "21", "12", "321"),
+    ("interval", "2143", "2143"),
+    ("crosscheck",),
+    ("crosscheck", "--force"),
+    ("count",),
+    ("count", "--format=csv"),
+    # a bad int, a bad choice, and a flag given a value
+    ("count", "--max-n=three"),
+    ("count", "--max-n="),
+    ("crosscheck", "--n=5", "--jobs", "x"),
+    ("classify", "123", "--backend=fast"),
+    ("count", "--max-n=3", "--format=xml"),
+    ("classify", "123", "--explain=1"),
+    ("interval", "2143", "--edges="),
+    # an unknown option, an unknown verb, and an empty argv
+    ("classify", "123", "--verbose"),
+    ("--verbose", "classify", "123"),
+    ("frobnicate",),
+    (),
+    # negative numbers as values, --, and positionals starting with -
+    ("reduced-words", "321", "--limit", "-1"),
+    ("reduced-words", "321", "--limit=-1"),
+    ("classify", "--", "123"),
+    ("classify", "123", "--"),
+    ("classify", "--", "--explain"),
+    ("bruhat", "21", "--", "12"),
+    ("count", "--max-n=3", "--"),
+    ("reduced-words", "321", "--limit", "2", "--"),
+    ("reduced-words", "--limit", "--", "321"),
+    ("classify", "-123"),
+    ("classify", "-1.5"),
+    ("classify", "-x"),
+    ("classify", "-x y"),
+    # help, help given a value, and help after an ambiguous option
+    ("--he",),
+    ("-hh",),
+    ("classify", "-hx"),
+    ("--help=1",),
+    ("--help", "frobnicate"),
+    ("count", "-h", "--fo"),
+    ("count", "--fo", "-h"),
+    ("count", "-h", "--", "--fo"),
+]
+
+
+class TestParser:
+    def test_parity_with_the_argparse_reference(self, capsys):
+        def parse(parser, argv):
+            # the namespace, or the exit status
+            try:
+                return vars(parser(list(argv)))
+            except SystemExit as exc:
+                return exc.code
+
+        reference = build_parser().parse_args
+        sent = list(argvs_in_this_module())
+        assert ("classify", "24531", "--explain") in sent
+        assert ("reduced-words", LONGEST[400]) in sent
+        corpus = [
+            *sent,
+            *(argv for argv, _ in REFUSALS),
+            *SHARED_RUNS,
+            *HELP_ARGVS,
+            *USAGE_ERRORS,
+            ("frobnicate",),
+            *PARSER_CORPUS,
+        ]
+        mismatches = [
+            (argv, want, got)
+            for argv in corpus
+            if (want := parse(reference, argv)) != (got := parse(cli.parse_args, argv))
+        ]
+        assert mismatches == []
+
+    def test_help_lists_the_readme_synopses(self, capsys):
+        status, out, _ = run_cli(capsys, "--help")
+        readme = (Path(__file__).parents[1] / "README.md").read_text()
+        block = readme.split("\n## CLI\n", 1)[1].split("```\n", 2)[1]
+        synopses = [line.strip() for line in out.splitlines() if line.startswith("  spherical ")]
+        assert status == 0
+        assert synopses == block.splitlines()
+        assert len(synopses) == len(cli._VERBS) == 7
+
+    def test_a_second_separator_is_text(self, capsys):
+        # after --, argparse handed a later positional's literal -- over as
+        # an empty list, which reached the handler as a traceback; the
+        # table reads it as text, which the handler refuses (called through
+        # main, not run_cli, so that the parity corpus leaves it out)
+        argv = ["bruhat", "21", "--", "--"]
+        assert vars(cli.parse_args(argv))["w"] == "--"
+        assert main(argv) == 2
+        assert capsys.readouterr() == ("", "bad permutation text: '--'\n")
+
