@@ -205,11 +205,12 @@ def _catalog_certificate(w: tuple[int, ...]) -> tuple[int, ...] | None:
         c = w[j]
         if c < 3 or c > n - 2:  # a 3 needs two values on either side
             continue
+        # distinct values above c, falling from c + L, are c+L..c+1
         highs = [v for v in w[:j] if v > c]
-        if highs == list(range(c + len(highs), c, -1)):
+        if not highs or highs[0] == c + len(highs) and highs == sorted(highs, reverse=True):
             continue
         lows = [v for v in w[j + 1:] if v < c]
-        if lows == list(range(c - 1, c - 1 - len(lows), -1)):
+        if not lows or lows[-1] == c - len(lows) and lows == sorted(lows, reverse=True):
             continue
         return (j,)
     # The 3412 half: w_x > w_y with x < y are the 4 and the 2.  The 5 must

@@ -15,6 +15,16 @@ them through their constructors.  They are written out by hand rather than
 with ``dataclasses``, whose import (it pulls in ``inspect`` and ``ast``) and
 decorations would cost more than the first verdict of a ``classify`` run.
 
+Three of the four backends split w as w0(J(w)) * q, J(w) being the left
+descent set of w: ``boolean_quotient`` and ``definition`` read the
+quotient q, ``divisibility`` the pair (w0(J(w)), w), and ``definition``
+also its generator pools.  All of that depends on J alone, and S_n has
+2^(n-1) descent sets against n! words, so ``_parabolic`` builds it once
+per descent set, in one bounded cache that ``_longest_below``,
+``_quotient``, ``longest_parabolic`` and ``reduced_words._budget`` read.
+Its entries hold only tuples, so no caller can change what the next one
+reads.  The ``pattern`` backend reads nothing from it.
+
 ``avoids_all`` and ``first_pattern_occurrence`` share one scanner,
 ``_occurrences``.  It walks a trie of the patterns keyed by each letter's
 rank among the letters before it, so patterns of any degree share one walk,
@@ -271,37 +281,71 @@ def longest_parabolic(gens: GeneratorSet) -> Permutation:
     '1234'
     """
     # a block ends at each i with s_i outside gens, n among them
-    ends = [i for i in range(1, gens.degree + 1) if i not in gens.members]
-    return Permutation(_reverse_blocks(ends))
+    ends = tuple([i for i in range(1, gens.degree + 1) if i not in gens.members])
+    return Permutation(_parabolic(ends).longest)
 
 
-def _reverse_blocks(ends: Iterable[int]) -> tuple[int, ...]:
-    # 1..n with each block of consecutive values reversed in place; ``ends``
-    # lists the last value of every block, ascending, the last being n.
-    out: list[int] = []
+class _Parabolic(NamedTuple):
+    # What the backends read off J: w0(J); w0(J) behind a 0, so that
+    # ``shifted[j]`` is w0(J)(j); and the ``definition`` pools, where
+    # generator i spends one use of pool ``slot_of[i]`` (``slot_of[0]`` is
+    # unused), pool s holds ``caps[s]`` uses, a maximal run of J shares one
+    # pool and every other generator has its own.
+    longest: tuple[int, ...]
+    shifted: tuple[int, ...]
+    slot_of: tuple[int, ...]
+    caps: tuple[int, ...]
+
+
+# Keyed by the ends of the blocks of J, ascending, the last being n.  S_n
+# has 2^(n-1) descent sets against n! words: an exhaustive scan of S_8,
+# the largest ``cross_check`` runs unforced, reads 128 of them, and a
+# forced one of S_9 reads 256, which this bound holds whole, so such a scan
+# builds each entry once.  S_10's 512 and S_12's 2,048 take turns in it,
+# and queries outside a scan rarely share a descent set.  The bound is also
+# what a long-lived process keeps: an entry with its key holds about 90
+# bytes per letter, 0.26 MB at degree 3000, so at most about 70 MB there.
+@functools.lru_cache(maxsize=256)
+def _parabolic(ends: tuple[int, ...]) -> _Parabolic:
+    n = ends[-1]
+    longest: list[int] = []
+    slot_of = [0]
+    caps = [0] * n
     start = 1
     for end in ends:
-        out.extend(range(end, start - 1, -1))
+        # the block start..end: its generators but the last form a run of
+        # J in pool ``start``; s_end is outside J, a pool of its own
+        longest.extend(range(end, start - 1, -1))
+        if end > start:
+            slot_of.extend([start] * (end - start))
+            caps[start] = end - start
+        if end < n:
+            slot_of.append(end)
+            caps[end] = 1
         start = end + 1
-    return tuple(out)
+    return _Parabolic(tuple(longest), (0, *longest), tuple(slot_of), tuple(caps))
 
 
-def _longest_below(word: tuple[int, ...]) -> tuple[int, ...]:
-    # w0(J(w)): the longest element generated by the left descents of w,
-    # read from the position table.  s_i is a left descent when the value
-    # i+1 sits left of i, so a block of w0(J(w)) ends at each i whose
-    # successor sits to its right, and at n.
+def _parabolic_of(word: tuple[int, ...]) -> _Parabolic:
+    # The entry of J(w), read from the position table: s_i is a left
+    # descent when the value i+1 sits left of i, so a block of w0(J(w))
+    # ends at each i whose successor sits to its right, and at n.
     n = len(word)
     pos = [0] * (n + 2)
     for p, v in enumerate(word):
         pos[v] = p
     pos[n + 1] = n
-    return _reverse_blocks([i for i in range(1, n + 1) if pos[i] < pos[i + 1]])
+    return _parabolic(tuple([i for i in range(1, n + 1) if pos[i] < pos[i + 1]]))
+
+
+def _longest_below(word: tuple[int, ...]) -> tuple[int, ...]:
+    # w0(J(w)): the longest element generated by the left descents of w.
+    return _parabolic_of(word).longest
 
 
 def _quotient(word: tuple[int, ...]) -> tuple[int, ...]:
-    v = _longest_below(word)
-    return tuple(v[j - 1] for j in word)
+    # w0(J(w)) * w
+    return tuple(map(_parabolic_of(word).shifted.__getitem__, word))
 
 
 def relative_order(values: Sequence[int]) -> tuple[int, ...]:

@@ -13,10 +13,13 @@ every reduced word fills.  The ``definition`` search walks only the
 quotient q = w0(J(w)) * w, whose length adds to that of w0(J(w)), under
 ``_budget``'s pools: a maximal run of consecutive left descents of w
 shares one pool, every other generator has its own, and each pool holds
-one use per generator in it.  It returns q's first fitting word alone;
+one use per generator in it.  The pools and q's map depend on J(w) alone,
+so both come from the per-descent-set table in ``permutations``, built
+once per J.  The search returns q's first fitting word alone;
 ``spherical_witness_word`` and ``explain`` put the first reduced word of
 w0(J(w)) in front of it, which needs no search: for each run a..b of J,
-in increasing order, it is a; a+1, a; ...; b, ..., a.
+in increasing order, it is a; a+1, a; ...; b, ..., a, read off the same
+entry.
 
 The walker holds each element as its inverse u, one list stepped in
 place: i is a left descent exactly when u_i > u_{i+1}, the step to s_i
@@ -28,7 +31,9 @@ the two values swapped; stepping back undoes the same three bits.  So a
 step reads four entries of u instead of scanning it, and a frame's next
 letter is the lowest set bit of its untried mask.  Letters are tried in
 ascending order, so a frame that returns from its child at i has the
-mask's bits above i untried: no frame holds more than its letter.
+mask's bits above i untried: no frame holds more than its letter.  Each
+letter is taken from one table of the letter ints, so the prefix and the
+words yielded hold one int object per letter value, not one per place.
 
 The crossing number c_i = #{j <= i : u_j > i}, the same for an element
 and its inverse, counts the values that a reduced word must carry across
@@ -80,9 +85,9 @@ from __future__ import annotations
 import bisect
 import itertools
 import math
-from typing import Iterator, Mapping, Sequence
+from typing import Iterator, Sequence
 
-from .permutations import Permutation, _left_descents, _length, _quotient
+from .permutations import Permutation, _length, _parabolic_of
 
 WORD_ESTIMATE_LIMIT = 1_000_000
 # ``_shape_bound`` cuts lambda(w) to a square of this side.
@@ -176,7 +181,7 @@ def _reduced_word_count(word: tuple[int, ...], cap: int) -> int:
 
 
 def _reduced_words(
-    word: tuple[int, ...], slot_of: Mapping[int, int], caps: Sequence[int]
+    word: tuple[int, ...], slot_of: Sequence[int], caps: Sequence[int]
 ) -> Iterator[tuple[int, ...]]:
     # Reduced words of ``word`` that fit the pools, in lexicographic order:
     # depth-first over left descents, ascending, stepping one inverse, one
@@ -187,7 +192,9 @@ def _reduced_words(
     # free.  A state is dead only if no word was yielded beneath it, since
     # the same element is reached along many paths and a subtree that
     # produced words must not be pruned; ``live`` counts the frames, from
-    # the root, with a word beneath them.
+    # the root, with a word beneath them.  ``letters[k]`` is k - 1, the
+    # letter of a bit whose ``bit_length`` is k: the prefix and the words
+    # take their letters from it, one int per letter value.
     length = _length(word)
     if length > sum(caps):
         return
@@ -206,6 +213,7 @@ def _reduced_words(
     if length < 2:
         yield (mask.bit_length() - 1,) if mask else ()
         return
+    letters = list(range(-1, n))
     dead: set[tuple[tuple[int, ...], tuple[int, ...]]] = set()
     live = 0
     prefix: list[int] = []
@@ -235,7 +243,7 @@ def _reduced_words(
             continue
         low = todo & -todo
         todo ^= low
-        i = low.bit_length() - 1
+        i = letters[low.bit_length()]
         a, b = u[i], u[i + 1]
         free = a > i >= b  # the step lowers c_i
         if not free:
@@ -251,7 +259,7 @@ def _reduced_words(
                 j |= low >> 1
             if b < u[i + 2] < a:
                 j |= low << 1
-            yield (*prefix, i, j.bit_length() - 1)
+            yield (*prefix, i, letters[j.bit_length()])
             u[i], u[i + 1] = a, b
             continue
         if not free:
@@ -297,7 +305,7 @@ def enumerate_reduced_words(
                 f"{w} has more than {cap} reduced words; "
                 "pass --limit (limit=N) to enumerate anyway"
             )
-    words = _reduced_words(w.oneline, dict.fromkeys(range(w.degree), 0), (w.length(),))
+    words = _reduced_words(w.oneline, (0,) * w.degree, (w.length(),))
     return list(itertools.islice(words, limit))
 
 
@@ -367,15 +375,10 @@ def is_boolean_by_words(w: Permutation) -> bool:
     return repetition_free_word(w) is not None
 
 
-def _budget(word: tuple[int, ...]) -> tuple[dict[int, int], list[int]]:
+def _budget(word: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...]]:
     # Generator-to-pool map and the uses each pool holds (module docstring).
-    descents = set(_left_descents(word))
-    slot_of: dict[int, int] = {}
-    caps = [0] * len(word)
-    for g in range(1, len(word)):
-        slot_of[g] = slot_of[g - 1] if g in descents and g - 1 in descents else g
-        caps[slot_of[g]] += 1
-    return slot_of, caps
+    entry = _parabolic_of(word)
+    return entry.slot_of, entry.caps
 
 
 def spherical_witness_word(w: Permutation) -> tuple[int, ...] | None:
@@ -395,13 +398,19 @@ def spherical_witness_word(w: Permutation) -> tuple[int, ...] | None:
 
 def _fitting_quotient_word(word: tuple[int, ...]) -> tuple[int, ...] | None:
     # The definition search: q's first reduced word that fits the pools.
-    return next(_reduced_words(_quotient(word), *_budget(word)), None)
+    entry = _parabolic_of(word)
+    q = tuple(map(entry.shifted.__getitem__, word))
+    return next(_reduced_words(q, entry.slot_of, entry.caps), None)
 
 
 def _after_parabolic_word(word: tuple[int, ...], rest: tuple[int, ...]) -> tuple[int, ...]:
     # The first reduced word of w0(J(w)), read off the pools' runs (module
-    # docstring), then rest.  The runs are slices of one letter table, so
-    # every place of a letter holds the same int.
-    slot_of = _budget(word)[0]
+    # docstring), then rest: g is in J exactly when w0(J) descends at g,
+    # and its run starts at ``slot_of[g]``.  The runs are slices of one
+    # letter table, so every place of a letter holds the same int.
+    v, _, slot_of, _ = _parabolic_of(word)
     letters = list(range(len(word)))
-    return (*(j for g in _left_descents(word) for j in letters[g : slot_of[g] - 1 : -1]), *rest)
+    return (
+        *(j for g in range(1, len(word)) if v[g - 1] > v[g] for j in letters[g : slot_of[g] - 1 : -1]),
+        *rest,
+    )

@@ -24,6 +24,11 @@ each generating-tree member with ``_allowed_sites`` (itself checked
 against brute force), the child-by-child derivation that the tree's walk
 skips for its last degree.
 
+``reverse_blocks``, ``longest_parabolic``, ``longest_below``, ``quotient``
+and ``budget`` build w0(J), the parabolic quotient and the ``definition``
+pools from scratch for every call, as the library did before it looked
+them up by descent set; its table must give the same values.
+
 ``build_parser`` is the argparse parser the CLI read its arguments with
 before its verb table, kept word for word: the table's ``parse_args``
 must give the same namespace on every argv it accepts, and exit 2 on
@@ -40,7 +45,7 @@ from collections import Counter
 
 from spherical.classify import _allowed_sites, catalog
 from spherical.cli import _BACKEND_FLAGS
-from spherical.permutations import Permutation, _left_descents, symmetric_group
+from spherical.permutations import GeneratorSet, Permutation, _left_descents, symmetric_group
 
 
 def standardize(values) -> tuple[int, ...]:
@@ -310,6 +315,54 @@ def is_boolean_by_support(w: Permutation) -> bool:
     the support exactly when w moves some value of 1..i past i."""
     support = sum(1 for i in range(1, w.degree) if max(w.oneline[:i]) > i)
     return inversion_count(w.oneline) == support
+
+
+def reverse_blocks(ends) -> tuple[int, ...]:
+    """1..n with each block of consecutive values reversed in place;
+    ``ends`` lists the last value of every block, ascending, the last
+    being n."""
+    out: list[int] = []
+    start = 1
+    for end in ends:
+        out.extend(range(end, start - 1, -1))
+        start = end + 1
+    return tuple(out)
+
+
+def longest_parabolic(gens: GeneratorSet) -> Permutation:
+    """w0(J) for J = ``gens``: a block ends at each i with s_i outside J,
+    and at n."""
+    return Permutation(reverse_blocks([i for i in range(1, gens.degree + 1) if i not in gens.members]))
+
+
+def longest_below(word: tuple[int, ...]) -> tuple[int, ...]:
+    """w0(J(w)) from the position table: a block ends at each i whose
+    successor i+1 sits to its right, and at n."""
+    n = len(word)
+    pos = [0] * (n + 2)
+    for p, v in enumerate(word):
+        pos[v] = p
+    pos[n + 1] = n
+    return reverse_blocks([i for i in range(1, n + 1) if pos[i] < pos[i + 1]])
+
+
+def quotient(word: tuple[int, ...]) -> tuple[int, ...]:
+    """w0(J(w)) * w."""
+    v = longest_below(word)
+    return tuple(v[j - 1] for j in word)
+
+
+def budget(word: tuple[int, ...]) -> tuple[dict[int, int], list[int]]:
+    """The ``definition`` pools of w: generator g joins the pool of g-1
+    when both are left descents, else opens its own; each pool holds one
+    use per generator in it."""
+    descents = set(_left_descents(word))
+    slot_of: dict[int, int] = {}
+    caps = [0] * len(word)
+    for g in range(1, len(word)):
+        slot_of[g] = slot_of[g - 1] if g in descents and g - 1 in descents else g
+        caps[slot_of[g]] += 1
+    return slot_of, caps
 
 
 def own_site_counts(members) -> list[int]:

@@ -1,4 +1,5 @@
 import copy
+import itertools
 import math
 import pickle
 import random
@@ -7,6 +8,7 @@ from concurrent.futures.process import BrokenProcessPool
 import pytest
 from hypothesis import given, strategies as st
 
+import oracles
 from spherical import classify
 from spherical.classify import (
     BACKENDS,
@@ -24,12 +26,18 @@ from spherical.classify import (
     verify_catalog_characterizations,
 )
 from spherical.permutations import (
+    GeneratorSet,
     Permutation,
+    _longest_below,
+    _parabolic,
+    _parabolic_of,
+    _quotient,
     avoids_all,
     longest_parabolic,
     relative_order,
     symmetric_group,
 )
+from spherical.reduced_words import _budget
 
 from oracles import avoids_by_subsets, leftmost_occurrence, own_site_counts
 
@@ -310,6 +318,69 @@ class TestTuplePath:
         for n in range(1, 7):
             for w in symmetric_group(n):
                 assert says_spherical(explain(w, backend)) == is_spherical(w, backend)
+
+
+def table_words():
+    # S_1..S_8, 2,000 seeded words of degree 9-60, and w0 of degree 1000
+    words = [p for n in range(1, 9) for p in itertools.permutations(range(1, n + 1))]
+    rng = random.Random(2024)
+    for _ in range(2000):
+        n = rng.randint(9, 60)
+        words.append(tuple(rng.sample(range(1, n + 1), n)))
+    words.append(tuple(range(1000, 0, -1)))
+    return words
+
+
+def rebuilt_entry(word):
+    # the table's entry of J(w), from the builders it replaced
+    v = oracles.longest_below(word)
+    slot_of, caps = oracles.budget(word)
+    return v, (0, *v), (0, *slot_of.values()), tuple(caps)
+
+
+class TestParabolicTable:
+    def test_equals_the_builders_it_replaced(self):
+        for word in table_words():
+            v, _, slot_of, caps = rebuilt_entry(word)
+            assert _longest_below(word) == v, word
+            assert _quotient(word) == oracles.quotient(word), word
+            assert _budget(word) == (slot_of, caps), word
+            gens = GeneratorSet(len(word), frozenset(i for i in range(1, len(word)) if v[i - 1] > v[i]))
+            assert longest_parabolic(gens) == oracles.longest_parabolic(gens), word
+
+    def test_entries_equal_a_fresh_rebuild_after_every_backend(self):
+        s6 = list(symmetric_group(6))
+        for w in s6:
+            for backend in BACKENDS:
+                is_spherical(w, backend)
+                explain(w, backend)
+        misses = _parabolic.cache_info().misses
+        for w in s6:
+            entry = _parabolic_of(w.oneline)
+            assert tuple(entry) == rebuilt_entry(w.oneline), str(w)
+            assert all(type(part) is tuple for part in entry), str(w)
+        assert _parabolic.cache_info().misses == misses  # read the cached entries
+
+    def test_pattern_backend_reads_nothing_from_the_table(self):
+        catalog()
+        before = _parabolic.cache_info()
+        for w in symmetric_group(6):
+            is_spherical(w, "pattern")
+            explain(w, "pattern")
+        assert _parabolic.cache_info()[:2] == before[:2]
+
+    def test_stays_within_its_bound(self):
+        rng = random.Random(40)
+        words = set()
+        while len(words) < 2000:
+            words.add(tuple(rng.sample(range(1, 41), 40)))
+        misses = _parabolic.cache_info().misses
+        for word in words:
+            for backend in ("boolean_quotient", "divisibility", "definition"):
+                is_spherical(Permutation(word), backend)
+        info = _parabolic.cache_info()
+        assert info.misses - misses > info.maxsize  # the bound was reached
+        assert info.currsize <= info.maxsize
 
 
 class TestExplain:

@@ -215,9 +215,9 @@ class TestLongestElements:
         assert word.count(",") + 1 == n * (n - 1) // 2
 
     # Without --explain no witness becomes text.  tracemalloc follows each
-    # int the pattern search allocates, which stretches its quadratic scan
-    # at degree 3000 to about 35 s, so that run is held to the wall bound
-    # and the untouched witness alone.
+    # object the pattern search allocates, which stretches the quadratic
+    # walk over the 3412 half's pairs at degree 3000 to about 25 s, so that
+    # run is held to the wall bound and the untouched witness alone.
     @pytest.mark.parametrize(
         "n, flag, traced",
         [
