@@ -28,9 +28,11 @@ verdict columns, and times each backend.  ``density_table``
 tabulates spherical counts per degree by walking the generating tree of
 the class: each spherical word of degree n+1 is a spherical word of
 degree n with n+1 inserted, and the catalog's two positional tests say
-where the insertion is allowed.  The same pass over a member also says
-how many sites each of its children has, so the walk stops two degrees
-short of the last and counts the last two from the sites.  Both hand
+where the insertion is allowed.  Two sweeps over a member tabulate what
+those tests read per position, so one pass from right to left finds the
+sites in O(n log n) steps.  The same pass also says how many sites each
+of its children has, so the walk stops two degrees short of the last and
+counts the last two from the sites.  Both hand
 their blocks (subtrees for the tree) to one scan driver; below its degree
 bound a scan is one block, run in-process, since a pool costs more to
 start than such a scan takes.
@@ -42,6 +44,7 @@ import bisect
 import functools
 import itertools
 import math
+import operator
 import os
 import time
 import warnings
@@ -642,77 +645,98 @@ _TREE_CUT = 5
 
 
 def _site_pass(w: tuple[int, ...]) -> tuple[list[int], list[int], list[int]]:
-    """One quadratic pass over the spherical word w, where M = len(w)+1 is
-    inserted.  It returns the allowed sites, in increasing order; the
-    middles, the positions j where a "1" and a "2" of the 321 half exist
-    with w_j as the "3"; and ``reach_at``, whose entry at site t is the
-    greatest ``reach`` among the j whose ``opens`` is t, or -1 (both are
-    defined below).  A child with M at a site s in opens..reach of some j
-    has M as that j's "4" in the 3412 half.
+    """Two sweeps and one pass over the spherical word w, where M = len(w)+1
+    is inserted: O(n log n) steps, besides the memory moves of inserting
+    into two sorted lists.  It returns the allowed sites, in increasing
+    order; the middles, the positions j where a "1" and a "2" of the 321
+    half exist with w_j as the "3"; and ``reach_at``, whose entry at site
+    t is the greatest ``reach`` among the j whose ``opens`` is t, or -1
+    (both are defined below).  A child with M at a site s in opens..reach
+    of some j has M as that j's "4" in the 3412 half.
 
     w avoids the catalog, so an occurrence in a child uses the new
     maximum, and only as its "5".  The catalog's positional tests
     (``_position_test_321``, ``_position_test_3412``) then read as
     forbidden sites on w: a prefix of sites, and one stretch per middle
-    entry of the 321 half.
+    entry of the 321 half.  The pass runs over j from right to left
+    beside the sorted values after j, and reads each test on j off the
+    sweeps' tables in O(1) steps or one bisection.  The prefix, the
+    stretches and ``reach_at`` only take maxima and minima, so the order
+    of j does not matter.
     """
     n = len(w)
+    # Left to right: pos[v], the position of v; asc[r], the greatest w_a
+    # with a < b < r and w_a < w_b, or 0 (the predecessor of each w_b in
+    # the sorted prefix before it).
     pos = [-1] * (n + 1)
+    asc = [0] * (n + 1)
+    seen: list[int] = []
+    low = 0
     for i, v in enumerate(w):
         pos[v] = i
-    # last_upto[v]: the last position holding a value at most v, or -1.
+        k = bisect.bisect_right(seen, v)
+        if k and seen[k - 1] > low:
+            low = seen[k - 1]
+        seen.insert(k, v)
+        asc[i + 1] = low
+    # premax[r]: the greatest of w[:r], or 0.  Down the values: rises[v],
+    # the u < v with u before u+1, so that u..v sit right to left exactly
+    # when rises[u] == rises[v]; last_upto[v], the last position holding
+    # a value at most v, or -1.
+    premax = [0, *itertools.accumulate(w, max)]
+    rises = [0, 0, *itertools.accumulate(map(operator.lt, pos[1:], pos[2:]))]
     last_upto = list(itertools.accumulate(pos, max))
-    prefix = -1  # sites 0..prefix are forbidden; never past the current j
-    starts = [n + 1] * (n + 1)  # sites starts[j]..j are forbidden
+    prefix = -1  # sites 0..prefix are forbidden
+    start = n + 1  # sites start..j are forbidden by a middle at or past j
+    sites = [n]  # sites past prefix are allowed exactly when listed here
     middles = []
     reach_at = [-1] * (n + 1)
-    for j, wj in enumerate(w):
-        after = w[j + 1:]
-        lows = [y for y in after if y < wj]
+    after: list[int] = []  # the values after j, sorted
+    for j in range(n - 1, -1, -1):
+        wj = w[j]
+        below = bisect.bisect_right(after, wj)  # the values below w_j after j
         # opens: the least site s such that a value above w_j lies after j
         # or among the first s letters of w; n+1 when none is above w_j.
-        if len(lows) < len(after):
-            opens = 0
+        # least: the least value above w_j after j, or n+1.
+        if below < len(after):
+            opens, least = 0, after[below]
         else:
-            opens = 1 + min(pos[wj + 1:], default=n)
+            opens, least = bisect.bisect_right(premax, wj), n + 1
         # 321 half, w_j the "3": a "1" at k > j with w_k < w_j and a "2"
         # valued in (w_k, w_j) before j or after k.  Such a "1" exists
         # unless the values below w_j after j are w_j-1, ..., w_j-L in that
-        # order, as in ``_catalog_certificate``.  The new "5" must then come
-        # before j, with a "4" (any value above w_j) before it or after j:
-        # sites opens..j are forbidden.
-        if lows != list(range(wj - 1, wj - 1 - len(lows), -1)):
+        # order, as in ``_catalog_certificate``: unless the values from
+        # their least, after[0], to w_j-1 sit right to left, all after j.
+        # The new "5" must then come before j, with a "4" (any value above
+        # w_j) before it or after j: sites opens..j are forbidden.
+        if below and (rises[wj - 1] != rises[after[0]] or pos[wj - 1] < j):
             middles.append(j)
             if opens:
-                starts[j] = opens
-            else:
+                start = min(start, opens)
+            elif j > prefix:
                 prefix = j
+        if start > j:
+            sites.append(j)
         # 3412 half, w_j the "2": a "4" at i < j with w_i > w_j, a "3"
         # valued in (w_j, w_i) before i or after j, and a "1" (any value
         # below w_j) after i, the latest at last_upto[w_j - 1].  Among the
         # values above w_j before both, such a "4" exists unless they fall
-        # and the first of them is below every value above w_j after j.
-        # The new "5" must then come before both j and that "1".
-        reach = min(j, last_upto[wj - 1])
-        if reach > prefix:
-            highs = [y for y in w[:reach] if y > wj]
-            if highs and (
-                highs != sorted(highs, reverse=True)
-                or highs[0] > min([y for y in after if y > wj], default=n + 1)
-            ):
-                prefix = reach
+        # (asc[reach] <= w_j) and the first of them, premax[reach], is below
+        # every value above w_j after j.  The new "5" must then come before
+        # both j and that "1".
+        reach = j if below else last_upto[wj - 1]
+        first = premax[reach]
+        if reach > prefix and first > wj and (asc[reach] > wj or first > least):
+            prefix = reach
         # In a child with M at a site s <= reach, M is such a "4", with a
         # "3" exactly when s >= opens; M+1 is then forbidden at 0..reach+1.
         if reach >= opens and reach > reach_at[opens]:
             reach_at[opens] = reach
-    allowed = []
-    start = n + 1  # the least start among stretches ending at or after s
-    for s in range(n, prefix, -1):
-        start = min(start, starts[s])
-        if start > s:
-            allowed.append(s)
-    allowed.reverse()
-    return allowed, middles, reach_at
+        after.insert(below, wj)
+    sites.reverse()
+    del sites[: bisect.bisect_right(sites, prefix)]
+    middles.reverse()
+    return sites, middles, reach_at
 
 
 def _allowed_sites(w: tuple[int, ...]) -> list[int]:
@@ -724,7 +748,7 @@ def _allowed_sites(w: tuple[int, ...]) -> list[int]:
 def _child_site_counts(w: tuple[int, ...]) -> tuple[list[int], list[int]]:
     """The allowed sites of the spherical word w and, for each site s, the
     number of allowed sites of the child made by inserting M = len(w)+1
-    at s, all from one pass over w.
+    at s, all from ``_site_pass`` over w and one table of site counts.
 
     The child's sites are w's, lifted: s splits into s and s+1, and every
     later site moves up by one.  Any occurrence that the child's next
@@ -739,22 +763,24 @@ def _child_site_counts(w: tuple[int, ...]) -> tuple[list[int], list[int]]:
     sites, middles, reach_at = _site_pass(w)
     reach_from = list(itertools.accumulate(reach_at, max))
     last = middles[-1] if middles else -1
-
-    def above(x: int) -> int:  # the sites of w past x
-        return len(sites) - bisect.bisect_right(sites, x)
+    # past[x + 1]: the sites of w past x, for x in -1..len(w)
+    past = [0] * (len(w) + 2)
+    for s in sites:
+        past[s] = 1
+    past = list(itertools.accumulate(past[::-1]))[::-1]
 
     counts = []
     for s in sites:
         reach = reach_from[s]
         if reach >= s:
             # sites 0..reach+1 take s, s+1 and each t+1 with t <= reach
-            counts.append(above(max(reach, last)))
+            counts.append(past[max(reach, last) + 1])
             continue
         i = bisect.bisect_left(middles, s)
         before = middles[i - 1] if i else -1
         # what remains: the sites of w in (before, s], s+1 unless a middle
         # lies at or after s, and t+1 for each site t of w past s and last
-        counts.append(above(before) - above(s) + (last < s) + above(max(s, last)))
+        counts.append(past[before + 1] - past[s + 1] + (last < s) + past[max(s, last) + 1])
     return sites, counts
 
 
@@ -788,11 +814,11 @@ def density_table(
     Counting walks the generating tree of the class from (1,): the
     children of a spherical word of degree n are the words made by
     inserting n+1 at each site where the result still avoids the catalog,
-    found in one quadratic pass over the parent.  That pass also gives
-    each child's number of sites, so members are built only to degree
-    max_n-2.  The cost follows the class size, not n!.  The default bound
-    is degree 10; ``force=True`` overrides it.  Below the bound the walk
-    runs in-process for any ``jobs``.
+    found in O(n log n) steps on the parent by ``_site_pass``.  That pass
+    also gives each child's number of sites, so members are built only to
+    degree max_n-2.  The cost follows the class size, not n!.  The default
+    bound is degree 10; ``force=True`` overrides it.  Below the bound the
+    walk runs in-process for any ``jobs``.
 
     >>> density_table(5)[-1]
     DensityRow(n=5, spherical=99, total=120, ratio=0.825)

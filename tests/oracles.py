@@ -24,6 +24,10 @@ each generating-tree member with ``_allowed_sites`` (itself checked
 against brute force), the child-by-child derivation that the tree's walk
 skips for its last degree.
 
+``site_pass`` is the generating tree's quadratic site pass, which slices
+w once per position; the library's two sweeps and one pass must return
+the same sites, middles and ``reach_at``.
+
 ``reverse_blocks``, ``longest_parabolic``, ``longest_below``, ``quotient``
 and ``budget`` build w0(J), the parabolic quotient and the ``definition``
 pools from scratch for every call, as the library did before it looked
@@ -363,6 +367,72 @@ def budget(word: tuple[int, ...]) -> tuple[dict[int, int], list[int]]:
         slot_of[g] = slot_of[g - 1] if g in descents and g - 1 in descents else g
         caps[slot_of[g]] += 1
     return slot_of, caps
+
+
+def site_pass(w: tuple[int, ...]) -> tuple[list[int], list[int], list[int]]:
+    """The generating tree's site pass as the library ran it before its
+    sweeps: for each position j it slices the letters after j, the
+    positions of the values above w_j and the prefix before ``reach``, so
+    it costs O(n^2) steps.  Returns (allowed sites, middles, ``reach_at``),
+    which ``classify._site_pass`` must equal; the comments below define
+    each."""
+    n = len(w)
+    pos = [-1] * (n + 1)
+    for i, v in enumerate(w):
+        pos[v] = i
+    # last_upto[v]: the last position holding a value at most v, or -1.
+    last_upto = list(itertools.accumulate(pos, max))
+    prefix = -1  # sites 0..prefix are forbidden; never past the current j
+    starts = [n + 1] * (n + 1)  # sites starts[j]..j are forbidden
+    middles = []
+    reach_at = [-1] * (n + 1)
+    for j, wj in enumerate(w):
+        after = w[j + 1:]
+        lows = [y for y in after if y < wj]
+        # opens: the least site s such that a value above w_j lies after j
+        # or among the first s letters of w; n+1 when none is above w_j.
+        if len(lows) < len(after):
+            opens = 0
+        else:
+            opens = 1 + min(pos[wj + 1:], default=n)
+        # 321 half, w_j the "3": a "1" at k > j with w_k < w_j and a "2"
+        # valued in (w_k, w_j) before j or after k.  Such a "1" exists
+        # unless the values below w_j after j are w_j-1, ..., w_j-L in that
+        # order, as in ``_catalog_certificate``.  The new "5" must then come
+        # before j, with a "4" (any value above w_j) before it or after j:
+        # sites opens..j are forbidden.
+        if lows != list(range(wj - 1, wj - 1 - len(lows), -1)):
+            middles.append(j)
+            if opens:
+                starts[j] = opens
+            else:
+                prefix = j
+        # 3412 half, w_j the "2": a "4" at i < j with w_i > w_j, a "3"
+        # valued in (w_j, w_i) before i or after j, and a "1" (any value
+        # below w_j) after i, the latest at last_upto[w_j - 1].  Among the
+        # values above w_j before both, such a "4" exists unless they fall
+        # and the first of them is below every value above w_j after j.
+        # The new "5" must then come before both j and that "1".
+        reach = min(j, last_upto[wj - 1])
+        if reach > prefix:
+            highs = [y for y in w[:reach] if y > wj]
+            if highs and (
+                highs != sorted(highs, reverse=True)
+                or highs[0] > min([y for y in after if y > wj], default=n + 1)
+            ):
+                prefix = reach
+        # In a child with M at a site s <= reach, M is such a "4", with a
+        # "3" exactly when s >= opens; M+1 is then forbidden at 0..reach+1.
+        if reach >= opens and reach > reach_at[opens]:
+            reach_at[opens] = reach
+    allowed = []
+    start = n + 1  # the least start among stretches ending at or after s
+    for s in range(n, prefix, -1):
+        start = min(start, starts[s])
+        if start > s:
+            allowed.append(s)
+    allowed.reverse()
+    return allowed, middles, reach_at
 
 
 def own_site_counts(members) -> list[int]:

@@ -1,8 +1,9 @@
-"""The snapshot script's file naming; no benchmark runs here."""
+"""The snapshot script's file naming and run environment; no benchmark runs here."""
 
 import datetime
 import importlib.util
 import json
+import os
 from pathlib import Path
 
 import pytest
@@ -48,3 +49,40 @@ def test_refuses_before_running_when_every_name_is_taken(snapshot, tmp_path, mon
     with pytest.raises(SystemExit):
         snapshot.main(["--parent", str(tmp_path / "parent"), "--change", str(tmp_path / "change")])
     assert taken.read_text() == "kept"
+
+
+def test_each_side_runs_with_its_own_fresh_bytecode_cache(snapshot, tmp_path, monkeypatch):
+    # every benchmark run's environment, recorded instead of running it
+    for side in ("parent", "change"):
+        (tmp_path / side / "bench").mkdir(parents=True)
+        (tmp_path / side / "bench" / "run.py").write_text("")
+    (tmp_path / "BENCHMARK.json").write_text(json.dumps(
+        {"run_seconds": 1, "workloads": [{"name": "w"}], "end_to_end": []}))
+    monkeypatch.setenv("PYTHONPYCACHEPREFIX", str(tmp_path / "inherited"))
+    seen = []
+
+    class Done:
+        returncode = 0
+        stdout = json.dumps({"correct": True, "attempted": 1, "failed": 0, "metrics": {}})
+        stderr = ""
+
+    def record(argv, cwd, env, **kwargs):
+        prefix = env["PYTHONPYCACHEPREFIX"]
+        seen.append((Path(cwd).name, prefix))
+        assert not os.path.exists(prefix) or not os.listdir(prefix)
+        return Done()
+
+    monkeypatch.setattr(snapshot, "ROOT", tmp_path)
+    monkeypatch.setattr(snapshot, "git", lambda root, *args: None)
+    monkeypatch.setattr(snapshot, "tier1", lambda root: {"status": 0})
+    monkeypatch.setattr(snapshot.subprocess, "run", record)
+    snapshot.main(["--parent", str(tmp_path / "parent"), "--change", str(tmp_path / "change")])
+
+    assert len(seen) == 2 * (len(snapshot.SEEDS) + 1)
+    prefixes = {side: {prefix for name, prefix in seen if name == side}
+                for side in ("parent", "change")}
+    assert all(len(p) == 1 for p in prefixes.values()), prefixes
+    (parent,), (change,) = prefixes.values()
+    assert parent != change
+    assert str(tmp_path / "inherited") not in (parent, change)
+    assert not os.path.exists(os.path.dirname(parent))  # removed afterwards

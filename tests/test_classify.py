@@ -748,6 +748,16 @@ class TestDensity:
         with pytest.raises(ValueError, match="jobs"):
             density_table(3, jobs=jobs)
 
+    def test_rows_through_degree_eleven(self):
+        # a regression guard past the exhaustive oracle degrees; the counts
+        # at degrees 10 and 11 were confirmed by the divisibility backend
+        # over every child of every member, outside the suite
+        rows = density_table(11, force=True, jobs=1)
+        assert [row.spherical for row in rows] == [
+            1, 2, 6, 24, 99, 400, 1590, 6277, 24732, 97422, 383797,
+        ]
+        assert [row.n for row in rows] == list(range(1, 12))
+
     def test_degree_six_to_eight_pins(self):
         # computed values; each count was confirmed by two independent
         # backends (pattern and boolean quotient) agreeing pointwise
@@ -759,3 +769,60 @@ class TestDensity:
         for row in rows:
             assert row.total == math.factorial(row.n)
             assert row.ratio == row.spherical / row.total
+
+
+def member_sum(rng, n, by_degree):
+    # A direct sum of members drawn from ``by_degree``, of degree n; every
+    # catalog pattern is sum-indecomposable, so the sum is spherical.
+    word: list[int] = []
+    while len(word) < n:
+        shift = len(word)
+        k = rng.randint(1, min(len(by_degree), n - shift))
+        word.extend(v + shift for v in rng.choice(by_degree[k - 1]))
+    return tuple(word)
+
+
+class TestSitePass:
+    """The sweeps' site pass against the quadratic one in the oracles."""
+
+    def test_every_member_through_degree_nine(self):
+        level = [(1,)]
+        seen = 0
+        for n in range(1, 10):
+            grown = []
+            for w in level:
+                expected = oracles.site_pass(w)
+                assert classify._site_pass(w) == expected, w
+                grown.extend(w[:s] + (n + 1,) + w[s:] for s in expected[0])
+            seen += len(level)
+            level = grown
+        assert seen == 33131
+
+    @staticmethod
+    def members_by_degree(max_n):
+        # by_degree[k - 1]: the members of degree k, for k = 1..max_n
+        by_degree = [[(1,)]]
+        while len(by_degree) < max_n:
+            top = (len(by_degree) + 1,)
+            by_degree.append(
+                [w[:s] + top + w[s:] for w in by_degree[-1] for s in oracles.site_pass(w)[0]]
+            )
+        return by_degree
+
+    def test_sums_of_members_from_degree_twenty_to_four_hundred(self):
+        by_degree = self.members_by_degree(7)
+        rng = random.Random(2503)
+        for n in [20, 400, *(rng.randint(20, 400) for _ in range(22))]:
+            w = member_sum(rng, n, by_degree)
+            assert is_spherical(Permutation(w)), w
+            assert classify._site_pass(w) == oracles.site_pass(w), w
+
+    def test_degree_one_thousand(self):
+        n = 1000
+        words = [
+            tuple(range(n, 0, -1)),
+            tuple(range(1, n + 1)),
+            member_sum(random.Random(1000), n, self.members_by_degree(7)),
+        ]
+        for w in words:
+            assert classify._site_pass(w) == oracles.site_pass(w)

@@ -7,13 +7,17 @@ checkouts run ``python3 bench/run.py --workload W --seed S --seconds T``
 from their own roots, T being the file's ``run_seconds``; which side runs
 first alternates from one seed to the next.  Each checkout also makes one
 traced run per workload (``--trace 1``, the per-layer rows) and one tier-1
-test run, whose wall time is recorded.  Each checkout is identified by its
-git HEAD, whether its work tree differs from HEAD, and a hash of its
-``src`` files, so a measured tree that is not yet committed is never
-taken for its parent.  The file holds the last-line metrics of every run,
-the machine context, and per workload and metric each side's median and
-quartiles and the number of seeds on which the change did better, by the
-direction ``BENCHMARK.json`` gives.  Any run that fails or reports
+test run, whose wall time is recorded.  Each checkout's benchmark runs
+share one bytecode cache of their own (``PYTHONPYCACHEPREFIX``), empty at
+the start and removed at the end, so neither side reads bytecode that the
+other side, an earlier run or the caller's environment left behind.
+Each checkout is identified by its git HEAD, whether its work tree
+differs from HEAD, and a hash of its ``src`` files, so a measured tree
+that is not yet committed is never taken for its parent.  The file
+holds the last-line metrics of every run, the machine context, and per
+workload and metric each side's median and quartiles and the number of
+seeds on which the change did better, by the direction
+``BENCHMARK.json`` gives.  Any run that fails or reports
 ``correct: false`` is kept in the file, and the script exits 1.  The file
 is written to the root of the checkout this script lives in, and never
 over an existing one: when ``BENCH_<date>.json`` is taken the name is
@@ -32,6 +36,7 @@ import platform
 import statistics
 import subprocess
 import sys
+import tempfile
 import time
 from pathlib import Path
 
@@ -83,11 +88,12 @@ def snapshot_path(root: Path, today: str, head: str | None) -> Path | None:
     return next((root / name for name in names if not (root / name).exists()), None)
 
 
-def bench(root: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
+def bench(root: Path, workload: str, seed: int, seconds: float, trace: int,
+          env: dict) -> dict:
     argv = [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(seed),
             "--seconds", str(seconds), "--trace", str(trace)]
     start = time.perf_counter()
-    done = subprocess.run(argv, cwd=root, capture_output=True, text=True)
+    done = subprocess.run(argv, cwd=root, env=env, capture_output=True, text=True)
     run = {"workload": workload, "seed": seed, "trace": trace,
            "wall_s": round(time.perf_counter() - start, 2), "status": done.returncode,
            "loadavg_1m": os.getloadavg()[0]}
@@ -155,16 +161,19 @@ def main(argv=None) -> int:
         parser.error(f"every snapshot name for {today} in {ROOT} is taken")
 
     runs = []
-    for w in (w["name"] for w in spec["workloads"]):
-        for seed in SEEDS:
-            for side in SIDES if seed % 2 else SIDES[::-1]:
-                run = bench(checkouts[side], w, seed, seconds, 0)
-                runs.append({"checkout": side, **run})
-                print(f"{side:>6} {w:<10} seed {seed:>2}: correct={run['correct']}",
-                      file=sys.stderr)
-    for side, root in checkouts.items():
+    with tempfile.TemporaryDirectory(prefix="bench-pycache-") as caches:
+        envs = {side: {**os.environ, "PYTHONPYCACHEPREFIX": os.path.join(caches, side)}
+                for side in SIDES}
         for w in (w["name"] for w in spec["workloads"]):
-            runs.append({"checkout": side, **bench(root, w, 1, seconds, 1)})
+            for seed in SEEDS:
+                for side in SIDES if seed % 2 else SIDES[::-1]:
+                    run = bench(checkouts[side], w, seed, seconds, 0, envs[side])
+                    runs.append({"checkout": side, **run})
+                    print(f"{side:>6} {w:<10} seed {seed:>2}: correct={run['correct']}",
+                          file=sys.stderr)
+        for side, root in checkouts.items():
+            for w in (w["name"] for w in spec["workloads"]):
+                runs.append({"checkout": side, **bench(root, w, 1, seconds, 1, envs[side])})
     tests = {side: tier1(root) for side, root in checkouts.items()}
 
     snapshot = {
