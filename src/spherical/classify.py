@@ -24,18 +24,20 @@ backends over a whole symmetric group and reports any disagreement; it
 scans S_n in blocks by first value, which joined in order give the
 lexicographic stream.  Within a block it
 runs backend by backend over slices of at most 5,040 words, compares the
-verdict columns, and times each backend.  ``density_table``
-tabulates spherical counts per degree by walking the generating tree of
-the class: each spherical word of degree n+1 is a spherical word of
-degree n with n+1 inserted, and the catalog's two positional tests say
-where the insertion is allowed.  Two sweeps over a member tabulate what
-those tests read per position, so one pass from right to left finds the
-sites in O(n log n) steps.  The same pass also says how many sites each
-of its children has, so the walk stops two degrees short of the last and
-counts the last two from the sites.  Both hand
-their blocks (subtrees for the tree) to one scan driver; below its degree
-bound a scan is one block, run in-process, since a pool costs more to
-start than such a scan takes.
+verdict columns, and times each backend.  ``density_table`` tabulates
+spherical counts per degree by walking the generating tree of the class:
+each spherical word of degree n+1 is a spherical word of degree n with n+1
+inserted, and the catalog's two positional tests say where the insertion
+is allowed.  The tree's top five levels are read off the catalog, whose
+patterns all have degree 5, so the walk starts from its members of degree
+5 (of degree 4 when the table stops at 6).  Two sweeps over a member
+tabulate what those tests read per position, so one pass from right to
+left finds the sites in O(n log n) steps.  The same pass also says how
+many sites each of its children has, so the walk stops two degrees short
+of the last and counts the last two from the sites.  Both hand their
+blocks (subtrees for the tree) to one scan driver; below its degree bound
+a scan is one block, run in-process, since a pool costs more to start than
+such a scan takes.
 """
 
 from __future__ import annotations
@@ -634,16 +636,15 @@ class DensityRow(NamedTuple):
 # The generating tree.  Deleting the maximum from a spherical word leaves a
 # spherical word (the class is closed under patterns), so each member of
 # degree n+1 is a member w of degree n with n+1 inserted at one site: site
-# s puts it after the first s letters of w.  The walk builds members down
-# to degree max_n-2 and counts the last two degrees from their sites: a
-# child's allowed sites are its parent's, lifted past the new maximum, less
-# those where the next maximum would complete an occurrence with it.  From
-# DENSITY_BOUND up, each subtree below a member of degree _TREE_CUT (found
-# by one serial walk) is one chunk for the scan driver; below the bound the
-# tree is one chunk.
-_TREE_CUT = 5
-
-
+# s puts it after the first s letters of w.  Its top five levels need no
+# walk: the catalog's patterns all have degree 5, so they are all of S_1..S_4
+# and S_5 less the catalog (``_seed``).  The walk starts from the members of
+# degree min(5, max_n-2), builds members down to degree max_n-2 and counts
+# the last two degrees from their sites: a child's allowed sites are its
+# parent's, lifted past the new maximum, less those where the next maximum
+# would complete an occurrence with it.  From DENSITY_BOUND up, the subtree
+# below each root is one chunk for the scan driver; below the bound the
+# roots are one chunk.
 def _site_pass(w: tuple[int, ...]) -> tuple[list[int], list[int], list[int]]:
     """Two sweeps and one pass over the spherical word w, where M = len(w)+1
     is inserted: O(n log n) steps, besides the memory moves of inserting
@@ -739,12 +740,6 @@ def _site_pass(w: tuple[int, ...]) -> tuple[list[int], list[int], list[int]]:
     return sites, middles, reach_at
 
 
-def _allowed_sites(w: tuple[int, ...]) -> list[int]:
-    """The sites where inserting len(w)+1 into the spherical word w keeps
-    it spherical, in increasing order."""
-    return _site_pass(w)[0]
-
-
 def _child_site_counts(w: tuple[int, ...]) -> tuple[list[int], list[int]]:
     """The allowed sites of the spherical word w and, for each site s, the
     number of allowed sites of the child made by inserting M = len(w)+1
@@ -784,24 +779,36 @@ def _child_site_counts(w: tuple[int, ...]) -> tuple[list[int], list[int]]:
     return sites, counts
 
 
-def _count_subtree(args: tuple[tuple[int, ...], int]) -> list[int]:
-    """Members of each degree len(root)+1..max_n below ``root``, walked
-    depth-first; the last two degrees are counted from the sites alone."""
-    root, max_n = args
-    counts = [0] * (max_n - len(root))
-    stack = [root]
+@functools.cache
+def _seed(degree: int) -> tuple[tuple[int, ...], ...]:
+    """The members of the given degree, at most 5, read off the catalog in
+    lexicographic order: all of S_degree below 5, and at 5 the words of
+    S_5 that are not catalog patterns."""
+    blocked = {p.oneline for p in catalog().all}
+    return tuple(
+        w for w in itertools.permutations(range(1, degree + 1)) if w not in blocked
+    )
+
+
+def _count_subtree(args: tuple[Sequence[tuple[int, ...]], int]) -> list[int]:
+    """Members of each degree n+1..max_n below ``roots``, which are
+    members of one degree n <= max_n-2, walked depth-first; the last two
+    degrees are counted from the sites alone."""
+    roots, max_n = args
+    base = len(roots[0])
+    counts = [0] * (max_n - base)
+    stack = list(roots)
     while stack:
         w = stack.pop()
         n = len(w)
-        depth = n - len(root)
+        depth = n - base
         if n + 2 < max_n:
-            sites = _allowed_sites(w)
+            sites = _site_pass(w)[0]
             top = (n + 1,)
             stack.extend(w[:s] + top + w[s:] for s in sites)
         else:
             sites, grandchildren = _child_site_counts(w)
-            if n + 2 == max_n:  # otherwise w is a root of degree max_n-1
-                counts[depth + 1] += sum(grandchildren)
+            counts[depth + 1] += sum(grandchildren)
         counts[depth] += len(sites)
     return counts
 
@@ -811,14 +818,19 @@ def density_table(
 ) -> list[DensityRow]:
     """Spherical counts and densities for every degree 1..max_n.
 
-    Counting walks the generating tree of the class from (1,): the
-    children of a spherical word of degree n are the words made by
-    inserting n+1 at each site where the result still avoids the catalog,
-    found in O(n log n) steps on the parent by ``_site_pass``.  That pass
-    also gives each child's number of sites, so members are built only to
-    degree max_n-2.  The cost follows the class size, not n!.  The default
-    bound is degree 10; ``force=True`` overrides it.  Below the bound the
-    walk runs in-process for any ``jobs``.
+    The rows through degree d come from the catalog, whose patterns all
+    have degree 5: every word of degree k <= 4 is a member, and 120 - 21
+    words of degree 5 are.  Here d is max_n up to degree 5, and
+    min(5, max_n-2) past it, where counting walks the generating tree of
+    the class from the members of degree d.  The children of a spherical
+    word of degree n are the words made by inserting n+1 at each site
+    where the result still avoids the catalog, found in O(n log n) steps
+    on the parent by ``_site_pass``.  That pass also gives each child's
+    number of sites, so members are built only to degree max_n-2.  The
+    cost follows the class size, not n!.  The default bound is degree 10;
+    ``force=True`` overrides it.  Below the bound the walk runs in-process
+    for any ``jobs``; from the bound up, the subtree below each root is a
+    block of its own.
 
     >>> density_table(5)[-1]
     DensityRow(n=5, spherical=99, total=120, ratio=0.825)
@@ -830,14 +842,15 @@ def density_table(
             f"degree {max_n} exceeds the density bound {DENSITY_BOUND}; "
             "pass --force (force=True) to run anyway"
         )
-    catalog()  # the tree rests on the self-checked characterizations
-    level = [(1,)]
-    counts = [1]
-    while max_n >= DENSITY_BOUND and len(level[0]) < min(max_n, _TREE_CUT):
-        top = (len(level[0]) + 1,)
-        level = [w[:s] + top + w[s:] for w in level for s in _allowed_sites(w)]
-        counts.append(len(level))
-    chunks = [(w, max_n) for w in level] if max_n > len(level[0]) else []
+    top = max_n if max_n <= 5 else min(5, max_n - 2)
+    roots = _seed(top)
+    counts = [math.factorial(k) for k in range(1, top)] + [len(roots)]
+    if max_n == top:
+        chunks = []
+    elif max_n < DENSITY_BOUND:
+        chunks = [(roots, max_n)]
+    else:
+        chunks = [((w,), max_n) for w in roots]
     below = _scan(_count_subtree, chunks, jobs)
     counts.extend(sum(col) for col in zip(*below))
     return [

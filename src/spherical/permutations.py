@@ -297,17 +297,26 @@ class _Parabolic(NamedTuple):
     caps: tuple[int, ...]
 
 
+@functools.lru_cache(maxsize=16)
+def _letters(n: int) -> tuple[int, ...]:
+    # 0..n, one int object per value (past 256 each ``range`` step makes a
+    # fresh one), shared by the entries of degree n.
+    return tuple(range(n + 1))
+
+
 # Keyed by the ends of the blocks of J, ascending, the last being n.  S_n
 # has 2^(n-1) descent sets against n! words: an exhaustive scan of S_8,
 # the largest ``cross_check`` runs unforced, reads 128 of them, and a
 # forced one of S_9 reads 256, which this bound holds whole, so such a scan
 # builds each entry once.  S_10's 512 and S_12's 2,048 take turns in it,
 # and queries outside a scan rarely share a descent set.  The bound is also
-# what a long-lived process keeps: an entry with its key holds about 90
-# bytes per letter, 0.26 MB at degree 3000, so at most about 70 MB there.
+# what a long-lived process keeps: an entry with its key holds about 50
+# bytes per letter, its tuples pointing into the one ``_letters`` table of
+# its degree, so 0.15 MB at degree 3000 and at most about 40 MB there.
 @functools.lru_cache(maxsize=256)
 def _parabolic(ends: tuple[int, ...]) -> _Parabolic:
     n = ends[-1]
+    letters = _letters(n)
     longest: list[int] = []
     slot_of = [0]
     caps = [0] * n
@@ -315,9 +324,9 @@ def _parabolic(ends: tuple[int, ...]) -> _Parabolic:
     for end in ends:
         # the block start..end: its generators but the last form a run of
         # J in pool ``start``; s_end is outside J, a pool of its own
-        longest.extend(range(end, start - 1, -1))
+        longest.extend(letters[end : start - 1 : -1])
         if end > start:
-            slot_of.extend([start] * (end - start))
+            slot_of.extend([letters[start]] * (end - start))
             caps[start] = end - start
         if end < n:
             slot_of.append(end)

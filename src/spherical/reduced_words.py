@@ -87,7 +87,7 @@ import itertools
 import math
 from typing import Iterator, Sequence
 
-from .permutations import Permutation, _length, _parabolic_of
+from .permutations import Permutation, _length, _letters, _parabolic_of
 
 WORD_ESTIMATE_LIMIT = 1_000_000
 # ``_shape_bound`` cuts lambda(w) to a square of this side.
@@ -409,7 +409,7 @@ def _after_parabolic_word(word: tuple[int, ...], rest: tuple[int, ...]) -> tuple
     # and its run starts at ``slot_of[g]``.  The runs are slices of one
     # letter table, so every place of a letter holds the same int.
     v, _, slot_of, _ = _parabolic_of(word)
-    letters = list(range(len(word)))
+    letters = _letters(len(word))
     return (
         *(j for g in range(1, len(word)) if v[g - 1] > v[g] for j in letters[g : slot_of[g] - 1 : -1]),
         *rest,

@@ -20,7 +20,7 @@ the padded allowance the ``definition`` backend once searched, the
 reference for its search of the quotient.
 
 One exception runs library code: ``own_site_counts`` finds the sites of
-each generating-tree member with ``_allowed_sites`` (itself checked
+each generating-tree member with ``_site_pass`` (itself checked
 against brute force), the child-by-child derivation that the tree's walk
 skips for its last degree.
 
@@ -47,7 +47,7 @@ import math
 import operator
 from collections import Counter
 
-from spherical.classify import _allowed_sites, catalog
+from spherical.classify import _site_pass, catalog
 from spherical.cli import _BACKEND_FLAGS
 from spherical.permutations import GeneratorSet, Permutation, _left_descents, symmetric_group
 
@@ -440,7 +440,7 @@ def own_site_counts(members) -> list[int]:
     found on the word itself: the generating tree's child-by-child count
     of the next degree, which the tree's walk replaces by counting from
     the grandparents."""
-    return [len(_allowed_sites(w)) for w in members]
+    return [len(_site_pass(w)[0]) for w in members]
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -10,7 +10,7 @@ import random
 from spherical.bruhat import build_interval, bruhat_leq, is_boolean_lattice
 from spherical.classify import (
     BACKENDS,
-    _allowed_sites,
+    _site_pass,
     catalog,
     cross_check,
     density_table,
@@ -143,7 +143,7 @@ def test_criterion_9_generating_tree_confirmed_by_divisibility():
     for n in range(1, 9):
         grown = []
         for w in level:
-            sites = _allowed_sites(w)
+            sites = _site_pass(w)[0]
             for s in range(n + 1):
                 child = w[:s] + (n + 1,) + w[s:]
                 verdict = is_spherical(Permutation(child), "divisibility")

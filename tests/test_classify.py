@@ -3,6 +3,7 @@ import itertools
 import math
 import pickle
 import random
+import tracemalloc
 from concurrent.futures.process import BrokenProcessPool
 
 import pytest
@@ -369,6 +370,24 @@ class TestParabolicTable:
             explain(w, "pattern")
         assert _parabolic.cache_info()[:2] == before[:2]
 
+    def test_entries_share_one_letter_table_per_degree(self):
+        # 64 distinct degree-3000 descent sets: a fresh int per letter in
+        # each entry's tuples took about 17 MB
+        rng = random.Random(3000)
+        words = [tuple(rng.sample(range(1, 3001), 3000)) for _ in range(64)]
+        _parabolic.cache_clear()
+        tracemalloc.start()
+        try:
+            for word in words:
+                _parabolic_of(word)
+            traced = tracemalloc.get_traced_memory()[0]
+            held = _parabolic.cache_info().currsize
+        finally:
+            tracemalloc.stop()
+            _parabolic.cache_clear()
+        assert held == 64
+        assert traced < 11e6
+
     def test_stays_within_its_bound(self):
         rng = random.Random(40)
         words = set()
@@ -679,8 +698,8 @@ class TestDensity:
         ]
 
     def test_one_pool_for_all_degrees(self, monkeypatch, recording_pool):
-        # the chunk roots, of degree 5, sit one and two degrees below max_n,
-        # where the walk counts from the sites alone
+        # the chunk roots, of degree 4 at max_n = 6 and 5 at max_n = 7, sit
+        # two degrees below max_n, where the walk counts from the sites alone
         whole = {max_n: density_table(max_n) for max_n in (6, 7)}
         monkeypatch.setattr(classify, "DENSITY_BOUND", 6)
         monkeypatch.setattr("spherical.classify.os.cpu_count", lambda: 2)
@@ -720,7 +739,32 @@ class TestDensity:
                     for s, child in enumerate(children)
                     if avoids_by_subsets(Permutation(child), patterns)
                 ]
-                assert classify._allowed_sites(w) == expected, parent
+                assert classify._site_pass(w)[0] == expected, parent
+
+    def test_seed_is_the_site_rule_on_the_top_levels(self):
+        # every site is allowed on every word of degree at most 3, so S_1..S_4
+        # are the tree's first four levels, and the degree-5 members read off
+        # the catalog are the children the site rule allows on S_4
+        for n in range(1, 4):
+            for w in itertools.permutations(range(1, n + 1)):
+                assert classify._site_pass(w)[0] == list(range(n + 1)), w
+        for n in range(1, 5):
+            assert classify._seed(n) == tuple(itertools.permutations(range(1, n + 1)))
+        grown = {
+            w[:s] + (5,) + w[s:] for w in classify._seed(4) for s in classify._site_pass(w)[0]
+        }
+        assert set(classify._seed(5)) == grown
+        assert len(classify._seed(5)) == 99
+
+    def test_walk_cost_in_site_passes(self, monkeypatch):
+        # one pass per member of degree min(5, n-2)..n-2; none up to degree 5
+        calls = []
+        site_pass = classify._site_pass
+        monkeypatch.setattr(classify, "_site_pass", lambda w: calls.append(w) or site_pass(w))
+        for n, passes in [(1, 0), (2, 0), (3, 0), (4, 0), (5, 0), (6, 24), (7, 99), (8, 499)]:
+            calls.clear()
+            density_table(n)
+            assert len(calls) == passes, n
 
     def test_child_site_counts_match_the_children(self):
         # every spherical parent of degree at most 7 (2,122 of them): each
