@@ -11,20 +11,25 @@ Four interchangeable backends decide the same predicate:
 ``_DECIDERS`` maps each backend name to one search over the raw one-line
 tuple, which returns the verdict and its witness together: ``is_spherical``
 and the scan loop read the verdict, and ``explain`` formats the witness
-from the same call.  The ``pattern`` search never lists occurrences: the
-catalog's self-check proves its 21 literals are the patterns passing two
-positional tests, and the search reads those tests on w in O(n^2) steps.
-Its witness is a certificate of where the search stopped (the 3 of a
-321-half occurrence, or the 4 and the 2 of a 3412-half one), which only
-``explain`` expands into five positions, in O(n) steps and no second
-search.  The ``definition`` search likewise returns only the quotient's
-fitting word; ``explain`` puts the first reduced word of w0(J(w)) in
-front, so a scan never builds that word.  ``cross_check`` runs several
-backends over a whole symmetric group and reports any disagreement; it
-scans S_n in blocks by first value, which joined in order give the
-lexicographic stream.  Within a block it
-runs backend by backend over slices of at most 5,040 words, compares the
-verdict columns, and times each backend.  ``density_table`` tabulates
+from the same call.  Each search also takes the parabolic table's entry
+of J(w) (``permutations._parabolic_of``), through which the last three
+read w; given none, they look it up themselves.  The scan loop and
+``classify --backend=all`` look it up once per word for all of them, and
+the ``pattern`` search ignores it.  The ``pattern`` search never lists
+occurrences: the catalog's self-check proves its 21 literals are the
+patterns passing two positional tests, and the search reads those tests
+on w in O(n^2) steps.  Its witness is a certificate of where the search
+stopped (the 3 of a 321-half occurrence, or the 4 and the 2 of a
+3412-half one), which only ``explain`` expands into five positions, in
+O(n) steps and no second search.  The ``definition`` search likewise
+returns only the quotient's fitting word; ``explain`` puts the first
+reduced word of w0(J(w)) in front, so a scan never builds that word.
+``cross_check`` runs several backends over a whole symmetric group and
+reports any disagreement; it scans S_n in blocks by first value, which
+joined in order give the lexicographic stream.  Within a block it runs
+backend by backend over slices of at most 5,040 words, each word with
+its table entry, looked up once per slice, compares the verdict
+columns, and times each backend.  ``density_table`` tabulates
 spherical counts per degree by walking the generating tree of the class:
 each spherical word of degree n+1 is a spherical word of degree n with n+1
 inserted, and the catalog's two positional tests say where the insertion
@@ -56,7 +61,8 @@ from .divisibility import _first_witness
 from .permutations import (
     Permutation,
     _Frozen,
-    _longest_below,
+    _Parabolic,
+    _parabolic_of,
     _quotient,
     avoids_all,
     relative_order,
@@ -304,26 +310,37 @@ def _positions(w: tuple[int, ...], values: tuple[int, ...]) -> tuple[int, ...]:
 
 
 # Each backend is one search from a one-line tuple to (verdict, witness).
-def _by_pattern(word: tuple[int, ...]) -> tuple[bool, tuple[int, ...] | None]:
+# The last three read w through the parabolic table's entry of J(w) alone:
+# a caller that holds it passes it, so a scan looks it up once per word
+# for all of them, and a decider given none looks it up itself.  The
+# ``pattern`` search takes the entry too, for one calling convention, and
+# ignores it.
+def _by_pattern(
+    word: tuple[int, ...], entry: _Parabolic | None = None
+) -> tuple[bool, tuple[int, ...] | None]:
     catalog()  # the search rests on the self-checked characterizations
     stop = _catalog_certificate(word)
     return stop is None, stop
 
 
-def _by_quotient(word: tuple[int, ...]) -> tuple[bool, tuple]:
-    q = _quotient(word)
+def _by_quotient(word: tuple[int, ...], entry: _Parabolic | None = None) -> tuple[bool, tuple]:
+    q = _quotient(word, entry)
     found = _repetition_free_word(q)
     return found is not None, (q, found)
 
 
-def _by_divisibility(word: tuple[int, ...]) -> tuple[bool, tuple]:
-    v = _longest_below(word)
+def _by_divisibility(word: tuple[int, ...], entry: _Parabolic | None = None) -> tuple[bool, tuple]:
+    if entry is None:
+        entry = _parabolic_of(word)
+    v = entry.longest
     found = _first_witness(v, word)
     return found is None, (v, found)
 
 
-def _by_definition(word: tuple[int, ...]) -> tuple[bool, tuple[int, ...] | None]:
-    found = _fitting_quotient_word(word)
+def _by_definition(
+    word: tuple[int, ...], entry: _Parabolic | None = None
+) -> tuple[bool, tuple[int, ...] | None]:
+    found = _fitting_quotient_word(word, entry)
     return found is not None, found
 
 
@@ -353,8 +370,9 @@ def is_spherical(w: Permutation, backend: str = "pattern") -> bool:
     return _DECIDERS[backend](w.oneline)[0]
 
 
-def _describe(w: Permutation, backend: str, witness) -> str:
-    # The witness that the backend's decider returned for w, as text.
+def _describe(w: Permutation, backend: str, witness, entry: _Parabolic | None = None) -> str:
+    # The witness that the backend's decider returned for w, as text;
+    # ``entry`` is the table's entry of J(w) when the caller holds it.
     if backend == "pattern":
         if witness is None:
             return "avoids all 21 blocking patterns"
@@ -375,7 +393,7 @@ def _describe(w: Permutation, backend: str, witness) -> str:
         return f"({Permutation(v)}, {w}) divisibility witness {found or 'none'}"
     if witness is None:  # the definition backend
         return "no reduced word fits the generator budgets"
-    word = _after_parabolic_word(w.oneline, witness)
+    word = _after_parabolic_word(w.oneline, witness, entry)
     return f"reduced word {word_to_text(word)} fits the generator budgets"
 
 
@@ -413,7 +431,9 @@ class CrossCheckReport(_Frozen):
     ``disagreement_count`` is the full tally.  ``backend_seconds`` holds
     the wall seconds spent in each backend, summed over slices and
     workers; they vary from run to run, so reports compare and hash
-    without them.
+    without them.  Like generating the words, the one lookup of each
+    word's parabolic table entry, shared by the backends that read it,
+    is scan input and counts in no backend's seconds.
     """
 
     __slots__ = (
@@ -516,8 +536,8 @@ def _scan_chunk(args: tuple[int, tuple[int, ...], tuple[str, ...]]) -> _Tally:
 
 def _tally(words: Iterable[tuple[int, ...]], backends: tuple[str, ...]) -> _Tally:
     # Backend by backend over each slice of ``words``: every backend fills
-    # a column of verdicts, and only a slice whose columns differ is read
-    # word by word.
+    # a column of verdicts, each word with its parabolic table entry, and
+    # only a slice whose columns differ is read word by word.
     total = 0
     spherical = 0
     bad: list[tuple[tuple[int, ...], tuple[bool, ...]]] = []
@@ -525,10 +545,13 @@ def _tally(words: Iterable[tuple[int, ...]], backends: tuple[str, ...]) -> _Tall
     deciders = [_DECIDERS[b] for b in backends]
     words = iter(words)
     while block := list(itertools.islice(words, _SLICE)):
+        # one table lookup per word, shared by every decider and timed
+        # with none, like generating the word
+        entries = list(map(_parabolic_of, block))
         columns = []
         for k, decide in enumerate(deciders):
             start = time.perf_counter()
-            columns.append([decide(word)[0] for word in block])
+            columns.append([decide(word, entry)[0] for word, entry in zip(block, entries)])
             seconds[k] += time.perf_counter() - start
         first = columns[0]
         total += len(block)

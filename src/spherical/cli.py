@@ -36,7 +36,7 @@ from .classify import (
     estimate_seconds,
     verify_catalog_characterizations,
 )
-from .permutations import Permutation
+from .permutations import Permutation, _parabolic_of
 from .reduced_words import enumerate_reduced_words
 
 _BACKEND_FLAGS = {
@@ -296,10 +296,12 @@ def _jobs(ns: SimpleNamespace) -> int:
 
 def _cmd_classify(ns: SimpleNamespace) -> tuple[int, str]:
     # One search per backend gives both the verdict and the witness, which
-    # becomes text only under --explain.
+    # becomes text only under --explain.  All four backends share one
+    # lookup of w's parabolic table entry.
     w = Permutation.from_text(ns.perm)
     if ns.backend == "all":
-        judged = {b: _DECIDERS[b](w.oneline) for b in BACKENDS}
+        entry = _parabolic_of(w.oneline)
+        judged = {b: _DECIDERS[b](w.oneline, entry) for b in BACKENDS}
         verdicts = {b: v for b, (v, _) in judged.items()}
         agree = len(set(verdicts.values())) == 1
         verdict = verdicts["pattern"]
@@ -313,7 +315,9 @@ def _cmd_classify(ns: SimpleNamespace) -> tuple[int, str]:
                 for b, v in verdicts.items()
             )
         if ns.explain:
-            lines.extend(f"{b}: {_describe(w, b, found)}" for b, (_, found) in judged.items())
+            lines.extend(
+                f"{b}: {_describe(w, b, found, entry)}" for b, (_, found) in judged.items()
+            )
         return (0 if verdict else 1), "\n".join(lines)
     backend = _BACKEND_FLAGS[ns.backend]
     verdict, found = _DECIDERS[backend](w.oneline)

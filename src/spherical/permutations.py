@@ -20,10 +20,13 @@ descent set of w: ``boolean_quotient`` and ``definition`` read the
 quotient q, ``divisibility`` the pair (w0(J(w)), w), and ``definition``
 also its generator pools.  All of that depends on J alone, and S_n has
 2^(n-1) descent sets against n! words, so ``_parabolic`` builds it once
-per descent set, in one bounded cache that ``_longest_below``,
-``_quotient``, ``longest_parabolic`` and ``reduced_words._budget`` read.
-Its entries hold only tuples, so no caller can change what the next one
-reads.  The ``pattern`` backend reads nothing from it.
+per descent set, in one bounded cache that ``_parabolic_of`` reads for a
+word.  Its readers are the three backends' deciders in ``classify``,
+which a scan hands one entry per word, ``_quotient``,
+``longest_parabolic``, and ``reduced_words._fitting_quotient_word`` and
+``_after_parabolic_word``.  Its entries hold only tuples, so no caller
+can change what the next one reads.  The ``pattern`` backend reads
+nothing from it.
 
 ``avoids_all`` and ``first_pattern_occurrence`` share one scanner,
 ``_occurrences``.  It walks a trie of the patterns keyed by each letter's
@@ -300,7 +303,7 @@ class _Parabolic(NamedTuple):
 @functools.lru_cache(maxsize=16)
 def _letters(n: int) -> tuple[int, ...]:
     # 0..n, one int object per value (past 256 each ``range`` step makes a
-    # fresh one), shared by the entries of degree n.
+    # fresh one), shared by the entries of degree n and their keys.
     return tuple(range(n + 1))
 
 
@@ -310,9 +313,10 @@ def _letters(n: int) -> tuple[int, ...]:
 # forced one of S_9 reads 256, which this bound holds whole, so such a scan
 # builds each entry once.  S_10's 512 and S_12's 2,048 take turns in it,
 # and queries outside a scan rarely share a descent set.  The bound is also
-# what a long-lived process keeps: an entry with its key holds about 50
-# bytes per letter, its tuples pointing into the one ``_letters`` table of
-# its degree, so 0.15 MB at degree 3000 and at most about 40 MB there.
+# what a long-lived process keeps: an entry with its key holds about 36
+# bytes per letter, its tuples and key pointing into the one ``_letters``
+# table of its degree, so 0.11 MB at degree 3000 and at most about 28 MB
+# there.
 @functools.lru_cache(maxsize=256)
 def _parabolic(ends: tuple[int, ...]) -> _Parabolic:
     n = ends[-1]
@@ -338,23 +342,23 @@ def _parabolic(ends: tuple[int, ...]) -> _Parabolic:
 def _parabolic_of(word: tuple[int, ...]) -> _Parabolic:
     # The entry of J(w), read from the position table: s_i is a left
     # descent when the value i+1 sits left of i, so a block of w0(J(w))
-    # ends at each i whose successor sits to its right, and at n.
+    # ends at each i whose successor sits to its right, and at n.  The
+    # sentinels pos[0] = pos[n+1] = n make 0 no end and n one.  The ends
+    # are taken from the degree's letter table, so the cached keys share
+    # its ints.
     n = len(word)
-    pos = [0] * (n + 2)
+    pos = [n] * (n + 2)
     for p, v in enumerate(word):
         pos[v] = p
-    pos[n + 1] = n
-    return _parabolic(tuple([i for i in range(1, n + 1) if pos[i] < pos[i + 1]]))
+    return _parabolic(tuple([i for i in _letters(n) if pos[i] < pos[i + 1]]))
 
 
-def _longest_below(word: tuple[int, ...]) -> tuple[int, ...]:
-    # w0(J(w)): the longest element generated by the left descents of w.
-    return _parabolic_of(word).longest
-
-
-def _quotient(word: tuple[int, ...]) -> tuple[int, ...]:
-    # w0(J(w)) * w
-    return tuple(map(_parabolic_of(word).shifted.__getitem__, word))
+def _quotient(word: tuple[int, ...], entry: _Parabolic | None = None) -> tuple[int, ...]:
+    # w0(J(w)) * w, read off ``entry``, the table's entry of J(w), which
+    # is looked up here when the caller has none
+    if entry is None:
+        entry = _parabolic_of(word)
+    return tuple(map(entry.shifted.__getitem__, word))
 
 
 def relative_order(values: Sequence[int]) -> tuple[int, ...]:

@@ -11,15 +11,16 @@ the ``definition`` backend.  Budgets are data: letter i spends one use of
 pool ``slot_of[i]``.  Enumeration passes one pool of l(w) uses, which
 every reduced word fills.  The ``definition`` search walks only the
 quotient q = w0(J(w)) * w, whose length adds to that of w0(J(w)), under
-``_budget``'s pools: a maximal run of consecutive left descents of w
+the pools of J(w): a maximal run of consecutive left descents of w
 shares one pool, every other generator has its own, and each pool holds
 one use per generator in it.  The pools and q's map depend on J(w) alone,
 so both come from the per-descent-set table in ``permutations``, built
-once per J.  The search returns q's first fitting word alone;
-``spherical_witness_word`` and ``explain`` put the first reduced word of
-w0(J(w)) in front of it, which needs no search: for each run a..b of J,
-in increasing order, it is a; a+1, a; ...; b, ..., a, read off the same
-entry.
+once per J; a scan hands the search its word's entry, looked up once for
+all the backends that read it.  The search returns q's first fitting
+word alone; ``spherical_witness_word`` and ``explain`` put the first
+reduced word of w0(J(w)) in front of it, which needs no search: for each
+run a..b of J, in increasing order, it is a; a+1, a; ...; b, ..., a,
+read off the same entry.
 
 The walker holds each element as its inverse u, one list stepped in
 place: i is a left descent exactly when u_i > u_{i+1}, the step to s_i
@@ -87,7 +88,7 @@ import itertools
 import math
 from typing import Iterator, Sequence
 
-from .permutations import Permutation, _length, _letters, _parabolic_of
+from .permutations import Permutation, _length, _letters, _Parabolic, _parabolic_of
 
 WORD_ESTIMATE_LIMIT = 1_000_000
 # ``_shape_bound`` cuts lambda(w) to a square of this side.
@@ -375,12 +376,6 @@ def is_boolean_by_words(w: Permutation) -> bool:
     return repetition_free_word(w) is not None
 
 
-def _budget(word: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    # Generator-to-pool map and the uses each pool holds (module docstring).
-    entry = _parabolic_of(word)
-    return entry.slot_of, entry.caps
-
-
 def spherical_witness_word(w: Permutation) -> tuple[int, ...] | None:
     """A reduced word of w whose letters after those of w0(J(w)) fit the
     pools, if the quotient q = w0(J(w)) * w has a reduced word that does.
@@ -392,23 +387,32 @@ def spherical_witness_word(w: Permutation) -> tuple[int, ...] | None:
     >>> spherical_witness_word(Permutation.from_text("4321"))
     (1, 2, 1, 3, 2, 1)
     """
-    rest = _fitting_quotient_word(w.oneline)
-    return None if rest is None else _after_parabolic_word(w.oneline, rest)
+    entry = _parabolic_of(w.oneline)
+    rest = _fitting_quotient_word(w.oneline, entry)
+    return None if rest is None else _after_parabolic_word(w.oneline, rest, entry)
 
 
-def _fitting_quotient_word(word: tuple[int, ...]) -> tuple[int, ...] | None:
-    # The definition search: q's first reduced word that fits the pools.
-    entry = _parabolic_of(word)
+def _fitting_quotient_word(
+    word: tuple[int, ...], entry: _Parabolic | None = None
+) -> tuple[int, ...] | None:
+    # The definition search: q's first reduced word that fits the pools,
+    # both read off ``entry``, the table's entry of J(w), looked up here
+    # when the caller has none.
+    if entry is None:
+        entry = _parabolic_of(word)
     q = tuple(map(entry.shifted.__getitem__, word))
     return next(_reduced_words(q, entry.slot_of, entry.caps), None)
 
 
-def _after_parabolic_word(word: tuple[int, ...], rest: tuple[int, ...]) -> tuple[int, ...]:
-    # The first reduced word of w0(J(w)), read off the pools' runs (module
-    # docstring), then rest: g is in J exactly when w0(J) descends at g,
-    # and its run starts at ``slot_of[g]``.  The runs are slices of one
-    # letter table, so every place of a letter holds the same int.
-    v, _, slot_of, _ = _parabolic_of(word)
+def _after_parabolic_word(
+    word: tuple[int, ...], rest: tuple[int, ...], entry: _Parabolic | None = None
+) -> tuple[int, ...]:
+    # The first reduced word of w0(J(w)), read off the pools' runs of
+    # ``entry`` (module docstring), then rest: g is in J exactly when w0(J)
+    # descends at g, and its run starts at ``slot_of[g]``.  The runs are
+    # slices of one letter table, so every place of a letter holds the
+    # same int.
+    v, _, slot_of, _ = _parabolic_of(word) if entry is None else entry
     letters = _letters(len(word))
     return (
         *(j for g in range(1, len(word)) if v[g - 1] > v[g] for j in letters[g : slot_of[g] - 1 : -1]),

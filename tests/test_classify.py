@@ -29,7 +29,6 @@ from spherical.classify import (
 from spherical.permutations import (
     GeneratorSet,
     Permutation,
-    _longest_below,
     _parabolic,
     _parabolic_of,
     _quotient,
@@ -38,7 +37,6 @@ from spherical.permutations import (
     relative_order,
     symmetric_group,
 )
-from spherical.reduced_words import _budget
 
 from oracles import avoids_by_subsets, leftmost_occurrence, own_site_counts
 
@@ -104,7 +102,7 @@ def flip_on_second_letter_three(monkeypatch):
     monkeypatch.setitem(
         classify._DECIDERS,
         "stub",
-        lambda word: (pattern(word)[0] ^ (word[1] == 3), None),
+        lambda word, entry=None: (pattern(word)[0] ^ (word[1] == 3), None),
     )
     return [p for p in symmetric_group(5) if p.oneline[1] == 3]
 
@@ -299,7 +297,7 @@ class TestTuplePath:
             words.append(tuple(rng.sample(range(1, n + 1), n)))
         for word in words:
             w = Permutation(word)
-            assert classify._longest_below(word) == (
+            assert _parabolic_of(word).longest == (
                 longest_parabolic(w.left_descents()).oneline
             ), word
 
@@ -343,9 +341,10 @@ class TestParabolicTable:
     def test_equals_the_builders_it_replaced(self):
         for word in table_words():
             v, _, slot_of, caps = rebuilt_entry(word)
-            assert _longest_below(word) == v, word
+            entry = _parabolic_of(word)
+            assert entry.longest == v, word
             assert _quotient(word) == oracles.quotient(word), word
-            assert _budget(word) == (slot_of, caps), word
+            assert (entry.slot_of, entry.caps) == (slot_of, caps), word
             gens = GeneratorSet(len(word), frozenset(i for i in range(1, len(word)) if v[i - 1] > v[i]))
             assert longest_parabolic(gens) == oracles.longest_parabolic(gens), word
 
@@ -371,8 +370,9 @@ class TestParabolicTable:
         assert _parabolic.cache_info()[:2] == before[:2]
 
     def test_entries_share_one_letter_table_per_degree(self):
-        # 64 distinct degree-3000 descent sets: a fresh int per letter in
-        # each entry's tuples took about 17 MB
+        # 64 distinct degree-3000 descent sets: about 7 MB, against 9.9 MB
+        # with a fresh int per block end in each key and about 17 MB with
+        # one per letter in each entry's tuples
         rng = random.Random(3000)
         words = [tuple(rng.sample(range(1, 3001), 3000)) for _ in range(64)]
         _parabolic.cache_clear()
@@ -386,7 +386,27 @@ class TestParabolicTable:
             tracemalloc.stop()
             _parabolic.cache_clear()
         assert held == 64
-        assert traced < 11e6
+        assert traced < 8e6
+
+    @pytest.mark.parametrize(
+        "n, backends, words",
+        [(6, BACKENDS, 720), (7, ("pattern", "boolean_quotient", "divisibility"), 5040)],
+    )
+    def test_a_scan_looks_up_each_word_once(self, n, backends, words):
+        # one entry per word, shared by every decider of the scan
+        catalog()
+        before = _parabolic.cache_info()
+        assert cross_check(n, backends).disagreement_count == 0
+        after = _parabolic.cache_info()
+        assert after.hits + after.misses - before.hits - before.misses == words
+
+    def test_deciders_read_a_passed_entry_as_their_own(self):
+        for n in range(1, 8):
+            for word in itertools.permutations(range(1, n + 1)):
+                entry = _parabolic_of(word)
+                for backend in ("boolean_quotient", "divisibility", "definition"):
+                    decide = classify._DECIDERS[backend]
+                    assert decide(word, entry) == decide(word), (backend, word)
 
     def test_stays_within_its_bound(self):
         rng = random.Random(40)

@@ -13,7 +13,7 @@ from oracles import build_parser
 from spherical.classify import BACKENDS, catalog, is_spherical
 from spherical import cli
 from spherical.cli import main
-from spherical.permutations import Permutation, relative_order, symmetric_group
+from spherical.permutations import Permutation, _parabolic, relative_order, symmetric_group
 
 
 def run_cli(capsys, *argv):
@@ -42,6 +42,14 @@ class TestClassify:
             assert counted_searches[layer] == dict.fromkeys(BACKENDS, 1)
         # w0(J)'s letters of the definition witness are read off, not walked
         assert counted_searches["walker"] == {"definition": 1}
+
+    @pytest.mark.parametrize("explain", [(), ("--explain",)], ids=["plain", "explain"])
+    def test_all_backends_share_one_table_lookup(self, capsys, explain):
+        catalog()
+        before = _parabolic.cache_info()
+        run_cli(capsys, "classify", "263415", "--backend=all", *explain)
+        after = _parabolic.cache_info()
+        assert after.hits + after.misses - before.hits - before.misses == 1
 
     def test_identity(self, capsys):
         status, out, _ = run_cli(capsys, "classify", "12345")

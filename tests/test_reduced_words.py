@@ -10,6 +10,7 @@ from spherical.classify import is_spherical
 from spherical.permutations import (
     GeneratorSet,
     Permutation,
+    _parabolic_of,
     longest_parabolic,
     symmetric_group,
 )
@@ -19,7 +20,6 @@ from spherical.reduced_words import (
     SHAPE_BOX,
     WORD_ESTIMATE_LIMIT,
     _box_tableaux,
-    _budget,
     _code_shape,
     _reduced_word_count,
     _shape_bound,
@@ -73,8 +73,9 @@ def fits(slot_of, caps):
 
 def fits_pools(w):
     # the definition's pool rule for words of the quotient q, read straight
-    # off _budget
-    return fits(*_budget(w.oneline))
+    # off the parabolic table's entry of J(w)
+    entry = _parabolic_of(w.oneline)
+    return fits(entry.slot_of, entry.caps)
 
 
 def expected_witness(w):
@@ -457,7 +458,8 @@ class TestBudgets:
             for size in range(n):
                 for members in itertools.combinations(range(1, n), size):
                     gens = GeneratorSet(n, frozenset(members))
-                    slot_of, caps = _budget(longest_parabolic(gens).oneline)
+                    entry = _parabolic_of(longest_parabolic(gens).oneline)
+                    slot_of, caps = entry.slot_of, entry.caps
                     by_pool = pools(slot_of)
                     runs = [
                         [g for _, g in run]
@@ -472,9 +474,10 @@ class TestBudgets:
                     assert sum(caps) == n - 1
 
     def test_slots_cover_every_generator(self):
-        slot_of, caps = _budget(
+        entry = _parabolic_of(
             longest_parabolic(GeneratorSet(6, frozenset({1, 2, 4}))).oneline
         )
+        slot_of, caps = entry.slot_of, entry.caps
         assert set(range(1, len(slot_of))) == {1, 2, 3, 4, 5}
         assert slot_of[1] == slot_of[2] != slot_of[4]
         assert caps[slot_of[1]] == 2 and caps[slot_of[4]] == 1
@@ -517,7 +520,8 @@ class TestDefinitionSearch:
         for n in range(1, 9):
             for w in symmetric_group(n):
                 q = parabolic_quotient(w)
-                expected = next(budgeted_words(q, *_budget(w.oneline)), None)
+                entry = _parabolic_of(w.oneline)
+                expected = next(budgeted_words(q, entry.slot_of, entry.caps), None)
                 assert reduced_words._fitting_quotient_word(w.oneline) == expected, str(w)
 
     def test_parabolic_word_matches_the_walk(self):
@@ -532,7 +536,7 @@ class TestDefinitionSearch:
         # a quotient of length 59 against pools holding 17 uses: no word
         # can fit
         w = Permutation.from_text("11,9,7,15,6,12,3,2,4,5,8,18,16,17,10,14,13,1")
-        assert parabolic_quotient(w).length() > sum(_budget(w.oneline)[1])
+        assert parabolic_quotient(w).length() > sum(_parabolic_of(w.oneline).caps)
         assert spherical_witness_word(w) is None
         assert not is_spherical(w, "definition")
 
