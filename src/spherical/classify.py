@@ -13,9 +13,9 @@ tuple, which returns the verdict and its witness together: ``is_spherical``
 and the scan loop read the verdict, and ``explain`` formats the witness
 from the same call.  Each search also takes the parabolic table's entry
 of J(w) (``permutations._parabolic_of``), through which the last three
-read w; given none, they look it up themselves.  The scan loop and
-``classify --backend=all`` look it up once per word for all of them, and
-the ``pattern`` search ignores it.  The ``pattern`` search never lists
+read w.  Whoever holds the word looks it up once for all the backends
+it runs: the scan loop once per word and ``_judge`` once per call, or
+never for ``pattern`` alone.  The ``pattern`` search never lists
 occurrences: the catalog's self-check proves its 21 literals are the
 patterns passing two positional tests, and the search reads those tests
 on w in O(n^2) steps.  Its witness is a certificate of where the search
@@ -131,7 +131,7 @@ def _raw_catalog() -> PatternCatalog:
 
 def parabolic_quotient(w: Permutation) -> Permutation:
     """The product w0(J(w)) * w, with J(w) the left descent set of w."""
-    return Permutation(_quotient(w.oneline))
+    return Permutation(_quotient(w.oneline, _parabolic_of(w.oneline)))
 
 
 def _position_test_321(p: Permutation) -> bool:
@@ -309,36 +309,33 @@ def _positions(w: tuple[int, ...], values: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(sorted(w.index(v) + 1 for v in values))
 
 
-# Each backend is one search from a one-line tuple to (verdict, witness).
-# The last three read w through the parabolic table's entry of J(w) alone:
-# a caller that holds it passes it, so a scan looks it up once per word
-# for all of them, and a decider given none looks it up itself.  The
-# ``pattern`` search takes the entry too, for one calling convention, and
-# ignores it.
+# Each backend is one search from a one-line tuple and the parabolic
+# table's entry of J(w) to (verdict, witness).  The last three read w
+# through the entry alone, which the caller looks up once for all of them.
+# The ``pattern`` search takes it too, for one calling convention, and
+# ignores it, so a caller running ``pattern`` alone passes None.
 def _by_pattern(
-    word: tuple[int, ...], entry: _Parabolic | None = None
+    word: tuple[int, ...], entry: _Parabolic | None
 ) -> tuple[bool, tuple[int, ...] | None]:
     catalog()  # the search rests on the self-checked characterizations
     stop = _catalog_certificate(word)
     return stop is None, stop
 
 
-def _by_quotient(word: tuple[int, ...], entry: _Parabolic | None = None) -> tuple[bool, tuple]:
+def _by_quotient(word: tuple[int, ...], entry: _Parabolic) -> tuple[bool, tuple]:
     q = _quotient(word, entry)
     found = _repetition_free_word(q)
     return found is not None, (q, found)
 
 
-def _by_divisibility(word: tuple[int, ...], entry: _Parabolic | None = None) -> tuple[bool, tuple]:
-    if entry is None:
-        entry = _parabolic_of(word)
+def _by_divisibility(word: tuple[int, ...], entry: _Parabolic) -> tuple[bool, tuple]:
     v = entry.longest
     found = _first_witness(v, word)
     return found is None, (v, found)
 
 
 def _by_definition(
-    word: tuple[int, ...], entry: _Parabolic | None = None
+    word: tuple[int, ...], entry: _Parabolic
 ) -> tuple[bool, tuple[int, ...] | None]:
     found = _fitting_quotient_word(word, entry)
     return found is not None, found
@@ -358,6 +355,17 @@ def _check_backend(backend: str) -> None:
         raise ValueError(f"unknown backend {backend!r}; expected one of {BACKENDS}")
 
 
+def _judge(word: tuple[int, ...], backends: tuple[str, ...]) -> tuple[_Parabolic | None, list]:
+    # Each backend's (verdict, witness) on word, all from one lookup of its
+    # table entry, which is returned for ``_describe``; None, and no
+    # lookup, when ``pattern`` runs alone.  Behind ``is_spherical``,
+    # ``explain``, a report's witnesses and the ``classify`` verb.
+    for b in backends:
+        _check_backend(b)
+    entry = None if backends == ("pattern",) else _parabolic_of(word)
+    return entry, [_DECIDERS[b](word, entry) for b in backends]
+
+
 def is_spherical(w: Permutation, backend: str = "pattern") -> bool:
     """Classify w with one of the four equivalent backends.
 
@@ -366,13 +374,12 @@ def is_spherical(w: Permutation, backend: str = "pattern") -> bool:
     >>> is_spherical(Permutation.from_text("24531"), "definition")
     False
     """
-    _check_backend(backend)
-    return _DECIDERS[backend](w.oneline)[0]
+    return _judge(w.oneline, (backend,))[1][0][0]
 
 
-def _describe(w: Permutation, backend: str, witness, entry: _Parabolic | None = None) -> str:
+def _describe(w: Permutation, backend: str, witness, entry: _Parabolic | None) -> str:
     # The witness that the backend's decider returned for w, as text;
-    # ``entry`` is the table's entry of J(w) when the caller holds it.
+    # ``entry`` is the one ``_judge`` returned with it.
     if backend == "pattern":
         if witness is None:
             return "avoids all 21 blocking patterns"
@@ -411,8 +418,8 @@ def explain(w: Permutation, backend: str) -> str:
     >>> explain(Permutation.from_text("256314"), "pattern")
     'contains 25314 at positions 1,2,4,5,6'
     """
-    _check_backend(backend)
-    return _describe(w, backend, _DECIDERS[backend](w.oneline)[1])
+    entry, [(_, witness)] = _judge(w.oneline, (backend,))
+    return _describe(w, backend, witness, entry)
 
 
 class Disagreement(NamedTuple):
@@ -634,7 +641,8 @@ def cross_check(
     reported = []
     for word, verdicts in bad[:MAX_REPORTED_DISAGREEMENTS]:
         w = Permutation(word)
-        witnesses = tuple(explain(w, b) for b in names)
+        entry, judged = _judge(word, names)
+        witnesses = tuple(_describe(w, b, found, entry) for b, (_, found) in zip(names, judged))
         reported.append(Disagreement(w, verdicts, witnesses))
     return CrossCheckReport(
         n=n,

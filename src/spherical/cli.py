@@ -27,16 +27,16 @@ from typing import Callable, Sequence
 from .bruhat import build_interval, first_dominance_failure, is_boolean_lattice
 from .classify import (
     BACKENDS,
-    _DECIDERS,
     _check_jobs,
     _describe,
+    _judge,
     catalog,
     cross_check,
     density_table,
     estimate_seconds,
     verify_catalog_characterizations,
 )
-from .permutations import Permutation, _parabolic_of
+from .permutations import Permutation
 from .reduced_words import enumerate_reduced_words
 
 _BACKEND_FLAGS = {
@@ -296,34 +296,27 @@ def _jobs(ns: SimpleNamespace) -> int:
 
 def _cmd_classify(ns: SimpleNamespace) -> tuple[int, str]:
     # One search per backend gives both the verdict and the witness, which
-    # becomes text only under --explain.  All four backends share one
-    # lookup of w's parabolic table entry.
+    # becomes text only under --explain.  Every backend run shares one
+    # lookup of w's parabolic table entry (none for pattern alone).
     w = Permutation.from_text(ns.perm)
-    if ns.backend == "all":
-        entry = _parabolic_of(w.oneline)
-        judged = {b: _DECIDERS[b](w.oneline, entry) for b in BACKENDS}
-        verdicts = {b: v for b, (v, _) in judged.items()}
-        agree = len(set(verdicts.values())) == 1
-        verdict = verdicts["pattern"]
-        lines = [
-            "spherical" if verdict else "not spherical",
-            f"backends agree: {'yes' if agree else 'no'}",
-        ]
+    every = ns.backend == "all"
+    backends = BACKENDS if every else (_BACKEND_FLAGS[ns.backend],)
+    entry, judged = _judge(w.oneline, backends)
+    verdict = judged[0][0]  # pattern's, under --backend=all
+    lines = ["spherical" if verdict else "not spherical"]
+    if every:
+        agree = all(v == verdict for v, _ in judged)
+        lines.append(f"backends agree: {'yes' if agree else 'no'}")
         if not agree:
             lines.extend(
                 f"  {b}: {'spherical' if v else 'not spherical'}"
-                for b, v in verdicts.items()
+                for b, (v, _) in zip(backends, judged)
             )
-        if ns.explain:
-            lines.extend(
-                f"{b}: {_describe(w, b, found, entry)}" for b, (_, found) in judged.items()
-            )
-        return (0 if verdict else 1), "\n".join(lines)
-    backend = _BACKEND_FLAGS[ns.backend]
-    verdict, found = _DECIDERS[backend](w.oneline)
-    lines = ["spherical" if verdict else "not spherical"]
     if ns.explain:
-        lines.append(f"witness: {_describe(w, backend, found)}")
+        lines.extend(
+            f"{b if every else 'witness'}: {_describe(w, b, found, entry)}"
+            for b, (_, found) in zip(backends, judged)
+        )
     return (0 if verdict else 1), "\n".join(lines)
 
 

@@ -21,12 +21,12 @@ quotient q, ``divisibility`` the pair (w0(J(w)), w), and ``definition``
 also its generator pools.  All of that depends on J alone, and S_n has
 2^(n-1) descent sets against n! words, so ``_parabolic`` builds it once
 per descent set, in one bounded cache that ``_parabolic_of`` reads for a
-word.  Its readers are the three backends' deciders in ``classify``,
-which a scan hands one entry per word, ``_quotient``,
-``longest_parabolic``, and ``reduced_words._fitting_quotient_word`` and
-``_after_parabolic_word``.  Its entries hold only tuples, so no caller
-can change what the next one reads.  The ``pattern`` backend reads
-nothing from it.
+word.  Every reader but ``longest_parabolic`` takes the entry from
+whoever holds the word, which looks it up once: ``_quotient``, the three
+backends' deciders in ``classify`` and, beneath them,
+``reduced_words._fitting_quotient_word`` and ``_after_parabolic_word``.
+Its entries hold only tuples, so no caller can change what the next one
+reads.  The ``pattern`` backend reads nothing from it.
 
 ``avoids_all`` and ``first_pattern_occurrence`` share one scanner,
 ``_occurrences``.  It walks a trie of the patterns keyed by each letter's
@@ -353,11 +353,8 @@ def _parabolic_of(word: tuple[int, ...]) -> _Parabolic:
     return _parabolic(tuple([i for i in _letters(n) if pos[i] < pos[i + 1]]))
 
 
-def _quotient(word: tuple[int, ...], entry: _Parabolic | None = None) -> tuple[int, ...]:
-    # w0(J(w)) * w, read off ``entry``, the table's entry of J(w), which
-    # is looked up here when the caller has none
-    if entry is None:
-        entry = _parabolic_of(word)
+def _quotient(word: tuple[int, ...], entry: _Parabolic) -> tuple[int, ...]:
+    # w0(J(w)) * w, read off ``entry``, the table's entry of J(w)
     return tuple(map(entry.shifted.__getitem__, word))
 
 

@@ -15,8 +15,8 @@ the pools of J(w): a maximal run of consecutive left descents of w
 shares one pool, every other generator has its own, and each pool holds
 one use per generator in it.  The pools and q's map depend on J(w) alone,
 so both come from the per-descent-set table in ``permutations``, built
-once per J; a scan hands the search its word's entry, looked up once for
-all the backends that read it.  The search returns q's first fitting
+once per J; the caller hands the search its word's entry, looked up once
+for all the backends that read it.  The search returns q's first fitting
 word alone; ``spherical_witness_word`` and ``explain`` put the first
 reduced word of w0(J(w)) in front of it, which needs no search: for each
 run a..b of J, in increasing order, it is a; a+1, a; ...; b, ..., a,
@@ -88,7 +88,7 @@ import itertools
 import math
 from typing import Iterator, Sequence
 
-from .permutations import Permutation, _length, _letters, _Parabolic, _parabolic_of
+from .permutations import Permutation, _length, _letters, _Parabolic, _parabolic_of, _quotient
 
 WORD_ESTIMATE_LIMIT = 1_000_000
 # ``_shape_bound`` cuts lambda(w) to a square of this side.
@@ -392,27 +392,22 @@ def spherical_witness_word(w: Permutation) -> tuple[int, ...] | None:
     return None if rest is None else _after_parabolic_word(w.oneline, rest, entry)
 
 
-def _fitting_quotient_word(
-    word: tuple[int, ...], entry: _Parabolic | None = None
-) -> tuple[int, ...] | None:
+def _fitting_quotient_word(word: tuple[int, ...], entry: _Parabolic) -> tuple[int, ...] | None:
     # The definition search: q's first reduced word that fits the pools,
-    # both read off ``entry``, the table's entry of J(w), looked up here
-    # when the caller has none.
-    if entry is None:
-        entry = _parabolic_of(word)
-    q = tuple(map(entry.shifted.__getitem__, word))
+    # both read off ``entry``, the table's entry of J(w).
+    q = _quotient(word, entry)
     return next(_reduced_words(q, entry.slot_of, entry.caps), None)
 
 
 def _after_parabolic_word(
-    word: tuple[int, ...], rest: tuple[int, ...], entry: _Parabolic | None = None
+    word: tuple[int, ...], rest: tuple[int, ...], entry: _Parabolic
 ) -> tuple[int, ...]:
     # The first reduced word of w0(J(w)), read off the pools' runs of
     # ``entry`` (module docstring), then rest: g is in J exactly when w0(J)
     # descends at g, and its run starts at ``slot_of[g]``.  The runs are
     # slices of one letter table, so every place of a letter holds the
     # same int.
-    v, _, slot_of, _ = _parabolic_of(word) if entry is None else entry
+    v, _, slot_of, _ = entry
     letters = _letters(len(word))
     return (
         *(j for g in range(1, len(word)) if v[g - 1] > v[g] for j in letters[g : slot_of[g] - 1 : -1]),

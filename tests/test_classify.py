@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import oracles
-from spherical import classify
+from spherical import classify, cli
 from spherical.classify import (
     BACKENDS,
     CrossCheckReport,
@@ -102,7 +102,7 @@ def flip_on_second_letter_three(monkeypatch):
     monkeypatch.setitem(
         classify._DECIDERS,
         "stub",
-        lambda word, entry=None: (pattern(word)[0] ^ (word[1] == 3), None),
+        lambda word, entry: (pattern(word, entry)[0] ^ (word[1] == 3), None),
     )
     return [p for p in symmetric_group(5) if p.oneline[1] == 3]
 
@@ -249,8 +249,10 @@ class TestRandomPastDegreeEight:
             if trial % 3 == 2:
                 i, j = rng.sample(range(n), 2)
                 word[i], word[j] = word[j], word[i]
-            verdict = classify._DECIDERS["definition"](tuple(word))[0]
-            assert verdict == classify._DECIDERS["divisibility"](tuple(word))[0], word
+            word = tuple(word)
+            entry = _parabolic_of(word)
+            verdict = classify._DECIDERS["definition"](word, entry)[0]
+            assert verdict == classify._DECIDERS["divisibility"](word, entry)[0], word
             verdicts.add(verdict)
         assert verdicts == {True, False}
 
@@ -277,9 +279,10 @@ class TestRandomPastDegreeEight:
                 i, j = rng.sample(range(n), 2)
                 word[i], word[j] = word[j], word[i]
             w = Permutation(tuple(word))
-            verdict, certificate = classify._DECIDERS["pattern"](w.oneline)
+            verdict, certificate = classify._DECIDERS["pattern"](w.oneline, None)
             assert verdict == avoids_all(w, cat.all), str(w)
-            assert classify._DECIDERS["definition"](w.oneline)[0] == verdict, str(w)
+            definition = classify._DECIDERS["definition"](w.oneline, _parabolic_of(w.oneline))
+            assert definition[0] == verdict, str(w)
             if certificate is not None:
                 positions = classify._certificate_positions(w.oneline, certificate)
                 assert list(positions) == sorted(set(positions))
@@ -330,6 +333,12 @@ def table_words():
     return words
 
 
+def lookups():
+    # the parabolic table's lookups so far, hits plus misses
+    info = _parabolic.cache_info()
+    return info.hits + info.misses
+
+
 def rebuilt_entry(word):
     # the table's entry of J(w), from the builders it replaced
     v = oracles.longest_below(word)
@@ -343,7 +352,7 @@ class TestParabolicTable:
             v, _, slot_of, caps = rebuilt_entry(word)
             entry = _parabolic_of(word)
             assert entry.longest == v, word
-            assert _quotient(word) == oracles.quotient(word), word
+            assert _quotient(word, entry) == oracles.quotient(word), word
             assert (entry.slot_of, entry.caps) == (slot_of, caps), word
             gens = GeneratorSet(len(word), frozenset(i for i in range(1, len(word)) if v[i - 1] > v[i]))
             assert longest_parabolic(gens) == oracles.longest_parabolic(gens), word
@@ -361,12 +370,15 @@ class TestParabolicTable:
             assert all(type(part) is tuple for part in entry), str(w)
         assert _parabolic.cache_info().misses == misses  # read the cached entries
 
-    def test_pattern_backend_reads_nothing_from_the_table(self):
+    def test_pattern_backend_reads_nothing_from_the_table(self, capsys):
         catalog()
         before = _parabolic.cache_info()
         for w in symmetric_group(6):
             is_spherical(w, "pattern")
             explain(w, "pattern")
+            for explained in ((), ("--explain",)):
+                cli.main(["classify", str(w), "--backend=pattern", *explained])
+        capsys.readouterr()
         assert _parabolic.cache_info()[:2] == before[:2]
 
     def test_entries_share_one_letter_table_per_degree(self):
@@ -400,13 +412,22 @@ class TestParabolicTable:
         after = _parabolic.cache_info()
         assert after.hits + after.misses - before.hits - before.misses == words
 
-    def test_deciders_read_a_passed_entry_as_their_own(self):
-        for n in range(1, 8):
-            for word in itertools.permutations(range(1, n + 1)):
-                entry = _parabolic_of(word)
-                for backend in ("boolean_quotient", "divisibility", "definition"):
-                    decide = classify._DECIDERS[backend]
-                    assert decide(word, entry) == decide(word), (backend, word)
+    def test_explain_looks_up_each_word_once(self):
+        # the definition verdict and its w0(J) letters share one entry
+        before = lookups()
+        for w in symmetric_group(5):
+            explain(w, "definition")
+        assert lookups() - before == 120
+
+    def test_reported_witnesses_look_up_each_word_once(self, monkeypatch):
+        # 120 for the scan and one for each of the 20 reported words'
+        # witnesses, shared by the three backends
+        flip_on_second_letter_three(monkeypatch)
+        catalog()
+        before = lookups()
+        report = cross_check(5, ("boolean_quotient", "definition", "stub"))
+        assert len(report.disagreements) == 20
+        assert lookups() - before == 140
 
     def test_stays_within_its_bound(self):
         rng = random.Random(40)

@@ -51,6 +51,13 @@ class TestClassify:
         after = _parabolic.cache_info()
         assert after.hits + after.misses - before.hits - before.misses == 1
 
+    def test_explain_shares_one_table_lookup(self, capsys):
+        # the definition verdict and its w0(J) letters share one entry
+        before = _parabolic.cache_info()
+        run_cli(capsys, "classify", "4321", "--backend=definition", "--explain")
+        after = _parabolic.cache_info()
+        assert after.hits + after.misses - before.hits - before.misses == 1
+
     def test_identity(self, capsys):
         status, out, _ = run_cli(capsys, "classify", "12345")
         assert status == 0

@@ -522,7 +522,7 @@ class TestDefinitionSearch:
                 q = parabolic_quotient(w)
                 entry = _parabolic_of(w.oneline)
                 expected = next(budgeted_words(q, entry.slot_of, entry.caps), None)
-                assert reduced_words._fitting_quotient_word(w.oneline) == expected, str(w)
+                assert reduced_words._fitting_quotient_word(w.oneline, entry) == expected, str(w)
 
     def test_parabolic_word_matches_the_walk(self):
         # the closed form of w0(J)'s first reduced word against the walker
@@ -530,7 +530,8 @@ class TestDefinitionSearch:
             for w in symmetric_group(n):
                 v = longest_parabolic(w.left_descents())
                 expected = enumerate_reduced_words(v, limit=1)[0]
-                assert reduced_words._after_parabolic_word(w.oneline, ()) == expected, str(w)
+                entry = _parabolic_of(w.oneline)
+                assert reduced_words._after_parabolic_word(w.oneline, (), entry) == expected, str(w)
 
     def test_longer_than_the_pools_answers_at_once(self):
         # a quotient of length 59 against pools holding 17 uses: no word
