@@ -14,12 +14,10 @@ from .bruhat import (
 from .classify import (
     BACKENDS,
     CrossCheckReport,
-    DensityRow,
     Disagreement,
     PatternCatalog,
     catalog,
     cross_check,
-    density_table,
     explain,
     is_spherical,
     parabolic_quotient,
@@ -44,6 +42,7 @@ from .reduced_words import (
     word_to_permutation,
     word_to_text,
 )
+from .tree import DensityRow, density_table
 
 __all__ = [
     "BACKENDS",

@@ -32,12 +32,12 @@ from .classify import (
     _judge,
     catalog,
     cross_check,
-    density_table,
     estimate_seconds,
     verify_catalog_characterizations,
 )
 from .permutations import Permutation
 from .reduced_words import enumerate_reduced_words
+from .tree import density_table
 
 _BACKEND_FLAGS = {
     "pattern": "pattern",

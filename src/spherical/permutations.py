@@ -112,7 +112,8 @@ class Permutation(_Frozen):
         n = len(word)
         if n == 0:
             raise ValueError("degree must be at least 1")
-        if sorted(word) != list(range(1, n + 1)):
+        # equality alone would take 2.0 and True for 2 and 1
+        if {*map(type, word)} != {int} or sorted(word) != list(range(1, n + 1)):
             raise ValueError(f"not a permutation of 1..{n}: {word!r}")
         object.__setattr__(self, "oneline", word)
 
@@ -201,10 +202,7 @@ class Permutation(_Frozen):
         >>> str(Permutation((2, 3, 1)).inverse())
         '312'
         """
-        inv = [0] * self.degree
-        for pos, v in enumerate(self.oneline, start=1):
-            inv[v - 1] = pos
-        return Permutation(tuple(inv))
+        return Permutation(tuple(_inverse(self.oneline)))
 
     def length(self) -> int:
         """Number of inversions, which is the minimal word length in the
@@ -230,6 +228,14 @@ def _length(word: tuple[int, ...]) -> int:
         total += len(seen) - k
         seen.insert(k, v)
     return total
+
+
+def _inverse(word: tuple[int, ...]) -> list[int]:
+    # The position, 1-based, of each value 1..n.
+    inverse = [0] * len(word)
+    for p, v in enumerate(word, 1):
+        inverse[v - 1] = p
+    return inverse
 
 
 def _left_descents(word: tuple[int, ...]) -> list[int]:

@@ -88,18 +88,13 @@ import itertools
 import math
 from typing import Iterator, Sequence
 
-from .permutations import Permutation, _length, _letters, _Parabolic, _parabolic_of, _quotient
+from .permutations import (
+    Permutation, _inverse, _length, _letters, _Parabolic, _parabolic_of, _quotient,
+)
 
 WORD_ESTIMATE_LIMIT = 1_000_000
 # ``_shape_bound`` cuts lambda(w) to a square of this side.
 SHAPE_BOX = 16
-
-
-def _inverse(word: tuple[int, ...]) -> list[int]:
-    inverse = [0] * len(word)
-    for p, v in enumerate(word, 1):
-        inverse[v - 1] = p
-    return inverse
 
 
 def _crossings(word: tuple[int, ...], inverse: list[int]) -> list[int]:

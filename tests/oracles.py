@@ -47,9 +47,10 @@ import math
 import operator
 from collections import Counter
 
-from spherical.classify import _site_pass, catalog
+from spherical.classify import catalog
 from spherical.cli import _BACKEND_FLAGS
 from spherical.permutations import GeneratorSet, Permutation, _left_descents, symmetric_group
+from spherical.tree import _site_pass
 
 
 def standardize(values) -> tuple[int, ...]:
@@ -374,7 +375,7 @@ def site_pass(w: tuple[int, ...]) -> tuple[list[int], list[int], list[int]]:
     sweeps: for each position j it slices the letters after j, the
     positions of the values above w_j and the prefix before ``reach``, so
     it costs O(n^2) steps.  Returns (allowed sites, middles, ``reach_at``),
-    which ``classify._site_pass`` must equal; the comments below define
+    which ``tree._site_pass`` must equal; the comments below define
     each."""
     n = len(w)
     pos = [-1] * (n + 1)

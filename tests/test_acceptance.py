@@ -10,10 +10,8 @@ import random
 from spherical.bruhat import build_interval, bruhat_leq, is_boolean_lattice
 from spherical.classify import (
     BACKENDS,
-    _site_pass,
     catalog,
     cross_check,
-    density_table,
     is_spherical,
     verify_catalog_characterizations,
 )
@@ -25,6 +23,7 @@ from spherical.permutations import (
     symmetric_group,
 )
 from spherical.reduced_words import is_boolean_by_words
+from spherical.tree import _site_pass, density_table
 
 from oracles import avoids_by_subsets, leq_by_cover_closure, own_site_counts
 

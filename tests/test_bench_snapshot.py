@@ -86,3 +86,18 @@ def test_each_side_runs_with_its_own_fresh_bytecode_cache(snapshot, tmp_path, mo
     assert parent != change
     assert str(tmp_path / "inherited") not in (parent, change)
     assert not os.path.exists(os.path.dirname(parent))  # removed afterwards
+
+
+def test_tree_records_the_source_line_count(snapshot, tmp_path, monkeypatch):
+    # every .py file under src counts, at any depth, and nothing else does
+    (tmp_path / "src" / "pkg" / "sub").mkdir(parents=True)
+    (tmp_path / "src" / "pkg" / "a.py").write_text("x = 1\ny = 2\n")
+    (tmp_path / "src" / "pkg" / "sub" / "b.py").write_text("\n\n\nz = 3\n")
+    (tmp_path / "src" / "pkg" / "notes.txt").write_text("not\ncounted\n")
+    (tmp_path / "tests.py").write_text("not counted\n")
+    monkeypatch.setattr(snapshot, "git", lambda root, *args: None)
+    recorded = snapshot.tree(tmp_path)
+    assert recorded["src_lines"] == 6
+    (tmp_path / "src" / "pkg" / "a.py").write_text("x = 1\n")
+    assert snapshot.tree(tmp_path)["src_lines"] == 5
+    assert snapshot.tree(tmp_path)["src_sha256"] != recorded["src_sha256"]

@@ -10,17 +10,15 @@ import pytest
 from hypothesis import given, strategies as st
 
 import oracles
-from spherical import classify, cli
+from spherical import classify, cli, tree
 from spherical.classify import (
     BACKENDS,
     CrossCheckReport,
-    DensityRow,
     Disagreement,
     _characterizations_hold,
     _raw_catalog,
     catalog,
     cross_check,
-    density_table,
     explain,
     is_spherical,
     parabolic_quotient,
@@ -37,6 +35,7 @@ from spherical.permutations import (
     relative_order,
     symmetric_group,
 )
+from spherical.tree import DensityRow, density_table
 
 from oracles import avoids_by_subsets, leftmost_occurrence, own_site_counts
 
@@ -62,6 +61,30 @@ def recording_pool(monkeypatch):
 
     monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", RecordingPool)
     return built
+
+
+@pytest.fixture(params=["worker-died", "no-semaphores"])
+def broken_pool(request, monkeypatch):
+    # a stand-in for ProcessPoolExecutor that fails the two ways a real one
+    # can: a worker dies during the map, or the host lacks the named
+    # semaphores a pool needs, which the constructor reports as
+    # NotImplementedError; either way a scan falls back to serial
+    class BrokenPool:
+        def __init__(self, max_workers):
+            if request.param == "no-semaphores":
+                raise NotImplementedError("this host lacks named semaphores")
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            raise BrokenProcessPool("a worker died")
+
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", BrokenPool)
+    monkeypatch.setattr("spherical.classify.os.cpu_count", lambda: 8)
 
 
 @st.composite
@@ -564,24 +587,9 @@ class TestCrossCheck:
         parallel = cross_check(5, jobs=3)
         assert serial == parallel
 
-    def test_broken_pool_falls_back_to_serial(self, monkeypatch):
-        class CrashingPool:
-            def __init__(self, max_workers):
-                pass
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, items):
-                raise BrokenProcessPool("a worker died")
-
+    def test_broken_pool_falls_back_to_serial(self, monkeypatch, broken_pool):
         serial = cross_check(5)
         monkeypatch.setattr(classify, "DEFAULT_CROSSCHECK_BOUND", 5)
-        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", CrashingPool)
-        monkeypatch.setattr("spherical.classify.os.cpu_count", lambda: 8)
         with pytest.warns(UserWarning, match="scanning serially"):
             fallback = cross_check(5, jobs=3)
         assert fallback == serial
@@ -742,16 +750,23 @@ class TestDensity:
         # the chunk roots, of degree 4 at max_n = 6 and 5 at max_n = 7, sit
         # two degrees below max_n, where the walk counts from the sites alone
         whole = {max_n: density_table(max_n) for max_n in (6, 7)}
-        monkeypatch.setattr(classify, "DENSITY_BOUND", 6)
+        monkeypatch.setattr(tree, "DENSITY_BOUND", 6)
         monkeypatch.setattr("spherical.classify.os.cpu_count", lambda: 2)
         for max_n, rows in whole.items():
             assert density_table(max_n, force=True) == rows
             assert density_table(max_n, force=True, jobs=2) == rows
         assert recording_pool == [2, 2]
 
+    def test_broken_pool_falls_back_to_serial(self, monkeypatch, broken_pool):
+        serial = density_table(7)
+        monkeypatch.setattr(tree, "DENSITY_BOUND", 6)
+        with pytest.warns(UserWarning, match="scanning serially"):
+            fallback = density_table(7, force=True, jobs=2)
+        assert fallback == serial
+
     @pytest.mark.parametrize("jobs", [2, 3])
     def test_rows_identical_for_any_jobs(self, monkeypatch, recording_pool, jobs):
-        monkeypatch.setattr(classify, "DENSITY_BOUND", 8)
+        monkeypatch.setattr(tree, "DENSITY_BOUND", 8)
         serial = density_table(8)
         monkeypatch.setattr("spherical.classify.os.cpu_count", lambda: 8)
         assert density_table(8, jobs=jobs) == serial
@@ -780,7 +795,7 @@ class TestDensity:
                     for s, child in enumerate(children)
                     if avoids_by_subsets(Permutation(child), patterns)
                 ]
-                assert classify._site_pass(w)[0] == expected, parent
+                assert tree._site_pass(w)[0] == expected, parent
 
     def test_seed_is_the_site_rule_on_the_top_levels(self):
         # every site is allowed on every word of degree at most 3, so S_1..S_4
@@ -788,20 +803,20 @@ class TestDensity:
         # the catalog are the children the site rule allows on S_4
         for n in range(1, 4):
             for w in itertools.permutations(range(1, n + 1)):
-                assert classify._site_pass(w)[0] == list(range(n + 1)), w
+                assert tree._site_pass(w)[0] == list(range(n + 1)), w
         for n in range(1, 5):
-            assert classify._seed(n) == tuple(itertools.permutations(range(1, n + 1)))
+            assert tree._seed(n) == tuple(itertools.permutations(range(1, n + 1)))
         grown = {
-            w[:s] + (5,) + w[s:] for w in classify._seed(4) for s in classify._site_pass(w)[0]
+            w[:s] + (5,) + w[s:] for w in tree._seed(4) for s in tree._site_pass(w)[0]
         }
-        assert set(classify._seed(5)) == grown
-        assert len(classify._seed(5)) == 99
+        assert set(tree._seed(5)) == grown
+        assert len(tree._seed(5)) == 99
 
     def test_walk_cost_in_site_passes(self, monkeypatch):
         # one pass per member of degree min(5, n-2)..n-2; none up to degree 5
         calls = []
-        site_pass = classify._site_pass
-        monkeypatch.setattr(classify, "_site_pass", lambda w: calls.append(w) or site_pass(w))
+        site_pass = tree._site_pass
+        monkeypatch.setattr(tree, "_site_pass", lambda w: calls.append(w) or site_pass(w))
         for n, passes in [(1, 0), (2, 0), (3, 0), (4, 0), (5, 0), (6, 24), (7, 99), (8, 499)]:
             calls.clear()
             density_table(n)
@@ -815,7 +830,7 @@ class TestDensity:
         for n in range(1, 8):
             grown = []
             for w in level:
-                sites, counts = classify._child_site_counts(w)
+                sites, counts = tree._child_site_counts(w)
                 children = [w[:s] + (n + 1,) + w[s:] for s in sites]
                 assert counts == own_site_counts(children), w
                 grown.extend(children)
@@ -877,7 +892,7 @@ class TestSitePass:
             grown = []
             for w in level:
                 expected = oracles.site_pass(w)
-                assert classify._site_pass(w) == expected, w
+                assert tree._site_pass(w) == expected, w
                 grown.extend(w[:s] + (n + 1,) + w[s:] for s in expected[0])
             seen += len(level)
             level = grown
@@ -900,7 +915,7 @@ class TestSitePass:
         for n in [20, 400, *(rng.randint(20, 400) for _ in range(22))]:
             w = member_sum(rng, n, by_degree)
             assert is_spherical(Permutation(w)), w
-            assert classify._site_pass(w) == oracles.site_pass(w), w
+            assert tree._site_pass(w) == oracles.site_pass(w), w
 
     def test_degree_one_thousand(self):
         n = 1000
@@ -910,4 +925,4 @@ class TestSitePass:
             member_sum(random.Random(1000), n, self.members_by_degree(7)),
         ]
         for w in words:
-            assert classify._site_pass(w) == oracles.site_pass(w)
+            assert tree._site_pass(w) == oracles.site_pass(w)

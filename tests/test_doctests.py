@@ -5,14 +5,14 @@ from pathlib import Path
 
 import pytest
 
-from spherical import bruhat, classify, divisibility, permutations, reduced_words
+from spherical import bruhat, classify, divisibility, permutations, reduced_words, tree
 from spherical.cli import main
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 @pytest.mark.parametrize(
-    "module", [permutations, bruhat, reduced_words, divisibility, classify]
+    "module", [permutations, bruhat, reduced_words, divisibility, classify, tree]
 )
 def test_doctests(module):
     failures, _ = doctest.testmod(module)

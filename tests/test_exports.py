@@ -37,3 +37,33 @@ def test_bench_imports_resolve():
     assert imported
     missing = [entry for entry in imported if not resolves(*entry[1:])]
     assert missing == []
+
+
+def imported_names(path: Path) -> set[str]:
+    # every name a module of the package imports, spelled in full
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if isinstance(node, ast.Import):
+            names.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            source = ".".join(filter(None, ["spherical" if node.level else "", node.module]))
+            names.update(f"{source}.{alias.name}" for alias in node.names)
+    return names
+
+
+def test_generating_tree_stays_apart_from_the_deciders():
+    # The cross-check rests on the four deciders' independence, and the
+    # tree is built on apart from them: it reads the catalog and the scan
+    # driver from classify, and classify reads nothing from it.
+    package = Path(spherical.__file__).resolve().parent
+    classify, tree = package / "classify.py", package / "tree.py"
+    assert not {n for n in imported_names(classify) if n.startswith("spherical.tree")}
+    from_classify = {n for n in imported_names(tree) if n.startswith("spherical.classify")}
+    assert from_classify == {"spherical.classify._scan", "spherical.classify.catalog"}
+    named = {
+        node.id if isinstance(node, ast.Name) else node.attr
+        for node in ast.walk(ast.parse(tree.read_text(), str(tree)))
+        if isinstance(node, (ast.Name, ast.Attribute))
+    }
+    deciders = {"_DECIDERS", "_catalog_certificate", "_judge"}
+    assert not {name for name in named if name in deciders or name.startswith("_by_")}

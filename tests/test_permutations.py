@@ -35,7 +35,10 @@ class TestConstruction:
             Permutation.identity(0)
 
     @pytest.mark.parametrize(
-        "values", [(), (0, 1), (1, 1), (1, 3), (2, 3, 4)]
+        "values",
+        # the last five only equal integers: 2.0 == 2 and True == 1
+        [(), (0, 1), (1, 1), (1, 3), (2, 3, 4), (2.0, 1.0), (2, 1.0), (True,), (2, True),
+         (1, 2, 3.0)],
     )
     def test_rejects_non_permutations(self, values):
         with pytest.raises(ValueError):

@@ -13,7 +13,8 @@ the start and removed at the end, so neither side reads bytecode that the
 other side, an earlier run or the caller's environment left behind.
 Each checkout is identified by its git HEAD, whether its work tree
 differs from HEAD, and a hash of its ``src`` files, so a measured tree
-that is not yet committed is never taken for its parent.  The file
+that is not yet committed is never taken for its parent; the total line
+count of those files is recorded beside the hash.  The file
 holds the last-line metrics of every run, the machine context, and per
 workload and metric each side's median and quartiles and the number of
 seeds on which the change did better, by the direction
@@ -72,13 +73,16 @@ def git(root: Path, *args: str) -> str | None:
 
 def tree(root: Path) -> dict:
     digest = hashlib.sha256()
+    lines = 0
     for path in sorted((root / "src").rglob("*.py")):
+        text = path.read_bytes()
         digest.update(path.relative_to(root).as_posix().encode() + b"\0")
-        digest.update(path.read_bytes())
+        digest.update(text)
+        lines += text.count(b"\n")
     head = git(root, "rev-parse", "HEAD")
     status = git(root, "status", "--porcelain") if head else None
     return {"head": head, "dirty": None if status is None else bool(status),
-            "src_sha256": digest.hexdigest()}
+            "src_sha256": digest.hexdigest(), "src_lines": lines}
 
 
 def snapshot_path(root: Path, today: str, head: str | None) -> Path | None:
