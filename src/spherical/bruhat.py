@@ -51,21 +51,23 @@ def bruhat_leq(v: Permutation, w: Permutation) -> bool:
     return first_dominance_failure(v, w) is None
 
 
-def _covers_down(word: tuple[int, ...]) -> list[tuple[int, ...]]:
+def _covers_down(word: tuple[int, ...], blocks: list[range]) -> list[tuple[int, ...]]:
     # Swapping positions a < b removes exactly one inversion when
     # word[a] > word[b] and no value between them sits between them:
     # scanning right from a, that is each new running maximum among the
-    # values below word[a].
+    # values below word[a].  Only pairs inside one of ``blocks``, the
+    # position ranges of the top's nontrivial sum components, can swap.
     w = list(word)
     out = []
-    for a in range(len(w) - 1):
-        high = 0
-        for b in range(a + 1, len(w)):
-            if high < w[b] < w[a]:
-                high = w[b]
-                w[a], w[b] = w[b], w[a]
-                out.append(tuple(w))
-                w[a], w[b] = w[b], w[a]
+    for block in blocks:
+        for a in block[:-1]:
+            high = 0
+            for b in range(a + 1, block.stop):
+                if high < w[b] < w[a]:
+                    high = w[b]
+                    w[a], w[b] = w[b], w[a]
+                    out.append(tuple(w))
+                    w[a], w[b] = w[b], w[a]
     return out
 
 
@@ -98,7 +100,10 @@ def build_interval(w: Permutation, rank_bound: int = DEFAULT_RANK_BOUND) -> Bruh
     reach 2**length).  The interval grows down from w through lower
     covers, each element's computed once and each recorded as a cover.
     No candidate needs a Bruhat test: every u <= w lies on a chain of
-    covers down from w, and whatever lies below u lies below w.
+    covers down from w, and whatever lies below u lies below w.  Every
+    such u also permutes within w's sum components, the stretches that
+    end at each k with max(w_1..w_k) = k, so covers are sought only
+    inside the components longer than one letter.
 
     >>> iv = build_interval(Permutation((2, 1, 4, 3)))
     >>> len(iv.elements), len(iv.covers)
@@ -107,12 +112,20 @@ def build_interval(w: Permutation, rank_bound: int = DEFAULT_RANK_BOUND) -> Bruh
     rank = w.length()
     if rank > rank_bound:
         raise ValueError(f"interval rank {rank} exceeds bound {rank_bound}")
-    lower = {w.oneline: _covers_down(w.oneline)}
+    blocks = []
+    start = high = 0
+    for k, v in enumerate(w.oneline, 1):
+        high = max(high, v)
+        if high == k:
+            if k - start > 1:
+                blocks.append(range(start, k))
+            start = k
+    lower = {w.oneline: _covers_down(w.oneline, blocks)}
     stack = [w.oneline]
     while stack:
         for c in lower[stack.pop()]:
             if c not in lower:
-                lower[c] = _covers_down(c)
+                lower[c] = _covers_down(c, blocks)
                 stack.append(c)
     # Permutations order as their one-line tuples, so sort those.
     perm = {u: Permutation(u) for u in lower}

@@ -38,7 +38,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-import math
 import os
 import time
 import warnings
@@ -556,16 +555,11 @@ def _tally(words: Iterable[tuple[int, ...]], backends: tuple[str, ...]) -> _Tall
     return total, spherical, bad, seconds
 
 
-def _check_jobs(jobs: int) -> int:
-    if jobs < 1:
-        raise ValueError("jobs must be at least 1")
-    return jobs
-
-
 def _scan(work: Callable, chunks: list, jobs: int) -> list:
     """Apply ``work`` to every chunk, on at most ``jobs`` worker processes;
     the results come back in chunk order."""
-    _check_jobs(jobs)
+    if jobs < 1:
+        raise ValueError("jobs must be at least 1")
     workers = min(jobs, len(chunks), os.cpu_count() or 1)
     if workers < 2:
         return [work(c) for c in chunks]
@@ -581,18 +575,6 @@ def _scan(work: Callable, chunks: list, jobs: int) -> list:
     except (OSError, NotImplementedError, BrokenProcessPool) as err:
         warnings.warn(f"process pool unavailable ({err}); scanning serially")
         return [work(c) for c in chunks]
-
-
-def _cross_check_names(n: int, backends: Sequence[str]) -> tuple[str, ...]:
-    # Every refusal of a cross-check but its bound, before any work starts.
-    if n < 1:
-        raise ValueError("degree must be at least 1")
-    names = tuple(backends)
-    for b in names:
-        _check_backend(b)
-    if len(set(names)) < 2:
-        raise ValueError("a cross-check needs at least two distinct backends")
-    return names
 
 
 def cross_check(
@@ -613,7 +595,13 @@ def cross_check(
     >>> cross_check(4).summary_line()
     '24 permutations, 24 spherical, 0 disagreements'
     """
-    names = _cross_check_names(n, backends)
+    if n < 1:
+        raise ValueError("degree must be at least 1")
+    names = tuple(backends)
+    for b in names:
+        _check_backend(b)
+    if len(set(names)) < 2:
+        raise ValueError("a cross-check needs at least two distinct backends")
     bound = DEFAULT_CROSSCHECK_BOUND
     if n > bound and not force:
         raise ValueError(
@@ -623,6 +611,10 @@ def cross_check(
     # From the bound up, S_n in blocks by first value: joined in order they
     # give the lexicographic stream, so disagreements keep their order.
     heads = [(first,) for first in range(1, n + 1)] if n >= bound else [()]
+    if "pattern" in names:
+        # the catalog's self-check runs here, not in pattern's first timed
+        # slice, and forked workers inherit the checked catalog
+        catalog()
     results = _scan(_scan_chunk, [(n, head, names) for head in heads], jobs)
     bad = [item for _, _, block_bad, _ in results for item in block_bad]
     seconds = [sum(column) for column in zip(*(r[3] for r in results))]
@@ -642,27 +634,3 @@ def cross_check(
         backend_seconds=dict(zip(names, seconds)),
     )
 
-
-def _unrank(n: int, rank: int) -> tuple[int, ...]:
-    # The word of S_n at ``rank`` (from 0) in lexicographic order.
-    rest = list(range(1, n + 1))
-    word = []
-    for k in range(n - 1, -1, -1):
-        i, rank = divmod(rank, math.factorial(k))
-        word.append(rest.pop(i))
-    return tuple(word)
-
-
-def estimate_seconds(n: int, backends: Sequence[str]) -> float:
-    """Rough wall-clock estimate for a full degree-n scan: time at most 720
-    words of S_n, evenly spaced in lexicographic order so that every first
-    value gets its share, and scale up to n!.  Refuses the inputs
-    ``cross_check`` refuses, other than a degree past its bound."""
-    names = _cross_check_names(n, backends)
-    total = math.factorial(n)
-    count = min(total, 720)
-    sample = [_unrank(n, r * total // count) for r in range(count)]
-    start = time.perf_counter()
-    _tally(sample, names)
-    elapsed = time.perf_counter() - start
-    return elapsed * total / count

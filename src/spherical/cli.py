@@ -17,7 +17,6 @@ microseconds for its arguments, not argparse's 30-50.
 
 from __future__ import annotations
 
-import math
 import os
 import re
 import sys
@@ -27,12 +26,10 @@ from typing import Callable, Sequence
 from .bruhat import build_interval, first_dominance_failure, is_boolean_lattice
 from .classify import (
     BACKENDS,
-    _check_jobs,
     _describe,
     _judge,
     catalog,
     cross_check,
-    estimate_seconds,
     verify_catalog_characterizations,
 )
 from .permutations import Permutation
@@ -289,9 +286,9 @@ def parse_args(argv: Sequence[str]) -> SimpleNamespace:
 
 
 def _jobs(ns: SimpleNamespace) -> int:
-    # --jobs defaults to the CPU count at the time the command runs; a
-    # given count is checked here, before a forced scan times its estimate.
-    return _check_jobs(ns.jobs) if ns.jobs is not None else os.cpu_count() or 1
+    # --jobs defaults to the CPU count at the time the command runs; the
+    # scan driver checks a given count.
+    return ns.jobs if ns.jobs is not None else os.cpu_count() or 1
 
 
 def _cmd_classify(ns: SimpleNamespace) -> tuple[int, str]:
@@ -323,14 +320,7 @@ def _cmd_classify(ns: SimpleNamespace) -> tuple[int, str]:
 def _cmd_crosscheck(ns: SimpleNamespace) -> tuple[int, str]:
     # Short names map to full ones; the library refuses unknown names.
     backends = tuple(_BACKEND_FLAGS.get(t, t) for t in ns.backends.split(",") if t)
-    jobs = _jobs(ns)
-    if ns.force:
-        secs = estimate_seconds(ns.n, backends)
-        print(
-            f"estimated {secs:.1f}s for {math.factorial(ns.n)} permutations",
-            file=sys.stderr,
-        )
-    report = cross_check(ns.n, backends, force=ns.force, jobs=jobs)
+    report = cross_check(ns.n, backends, force=ns.force, jobs=_jobs(ns))
     if ns.format == "json":
         import json  # only JSON output needs it; classify starts without it
 
@@ -345,8 +335,6 @@ def _cmd_crosscheck(ns: SimpleNamespace) -> tuple[int, str]:
 
 
 def _cmd_count(ns: SimpleNamespace) -> tuple[int, str]:
-    # No estimate even when forced: the generating tree's cost follows the
-    # class size, which is what it counts.
     rows = density_table(ns.max_n, force=ns.force, jobs=_jobs(ns))
     if ns.format == "csv":
         text = "\n".join(

@@ -1,5 +1,6 @@
 import copy
 import pickle
+import time
 
 import pytest
 
@@ -166,6 +167,18 @@ class TestIntervals:
         grown = build_interval(w)
         assert len(grown.elements) == len(small.elements)
         assert len(grown.covers) == len(small.covers)
+
+    def test_rank_six_at_degree_two_thousand_within_a_second(self):
+        # covers are sought only inside the top's six two-letter components,
+        # not over all pairs of 2000 positions
+        top = list(range(1, 2001))
+        for i in range(0, 12, 2):
+            top[i], top[i + 1] = top[i + 1], top[i]
+        start = time.perf_counter()
+        iv = build_interval(Permutation(tuple(top)))
+        assert time.perf_counter() - start < 1
+        assert (len(iv.elements), len(iv.covers)) == (64, 192)
+        assert is_boolean_lattice(iv)
 
     def test_elements_match_cover_closure_oracle(self):
         for n in range(1, 6):

@@ -332,12 +332,12 @@ class TestCrosscheck:
         assert out == ""
         assert "backend" in err
 
-    def test_force_prints_estimate_to_stderr(self, capsys):
+    def test_force_prints_no_estimate(self, capsys):
         status, out, err = run_cli(
             capsys, "crosscheck", "--n=4", "--force", "--jobs=1"
         )
         assert status == 0
-        assert "estimated" in err
+        assert err == ""
         assert out.strip().startswith("24 permutations")
 
     def test_json_format(self, capsys):

@@ -67,3 +67,17 @@ def test_generating_tree_stays_apart_from_the_deciders():
     }
     deciders = {"_DECIDERS", "_catalog_certificate", "_judge"}
     assert not {name for name in named if name in deciders or name.startswith("_by_")}
+
+
+def test_cli_takes_only_what_it_runs_from_classify():
+    # the verbs decide, describe, cross-check and list the catalog; every
+    # refusal comes from inside the library calls, none from a helper
+    cli = Path(spherical.__file__).resolve().parent / "cli.py"
+    from_classify = {n for n in imported_names(cli) if n.startswith("spherical.classify")}
+    assert from_classify == {
+        f"spherical.classify.{name}"
+        for name in (
+            "BACKENDS", "_describe", "_judge", "catalog", "cross_check",
+            "verify_catalog_characterizations",
+        )
+    }
