@@ -13,9 +13,11 @@ tuple, which returns the verdict and its witness together: ``is_spherical``
 and the scan loop read the verdict, and ``explain`` formats the witness
 from the same call.  Each search also takes the parabolic table's entry
 of J(w) (``permutations._parabolic_of``), through which the last three
-read w.  Whoever holds the word looks it up once for all the backends
-it runs: the scan loop once per word and ``_judge`` once per call, or
-never for ``pattern`` alone.  The ``pattern`` search never lists
+read w; ``boolean_quotient`` reads the positions of the quotient
+w0(J(w)) * w straight off w through it, and only its ``explain`` text
+forms the quotient.  Whoever holds the word looks it up once for all
+the backends it runs: the scan loop once per word and ``_judge`` once
+per call, or never for ``pattern`` alone.  The ``pattern`` search never lists
 occurrences: the catalog's self-check proves its 21 literals are the
 patterns passing two positional tests, and the search reads those tests
 on w in O(n^2) steps.  Its witness is a certificate of where the search
@@ -195,6 +197,10 @@ def _catalog_certificate(w: tuple[int, ...]) -> tuple[int, ...] | None:
     after the 1 exists unless the values below w_j after j are
     w_j-1, ..., w_j-L in that order.  The two sides are independent once
     j is fixed.
+
+    The 3412 half then tries the pairs (x, y) in order on w itself and
+    builds no table over the values: what it needs once per x or per y it
+    finds only when a pair asks for it, so the search stays O(n^2) steps.
     """
     n = len(w)
     for j in range(1, n - 1):
@@ -211,36 +217,49 @@ def _catalog_certificate(w: tuple[int, ...]) -> tuple[int, ...] | None:
         return (j,)
     # The 3412 half: w_x > w_y with x < y are the 4 and the 2.  The 5 must
     # sit before y, the 1 after x, and the 5 before the 1, so the earliest
-    # value above w_x and the latest value below w_y are the ones to try.
-    # A 3 valued in (w_y, w_x) before x or after y exists exactly when the
-    # greatest value below w_x before x exceeds w_y, or the least value
-    # above w_y after y is below w_x; each is found only once a pair passes
-    # the rest.
-    pos = [-1] * (n + 2)
-    for p, v in enumerate(w):
-        pos[v] = p
-    pos[n + 1] = n
-    # last_upto[v]: the last position of a value at most v, or -1;
-    # first_from[v]: the first position of a value at least v, or n.
-    last_upto = pos[: n + 1]
-    for v in range(1, n + 1):
-        if last_upto[v] < last_upto[v - 1]:
-            last_upto[v] = last_upto[v - 1]
-    first_from = pos[:]
-    for v in range(n, 0, -1):
-        if first_from[v] > first_from[v + 1]:
-            first_from[v] = first_from[v + 1]
+    # value above w_x and the latest value below w_y are the ones to try:
+    # with m the later of x and that 5, the 2 sits after m, and so does a
+    # smaller value unless w_y is the least value after m.  The earliest 5
+    # is before x unless w_x is a new left-to-right maximum, and then it is
+    # the next one, so the walks to it cover the stretches between
+    # consecutive maxima, O(n) steps in all.  A 3 valued in (w_y, w_x)
+    # before x or after y exists exactly when the greatest value below w_x
+    # before x exceeds w_y, or the least value above w_y after y is below
+    # w_x; each is found only once a pair passes the rest.
     least_above: dict[int, int] = {}
+    top = 0  # the greatest value before x
+    # low, once found, is the least value after position low_from and sits
+    # at low_at, so it is the least after every m in between.  It is taken
+    # with one ``min`` at x's first value below w_x after m, and only when
+    # the last one does not cover m: w0 and the cycle 2, ..., n, 1 take it
+    # once.
+    low = None
+    low_from = low_at = n
     for x in range(n - 2):
         wx = w[x]
-        if wx < 4:  # a 4 needs three values below it
+        if wx < top:
+            m = x
+        else:
+            top = wx
+            m = x + 1
+            while m < n and w[m] < wx:
+                m += 1
+        # a 4 needs three values below it, and the 2 and the 1 come after m
+        if wx < 4 or m > n - 2:
             continue
-        m = max(x, first_from[wx + 1])
+        if not low_from <= m < low_at:
+            low = None
         greatest = None
         for y in range(m + 1, n):
             wy = w[y]
-            if wy > wx or last_upto[wy - 1] <= m:
+            if wy > wx or wy == low:
                 continue
+            if low is None:
+                # the values after m before y are above w_x: low is at y or on
+                low_from, low = m, min(w[m + 1:])
+                low_at = w.index(low, y)
+                if wy == low:
+                    continue
             if greatest is None:
                 greatest = max([v for v in w[:x] if v < wx], default=0)
             if greatest <= wy:
@@ -307,10 +326,11 @@ def _by_pattern(
     return stop is None, stop
 
 
-def _by_quotient(word: tuple[int, ...], entry: _Parabolic) -> tuple[bool, tuple]:
-    q = _quotient(word, entry)
-    found = _repetition_free_word(q)
-    return found is not None, (q, found)
+def _by_quotient(
+    word: tuple[int, ...], entry: _Parabolic
+) -> tuple[bool, tuple[int, ...] | None]:
+    found = _repetition_free_word(word, entry.shifted)
+    return found is not None, found
 
 
 def _by_divisibility(word: tuple[int, ...], entry: _Parabolic) -> tuple[bool, tuple]:
@@ -373,12 +393,12 @@ def _describe(w: Permutation, backend: str, witness, entry: _Parabolic | None) -
         spots = ",".join(str(i) for i in positions)
         return f"contains {Permutation(p)} at positions {spots}"
     if backend == "boolean_quotient":
-        q, word = witness
-        if word is None:
-            return f"parabolic quotient {Permutation(q)} has no repetition-free reduced word"
+        q = Permutation(_quotient(w.oneline, entry))
+        if witness is None:
+            return f"parabolic quotient {q} has no repetition-free reduced word"
         return (
-            f"parabolic quotient {Permutation(q)} has repetition-free "
-            f"reduced word {word_to_text(word)}"
+            f"parabolic quotient {q} has repetition-free "
+            f"reduced word {word_to_text(witness)}"
         )
     if backend == "divisibility":
         v, found = witness

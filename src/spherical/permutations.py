@@ -24,7 +24,11 @@ per descent set, in one bounded cache that ``_parabolic_of`` reads for a
 word.  Every reader but ``longest_parabolic`` takes the entry from
 whoever holds the word, which looks it up once: ``_quotient``, the three
 backends' deciders in ``classify`` and, beneath them,
-``reduced_words._fitting_quotient_word`` and ``_after_parabolic_word``.
+``reduced_words._fitting_quotient_word``, ``_repetition_free_word`` and
+``_after_parabolic_word``.  Only the ``definition`` search forms q with
+``_quotient``; the ``boolean_quotient`` search reads q's positions off w
+through ``shifted``, and ``parabolic_quotient`` and ``explain`` form q
+for a caller who asks for it.
 Its entries hold only tuples, so no caller can change what the next one
 reads.  The ``pattern`` backend reads nothing from it.
 

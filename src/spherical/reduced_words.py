@@ -78,7 +78,10 @@ have length l(w) and use every letter of w's support, so one of them
 repeats no letter exactly when all of them do (w is Boolean).
 ``_repetition_free_word`` therefore builds only the lexicographically
 first reduced word, stripping the least left descent at each step, and
-stops at the first repeated letter: O(n) steps, no backtracking.
+stops at the first repeated letter: O(n) steps, no backtracking.  It
+walks the position table of q = w0(J(w)) * w, which it fills from w and
+the table entry's w0(J(w)) in one pass, so q itself is never formed; the
+public ``repetition_free_word`` passes the identity in its place.
 """
 
 from __future__ import annotations
@@ -330,10 +333,14 @@ def repetition_free_word(w: Permutation) -> tuple[int, ...] | None:
     """The lexicographically first reduced word of w, if it repeats no
     generator; then every reduced word of w is repetition-free, else none is.
     """
-    return _repetition_free_word(w.oneline)
+    return _repetition_free_word(w.oneline, _letters(w.degree))
 
 
-def _repetition_free_word(word: tuple[int, ...]) -> tuple[int, ...] | None:
+def _repetition_free_word(
+    word: tuple[int, ...], shifted: tuple[int, ...]
+) -> tuple[int, ...] | None:
+    # The same for q = u * w, ``shifted[j]`` being u(j) behind a 0, walked
+    # on q's position table, which is filled straight off w.
     # The lexicographically first reduced word decides (module docstring);
     # it strips the least left descent until none is left.  Swapping the
     # values i and i+1 changes only the descents at i-1, i and i+1, so the
@@ -342,7 +349,7 @@ def _repetition_free_word(word: tuple[int, ...]) -> tuple[int, ...] | None:
     n = len(word)
     pos = [0] * (n + 1)
     for p, v in enumerate(word, 1):
-        pos[v] = p
+        pos[shifted[v]] = p
     letters: list[int] = []
     used = [False] * (n + 1)
     i = 1

@@ -28,6 +28,13 @@ skips for its last degree.
 w once per position; the library's two sweeps and one pass must return
 the same sites, middles and ``reach_at``.
 
+``catalog_certificate_by_tables`` is the ``pattern`` search as the
+library ran it before its 3412 half dropped its tables: it builds the
+position table and, from it, the last position of a value at most v and
+the first of a value at least v, for every v, and reads the earliest 5
+and the existence of a 1 off them.  The library's certificate must equal
+it on every word.
+
 ``reverse_blocks``, ``longest_parabolic``, ``longest_below``, ``quotient``
 and ``budget`` build w0(J), the parabolic quotient and the ``definition``
 pools from scratch for every call, as the library did before it looked
@@ -434,6 +441,57 @@ def site_pass(w: tuple[int, ...]) -> tuple[list[int], list[int], list[int]]:
             allowed.append(s)
     allowed.reverse()
     return allowed, middles, reach_at
+
+
+def catalog_certificate_by_tables(w: tuple[int, ...]) -> tuple[int, ...] | None:
+    """The certificate of ``classify._catalog_certificate``, from the
+    tables it read before: ``(j,)``, ``(x, y)`` or None."""
+    n = len(w)
+    for j in range(1, n - 1):
+        c = w[j]
+        if c < 3 or c > n - 2:
+            continue
+        highs = [v for v in w[:j] if v > c]
+        if not highs or highs[0] == c + len(highs) and highs == sorted(highs, reverse=True):
+            continue
+        lows = [v for v in w[j + 1:] if v < c]
+        if not lows or lows[-1] == c - len(lows) and lows == sorted(lows, reverse=True):
+            continue
+        return (j,)
+    pos = [-1] * (n + 2)
+    for p, v in enumerate(w):
+        pos[v] = p
+    pos[n + 1] = n
+    # last_upto[v]: the last position of a value at most v, or -1;
+    # first_from[v]: the first position of a value at least v, or n.
+    last_upto = pos[: n + 1]
+    for v in range(1, n + 1):
+        if last_upto[v] < last_upto[v - 1]:
+            last_upto[v] = last_upto[v - 1]
+    first_from = pos[:]
+    for v in range(n, 0, -1):
+        if first_from[v] > first_from[v + 1]:
+            first_from[v] = first_from[v + 1]
+    least_above: dict[int, int] = {}
+    for x in range(n - 2):
+        wx = w[x]
+        if wx < 4:
+            continue
+        m = max(x, first_from[wx + 1])
+        greatest = None
+        for y in range(m + 1, n):
+            wy = w[y]
+            if wy > wx or last_upto[wy - 1] <= m:
+                continue
+            if greatest is None:
+                greatest = max([v for v in w[:x] if v < wx], default=0)
+            if greatest <= wy:
+                if y not in least_above:
+                    least_above[y] = min([v for v in w[y + 1:] if v > wy], default=n + 1)
+                if least_above[y] > wx:
+                    continue
+            return (x, y)
+    return None
 
 
 def own_site_counts(members) -> list[int]:

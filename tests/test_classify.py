@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import oracles
-from spherical import classify, cli, tree
+from spherical import classify, cli, permutations, reduced_words, tree
 from spherical.classify import (
     BACKENDS,
     CrossCheckReport,
@@ -331,6 +331,54 @@ class TestRandomPastDegreeEight:
         assert verdicts == {True, False}
 
 
+class TestCertificate:
+    """The pattern search against the table-based search it replaced."""
+
+    def test_equals_the_table_search_exhaustive(self):
+        for n in range(1, 9):
+            for word in itertools.permutations(range(1, n + 1)):
+                assert classify._catalog_certificate(word) == (
+                    oracles.catalog_certificate_by_tables(word)
+                ), word
+
+    def test_equals_the_table_search_to_degree_two_hundred(self):
+        # In turn: a uniform word, a direct sum of blocks of degree at most
+        # 5 that avoid the catalog (which reaches the 3412 half and walks
+        # all of it), such a sum with two letters swapped, and a sum of any
+        # blocks.
+        members = {p.oneline for p in catalog().all}
+        rng = random.Random(3412)
+        kinds = set()
+        for trial in range(480):
+            n = rng.randint(9, 200)
+            if trial % 4 == 0:
+                word = rng.sample(range(1, n + 1), n)
+            else:
+                word = []
+                while len(word) < n:
+                    shift = len(word)
+                    k = rng.randint(1, min(5, n - shift))
+                    block = tuple(rng.sample(range(1, k + 1), k))
+                    if trial % 4 == 3 or block not in members:
+                        word.extend(v + shift for v in block)
+                if trial % 4 == 2:
+                    i, j = rng.sample(range(n), 2)
+                    word[i], word[j] = word[j], word[i]
+            word = tuple(word)
+            found = classify._catalog_certificate(word)
+            assert found == oracles.catalog_certificate_by_tables(word), word
+            kinds.add(None if found is None else len(found))
+        assert kinds == {None, 1, 2}
+
+    @pytest.mark.parametrize(
+        "word",
+        [tuple(range(300, 0, -1)), (*range(2, 301), 1)],
+        ids=["longest", "cycle"],
+    )
+    def test_equals_the_table_search_at_degree_three_hundred(self, word):
+        assert classify._catalog_certificate(word) == oracles.catalog_certificate_by_tables(word)
+
+
 class TestTuplePath:
     def test_longest_below_equals_public_longest_parabolic(self):
         rng = random.Random(1404)
@@ -451,6 +499,27 @@ class TestParabolicTable:
         assert cross_check(n, backends).disagreement_count == 0
         after = _parabolic.cache_info()
         assert after.hits + after.misses - before.hits - before.misses == words
+
+    @pytest.mark.parametrize(
+        "backends, formed",
+        [(BACKENDS, 720), (("pattern", "boolean_quotient", "divisibility"), 0)],
+        ids=["all", "without-definition"],
+    )
+    def test_a_scan_forms_only_the_definition_quotients(self, monkeypatch, backends, formed):
+        # boolean_quotient reads q's positions off w; only the definition
+        # search forms q, once per word
+        catalog()  # its self-check forms the quotients of the 21 patterns
+        calls = []
+        form = permutations._quotient
+
+        def counting(word, entry):
+            calls.append(word)
+            return form(word, entry)
+
+        for module in (permutations, classify, reduced_words):
+            monkeypatch.setattr(module, "_quotient", counting)
+        assert cross_check(6, backends).disagreement_count == 0
+        assert len(calls) == formed
 
     def test_explain_looks_up_each_word_once(self):
         # the definition verdict and its w0(J) letters share one entry

@@ -16,7 +16,7 @@ from spherical.permutations import (
     symmetric_group,
 )
 
-from oracles import avoids_by_subsets, inversion_count, subset_occurrences
+from oracles import avoids_by_subsets, inversion_count, standardize, subset_occurrences
 
 perms_of_degree = lambda n: st.permutations(list(range(1, n + 1))).map(
     lambda vals: Permutation(tuple(vals))
@@ -272,17 +272,20 @@ class TestPatterns:
         )
 
     def test_occurrences_match_subset_oracle_exhaustive(self):
-        patterns = [
-            p for k in range(1, 6) for p in symmetric_group(k)
-        ]
+        # the subset scan of ``subset_occurrences``, run once per (w, k):
+        # each pattern of degree k maps to its first occurrence in w
+        patterns = {k: list(symmetric_group(k)) for k in range(1, 6)}
         for n in range(1, 7):
             for w in symmetric_group(n):
-                for p in patterns:
-                    if p.degree > n:
-                        continue
-                    got = first_pattern_occurrence(w, p)
-                    first = subset_occurrences(w, p)[:1]
-                    assert ([got.positions] if got else []) == first
+                for k in range(1, min(n, 5) + 1):
+                    first: dict[tuple[int, ...], tuple[int, ...]] = {}
+                    for combo in itertools.combinations(range(1, n + 1), k):
+                        picked = standardize([w.oneline[i - 1] for i in combo])
+                        first.setdefault(picked, combo)
+                    for p in patterns[k]:
+                        got = first_pattern_occurrence(w, p)
+                        expected = [first[p.oneline]] if p.oneline in first else []
+                        assert ([got.positions] if got else []) == expected
 
     @given(
         perms_of_degree(7),
