@@ -27,13 +27,13 @@ O(n) steps and no second search.  The ``definition`` search likewise
 returns only the quotient's fitting word; ``explain`` puts the first
 reduced word of w0(J(w)) in front, so a scan never builds that word.
 ``cross_check`` runs several backends over a whole symmetric group and
-reports any disagreement; it scans S_n in blocks by first value, which
-joined in order give the lexicographic stream.  Within a block it runs
-backend by backend over slices of at most 5,040 words, each word with
-its table entry, looked up once per slice, compares the verdict
-columns, and times each backend.  It hands its blocks to one scan
-driver, ``_scan``; below its degree bound a scan is one block, run
-in-process, since a pool costs more to start than such a scan takes.
+reports any disagreement.  It cuts S_n once, into blocks of the words
+that share their first n - 7 letters, at most 7! = 5,040 words each,
+which joined in order give the lexicographic stream; through degree 7
+S_n is one block, run in-process, since a pool costs more to start than
+such a scan takes.  Within a block it looks up each word's table entry
+once, runs backend by backend, compares the verdict columns, and times
+each backend.  It hands its blocks to one scan driver, ``_scan``.
 """
 
 from __future__ import annotations
@@ -43,7 +43,7 @@ import itertools
 import os
 import time
 import warnings
-from typing import Callable, Iterable, NamedTuple, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from .divisibility import _first_witness
 from .permutations import (
@@ -441,7 +441,7 @@ class CrossCheckReport(_Frozen):
     ``spherical`` counts by the first listed backend; ``disagreements``
     holds at most the first 20 offenders in lexicographic order while
     ``disagreement_count`` is the full tally.  ``backend_seconds`` holds
-    the wall seconds spent in each backend, summed over slices and
+    the wall seconds spent in each backend, summed over blocks and
     workers; they vary from run to run, so reports compare and hash
     without them.  Like generating the words, the one lookup of each
     word's parabolic table entry, shared by the backends that read it,
@@ -529,50 +529,37 @@ class CrossCheckReport(_Frozen):
         }
 
 
-# (words, spherical by the first backend, disagreeing words with their
-# verdicts in order, seconds spent in each backend)
-_Tally = tuple[int, int, list[tuple[tuple[int, ...], tuple[bool, ...]]], list[float]]
-
-# Words decided per backend in one go: a scan keeps one slice and one
-# verdict column per backend in memory, whatever the degree.
-_SLICE = 5040
+# A block of S_n is the words sharing their first n - _BLOCK letters, so a
+# scan keeps at most 7! = 5,040 words and one verdict column per backend in
+# memory, whatever the degree; S_n through degree 7 is one block.
+_BLOCK = 7
 
 
-def _scan_chunk(args: tuple[int, tuple[int, ...], tuple[str, ...]]) -> _Tally:
-    # One block of S_n: the words that start with ``head``, in
-    # lexicographic order.
+def _scan_block(args: tuple[int, tuple[int, ...], tuple[str, ...]]) -> tuple:
+    # The words that start with ``head``, in lexicographic order, decided
+    # backend by backend: each backend fills a column of verdicts, and only
+    # a block whose columns differ is read word by word.  Returns the
+    # words, those spherical by the first backend, the disagreeing words
+    # with their verdicts in order, and the seconds spent in each backend.
     n, head, backends = args
     rest = [v for v in range(1, n + 1) if v not in head]
-    return _tally(map(head.__add__, itertools.permutations(rest)), backends)
-
-
-def _tally(words: Iterable[tuple[int, ...]], backends: tuple[str, ...]) -> _Tally:
-    # Backend by backend over each slice of ``words``: every backend fills
-    # a column of verdicts, each word with its parabolic table entry, and
-    # only a slice whose columns differ is read word by word.
-    total = 0
-    spherical = 0
-    bad: list[tuple[tuple[int, ...], tuple[bool, ...]]] = []
-    seconds = [0.0] * len(backends)
-    deciders = [_DECIDERS[b] for b in backends]
-    words = iter(words)
-    while block := list(itertools.islice(words, _SLICE)):
-        # one table lookup per word, shared by every decider and timed
-        # with none, like generating the word
-        entries = list(map(_parabolic_of, block))
-        columns = []
-        for k, decide in enumerate(deciders):
-            start = time.perf_counter()
-            columns.append([decide(word, entry)[0] for word, entry in zip(block, entries)])
-            seconds[k] += time.perf_counter() - start
-        first = columns[0]
-        total += len(block)
-        spherical += sum(first)
-        if any(column != first for column in columns[1:]):
-            for word, verdicts in zip(block, zip(*columns)):
-                if any(v != verdicts[0] for v in verdicts[1:]):
-                    bad.append((word, verdicts))
-    return total, spherical, bad, seconds
+    block = list(map(head.__add__, itertools.permutations(rest)))
+    # one table lookup per word, shared by every decider and timed with
+    # none, like generating the word
+    entries = list(map(_parabolic_of, block))
+    columns = []
+    seconds = []
+    for b in backends:
+        decide = _DECIDERS[b]
+        start = time.perf_counter()
+        columns.append([decide(word, entry)[0] for word, entry in zip(block, entries)])
+        seconds.append(time.perf_counter() - start)
+    first = columns[0]
+    bad = []
+    if any(column != first for column in columns[1:]):
+        bad = [(word, verdicts) for word, verdicts in zip(block, zip(*columns))
+               if any(v != verdicts[0] for v in verdicts[1:])]
+    return len(block), sum(first), bad, seconds
 
 
 def _scan(work: Callable, chunks: list, jobs: int) -> list:
@@ -608,9 +595,10 @@ def cross_check(
 
     S_n streams in lexicographic order.  The exhaustive bound is degree 8
     for any list of backends; ``force=True`` overrides it.  At least two
-    backends must be listed, since a single backend cross-checks nothing.
-    Below the bound S_n is scanned in-process as one block whatever
-    ``jobs`` says.
+    backends must be listed, none twice, since a single backend
+    cross-checks nothing.  The scan runs in blocks of the words that share
+    their first n - 7 letters, on at most ``jobs`` workers; through degree
+    7 S_n is one block, scanned in-process whatever ``jobs`` says.
 
     >>> cross_check(4).summary_line()
     '24 permutations, 24 spherical, 0 disagreements'
@@ -618,9 +606,11 @@ def cross_check(
     if n < 1:
         raise ValueError("degree must be at least 1")
     names = tuple(backends)
-    for b in names:
+    for k, b in enumerate(names):
         _check_backend(b)
-    if len(set(names)) < 2:
+        if b in names[:k]:
+            raise ValueError(f"backend {b!r} is listed twice")
+    if len(names) < 2:
         raise ValueError("a cross-check needs at least two distinct backends")
     bound = DEFAULT_CROSSCHECK_BOUND
     if n > bound and not force:
@@ -628,14 +618,14 @@ def cross_check(
             f"degree {n} exceeds the exhaustive bound {bound}; "
             "pass --force (force=True) to run anyway"
         )
-    # From the bound up, S_n in blocks by first value: joined in order they
-    # give the lexicographic stream, so disagreements keep their order.
-    heads = [(first,) for first in range(1, n + 1)] if n >= bound else [()]
+    # The heads come in lexicographic order, so the blocks joined in order
+    # give the lexicographic stream and disagreements keep their order.
+    heads = itertools.permutations(range(1, n + 1), max(n - _BLOCK, 0))
     if "pattern" in names:
         # the catalog's self-check runs here, not in pattern's first timed
-        # slice, and forked workers inherit the checked catalog
+        # block, and forked workers inherit the checked catalog
         catalog()
-    results = _scan(_scan_chunk, [(n, head, names) for head in heads], jobs)
+    results = _scan(_scan_block, [(n, head, names) for head in heads], jobs)
     bad = [item for _, _, block_bad, _ in results for item in block_bad]
     seconds = [sum(column) for column in zip(*(r[3] for r in results))]
     reported = []

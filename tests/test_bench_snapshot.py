@@ -78,7 +78,7 @@ def test_each_side_runs_with_its_own_fresh_bytecode_cache(snapshot, tmp_path, mo
     monkeypatch.setattr(snapshot.subprocess, "run", record)
     snapshot.main(["--parent", str(tmp_path / "parent"), "--change", str(tmp_path / "change")])
 
-    assert len(seen) == 2 * (len(snapshot.SEEDS) + 1)
+    assert len(seen) == 2 * (len(snapshot.SEEDS) + len(snapshot.TRACE_SEEDS))
     prefixes = {side: {prefix for name, prefix in seen if name == side}
                 for side in ("parent", "change")}
     assert all(len(p) == 1 for p in prefixes.values()), prefixes
@@ -86,6 +86,41 @@ def test_each_side_runs_with_its_own_fresh_bytecode_cache(snapshot, tmp_path, mo
     assert parent != change
     assert str(tmp_path / "inherited") not in (parent, change)
     assert not os.path.exists(os.path.dirname(parent))  # removed afterwards
+
+
+def test_three_traced_runs_per_workload_and_side_are_kept(snapshot, tmp_path, monkeypatch):
+    # seeds 1-3 traced on either side, which side runs first alternating
+    # as in the timed runs, and every run lands in the file
+    for side in ("parent", "change"):
+        (tmp_path / side / "bench").mkdir(parents=True)
+        (tmp_path / side / "bench" / "run.py").write_text("")
+    (tmp_path / "BENCHMARK.json").write_text(json.dumps(
+        {"run_seconds": 1, "workloads": [{"name": "a"}, {"name": "b"}], "end_to_end": []}))
+    calls = []
+
+    def stub(root, workload, seed, seconds, trace, env):
+        calls.append((root.name, workload, seed, trace))
+        return {"workload": workload, "seed": seed, "trace": trace, "status": 0,
+                "correct": True, "metrics": {}}
+
+    monkeypatch.setattr(snapshot, "ROOT", tmp_path)
+    monkeypatch.setattr(snapshot, "git", lambda root, *args: None)
+    monkeypatch.setattr(snapshot, "tier1", lambda root: {"status": 0})
+    monkeypatch.setattr(snapshot, "bench", stub)
+    assert snapshot.main(["--parent", str(tmp_path / "parent"),
+                          "--change", str(tmp_path / "change")]) == 0
+
+    traced = [(side, w, seed) for side, w, seed, trace in calls if trace]
+    assert traced == [
+        (side, w, seed)
+        for w in ("a", "b")
+        for seed in (1, 2, 3)
+        for side in (("parent", "change") if seed % 2 else ("change", "parent"))
+    ]
+    (written,) = tmp_path.glob("BENCH_*.json")
+    runs = json.loads(written.read_text())["runs"]
+    assert len(runs) == len(calls) == 2 * 2 * (10 + 3)
+    assert sum(r["trace"] for r in runs) == 12
 
 
 def test_tree_records_the_source_line_count(snapshot, tmp_path, monkeypatch):

@@ -637,6 +637,16 @@ class TestCrossCheck:
         with pytest.raises(ValueError):
             cross_check(3, ("pattern", "pattern"))
 
+    def test_backend_listed_twice_rejected(self, monkeypatch):
+        def no_scan(*args):
+            raise AssertionError("a scan ran")
+
+        monkeypatch.setattr(classify, "_scan", no_scan)
+        with pytest.raises(ValueError, match="'pattern' is listed twice"):
+            cross_check(5, ("pattern", "boolean_quotient", "pattern"))
+        with pytest.raises(ValueError, match="listed twice"):
+            cross_check(5, BACKENDS + ("definition",))
+
     def test_unknown_backend_rejected(self):
         with pytest.raises(ValueError):
             cross_check(3, ("pattern", "astral"))
@@ -651,15 +661,15 @@ class TestCrossCheck:
             cross_check(4, jobs=jobs)
 
     def test_parallel_matches_serial(self, monkeypatch):
-        # a scan at its bound runs in blocks on a real pool
-        monkeypatch.setattr(classify, "DEFAULT_CROSSCHECK_BOUND", 5)
+        # blocks of 4! words cut S_5 into five, scanned on a real pool
+        monkeypatch.setattr(classify, "_BLOCK", 4)
         serial = cross_check(5)
         parallel = cross_check(5, jobs=3)
         assert serial == parallel
 
     def test_broken_pool_falls_back_to_serial(self, monkeypatch, broken_pool):
         serial = cross_check(5)
-        monkeypatch.setattr(classify, "DEFAULT_CROSSCHECK_BOUND", 5)
+        monkeypatch.setattr(classify, "_BLOCK", 4)
         with pytest.warns(UserWarning, match="scanning serially"):
             fallback = cross_check(5, jobs=3)
         assert fallback == serial
@@ -670,10 +680,10 @@ class TestCrossCheck:
     def test_workers_capped_at_cpu_count(
         self, monkeypatch, recording_pool, jobs, cpus, workers
     ):
-        # At its bound S_5 scans as 5 blocks by first value whatever jobs
-        # is; the pool gets at most one worker per block and per CPU, and a
-        # single worker scans in-process with no pool at all
-        monkeypatch.setattr(classify, "DEFAULT_CROSSCHECK_BOUND", 5)
+        # In blocks of 4! words S_5 scans as 5 blocks by first value whatever
+        # jobs is; the pool gets at most one worker per block and per CPU,
+        # and a single worker scans in-process with no pool at all
+        monkeypatch.setattr(classify, "_BLOCK", 4)
         serial = cross_check(5)
         monkeypatch.setattr("spherical.classify.os.cpu_count", lambda: cpus)
         assert cross_check(5, jobs=jobs) == serial
@@ -681,7 +691,7 @@ class TestCrossCheck:
 
     def test_disagreements_through_a_scan(self, monkeypatch, recording_pool):
         offenders = flip_on_second_letter_three(monkeypatch)
-        monkeypatch.setattr(classify, "DEFAULT_CROSSCHECK_BOUND", 5)
+        monkeypatch.setattr(classify, "_BLOCK", 4)
         monkeypatch.setattr("spherical.classify.os.cpu_count", lambda: 8)
         serial = cross_check(5, ("pattern", "stub"))
         parallel = cross_check(5, ("pattern", "stub"), jobs=3)
@@ -691,20 +701,40 @@ class TestCrossCheck:
             assert [d.perm for d in report.disagreements] == offenders[:20]
         assert parallel == serial
 
-    def test_slices_leave_reports_unchanged(self, monkeypatch, recording_pool):
-        # slices of 7 words split every block of S_5, and the one block
-        # below the bound, mid-way
-        whole = cross_check(5)
-        offenders = flip_on_second_letter_three(monkeypatch)
-        monkeypatch.setattr(classify, "_SLICE", 7)
-        assert cross_check(5) == whole
-        monkeypatch.setattr(classify, "DEFAULT_CROSSCHECK_BOUND", 5)
+    def test_finer_blocks_leave_reports_unchanged(self, monkeypatch, recording_pool):
+        # blocks of 3! words cut S_6 into 120 blocks by its first three
+        # letters, one in-process block below the bound
+        whole = cross_check(6)
+        flip_on_second_letter_three(monkeypatch)
+        offenders = [p for p in symmetric_group(6) if p.oneline[1] == 3]
+        stubbed = cross_check(6, ("pattern", "stub"))
+        monkeypatch.setattr(classify, "_BLOCK", 3)
+        assert cross_check(6) == whole
         monkeypatch.setattr("spherical.classify.os.cpu_count", lambda: 8)
         for jobs in (1, 3):
-            report = cross_check(5, ("pattern", "stub"), jobs=jobs)
-            assert report.disagreement_count == 24
+            report = cross_check(6, ("pattern", "stub"), jobs=jobs)
+            assert report == stubbed
+            assert report.disagreement_count == len(offenders) == 120
             assert [d.perm for d in report.disagreements] == offenders[:20]
         assert recording_pool == [3]
+
+    @pytest.mark.parametrize("n", range(1, 11))
+    def test_blocks_share_all_but_seven_letters(self, monkeypatch, n):
+        # one block through degree 7, then one per head of n - 7 letters,
+        # in lexicographic order; the recorder scans nothing
+        heads = []
+
+        def record(work, chunks, jobs):
+            heads.extend(head for _, head, _ in chunks)
+            return [(0, 0, [], [0.0, 0.0, 0.0]) for _ in chunks]
+
+        monkeypatch.setattr(classify, "_scan", record)
+        assert cross_check(n, force=True).total == 0
+        if n <= 7:
+            assert heads == [()]
+        else:
+            assert len(heads) == math.factorial(n) // 5040
+            assert heads == sorted(itertools.permutations(range(1, n + 1), n - 7))
 
     def test_scan_expands_only_reported_witnesses(self, monkeypatch):
         # a scan reads verdicts only; positions are built for the words a
@@ -730,7 +760,7 @@ class TestCrossCheck:
 
     def test_catalog_self_check_counts_in_no_backend(self, monkeypatch):
         # a cold process checks the catalog before the scan, not inside
-        # pattern's first timed slice
+        # pattern's first timed block
         check = classify._characterizations_hold
 
         def slow_check(cat):

@@ -559,6 +559,8 @@ REFUSALS = [
     (("crosscheck", "--n=4", "--backends=pattern"), "two distinct backends"),
     (("crosscheck", "--n=4", "--backends=pattern", "--force"), "two distinct backends"),
     (("crosscheck", "--n=4", "--backends=pattern,astral", "--force"), "unknown backend 'astral'"),
+    (("crosscheck", "--n=5", "--backends=pattern,boolean_quotient,pattern"), "'pattern' is listed twice"),
+    (("crosscheck", "--n=5", "--backends=pattern,boolean,boolean_quotient"), "listed twice"),
     (("crosscheck", "--n=9"), "pass --force"),
     (("crosscheck", "--n=4", "--jobs=0", "--force"), "jobs must be at least 1"),
     (("count", "--max-n=0"), "degree must be at least 1"),

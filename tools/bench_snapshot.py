@@ -5,9 +5,11 @@
 For each workload of ``BENCHMARK.json`` and each seed 1..10, both
 checkouts run ``python3 bench/run.py --workload W --seed S --seconds T``
 from their own roots, T being the file's ``run_seconds``; which side runs
-first alternates from one seed to the next.  Each checkout also makes one
-traced run per workload (``--trace 1``, the per-layer rows) and one tier-1
-test run, whose wall time is recorded.  Each checkout's benchmark runs
+first alternates from one seed to the next.  Each checkout then makes
+three traced runs per workload (``--trace 1``, the per-layer rows), seeds
+1..3, alternating likewise, since a single traced run's rows swing up to
+2x on unchanged code; and one tier-1 test run, whose wall time is
+recorded.  Each checkout's benchmark runs
 share one bytecode cache of their own (``PYTHONPYCACHEPREFIX``), empty at
 the start and removed at the end, so neither side reads bytecode that the
 other side, an earlier run or the caller's environment left behind.
@@ -43,6 +45,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 SEEDS = range(1, 11)  # ten pairs, the fewest that can back a claimed gain
+TRACE_SEEDS = range(1, 4)  # traced runs per workload and side, all kept
 SIDES = ("parent", "change")
 TIER1 = [sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors",
          "-p", "no:cacheprovider"]
@@ -168,16 +171,14 @@ def main(argv=None) -> int:
     with tempfile.TemporaryDirectory(prefix="bench-pycache-") as caches:
         envs = {side: {**os.environ, "PYTHONPYCACHEPREFIX": os.path.join(caches, side)}
                 for side in SIDES}
-        for w in (w["name"] for w in spec["workloads"]):
-            for seed in SEEDS:
-                for side in SIDES if seed % 2 else SIDES[::-1]:
-                    run = bench(checkouts[side], w, seed, seconds, 0, envs[side])
-                    runs.append({"checkout": side, **run})
-                    print(f"{side:>6} {w:<10} seed {seed:>2}: correct={run['correct']}",
-                          file=sys.stderr)
-        for side, root in checkouts.items():
+        for trace, seeds in ((0, SEEDS), (1, TRACE_SEEDS)):
             for w in (w["name"] for w in spec["workloads"]):
-                runs.append({"checkout": side, **bench(root, w, 1, seconds, 1, envs[side])})
+                for seed in seeds:
+                    for side in SIDES if seed % 2 else SIDES[::-1]:
+                        run = bench(checkouts[side], w, seed, seconds, trace, envs[side])
+                        runs.append({"checkout": side, **run})
+                        print(f"{side:>6} {w:<10} seed {seed:>2} trace {trace}: "
+                              f"correct={run['correct']}", file=sys.stderr)
     tests = {side: tier1(root) for side, root in checkouts.items()}
 
     snapshot = {
