@@ -20,12 +20,15 @@ the backends it runs: the scan loop once per word and ``_judge`` once
 per call, or never for ``pattern`` alone.  The ``pattern`` search never lists
 occurrences: the catalog's self-check proves its 21 literals are the
 patterns passing two positional tests, and the search reads those tests
-on w in O(n^2) steps.  Its witness is a certificate of where the search
-stopped (the 3 of a 321-half occurrence, or the 4 and the 2 of a
-3412-half one), which only ``explain`` expands into five positions, in
-O(n) steps and no second search.  The ``definition`` search likewise
-returns only the quotient's fitting word; ``explain`` puts the first
-reduced word of w0(J(w)) in front, so a scan never builds that word.
+on w in O(n^2) steps.  That self-check, ``catalog()``, gates the search
+once per call or scan, never per word: ``_judge`` runs it once when
+``pattern`` is listed, and ``cross_check`` once before its scan.  Its
+witness is a certificate of where the search stopped (the 3 of a
+321-half occurrence, or the 4 and the 2 of a 3412-half one), which only
+``explain`` expands into five positions, in O(n) steps and no second
+search.  The ``definition`` search likewise returns only the quotient's
+fitting word; ``explain`` puts the first reduced word of w0(J(w)) in
+front, so a scan never builds that word.
 ``cross_check`` runs several backends over a whole symmetric group and
 reports any disagreement.  It cuts S_n once, into blocks of the words
 that share their first n - 7 letters, at most 7! = 5,040 words each,
@@ -45,7 +48,7 @@ import time
 import warnings
 from typing import Callable, NamedTuple, Sequence
 
-from .divisibility import _first_witness
+from .divisibility import DivisibilityWitness, _first_witness
 from .permutations import (
     Permutation,
     _Frozen,
@@ -317,11 +320,12 @@ def _positions(w: tuple[int, ...], values: tuple[int, ...]) -> tuple[int, ...]:
 # table's entry of J(w) to (verdict, witness).  The last three read w
 # through the entry alone, which the caller looks up once for all of them.
 # The ``pattern`` search takes it too, for one calling convention, and
-# ignores it, so a caller running ``pattern`` alone passes None.
+# ignores it, so a caller running ``pattern`` alone passes None.  The
+# ``pattern`` search rests on the self-checked catalog, which its callers
+# (``_judge``, ``cross_check``) check first, once per call or scan.
 def _by_pattern(
     word: tuple[int, ...], entry: _Parabolic | None
 ) -> tuple[bool, tuple[int, ...] | None]:
-    catalog()  # the search rests on the self-checked characterizations
     stop = _catalog_certificate(word)
     return stop is None, stop
 
@@ -333,10 +337,11 @@ def _by_quotient(
     return found is not None, found
 
 
-def _by_divisibility(word: tuple[int, ...], entry: _Parabolic) -> tuple[bool, tuple]:
-    v = entry.longest
-    found = _first_witness(v, word)
-    return found is None, (v, found)
+def _by_divisibility(
+    word: tuple[int, ...], entry: _Parabolic
+) -> tuple[bool, DivisibilityWitness | None]:
+    found = _first_witness(entry.longest, word)
+    return found is None, found
 
 
 def _by_definition(
@@ -367,6 +372,8 @@ def _judge(word: tuple[int, ...], backends: tuple[str, ...]) -> tuple[_Parabolic
     # ``explain``, a report's witnesses and the ``classify`` verb.
     for b in backends:
         _check_backend(b)
+    if "pattern" in backends:
+        catalog()
     entry = None if backends == ("pattern",) else _parabolic_of(word)
     return entry, [_DECIDERS[b](word, entry) for b in backends]
 
@@ -401,8 +408,7 @@ def _describe(w: Permutation, backend: str, witness, entry: _Parabolic | None) -
             f"reduced word {word_to_text(witness)}"
         )
     if backend == "divisibility":
-        v, found = witness
-        return f"({Permutation(v)}, {w}) divisibility witness {found or 'none'}"
+        return f"({Permutation(entry.longest)}, {w}) divisibility witness {witness or 'none'}"
     if witness is None:  # the definition backend
         return "no reduced word fits the generator budgets"
     word = _after_parabolic_word(w.oneline, witness, entry)
@@ -468,10 +474,10 @@ class CrossCheckReport(_Frozen):
         backends: tuple[str, ...],
         disagreements: tuple[Disagreement, ...],
         disagreement_count: int,
-        backend_seconds: dict[str, float] | None = None,
+        backend_seconds: dict[str, float],
     ) -> None:
         self._init(n, total, spherical, backends, disagreements, disagreement_count,
-                   {} if backend_seconds is None else backend_seconds)
+                   backend_seconds)
 
     def _key(self) -> tuple:
         return (self.n, self.total, self.spherical, self.backends,

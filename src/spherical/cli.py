@@ -7,10 +7,11 @@ path: the library checks each input once, and ``main`` turns any
 ``ValueError`` into its message on stderr and status 2; other exceptions
 are faults and surface as tracebacks.  A verb never emits partial stdout.
 
-One table, ``_VERBS``, lists each verb's positionals and options;
-``parse_args`` reads argv against it, prints help and usage errors from
-it, and accepts what argparse's subparsers accepted, namespace for
-namespace (``tests/oracles.py`` keeps that parser as the reference).
+One table, ``_VERBS``, lists each verb's help line, positionals and
+options, and names its handler.  ``parse_args`` reads argv against it,
+prints help and usage errors from it, and accepts what argparse's
+subparsers accepted, namespace for namespace (``tests/oracles.py`` keeps
+that parser as the reference); ``main`` calls the handler it names.
 argparse and gettext stay off the start-up path, and a query pays a few
 microseconds for its arguments, not argparse's 30-50.
 """
@@ -42,247 +43,6 @@ _BACKEND_FLAGS = {
     "divisible": "divisibility",
     "definition": "definition",
 }
-
-
-# The verb table.  Per verb: its help line, its positionals and its
-# options.  An option is (name, kind, default, required, metavar), where
-# kind is "flag", int, str or the tuple of its choices, and metavar names
-# an int or str value in the synopsis.  Its dest is the name without its
-# dashes, "-" read as "_".
-_VERBS: dict[str, tuple[str, tuple[str, ...], tuple[tuple, ...]]] = {
-    "classify": (
-        "classify one permutation",
-        ("perm",),
-        (
-            ("--backend", (*_BACKEND_FLAGS, "all"), "pattern", False, None),
-            ("--explain", "flag", False, False, None),
-        ),
-    ),
-    "crosscheck": (
-        "compare backends across all of S_n",
-        (),
-        (
-            ("--n", int, None, True, "<k>"),
-            ("--backends", str, "pattern,boolean,divisible", False, "..."),
-            ("--force", "flag", False, False, None),
-            ("--format", ("table", "json"), None, False, None),
-            ("--jobs", int, None, False, "<j>"),
-        ),
-    ),
-    "count": (
-        "spherical counts per degree",
-        (),
-        (
-            ("--max-n", int, None, True, "<k>"),
-            ("--format", ("table", "csv", "json"), "table", False, None),
-            ("--force", "flag", False, False, None),
-            ("--jobs", int, None, False, "<j>"),
-        ),
-    ),
-    "patterns": (
-        "list the blocking-pattern catalog",
-        (),
-        (
-            ("--subset", ("all", "321", "3412", "both"), "all", False, None),
-            ("--verify", "flag", False, False, None),
-        ),
-    ),
-    "reduced-words": (
-        "enumerate reduced words",
-        ("perm",),
-        (("--limit", int, None, False, "<m>"),),
-    ),
-    "bruhat": (
-        "compare two permutations in Bruhat order",
-        ("v", "w"),
-        (("--explain", "flag", False, False, None),),
-    ),
-    "interval": (
-        "build the interval below a permutation",
-        ("perm",),
-        (("--edges", "flag", False, False, None),),
-    ),
-}
-
-_ABOUT = "Classify spherical permutations and cross-check the equivalent criteria."
-_FORMS = (
-    "Options take --name=value or --name value, before, between or after the\n"
-    "positionals, and any unique prefix of their name; the last of a repeated\n"
-    "option wins, and -- ends the options."
-)
-
-
-def _compile(positionals, options):
-    # The lookup from option name to (dest, kind), -h and --help included,
-    # and the namespace before any argument is read.
-    names = dict.fromkeys(("-h", "--help"), ("", "help"))
-    start = dict.fromkeys(positionals)
-    for name, kind, default, _, _ in options:
-        dest = name[2:].replace("-", "_")
-        names[name] = (dest, kind)
-        start[dest] = default
-    return names, start
-
-
-_COMPILED = {verb: _compile(p, o) for verb, (_, p, o) in _VERBS.items()}
-_TOP = _compile((), ())[0]
-# argparse reads these as positionals, not as unknown options
-_NEGATIVE = re.compile(r"^-\d+$|^-\d*\.\d+$")
-
-
-def _synopsis(verb: str) -> str:
-    _, positionals, options = _VERBS[verb]
-    parts = [f"spherical {verb}", *(f"<{p}>" for p in positionals)]
-    for name, kind, _, required, metavar in options:
-        form = name if kind == "flag" else f"{name}={metavar or '|'.join(kind)}"
-        parts.append(form if required else f"[{form}]")
-    return " ".join(parts)
-
-
-def _usage(verb: str | None) -> str:
-    return "usage: " + (_synopsis(verb) if verb else "spherical <verb> [<arguments>]")
-
-
-def _fail(verb: str | None, message: str):
-    prog = f"spherical {verb}" if verb else "spherical"
-    print(f"{_usage(verb)}\n{prog}: error: {message}", file=sys.stderr)
-    raise SystemExit(2)
-
-
-def _read(tok: str, names: dict, verb: str | None):
-    # argparse's reading of one token: None for a positional, else the
-    # option's name (None when unknown) and its explicit value, if any.
-    if tok[:1] != "-" or tok in ("-", "--"):
-        return None
-    if tok in names:
-        return tok, None
-    name, eq, value = tok.partition("=")
-    if eq and name in names:
-        return name, value
-    if tok[1] == "-":
-        # a unique prefix, looked up only once the exact name is missing
-        found = [n for n in names if n.startswith(name)]
-        if len(found) > 1:
-            _fail(verb, f"ambiguous option: {name} could match {', '.join(found)}")
-        if found:
-            return found[0], value if eq else None
-    elif tok[1] == "h":
-        return "-h", tok[2:]  # short flags run together: -hh is -h -h
-    if " " in tok or _NEGATIVE.match(tok):
-        return None
-    return None, None
-
-
-def _help(verb: str | None, name: str, value: str | None, rest: Sequence[str]):
-    # -h or --help, read at its place in argv: the help on stdout, status 0
-    if value is not None and (name != "-h" or not value or value.strip("h")):
-        _fail(verb, f"argument -h/--help: ignored explicit argument {value!r}")
-    if verb:
-        # argparse reads every option before it acts on any, so an
-        # ambiguous one after -h still fails
-        for tok in rest:
-            if tok == "--":
-                break
-            _read(tok, _COMPILED[verb][0], verb)
-        text = f"{_usage(verb)}\n\n{_VERBS[verb][0]}\n\n{_FORMS}"
-    else:
-        verbs = "\n".join(f"  {_synopsis(v)}" for v in _VERBS)
-        text = (
-            f"{_usage(None)}\n\n{_ABOUT}\n\n{verbs}\n\n{_FORMS}\n"
-            "`spherical <verb> -h` describes one verb."
-        )
-    print(text)
-    raise SystemExit(0)
-
-
-def parse_args(argv: Sequence[str]) -> SimpleNamespace:
-    """Read argv against the verb table into the namespace the handlers
-    read: ``verb``, then the verb's positionals and option dests.
-
-    Accepts what argparse's two-level subparser parse accepted (``--opt=v``
-    and ``--opt v``, options anywhere around the positionals, the last
-    repeat winning, unique prefixes, negative numbers as values, ``--``
-    ending the options) and gives the same namespace.  ``-h``/``--help``
-    prints help to stdout and raises ``SystemExit(0)``; a usage error
-    prints the usage and the error to stderr and raises ``SystemExit(2)``.
-    """
-    extras: list[str] = []
-    for i, tok in enumerate(argv):
-        read = _read(tok, _TOP, None)
-        if read is None:
-            verb = tok
-            break
-        if read[0] is None:
-            extras.append(tok)
-        else:
-            _help(None, *read, ())
-    else:
-        _fail(None, "the following arguments are required: verb")
-    if verb not in _VERBS:
-        choices = ", ".join(_VERBS)
-        _fail(None, f"argument verb: invalid choice: {verb!r} (choose from {choices})")
-    names, start = _COMPILED[verb]
-    _, positionals, options = _VERBS[verb]
-    ns = {"verb": verb, **start}
-    seen = set()
-    taken = 0  # positionals filled
-    ended = after_positional = False  # past --; the last token filled a positional
-    args = argv[i + 1:]
-    j = 0
-    while j < len(args):
-        tok = args[j]
-        j += 1
-        if ended:
-            read = None
-        elif tok == "--":
-            ended = True
-            # argparse drops the first -- only where a positional takes it
-            if taken == len(positionals) and not after_positional:
-                extras.append(tok)
-            continue
-        else:
-            read = _read(tok, names, verb)
-        after_positional = read is None
-        if read is None:
-            if taken < len(positionals):
-                ns[positionals[taken]] = tok
-                taken += 1
-            else:
-                extras.append(tok)
-            continue
-        name, value = read
-        if name is None:
-            extras.append(tok)
-            continue
-        dest, kind = names[name]
-        if kind == "help":
-            _help(verb, name, value, args[j:])
-        if kind == "flag":
-            if value is not None:
-                _fail(verb, f"argument {name}: ignored explicit argument {value!r}")
-            value = True
-        else:
-            if value is None:
-                if j == len(args) or args[j] == "--" or _read(args[j], names, verb) is not None:
-                    _fail(verb, f"argument {name}: expected one argument")
-                value = args[j]
-                j += 1
-            if kind is int:
-                try:
-                    value = int(value)
-                except ValueError:
-                    _fail(verb, f"argument {name}: invalid int value: {value!r}")
-            elif kind is not str and value not in kind:
-                choices = ", ".join(kind)
-                _fail(verb, f"argument {name}: invalid choice: {value!r} (choose from {choices})")
-        ns[dest] = value
-        seen.add(name)
-    missing = [*positionals[taken:], *(o[0] for o in options if o[3] and o[0] not in seen)]
-    if missing:
-        _fail(verb, f"the following arguments are required: {', '.join(missing)}")
-    if extras:
-        _fail(verb, f"unrecognized arguments: {' '.join(extras)}")
-    return SimpleNamespace(**ns)
 
 
 def _jobs(ns: SimpleNamespace) -> int:
@@ -405,15 +165,253 @@ def _cmd_interval(ns: SimpleNamespace) -> tuple[int, str]:
     return 0, "\n".join(lines)
 
 
-_HANDLERS: dict[str, Callable[[SimpleNamespace], tuple[int, str]]] = {
-    "classify": _cmd_classify,
-    "crosscheck": _cmd_crosscheck,
-    "count": _cmd_count,
-    "patterns": _cmd_patterns,
-    "reduced-words": _cmd_reduced_words,
-    "bruhat": _cmd_bruhat,
-    "interval": _cmd_interval,
+# The verb table.  Per verb: its help line, its positionals, its options
+# and its handler, which turns the parsed namespace into the exit status
+# and the stdout text.  An option is (name, kind, default, required,
+# metavar), where kind is "flag", int, str or the tuple of its choices,
+# and metavar names an int or str value in the synopsis.  Its dest is the
+# name without its dashes, "-" read as "_".
+_VERBS: dict[str, tuple[str, tuple[str, ...], tuple[tuple, ...], Callable]] = {
+    "classify": (
+        "classify one permutation",
+        ("perm",),
+        (
+            ("--backend", (*_BACKEND_FLAGS, "all"), "pattern", False, None),
+            ("--explain", "flag", False, False, None),
+        ),
+        _cmd_classify,
+    ),
+    "crosscheck": (
+        "compare backends across all of S_n",
+        (),
+        (
+            ("--n", int, None, True, "<k>"),
+            ("--backends", str, "pattern,boolean,divisible", False, "..."),
+            ("--force", "flag", False, False, None),
+            ("--format", ("table", "json"), None, False, None),
+            ("--jobs", int, None, False, "<j>"),
+        ),
+        _cmd_crosscheck,
+    ),
+    "count": (
+        "spherical counts per degree",
+        (),
+        (
+            ("--max-n", int, None, True, "<k>"),
+            ("--format", ("table", "csv", "json"), "table", False, None),
+            ("--force", "flag", False, False, None),
+            ("--jobs", int, None, False, "<j>"),
+        ),
+        _cmd_count,
+    ),
+    "patterns": (
+        "list the blocking-pattern catalog",
+        (),
+        (
+            ("--subset", ("all", "321", "3412", "both"), "all", False, None),
+            ("--verify", "flag", False, False, None),
+        ),
+        _cmd_patterns,
+    ),
+    "reduced-words": (
+        "enumerate reduced words",
+        ("perm",),
+        (("--limit", int, None, False, "<m>"),),
+        _cmd_reduced_words,
+    ),
+    "bruhat": (
+        "compare two permutations in Bruhat order",
+        ("v", "w"),
+        (("--explain", "flag", False, False, None),),
+        _cmd_bruhat,
+    ),
+    "interval": (
+        "build the interval below a permutation",
+        ("perm",),
+        (("--edges", "flag", False, False, None),),
+        _cmd_interval,
+    ),
 }
+
+_ABOUT = "Classify spherical permutations and cross-check the equivalent criteria."
+_FORMS = (
+    "Options take --name=value or --name value, before, between or after the\n"
+    "positionals, and any unique prefix of their name; the last of a repeated\n"
+    "option wins, and -- ends the options."
+)
+
+
+def _compile(positionals, options):
+    # The lookup from option name to (dest, kind), -h and --help included,
+    # and the namespace before any argument is read.
+    names = dict.fromkeys(("-h", "--help"), ("", "help"))
+    start = dict.fromkeys(positionals)
+    for name, kind, default, _, _ in options:
+        dest = name[2:].replace("-", "_")
+        names[name] = (dest, kind)
+        start[dest] = default
+    return names, start
+
+
+_COMPILED = {verb: _compile(p, o) for verb, (_, p, o, _) in _VERBS.items()}
+_TOP = _compile((), ())[0]
+# argparse reads these as positionals, not as unknown options
+_NEGATIVE = re.compile(r"^-\d+$|^-\d*\.\d+$")
+
+
+def _synopsis(verb: str) -> str:
+    _, positionals, options, _ = _VERBS[verb]
+    parts = [f"spherical {verb}", *(f"<{p}>" for p in positionals)]
+    for name, kind, _, required, metavar in options:
+        form = name if kind == "flag" else f"{name}={metavar or '|'.join(kind)}"
+        parts.append(form if required else f"[{form}]")
+    return " ".join(parts)
+
+
+def _usage(verb: str | None) -> str:
+    return "usage: " + (_synopsis(verb) if verb else "spherical <verb> [<arguments>]")
+
+
+def _fail(verb: str | None, message: str):
+    prog = f"spherical {verb}" if verb else "spherical"
+    print(f"{_usage(verb)}\n{prog}: error: {message}", file=sys.stderr)
+    raise SystemExit(2)
+
+
+def _read(tok: str, names: dict, verb: str | None):
+    # argparse's reading of one token: None for a positional, else the
+    # option's name (None when unknown) and its explicit value, if any.
+    if tok[:1] != "-" or tok in ("-", "--"):
+        return None
+    if tok in names:
+        return tok, None
+    name, eq, value = tok.partition("=")
+    if eq and name in names:
+        return name, value
+    if tok[1] == "-":
+        # a unique prefix, looked up only once the exact name is missing
+        found = [n for n in names if n.startswith(name)]
+        if len(found) > 1:
+            _fail(verb, f"ambiguous option: {name} could match {', '.join(found)}")
+        if found:
+            return found[0], value if eq else None
+    elif tok[1] == "h":
+        return "-h", tok[2:]  # short flags run together: -hh is -h -h
+    if " " in tok or _NEGATIVE.match(tok):
+        return None
+    return None, None
+
+
+def _help(verb: str | None, name: str, value: str | None, rest: Sequence[str]):
+    # -h or --help, read at its place in argv: the help on stdout, status 0
+    if value is not None and (name != "-h" or not value or value.strip("h")):
+        _fail(verb, f"argument -h/--help: ignored explicit argument {value!r}")
+    if verb:
+        # argparse reads every option before it acts on any, so an
+        # ambiguous one after -h still fails
+        for tok in rest:
+            if tok == "--":
+                break
+            _read(tok, _COMPILED[verb][0], verb)
+        text = f"{_usage(verb)}\n\n{_VERBS[verb][0]}\n\n{_FORMS}"
+    else:
+        verbs = "\n".join(f"  {_synopsis(v)}" for v in _VERBS)
+        text = (
+            f"{_usage(None)}\n\n{_ABOUT}\n\n{verbs}\n\n{_FORMS}\n"
+            "`spherical <verb> -h` describes one verb."
+        )
+    print(text)
+    raise SystemExit(0)
+
+
+def parse_args(argv: Sequence[str]) -> SimpleNamespace:
+    """Read argv against the verb table into the namespace the handlers
+    read: ``verb``, then the verb's positionals and option dests.
+
+    Accepts what argparse's two-level subparser parse accepted (``--opt=v``
+    and ``--opt v``, options anywhere around the positionals, the last
+    repeat winning, unique prefixes, negative numbers as values, ``--``
+    ending the options) and gives the same namespace.  ``-h``/``--help``
+    prints help to stdout and raises ``SystemExit(0)``; a usage error
+    prints the usage and the error to stderr and raises ``SystemExit(2)``.
+    """
+    extras: list[str] = []
+    for i, tok in enumerate(argv):
+        read = _read(tok, _TOP, None)
+        if read is None:
+            verb = tok
+            break
+        if read[0] is None:
+            extras.append(tok)
+        else:
+            _help(None, *read, ())
+    else:
+        _fail(None, "the following arguments are required: verb")
+    if verb not in _VERBS:
+        choices = ", ".join(_VERBS)
+        _fail(None, f"argument verb: invalid choice: {verb!r} (choose from {choices})")
+    names, start = _COMPILED[verb]
+    _, positionals, options, _ = _VERBS[verb]
+    ns = {"verb": verb, **start}
+    seen = set()
+    taken = 0  # positionals filled
+    ended = after_positional = False  # past --; the last token filled a positional
+    args = argv[i + 1:]
+    j = 0
+    while j < len(args):
+        tok = args[j]
+        j += 1
+        if ended:
+            read = None
+        elif tok == "--":
+            ended = True
+            # argparse drops the first -- only where a positional takes it
+            if taken == len(positionals) and not after_positional:
+                extras.append(tok)
+            continue
+        else:
+            read = _read(tok, names, verb)
+        after_positional = read is None
+        if read is None:
+            if taken < len(positionals):
+                ns[positionals[taken]] = tok
+                taken += 1
+            else:
+                extras.append(tok)
+            continue
+        name, value = read
+        if name is None:
+            extras.append(tok)
+            continue
+        dest, kind = names[name]
+        if kind == "help":
+            _help(verb, name, value, args[j:])
+        if kind == "flag":
+            if value is not None:
+                _fail(verb, f"argument {name}: ignored explicit argument {value!r}")
+            value = True
+        else:
+            if value is None:
+                if j == len(args) or args[j] == "--" or _read(args[j], names, verb) is not None:
+                    _fail(verb, f"argument {name}: expected one argument")
+                value = args[j]
+                j += 1
+            if kind is int:
+                try:
+                    value = int(value)
+                except ValueError:
+                    _fail(verb, f"argument {name}: invalid int value: {value!r}")
+            elif kind is not str and value not in kind:
+                choices = ", ".join(kind)
+                _fail(verb, f"argument {name}: invalid choice: {value!r} (choose from {choices})")
+        ns[dest] = value
+        seen.add(name)
+    missing = [*positionals[taken:], *(o[0] for o in options if o[3] and o[0] not in seen)]
+    if missing:
+        _fail(verb, f"the following arguments are required: {', '.join(missing)}")
+    if extras:
+        _fail(verb, f"unrecognized arguments: {' '.join(extras)}")
+    return SimpleNamespace(**ns)
 
 
 def main(argv: Sequence[str] | None = None) -> int:
@@ -422,7 +420,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except SystemExit as exc:  # 0 after help, 2 after a usage error
         return int(exc.code)
     try:
-        status, text = _HANDLERS[ns.verb](ns)
+        status, text = _VERBS[ns.verb][3](ns)
     except ValueError as err:
         print(err, file=sys.stderr)
         return 2

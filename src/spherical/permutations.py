@@ -32,6 +32,10 @@ for a caller who asks for it.
 Its entries hold only tuples, so no caller can change what the next one
 reads.  The ``pattern`` backend reads nothing from it.
 
+The Lehmer code of a word has one sweep, ``_code``: ``_length``, the
+number of inversions, is its sum, and ``reduced_words._code_shape``
+sorts its nonzero entries into the shape lambda(w).
+
 ``avoids_all`` and ``first_pattern_occurrence`` share one scanner,
 ``_occurrences``.  It walks a trie of the patterns keyed by each letter's
 rank among the letters before it, so patterns of any degree share one walk,
@@ -222,16 +226,22 @@ class Permutation(_Frozen):
         return GeneratorSet(self.degree, frozenset(_left_descents(self.oneline)))
 
 
-def _length(word: tuple[int, ...]) -> int:
-    # Inversions: each value counts the larger values before it, found by
-    # bisecting the sorted prefix.
+def _code(word: Sequence[int]) -> list[int]:
+    # The Lehmer code, the package's one sweep of it: entry i counts the
+    # smaller values right of place i, found by bisecting the sorted
+    # suffix.
     seen: list[int] = []
-    total = 0
-    for v in word:
+    code: list[int] = []
+    for v in reversed(word):
         k = bisect.bisect(seen, v)
-        total += len(seen) - k
+        code.append(k)
         seen.insert(k, v)
-    return total
+    return code[::-1]
+
+
+def _length(word: tuple[int, ...]) -> int:
+    # Inversions: the sum of the code.
+    return sum(_code(word))
 
 
 def _inverse(word: tuple[int, ...]) -> list[int]:
@@ -265,10 +275,12 @@ class GeneratorSet(_Frozen):
         members = frozenset(members)
         if degree < 1:
             raise ValueError("degree must be at least 1")
-        bad = [i for i in members if not 1 <= i <= degree - 1]
+        # ints only, as in ``Permutation``: equality alone would take 2.0
+        # and True for 2 and 1
+        bad = [i for i in members if type(i) is not int or not 1 <= i <= degree - 1]
         if bad:
             raise ValueError(
-                f"generator indices {sorted(bad)} outside 1..{degree - 1}"
+                f"generator indices {sorted(bad, key=repr)} are not ints in 1..{degree - 1}"
             )
         self._init(degree, members)
 

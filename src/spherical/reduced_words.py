@@ -51,27 +51,28 @@ only steps that lower some c_i, so nothing is pruned and no key is built.
 
 ``enumerate_reduced_words`` without a limit refuses an element with more
 than 10**6 reduced words, and decides that first from the shapes of the
-Lehmer codes of w and w^-1, before any walk.  The Stanley symmetric
-function of w holds the Schur function of lambda(w), the code sorted into
-a partition, with coefficient 1 (Stanley, "On the number of reduced
-decompositions of elements of Coxeter groups", 1984; Edelman and Greene,
-"Balanced tableaux", 1987), so w has at least f^lambda(w) reduced words,
-the number of standard Young tableaux of that shape.  It also holds the
-Schur function of lambda(w^-1)' with coefficient 1, and the two shapes
-differ exactly when w contains 2143; then w has at least f^lambda(w) +
-f^lambda(w^-1) reduced words, a conjugate shape having as many tableaux.
-When w avoids 2143 the first term is the count.  ``_shape_bound`` keeps
-the 16 largest parts of each shape, each cut to 16: a shape inside lambda
-has no more tableaux, so the value stays a lower bound, and the
-hook-length formula on at most 256 cells costs microseconds whatever l(w)
-is.  It reads w^-1's shape only when the first term does not already pass
-the cap.  Only a bound past the cap refuses; any other element takes
-``_reduced_word_count``, the exact capped count.  It sweeps down the weak
-order one length at a time and keeps one level: the number of paths from
-w down to each element of that length.  Every element below w has a
-reduced word, so a level's sum never falls and never passes w's count;
-the identity's level holds the count, and the sweep stops as soon as a
-partial sum reaches the cap.
+Lehmer codes of w and w^-1, before any walk; both codes, like every
+length, come from the one sweep ``permutations._code``.  The Stanley
+symmetric function of w holds the Schur function of lambda(w), the code
+sorted into a partition, with coefficient 1 (Stanley, "On the number of
+reduced decompositions of elements of Coxeter groups", 1984; Edelman and
+Greene, "Balanced tableaux", 1987), so w has at least f^lambda(w)
+reduced words, the number of standard Young tableaux of that shape.  It
+also holds the Schur function of lambda(w^-1)' with coefficient 1, and
+the two shapes differ exactly when w contains 2143; then w has at least
+f^lambda(w) + f^lambda(w^-1) reduced words, a conjugate shape having as
+many tableaux.  When w avoids 2143 the first term is the count.
+``_shape_bound`` keeps the 16 largest parts of each shape, each cut to
+16: a shape inside lambda has no more tableaux, so the value stays a
+lower bound, and the hook-length formula on at most 256 cells costs
+microseconds whatever l(w) is.  It reads w^-1's shape only when the
+first term does not already pass the cap.  Only a bound past the cap
+refuses; any other element takes ``_reduced_word_count``, the exact
+capped count.  It sweeps down the weak order one length at a time and
+keeps one level: the number of paths from w down to each element of that
+length.  Every element below w has a reduced word, so a level's sum
+never falls and never passes w's count; the identity's level holds the
+count, and the sweep stops as soon as a partial sum reaches the cap.
 
 The ``boolean_quotient`` backend needs no search.  All reduced words of w
 have length l(w) and use every letter of w's support, so one of them
@@ -92,7 +93,7 @@ import math
 from typing import Iterator, Sequence
 
 from .permutations import (
-    Permutation, _inverse, _length, _letters, _Parabolic, _parabolic_of, _quotient,
+    Permutation, _code, _inverse, _length, _letters, _Parabolic, _parabolic_of, _quotient,
 )
 
 WORD_ESTIMATE_LIMIT = 1_000_000
@@ -115,16 +116,8 @@ def _crossings(word: tuple[int, ...], inverse: list[int]) -> list[int]:
 
 def _code_shape(word: Sequence[int]) -> list[int]:
     # lambda(w): the nonzero entries of w's Lehmer code, in decreasing
-    # order.  Entry i counts the smaller values right of place i, found by
-    # bisecting the sorted suffix.
-    seen: list[int] = []
-    code: list[int] = []
-    for v in reversed(word):
-        k = bisect.bisect(seen, v)
-        if k:
-            code.append(k)
-        seen.insert(k, v)
-    return sorted(code, reverse=True)
+    # order.
+    return sorted(filter(None, _code(word)), reverse=True)
 
 
 def _box_tableaux(shape: list[int]) -> int:

@@ -136,3 +136,32 @@ def test_tree_records_the_source_line_count(snapshot, tmp_path, monkeypatch):
     (tmp_path / "src" / "pkg" / "a.py").write_text("x = 1\n")
     assert snapshot.tree(tmp_path)["src_lines"] == 5
     assert snapshot.tree(tmp_path)["src_sha256"] != recorded["src_sha256"]
+
+
+def test_tree_records_the_code_line_count(snapshot, tmp_path, monkeypatch):
+    # blank and comment-only lines and module, class and function
+    # docstrings are left out; a string that is not a docstring counts
+    (tmp_path / "src").mkdir()
+    (tmp_path / "src" / "m.py").write_text(
+        '"""Module docstring,\n\nthree lines."""\n'
+        "\n"
+        "# a comment\n"
+        "X = 1  # code with a comment\n"
+        "\n"
+        "class C:\n"
+        '    """Class docstring."""\n'
+        "\n"
+        "    def f(self):\n"
+        "        '''Function\n"
+        "        docstring.'''\n"
+        "        text = '''not a\n"
+        "        docstring'''\n"
+        "        return (text,\n"
+        "                # inside an expression\n"
+        "                X)\n"
+    )
+    monkeypatch.setattr(snapshot, "git", lambda root, *args: None)
+    recorded = snapshot.tree(tmp_path)
+    assert recorded["src_lines"] == 18
+    # X = 1, class C, def f, the two lines of text, return and X)
+    assert recorded["src_code_lines"] == 7

@@ -805,6 +805,7 @@ class TestCrossCheck:
                 ),
             ),
             disagreement_count=1,
+            backend_seconds={},
         )
         assert "1 disagreement" in fake.summary_line()
         lines = fake.disagreement_lines()
@@ -833,15 +834,15 @@ class TestCrossCheck:
             disagreement_count=0,
         )
         timed = CrossCheckReport(**fields, backend_seconds={"pattern": 0.5})
-        untimed = CrossCheckReport(**fields)
+        untimed = CrossCheckReport(**fields, backend_seconds={})
         assert timed == untimed and hash(timed) == hash(untimed)
-        assert untimed != CrossCheckReport(**{**fields, "spherical": 1})
+        assert untimed != CrossCheckReport(**{**fields, "spherical": 1}, backend_seconds={})
         assert repr(untimed) == (
             "CrossCheckReport(n=2, total=2, spherical=2, backends=('pattern',), "
             "disagreements=(), disagreement_count=0, backend_seconds={})"
         )
-        # each report gets its own empty dict
-        assert untimed.backend_seconds is not CrossCheckReport(**fields).backend_seconds
+        with pytest.raises(TypeError, match="backend_seconds"):
+            CrossCheckReport(**fields)
 
 
 class TestDensity:

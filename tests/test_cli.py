@@ -11,7 +11,7 @@ import pytest
 
 from oracles import build_parser
 from spherical.classify import BACKENDS, catalog, is_spherical
-from spherical import cli
+from spherical import classify, cli
 from spherical.cli import main
 from spherical.permutations import Permutation, _parabolic, relative_order, symmetric_group
 
@@ -67,6 +67,23 @@ class TestClassify:
         status, out, _ = run_cli(capsys, "classify", "513426", "--backend=all")
         assert status in (0, 1)
         assert "backends agree: yes" in out
+
+    def test_all_backends_list_each_verdict_on_disagreement(self, capsys, monkeypatch):
+        # divisibility flipped: the verdict stays pattern's, and each
+        # backend's verdict follows on a line of its own
+        decide = classify._DECIDERS["divisibility"]
+        flipped = lambda word, entry: (not decide(word, entry)[0], None)
+        monkeypatch.setitem(classify._DECIDERS, "divisibility", flipped)
+        status, out, _ = run_cli(capsys, "classify", "54321", "--backend=all")
+        assert status == 0
+        assert out.splitlines() == [
+            "spherical",
+            "backends agree: no",
+            "  pattern: spherical",
+            "  boolean_quotient: spherical",
+            "  divisibility: not spherical",
+            "  definition: spherical",
+        ]
 
     def test_each_backend_flag(self, capsys):
         for flag in ("pattern", "boolean", "divisible", "definition"):
@@ -503,6 +520,11 @@ class TestBruhat:
         status, out, _ = run_cli(capsys, "bruhat", "2143", "3142")
         assert status == 0
         assert out.strip() == "true"
+
+    def test_true_with_explain(self, capsys):
+        status, out, _ = run_cli(capsys, "bruhat", "2143", "3142", "--explain")
+        assert status == 0
+        assert out.splitlines() == ["true", "all prefixes dominate"]
 
     def test_false_with_explain(self, capsys):
         status, out, _ = run_cli(capsys, "bruhat", "321", "312", "--explain")

@@ -153,6 +153,14 @@ class TestGroupOperations:
         w0 = Permutation((3, 2, 1))
         assert (w0 * w0) == Permutation.identity(3)
 
+    def test_call_and_len(self):
+        w = Permutation((2, 5, 3, 1, 4))
+        assert len(w) == w.degree == 5
+        assert [w(i) for i in range(1, 6)] == [2, 5, 3, 1, 4]
+        for i in (0, 6, -1):
+            with pytest.raises(ValueError, match=f"position {i} outside 1..5"):
+                w(i)
+
     def test_compose_degree_mismatch(self):
         with pytest.raises(ValueError):
             Permutation((1, 2)) * Permutation((1, 2, 3))
@@ -206,6 +214,13 @@ class TestDescentsAndParabolics:
         with pytest.raises(ValueError):
             GeneratorSet(0, frozenset())
         assert not GeneratorSet(1, frozenset())
+
+    @pytest.mark.parametrize("members", [{1.5}, {True}, {2.0}, {"1"}])
+    def test_generator_set_rejects_non_int_members(self, members):
+        # 1.5 would make longest_parabolic the identity; True and 2.0 only
+        # equal generators; "1" would fail the range test with a TypeError
+        with pytest.raises(ValueError, match="not ints"):
+            GeneratorSet(4, frozenset(members))
 
     def test_longest_parabolic(self):
         assert longest_parabolic(GeneratorSet(4)).oneline == (1, 2, 3, 4)

@@ -524,6 +524,26 @@ class TestDefinitionSearch:
                 expected = next(budgeted_words(q, entry.slot_of, entry.caps), None)
                 assert reduced_words._fitting_quotient_word(w.oneline, entry) == expected, str(w)
 
+    def test_walker_matches_the_reference_under_arbitrary_pools(self):
+        # Pools drawn at random, not from the parabolic table: they reach
+        # the restore of a paid step that lands on a dead state, which no
+        # table pool through S_8 reaches.  The first case takes that
+        # branch, and neither walk finds a word.
+        cases = [((5, 2, 3, 4, 1), (0, 1, 2, 3, 2), (0, 2, 3, 1, 2))]
+        rng = random.Random(35)
+        for n in range(3, 7):
+            group = list(symmetric_group(n))
+            for _ in range(200):
+                pools = rng.randint(1, n - 1)
+                slot_of = (0, *(rng.randrange(pools) for _ in range(n - 1)))
+                caps = tuple(rng.randint(0, 8) for _ in range(pools))
+                cases.append((rng.choice(group).oneline, slot_of, caps))
+        for word, slot_of, caps in cases:
+            expected = list(budgeted_words(Permutation(word), slot_of, caps))
+            got = list(reduced_words._reduced_words(word, slot_of, caps))
+            assert got == expected, (word, slot_of, caps)
+        assert not list(reduced_words._reduced_words(*cases[0]))
+
     def test_parabolic_word_matches_the_walk(self):
         # the closed form of w0(J)'s first reduced word against the walker
         for n in range(1, 8):

@@ -16,7 +16,9 @@ other side, an earlier run or the caller's environment left behind.
 Each checkout is identified by its git HEAD, whether its work tree
 differs from HEAD, and a hash of its ``src`` files, so a measured tree
 that is not yet committed is never taken for its parent; the total line
-count of those files is recorded beside the hash.  The file
+count of those files is recorded beside the hash, and so is their count
+of code lines, which leaves out blank and comment-only lines and
+docstrings.  The file
 holds the last-line metrics of every run, the machine context, and per
 workload and metric each side's median and quartiles and the number of
 seeds on which the change did better, by the direction
@@ -31,8 +33,10 @@ taken too the script refuses before running anything.
 from __future__ import annotations
 
 import argparse
+import ast
 import datetime
 import hashlib
+import io
 import json
 import os
 import platform
@@ -41,6 +45,7 @@ import subprocess
 import sys
 import tempfile
 import time
+import tokenize
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -74,18 +79,41 @@ def git(root: Path, *args: str) -> str | None:
     return done.stdout.strip() if done.returncode == 0 else None
 
 
+# tokens that hold no code of their own
+_LAYOUT = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT,
+           tokenize.DEDENT, tokenize.ENDMARKER}
+
+
+def code_lines(source: str) -> int:
+    """The lines of a Python source that hold code: not blank, not
+    comment-only, and not inside a module, class or function docstring."""
+    docstrings = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+            first = node.body[0] if node.body else None
+            if (isinstance(first, ast.Expr) and isinstance(first.value, ast.Constant)
+                    and isinstance(first.value.value, str)):
+                docstrings.update(range(first.lineno, first.end_lineno + 1))
+    code = set()
+    for tok in tokenize.generate_tokens(io.StringIO(source).readline):
+        if tok.type not in _LAYOUT:
+            code.update(range(tok.start[0], tok.end[0] + 1))
+    return len(code - docstrings)
+
+
 def tree(root: Path) -> dict:
     digest = hashlib.sha256()
-    lines = 0
+    lines = code = 0
     for path in sorted((root / "src").rglob("*.py")):
         text = path.read_bytes()
         digest.update(path.relative_to(root).as_posix().encode() + b"\0")
         digest.update(text)
         lines += text.count(b"\n")
+        code += code_lines(text.decode())
     head = git(root, "rev-parse", "HEAD")
     status = git(root, "status", "--porcelain") if head else None
     return {"head": head, "dirty": None if status is None else bool(status),
-            "src_sha256": digest.hexdigest(), "src_lines": lines}
+            "src_sha256": digest.hexdigest(), "src_lines": lines, "src_code_lines": code}
 
 
 def snapshot_path(root: Path, today: str, head: str | None) -> Path | None:
