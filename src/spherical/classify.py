@@ -16,8 +16,9 @@ of J(w) (``permutations._parabolic_of``), through which the last three
 read w; ``boolean_quotient`` reads the positions of the quotient
 w0(J(w)) * w straight off w through it, and only its ``explain`` text
 forms the quotient.  Whoever holds the word looks it up once for all
-the backends it runs: the scan loop once per word and ``_judge`` once
-per call, or never for ``pattern`` alone.  The ``pattern`` search never lists
+the backends it runs: ``_judge`` once per call, or never for ``pattern``
+alone, and the scan loop once per tail mask of a block, for all the
+words of the mask, which share J(w).  The ``pattern`` search never lists
 occurrences: the catalog's self-check proves its 21 literals are the
 patterns passing two positional tests, and the search reads those tests
 on w in O(n^2) steps.  That self-check, ``catalog()``, gates the search
@@ -34,15 +35,17 @@ reports any disagreement.  It cuts S_n once, into blocks of the words
 that share their first n - 7 letters, at most 7! = 5,040 words each,
 which joined in order give the lexicographic stream; through degree 7
 S_n is one block, run in-process, since a pool costs more to start than
-such a scan takes.  Within a block it looks up each word's table entry
-once, runs backend by backend, compares the verdict columns, and times
-each backend.  It hands its blocks to one scan driver, ``_scan``.
+such a scan takes.  Within a block it looks up the table entries once
+per tail mask (``_tail_masks``), runs backend by backend, compares the
+verdict columns, and times each backend and the lookups.  It hands its
+blocks to one scan driver, ``_scan``.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
+import operator
 import os
 import time
 import warnings
@@ -53,6 +56,7 @@ from .permutations import (
     Permutation,
     _Frozen,
     _Parabolic,
+    _check_degree,
     _parabolic_of,
     _quotient,
     avoids_all,
@@ -448,15 +452,16 @@ class CrossCheckReport(_Frozen):
     holds at most the first 20 offenders in lexicographic order while
     ``disagreement_count`` is the full tally.  ``backend_seconds`` holds
     the wall seconds spent in each backend, summed over blocks and
-    workers; they vary from run to run, so reports compare and hash
-    without them.  Like generating the words, the one lookup of each
-    word's parabolic table entry, shared by the backends that read it,
-    is scan input and counts in no backend's seconds.
+    workers.  Like generating the words, looking up the parabolic table
+    entries, once per tail mask of a block and shared by the backends
+    that read them, is scan input and counts in no backend's seconds;
+    ``lookup_seconds`` holds its wall seconds, summed likewise.  Both
+    vary from run to run, so reports compare and hash without them.
     """
 
     __slots__ = (
         "n", "total", "spherical", "backends", "disagreements",
-        "disagreement_count", "backend_seconds",
+        "disagreement_count", "backend_seconds", "lookup_seconds",
     )
     n: int
     total: int
@@ -465,6 +470,7 @@ class CrossCheckReport(_Frozen):
     disagreements: tuple[Disagreement, ...]
     disagreement_count: int
     backend_seconds: dict[str, float]
+    lookup_seconds: float
 
     def __init__(
         self,
@@ -475,9 +481,10 @@ class CrossCheckReport(_Frozen):
         disagreements: tuple[Disagreement, ...],
         disagreement_count: int,
         backend_seconds: dict[str, float],
+        lookup_seconds: float,
     ) -> None:
         self._init(n, total, spherical, backends, disagreements, disagreement_count,
-                   backend_seconds)
+                   backend_seconds, lookup_seconds)
 
     def _key(self) -> tuple:
         return (self.n, self.total, self.spherical, self.backends,
@@ -532,6 +539,7 @@ class CrossCheckReport(_Frozen):
                 for d in self.disagreements
             ],
             "backend_seconds": dict(self.backend_seconds),
+            "lookup_seconds": self.lookup_seconds,
         }
 
 
@@ -541,18 +549,44 @@ class CrossCheckReport(_Frozen):
 _BLOCK = 7
 
 
+@functools.cache
+def _tail_masks(k: int) -> tuple[list[int], list[int]]:
+    # The tails of a block, ``itertools.permutations`` of k letters in its
+    # order, grouped by the letters' relative order: each tail's mask has
+    # bit a set when its (a+1)-th smallest letter sits left of its
+    # (a+2)-th.  Returns the masks, tail by tail, and the index of the
+    # first tail of each mask 0 .. 2^(k-1) - 1, every one of which occurs.
+    bits = [1 << a for a in range(k - 1)]
+    masks = []
+    firsts: dict[int, int] = {}
+    for i, tail in enumerate(itertools.permutations(range(k))):
+        pos = sorted(range(k), key=tail.__getitem__)
+        mask = sum(itertools.compress(bits, map(operator.lt, pos, pos[1:])))
+        masks.append(mask)
+        firsts.setdefault(mask, i)
+    return masks, [firsts[mask] for mask in range(1 << (k - 1))]
+
+
 def _scan_block(args: tuple[int, tuple[int, ...], tuple[str, ...]]) -> tuple:
     # The words that start with ``head``, in lexicographic order, decided
     # backend by backend: each backend fills a column of verdicts, and only
     # a block whose columns differ is read word by word.  Returns the
     # words, those spherical by the first backend, the disagreeing words
-    # with their verdicts in order, and the seconds spent in each backend.
+    # with their verdicts in order, the seconds spent in each backend and
+    # those spent looking up the table entries.
     n, head, backends = args
     rest = [v for v in range(1, n + 1) if v not in head]
     block = list(map(head.__add__, itertools.permutations(rest)))
-    # one table lookup per word, shared by every decider and timed with
-    # none, like generating the word
-    entries = list(map(_parabolic_of, block))
+    # i and i+1 keep the head's order unless both are rest letters, and
+    # then they are consecutive ones, whose order is one bit of the tail's
+    # mask: words of one mask share J(w), so the table is read once per
+    # mask, and every decider shares the entry.  Like generating the
+    # words, the lookup is timed with no decider.
+    start = time.perf_counter()
+    masks, firsts = _tail_masks(len(rest))
+    by_mask = [_parabolic_of(block[i]) for i in firsts]
+    entries = list(map(by_mask.__getitem__, masks))
+    lookup = time.perf_counter() - start
     columns = []
     seconds = []
     for b in backends:
@@ -565,12 +599,14 @@ def _scan_block(args: tuple[int, tuple[int, ...], tuple[str, ...]]) -> tuple:
     if any(column != first for column in columns[1:]):
         bad = [(word, verdicts) for word, verdicts in zip(block, zip(*columns))
                if any(v != verdicts[0] for v in verdicts[1:])]
-    return len(block), sum(first), bad, seconds
+    return len(block), sum(first), bad, seconds, lookup
 
 
 def _scan(work: Callable, chunks: list, jobs: int) -> list:
     """Apply ``work`` to every chunk, on at most ``jobs`` worker processes;
     the results come back in chunk order."""
+    if type(jobs) is not int:
+        raise ValueError(f"jobs must be an int, not {type(jobs).__name__}")
     if jobs < 1:
         raise ValueError("jobs must be at least 1")
     workers = min(jobs, len(chunks), os.cpu_count() or 1)
@@ -609,8 +645,7 @@ def cross_check(
     >>> cross_check(4).summary_line()
     '24 permutations, 24 spherical, 0 disagreements'
     """
-    if n < 1:
-        raise ValueError("degree must be at least 1")
+    _check_degree(n)
     names = tuple(backends)
     for k, b in enumerate(names):
         _check_backend(b)
@@ -631,8 +666,11 @@ def cross_check(
         # the catalog's self-check runs here, not in pattern's first timed
         # block, and forked workers inherit the checked catalog
         catalog()
+    # so does the tails' mask table, built here and not in the first
+    # block's lookup
+    _tail_masks(min(n, _BLOCK))
     results = _scan(_scan_block, [(n, head, names) for head in heads], jobs)
-    bad = [item for _, _, block_bad, _ in results for item in block_bad]
+    bad = [item for _, _, block_bad, _, _ in results for item in block_bad]
     seconds = [sum(column) for column in zip(*(r[3] for r in results))]
     reported = []
     for word, verdicts in bad[:MAX_REPORTED_DISAGREEMENTS]:
@@ -648,5 +686,6 @@ def cross_check(
         disagreements=tuple(reported),
         disagreement_count=len(bad),
         backend_seconds=dict(zip(names, seconds)),
+        lookup_seconds=sum(r[4] for r in results),
     )
 

@@ -22,10 +22,11 @@ also its generator pools.  All of that depends on J alone, and S_n has
 2^(n-1) descent sets against n! words, so ``_parabolic`` builds it once
 per descent set, in one bounded cache that ``_parabolic_of`` reads for a
 word.  Every reader but ``longest_parabolic`` takes the entry from
-whoever holds the word, which looks it up once: ``_quotient``, the three
-backends' deciders in ``classify`` and, beneath them,
-``reduced_words._fitting_quotient_word``, ``_repetition_free_word`` and
-``_after_parabolic_word``.  Only the ``definition`` search forms q with
+whoever holds the word, which looks it up once, or, in a scan, once for
+all the words of a block that share J (``classify._tail_masks``):
+``_quotient``, the three backends' deciders in ``classify`` and, beneath
+them, ``reduced_words._fitting_quotient_word``, ``_repetition_free_word``
+and ``_after_parabolic_word``.  Only the ``definition`` search forms q with
 ``_quotient``; the ``boolean_quotient`` search reads q's positions off w
 through ``shifted``, and ``parabolic_quotient`` and ``explain`` form q
 for a caller who asks for it.
@@ -150,6 +151,7 @@ class Permutation(_Frozen):
         >>> str(Permutation.identity(3))
         '123'
         """
+        _check_degree(n)
         return cls(tuple(range(1, n + 1)))
 
     @classmethod
@@ -226,6 +228,15 @@ class Permutation(_Frozen):
         return GeneratorSet(self.degree, frozenset(_left_descents(self.oneline)))
 
 
+def _check_degree(n: int) -> None:
+    # ints only, as in ``Permutation``: 4.0 would fail later with a
+    # TypeError, and True would pass for degree 1
+    if type(n) is not int:
+        raise ValueError(f"degree must be an int, not {type(n).__name__}")
+    if n < 1:
+        raise ValueError("degree must be at least 1")
+
+
 def _code(word: Sequence[int]) -> list[int]:
     # The Lehmer code, the package's one sweep of it: entry i counts the
     # smaller values right of place i, found by bisecting the sorted
@@ -273,8 +284,7 @@ class GeneratorSet(_Frozen):
 
     def __init__(self, degree: int, members: frozenset[int] = frozenset()) -> None:
         members = frozenset(members)
-        if degree < 1:
-            raise ValueError("degree must be at least 1")
+        _check_degree(degree)
         # ints only, as in ``Permutation``: equality alone would take 2.0
         # and True for 2 and 1
         bad = [i for i in members if type(i) is not int or not 1 <= i <= degree - 1]
@@ -330,11 +340,13 @@ def _letters(n: int) -> tuple[int, ...]:
 
 
 # Keyed by the ends of the blocks of J, ascending, the last being n.  S_n
-# has 2^(n-1) descent sets against n! words: an exhaustive scan of S_8,
-# the largest ``cross_check`` runs unforced, reads 128 of them, and a
-# forced one of S_9 reads 256, which this bound holds whole, so such a scan
-# builds each entry once.  S_10's 512 and S_12's 2,048 take turns in it,
-# and queries outside a scan rarely share a descent set.  The bound is also
+# has 2^(n-1) descent sets against n! words, and an exhaustive scan looks
+# up one entry per tail mask of a block, at most 64 for its 5,040 words:
+# a scan of S_8, the largest ``cross_check`` runs unforced, reads 128
+# descent sets, and a forced one of S_9 reads 256, which this bound holds
+# whole, so such a scan builds each entry once.  S_10's 512 and S_12's
+# 2,048 take turns in it, and queries outside a scan rarely share a
+# descent set.  The bound is also
 # what a long-lived process keeps: an entry with its key holds about 36
 # bytes per letter, its tuples and key pointing into the one ``_letters``
 # table of its degree, so 0.11 MB at degree 3000 and at most about 28 MB

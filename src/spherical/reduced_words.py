@@ -16,7 +16,8 @@ shares one pool, every other generator has its own, and each pool holds
 one use per generator in it.  The pools and q's map depend on J(w) alone,
 so both come from the per-descent-set table in ``permutations``, built
 once per J; the caller hands the search its word's entry, looked up once
-for all the backends that read it.  The search returns q's first fitting
+for all the backends that read it, and in a scan once for all the words
+of a block that share J.  The search returns q's first fitting
 word alone; ``spherical_witness_word`` and ``explain`` put the first
 reduced word of w0(J(w)) in front of it, which needs no search: for each
 run a..b of J, in increasing order, it is a; a+1, a; ...; b, ..., a,

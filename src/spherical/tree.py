@@ -26,6 +26,7 @@ import operator
 from typing import NamedTuple, Sequence
 
 from .classify import _scan, catalog
+from .permutations import _check_degree
 
 DENSITY_BOUND = 10
 
@@ -219,8 +220,7 @@ def density_table(
     >>> density_table(5)[-1]
     DensityRow(n=5, spherical=99, total=120, ratio=0.825)
     """
-    if max_n < 1:
-        raise ValueError("degree must be at least 1")
+    _check_degree(max_n)
     if max_n > DENSITY_BOUND and not force:
         raise ValueError(
             f"degree {max_n} exceeds the density bound {DENSITY_BOUND}; "

@@ -489,16 +489,44 @@ class TestParabolicTable:
         assert traced < 8e6
 
     @pytest.mark.parametrize(
-        "n, backends, words",
-        [(6, BACKENDS, 720), (7, ("pattern", "boolean_quotient", "divisibility"), 5040)],
+        "n, backends, lookups",
+        [(6, BACKENDS, 32), (7, ("pattern", "boolean_quotient", "divisibility"), 64)],
     )
-    def test_a_scan_looks_up_each_word_once(self, n, backends, words):
-        # one entry per word, shared by every decider of the scan
+    def test_a_scan_looks_up_each_descent_mask_once(self, n, backends, lookups):
+        # S_n through degree 7 is one block, whose words fall into 2^(n-1)
+        # tail masks: one lookup each, shared by every word of the mask and
+        # every decider of the scan
         catalog()
         before = _parabolic.cache_info()
         assert cross_check(n, backends).disagreement_count == 0
         after = _parabolic.cache_info()
-        assert after.hits + after.misses - before.hits - before.misses == words
+        assert after.hits + after.misses - before.hits - before.misses == lookups
+
+    def test_a_scan_hands_each_word_its_own_entry(self, monkeypatch):
+        # a recording decider sees every word of S_1..S_8, and of the first
+        # and last blocks of S_9 and S_10, with the entry of its own J(w)
+        seen = []
+
+        def record(word, entry):
+            seen.append((word, entry))
+            return True, None
+
+        monkeypatch.setitem(classify._DECIDERS, "record", record)
+        monkeypatch.setitem(classify._DECIDERS, "agree", lambda word, entry: (True, None))
+        for n in range(1, 9):
+            seen.clear()
+            assert cross_check(n, ("record", "agree")).total == math.factorial(n)
+            assert len(seen) == math.factorial(n)
+            assert all(entry == _parabolic_of(word) for word, entry in seen), n
+        scan = classify._scan
+        monkeypatch.setattr(
+            classify, "_scan", lambda work, chunks, jobs: scan(work, [chunks[0], chunks[-1]], jobs)
+        )
+        for n, heads in ((9, [(1, 2), (9, 8)]), (10, [(1, 2, 3), (10, 9, 8)])):
+            seen.clear()
+            assert cross_check(n, ("record", "agree"), force=True).total == 2 * 5040
+            assert [word[: n - 7] for word, _ in seen[::5040]] == heads
+            assert all(entry == _parabolic_of(word) for word, entry in seen), n
 
     @pytest.mark.parametrize(
         "backends, formed",
@@ -529,14 +557,14 @@ class TestParabolicTable:
         assert lookups() - before == 120
 
     def test_reported_witnesses_look_up_each_word_once(self, monkeypatch):
-        # 120 for the scan and one for each of the 20 reported words'
-        # witnesses, shared by the three backends
+        # 16 for the scan, one per tail mask of S_5, and one for each of
+        # the 20 reported words' witnesses, shared by the three backends
         flip_on_second_letter_three(monkeypatch)
         catalog()
         before = lookups()
         report = cross_check(5, ("boolean_quotient", "definition", "stub"))
         assert len(report.disagreements) == 20
-        assert lookups() - before == 140
+        assert lookups() - before == 16 + 20
 
     def test_stays_within_its_bound(self):
         rng = random.Random(40)
@@ -660,6 +688,17 @@ class TestCrossCheck:
         with pytest.raises(ValueError, match="jobs"):
             cross_check(4, jobs=jobs)
 
+    @pytest.mark.parametrize("n", [5.0, True, "5", None])
+    def test_non_int_degree_rejected(self, n):
+        # 5.0 and "5" raised TypeError, and True answered for S_1
+        with pytest.raises(ValueError, match="degree must be an int"):
+            cross_check(n, ("pattern", "divisibility"))
+
+    @pytest.mark.parametrize("jobs", [2.5, 2.0, True, "2"])
+    def test_non_int_jobs_rejected(self, jobs):
+        with pytest.raises(ValueError, match="jobs must be an int"):
+            cross_check(4, jobs=jobs)
+
     def test_parallel_matches_serial(self, monkeypatch):
         # blocks of 4! words cut S_5 into five, scanned on a real pool
         monkeypatch.setattr(classify, "_BLOCK", 4)
@@ -726,7 +765,7 @@ class TestCrossCheck:
 
         def record(work, chunks, jobs):
             heads.extend(head for _, head, _ in chunks)
-            return [(0, 0, [], [0.0, 0.0, 0.0]) for _ in chunks]
+            return [(0, 0, [], [0.0, 0.0, 0.0], 0.0) for _ in chunks]
 
         monkeypatch.setattr(classify, "_scan", record)
         assert cross_check(n, force=True).total == 0
@@ -781,6 +820,24 @@ class TestCrossCheck:
         assert all(seconds >= 0 for seconds in report.backend_seconds.values())
         assert report.as_dict()["backend_seconds"] == report.backend_seconds
 
+    @pytest.mark.parametrize("jobs", [1, 3])
+    def test_lookup_seconds_sum_over_blocks(self, monkeypatch, jobs):
+        # S_5 in blocks of 4! words is five blocks of 8 tail masks: 40
+        # lookups, here 2 ms each, summed over blocks and workers and
+        # counted in no backend's seconds
+        lookup = permutations._parabolic_of
+
+        def slow_lookup(word):
+            time.sleep(0.002)
+            return lookup(word)
+
+        monkeypatch.setattr(classify, "_BLOCK", 4)
+        monkeypatch.setattr(classify, "_parabolic_of", slow_lookup)
+        report = cross_check(5, ("pattern", "divisibility"), jobs=jobs)
+        assert report.lookup_seconds >= 40 * 0.002
+        assert max(report.backend_seconds.values()) < 0.05
+        assert report.as_dict()["lookup_seconds"] == report.lookup_seconds
+
     def test_report_serialization(self):
         report = cross_check(4)
         data = report.as_dict()
@@ -806,6 +863,7 @@ class TestCrossCheck:
             ),
             disagreement_count=1,
             backend_seconds={},
+            lookup_seconds=0.0,
         )
         assert "1 disagreement" in fake.summary_line()
         lines = fake.disagreement_lines()
@@ -833,16 +891,20 @@ class TestCrossCheck:
             n=2, total=2, spherical=2, backends=("pattern",), disagreements=(),
             disagreement_count=0,
         )
-        timed = CrossCheckReport(**fields, backend_seconds={"pattern": 0.5})
-        untimed = CrossCheckReport(**fields, backend_seconds={})
+        timed = CrossCheckReport(**fields, backend_seconds={"pattern": 0.5}, lookup_seconds=0.25)
+        untimed = CrossCheckReport(**fields, backend_seconds={}, lookup_seconds=0.0)
         assert timed == untimed and hash(timed) == hash(untimed)
-        assert untimed != CrossCheckReport(**{**fields, "spherical": 1}, backend_seconds={})
+        assert untimed != CrossCheckReport(
+            **{**fields, "spherical": 1}, backend_seconds={}, lookup_seconds=0.0
+        )
         assert repr(untimed) == (
             "CrossCheckReport(n=2, total=2, spherical=2, backends=('pattern',), "
-            "disagreements=(), disagreement_count=0, backend_seconds={})"
+            "disagreements=(), disagreement_count=0, backend_seconds={}, lookup_seconds=0.0)"
         )
         with pytest.raises(TypeError, match="backend_seconds"):
             CrossCheckReport(**fields)
+        with pytest.raises(TypeError, match="lookup_seconds"):
+            CrossCheckReport(**fields, backend_seconds={})
 
 
 class TestDensity:
@@ -964,6 +1026,16 @@ class TestDensity:
     @pytest.mark.parametrize("jobs", [0, -1])
     def test_jobs_below_one_rejected(self, jobs):
         with pytest.raises(ValueError, match="jobs"):
+            density_table(3, jobs=jobs)
+
+    @pytest.mark.parametrize("max_n", [5.0, True, "5"])
+    def test_non_int_degree_rejected(self, max_n):
+        with pytest.raises(ValueError, match="degree must be an int"):
+            density_table(max_n)
+
+    @pytest.mark.parametrize("jobs", [2.5, True])
+    def test_non_int_jobs_rejected(self, jobs):
+        with pytest.raises(ValueError, match="jobs must be an int"):
             density_table(3, jobs=jobs)
 
     def test_rows_through_degree_eleven(self):

@@ -369,6 +369,7 @@ class TestCrosscheck:
         seconds = data["backend_seconds"]
         assert list(seconds) == ["pattern", "boolean_quotient", "divisibility"]
         assert all(value >= 0 for value in seconds.values())
+        assert data["lookup_seconds"] >= 0
 
     def test_table_format(self, capsys):
         status, out, _ = run_cli(

@@ -78,20 +78,17 @@ class TestWitness:
                         assert present[(u * v, u * w)] == present[(v, w)]
 
     def test_translation_invariance_degree_five(self):
+        # S_5 indexed by rank: divisible[v][w] is the verdict on (v, w) and
+        # product[u][v] the rank of u * v, so one row comparison per (u, v)
+        # checks (u * v, u * w) against (v, w) for every w
         perms = list(symmetric_group(5))
-        table = {w: {} for w in perms}
-        for v in perms:
-            row = table[v]
-            for w in perms:
-                row[w] = is_divisible(v, w) is not None
-        products = {
-            (u, v): u * v for u in perms for v in perms
-        }
-        for u in perms:
-            for v in perms:
-                uv = products[(u, v)]
-                for w in perms:
-                    assert table[uv][products[(u, w)]] == table[v][w]
+        rank = {w: r for r, w in enumerate(perms)}
+        divisible = [[is_divisible(v, w) is not None for w in perms] for v in perms]
+        product = [[rank[u * v] for v in perms] for u in perms]
+        for u, by_u in zip(perms, product):
+            for v, uv, row in zip(perms, by_u, divisible):
+                translated = list(map(divisible[uv].__getitem__, by_u))
+                assert translated == row, (str(u), str(v))
 
 
 class TestQuotientEquivalence:

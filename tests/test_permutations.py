@@ -34,6 +34,12 @@ class TestConstruction:
         with pytest.raises(ValueError):
             Permutation.identity(0)
 
+    @pytest.mark.parametrize("n", [3.0, True, "3"])
+    def test_identity_rejects_non_int_degree(self, n):
+        # 3.0 raised TypeError, and True gave the identity of degree 1
+        with pytest.raises(ValueError, match="degree must be an int"):
+            Permutation.identity(n)
+
     @pytest.mark.parametrize(
         "values",
         # the last five only equal integers: 2.0 == 2 and True == 1
@@ -214,6 +220,13 @@ class TestDescentsAndParabolics:
         with pytest.raises(ValueError):
             GeneratorSet(0, frozenset())
         assert not GeneratorSet(1, frozenset())
+
+    @pytest.mark.parametrize("degree", [4.0, True, "4"])
+    def test_generator_set_rejects_non_int_degree(self, degree):
+        # 4.0 and True were accepted, and longest_parabolic of the first
+        # raised TypeError
+        with pytest.raises(ValueError, match="degree must be an int"):
+            GeneratorSet(degree, frozenset({1}))
 
     @pytest.mark.parametrize("members", [{1.5}, {True}, {2.0}, {"1"}])
     def test_generator_set_rejects_non_int_members(self, members):
