@@ -21,15 +21,20 @@ alone, and the scan loop once per tail mask of a block, for all the
 words of the mask, which share J(w).  The ``pattern`` search never lists
 occurrences: the catalog's self-check proves its 21 literals are the
 patterns passing two positional tests, and the search reads those tests
-on w in O(n^2) steps.  That self-check, ``catalog()``, gates the search
-once per call or scan, never per word: ``_judge`` runs it once when
+on w with running state: chains of consecutive values, and sets of
+values held as the bits of an int.  It takes O(n) steps on w0 and the
+cycle 2, ..., n, 1, whose every x its 3412 half skips.  That
+self-check, ``catalog()``, gates the search once per call or scan,
+never per word: ``_judge`` runs it once when
 ``pattern`` is listed, and ``cross_check`` once before its scan.  Its
 witness is a certificate of where the search stopped (the 3 of a
 321-half occurrence, or the 4 and the 2 of a 3412-half one), which only
 ``explain`` expands into five positions, in O(n) steps and no second
 search.  The ``definition`` search likewise returns only the quotient's
 fitting word; ``explain`` puts the first reduced word of w0(J(w)) in
-front, so a scan never builds that word.
+front, so a scan never builds that word.  The ``divisibility`` search
+returns its witness as a plain tuple, which only ``explain`` turns into a
+``DivisibilityWitness``, so a scan builds no object per word either.
 ``cross_check`` runs several backends over a whole symmetric group and
 reports any disagreement.  It cuts S_n once, into blocks of the words
 that share their first n - 7 letters, at most 7! = 5,040 words each,
@@ -188,11 +193,11 @@ def catalog() -> PatternCatalog:
 # The pattern backend.  catalog() proves over S_5 that the 21 literals are
 # exactly the patterns that pass _position_test_321 or _position_test_3412,
 # so w contains one exactly when five of its letters pass a test.  Read on
-# w, each test is one quadratic search, which stops at a certificate: the
-# 3 of an occurrence in the 321 half, or the 4 and the 2 of one in the 3412
-# half.  A scan reads only whether there is one; ``explain`` expands it into
-# the five positions.  Below, "the 5" of five letters is the largest, and
-# so on down to "the 1".
+# w, each test is one search with running state, which stops at a
+# certificate: the 3 of an occurrence in the 321 half, or the 4 and the 2
+# of one in the 3412 half.  A scan reads only whether there is one;
+# ``explain`` expands it into the five positions.  Below, "the 5" of five
+# letters is the largest, and so on down to "the 1".
 def _catalog_certificate(w: tuple[int, ...]) -> tuple[int, ...] | None:
     """Where the search for the occurrence that ``explain`` names stops:
     ``(j,)`` when w_j is its 3 (321 half), ``(x, y)`` when w_x and w_y are
@@ -203,25 +208,59 @@ def _catalog_certificate(w: tuple[int, ...]) -> tuple[int, ...] | None:
     are w_j+L, ..., w_j+1 in that order.  A 1 after j with a 2 before j or
     after the 1 exists unless the values below w_j after j are
     w_j-1, ..., w_j-L in that order.  The two sides are independent once
-    j is fixed.
+    j is fixed, and each is one comparison against a chain of consecutive
+    values.  The first side's chains are recorded as w is read.  The first
+    letter to pass that side walks the second side itself, which mostly
+    ends after a few letters; the later ones read its chains from one
+    pass from the right.  So the 321 half is O(n) steps.
 
-    The 3412 half then tries the pairs (x, y) in order on w itself and
-    builds no table over the values: what it needs once per x or per y it
-    finds only when a pair asks for it, so the search stays O(n^2) steps.
+    The 3412 half then tries the pairs (x, y) in order, with sets of
+    values held as the bits of an int, so each test on an x or on a pair
+    is a few operations on ints of n bits, and the search holds a few of
+    them.  An x none of whose pairs can pass is skipped before its walk
+    over y: w0 and the cycle 2, ..., n, 1 walk none.  An x that is not
+    skipped still walks its ys up to its last 2 to try, so the search is
+    not O(n log n) on every input: on the direct sum of two long falling
+    runs it walks O(n^2) pairs.
     """
     n = len(w)
-    for j in range(1, n - 1):
-        c = w[j]
-        if c < 3 or c > n - 2:  # a 3 needs two values on either side
+    # chain[v]: the greatest t with t, t-1, ..., v read in that order, or 0
+    # while v is unread
+    chain = [0] * (n + 2)
+    hi = 0  # the greatest value before j
+    bottom = None
+    for j, c in enumerate(w):
+        t = chain[c + 1] or c
+        chain[c] = t
+        if t >= hi:  # the values above c before j are c+1..t, falling
+            if c > hi:
+                hi = c
             continue
-        # distinct values above c, falling from c + L, are c+L..c+1
-        highs = [v for v in w[:j] if v > c]
-        if not highs or highs[0] == c + len(highs) and highs == sorted(highs, reverse=True):
-            continue
-        lows = [v for v in w[j + 1:] if v < c]
-        if not lows or lows[-1] == c - len(lows) and lows == sorted(lows, reverse=True):
-            continue
-        return (j,)
+        if bottom is None:
+            # The first such j walks the values below c after it, and stops
+            # at the first one off the chain c-1, c-2, ...: that settles
+            # nearly every word outside the class after a few letters.
+            need = c - 1
+            for v in w[j + 1:]:
+                if v < c:
+                    if v != need:
+                        return (j,)
+                    need -= 1
+            # Later ones read the mirror, built from the right over the
+            # letters after j: bottom[v] is the least b with v, v-1, ..., b
+            # read in that order, and least[k] the least value from
+            # position k on.
+            bottom = [0] * (n + 1)
+            least = [n + 1] * (n + 1)
+            lo = n + 1
+            for k in range(n - 1, j, -1):
+                v = w[k]
+                bottom[v] = bottom[v - 1] or v
+                if v < lo:
+                    lo = v
+                least[k] = lo
+        elif least[j + 1] < bottom[c]:  # a lower value is off the chain
+            return (j,)
     # The 3412 half: w_x > w_y with x < y are the 4 and the 2.  The 5 must
     # sit before y, the 1 after x, and the 5 before the 1, so the earliest
     # value above w_x and the latest value below w_y are the ones to try:
@@ -230,51 +269,57 @@ def _catalog_certificate(w: tuple[int, ...]) -> tuple[int, ...] | None:
     # is before x unless w_x is a new left-to-right maximum, and then it is
     # the next one, so the walks to it cover the stretches between
     # consecutive maxima, O(n) steps in all.  A 3 valued in (w_y, w_x)
-    # before x or after y exists exactly when the greatest value below w_x
-    # before x exceeds w_y, or the least value above w_y after y is below
-    # w_x; each is found only once a pair passes the rest.
-    least_above: dict[int, int] = {}
+    # exists before x exactly when the greatest value below w_x before x
+    # exceeds w_y, and after y exactly when a value in (w_y, w_x) after m
+    # is not yet passed at y.  So an x is skipped when no 2 is left to
+    # try, or when no 2 has its 3 before x and the word falls after m,
+    # which leaves no 3 after any y.
     top = 0  # the greatest value before x
-    # low, once found, is the least value after position low_from and sits
-    # at low_at, so it is the least after every m in between.  It is taken
-    # with one ``min`` at x's first value below w_x after m, and only when
-    # the last one does not cover m: w0 and the cycle 2, ..., n, 1 take it
-    # once.
-    low = None
-    low_from = low_at = n
+    before = 0  # bit v set when v is among w[:x+1]
+    fall = None  # the start of w's last falling run, once asked for
     for x in range(n - 2):
         wx = w[x]
+        before |= 1 << wx
+        seen = before  # bit v set when v is among w[:m+1], for v < w_x
         if wx < top:
             m = x
         else:
             top = wx
             m = x + 1
             while m < n and w[m] < wx:
+                seen |= 1 << w[m]
                 m += 1
         # a 4 needs three values below it, and the 2 and the 1 come after m
         if wx < 4 or m > n - 2:
             continue
-        if not low_from <= m < low_at:
-            low = None
-        greatest = None
+        # the values below w_x after m but their least: the 2s to try
+        below = (1 << wx) - 2
+        twos = (seen & below) ^ below
+        low = twos & -twos
+        twos ^= low
+        if not twos:
+            continue
+        # a 2 below the greatest value below w_x before x has its 3 there
+        past = (before & below).bit_length()  # that value + 1, or 0
+        if not twos & ((1 << past) - 1):
+            if fall is None:
+                fall = n - 1
+                while fall and w[fall - 1] > w[fall]:
+                    fall -= 1
+            if m + 1 >= fall:  # and none after y where the word falls
+                continue
+        low = low.bit_length() - 1
         for y in range(m + 1, n):
             wy = w[y]
-            if wy > wx or wy == low:
+            if wy >= wx or wy <= low:
                 continue
-            if low is None:
-                # the values after m before y are above w_x: low is at y or on
-                low_from, low = m, min(w[m + 1:])
-                low_at = w.index(low, y)
-                if wy == low:
-                    continue
-            if greatest is None:
-                greatest = max([v for v in w[:x] if v < wx], default=0)
-            if greatest <= wy:
-                if y not in least_above:
-                    least_above[y] = min([v for v in w[y + 1:] if v > wy], default=n + 1)
-                if least_above[y] > wx:
-                    continue
-            return (x, y)
+            if wy < past:
+                return (x, y)
+            twos ^= 1 << wy
+            if twos >> wy:
+                return (x, y)
+            if not twos:  # the last 2 to try
+                break
     return None
 
 
@@ -343,7 +388,7 @@ def _by_quotient(
 
 def _by_divisibility(
     word: tuple[int, ...], entry: _Parabolic
-) -> tuple[bool, DivisibilityWitness | None]:
+) -> tuple[bool, tuple[str, int, int] | None]:
     found = _first_witness(entry.longest, word)
     return found is None, found
 
@@ -412,7 +457,8 @@ def _describe(w: Permutation, backend: str, witness, entry: _Parabolic | None) -
             f"reduced word {word_to_text(witness)}"
         )
     if backend == "divisibility":
-        return f"({Permutation(entry.longest)}, {w}) divisibility witness {witness or 'none'}"
+        found = "none" if witness is None else DivisibilityWitness(*witness)
+        return f"({Permutation(entry.longest)}, {w}) divisibility witness {found}"
     if witness is None:  # the definition backend
         return "no reduced word fits the generator budgets"
     word = _after_parabolic_word(w.oneline, witness, entry)

@@ -4,6 +4,12 @@ A pair (v, w) is divisible after position i when the length-i prefixes of
 v and w share at most i-2 values, and divisible at position i when
 additionally to sharing at most i-1 values the entries v_i and w_i agree.
 Divisibility of the pair means some position qualifies either way.
+
+The search beneath, ``_first_witness``, returns the certifying position as
+a plain ``(kind, position, size)`` tuple, so the exhaustive scan, which
+reads only whether there is one, builds no object per word.  Only the two
+readers of the witness wrap it in ``DivisibilityWitness``: ``is_divisible``
+and the ``divisibility`` text of ``classify.explain``.
 """
 
 from __future__ import annotations
@@ -38,10 +44,12 @@ def is_divisible(v: Permutation, w: Permutation) -> DivisibilityWitness | None:
     """
     if v.degree != w.degree:
         raise ValueError(f"degree mismatch: {v.degree} vs {w.degree}")
-    return _first_witness(v.oneline, w.oneline)
+    found = _first_witness(v.oneline, w.oneline)
+    return None if found is None else DivisibilityWitness(*found)
 
 
-def _first_witness(v: tuple[int, ...], w: tuple[int, ...]) -> DivisibilityWitness | None:
+def _first_witness(v: tuple[int, ...], w: tuple[int, ...]) -> tuple[str, int, int] | None:
+    # the fields of ``is_divisible``'s witness, or None
     seen_v: set[int] = set()
     seen_w: set[int] = set()
     shared = 0
@@ -56,7 +64,7 @@ def _first_witness(v: tuple[int, ...], w: tuple[int, ...]) -> DivisibilityWitnes
         seen_v.add(a)
         seen_w.add(b)
         if shared <= i - 2:
-            return DivisibilityWitness("after", i, shared)
+            return "after", i, shared
         if a == b and shared <= i - 1:
-            return DivisibilityWitness("at", i, shared)
+            return "at", i, shared
     return None

@@ -187,6 +187,10 @@ class Permutation(_Frozen):
 
     def __call__(self, i: int) -> int:
         """The value w(i), with i in 1..n."""
+        # ints only, as in ``Permutation``: True would pass for 1, and 1.0
+        # would fail with a TypeError
+        if type(i) is not int:
+            raise ValueError(f"position must be an int, not {type(i).__name__}")
         if not 1 <= i <= self.degree:
             raise ValueError(f"position {i} outside 1..{self.degree}")
         return self.oneline[i - 1]

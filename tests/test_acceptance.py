@@ -163,7 +163,7 @@ def test_criterion_9_generating_tree_confirmed_by_divisibility():
 
 
 def test_criterion_10_pattern_backend_matches_subset_oracle():
-    # The literal catalog is the contract: the quadratic search beneath the
+    # The literal catalog is the contract: the positional search beneath the
     # pattern backend against a scan of every letter subset, no pruning.
     patterns = catalog().all
     checked = 0

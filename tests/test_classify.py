@@ -3,6 +3,7 @@ import itertools
 import math
 import pickle
 import random
+import sys
 import time
 import tracemalloc
 from concurrent.futures.process import BrokenProcessPool
@@ -176,7 +177,7 @@ class TestCatalog:
         assert not _characterizations_hold(bad_split)
 
     def test_pattern_backend_runs_behind_the_self_check(self, monkeypatch):
-        # the quadratic search is only as sound as the characterizations
+        # the positional search is only as sound as the characterizations
         monkeypatch.setattr(classify, "_characterizations_hold", lambda cat: False)
         catalog.cache_clear()
         try:
@@ -331,6 +332,60 @@ class TestRandomPastDegreeEight:
         assert verdicts == {True, False}
 
 
+# w0, the cycle 2, ..., n, 1, its inverse and the direct sum of 250
+# copies of 4321, at degree 1000
+LONG_WORDS = {
+    "longest": tuple(range(1000, 0, -1)),
+    "cycle": (*range(2, 1001), 1),
+    "inverse-cycle": (1000, *range(1, 1000)),
+    "falling-blocks": tuple(v for i in range(0, 1000, 4) for v in range(i + 4, i, -1)),
+}
+
+
+def certificate_corpus():
+    # Seeded words that reach every branch of the pattern search, in turn:
+    # a direct sum of blocks of degree at most 7 topped by a falling run,
+    # such a sum with w0 or a cycle of degree 5-40 among its blocks, such a
+    # sum topped by a rising run (so every value after m exceeds w_x for
+    # each x below the run), and a uniform word.  The blocks avoid the
+    # catalog, but for one in twenty that the 3412 half certifies.  Each
+    # second word has two letters swapped.  The degrees sit at 9-200 and at
+    # the edges of CPython's 30-bit int digits; last come LONG_WORDS.
+    rng = random.Random(2104)
+    members = [[] for _ in range(8)]
+    near = [[] for _ in range(8)]  # the words certified by the 3412 half
+    for k in range(8):
+        for w in itertools.permutations(range(1, k + 1)):
+            found = oracles.catalog_certificate_by_tables(w)
+            if found is None or len(found) == 2:
+                (members if found is None else near)[k].append(w)
+    degrees = [29, 30, 31, 59, 60, 61, 89, 90, 91]
+    for trial in range(480):
+        n = degrees[trial % 9] if trial % 2 else rng.randint(9, 200)
+        kind = trial % 8 // 2
+        if kind == 3:
+            word = rng.sample(range(1, n + 1), n)
+        else:
+            run = rng.randint(2, n // 3)  # the length of the top run
+            word = []
+            while len(word) < n - run:
+                room = n - run - len(word)
+                k = rng.randint(1, min(7, room))
+                block = rng.choice(near[k] if k > 4 and rng.random() < 0.05 else members[k])
+                if kind == 1 and rng.random() < 0.3:
+                    k = rng.randint(min(5, room), min(40, room))
+                    block = rng.choice([range(k, 0, -1), (*range(2, k + 1), 1), (k, *range(1, k))])
+                shift = len(word)
+                word.extend(v + shift for v in block)
+            top = range(n - run + 1, n + 1)
+            word.extend(reversed(top) if kind < 2 else top)
+        if trial % 2:
+            i, j = rng.sample(range(n), 2)
+            word[i], word[j] = word[j], word[i]
+        yield tuple(word)
+    yield from LONG_WORDS.values()
+
+
 class TestCertificate:
     """The pattern search against the table-based search it replaced."""
 
@@ -377,6 +432,37 @@ class TestCertificate:
     )
     def test_equals_the_table_search_at_degree_three_hundred(self, word):
         assert classify._catalog_certificate(word) == oracles.catalog_certificate_by_tables(word)
+
+    def test_equals_the_table_search_on_every_branch(self):
+        kinds = set()
+        for word in certificate_corpus():
+            found = classify._catalog_certificate(word)
+            assert found == oracles.catalog_certificate_by_tables(word), word
+            kinds.add(None if found is None else len(found))
+        assert kinds == {None, 1, 2}
+
+    @pytest.mark.parametrize("word", LONG_WORDS.values(), ids=LONG_WORDS)
+    def test_runs_linear_lines_on_long_words(self, word):
+        # Each x of w0 and the cycles is skipped before its walk over y,
+        # and each x of the falling blocks stops its walk at its block's
+        # last 2, so the search runs O(n) lines; a walk over every y after
+        # each x would be O(n^2).
+        lines = 0
+
+        def count(frame, event, arg):
+            nonlocal lines
+            if frame.f_code is classify._catalog_certificate.__code__:
+                lines += event == "line"
+                return count
+            return None
+
+        previous = sys.gettrace()
+        sys.settrace(count)
+        try:
+            classify._catalog_certificate(word)
+        finally:
+            sys.settrace(previous)
+        assert lines < 40 * len(word)
 
 
 class TestTuplePath:

@@ -246,30 +246,22 @@ class TestLongestElements:
         assert word.startswith("[1,2,1,3,2,1,")
         assert word.count(",") + 1 == n * (n - 1) // 2
 
-    # Without --explain no witness becomes text.  tracemalloc follows each
-    # object the pattern search allocates, which stretches the quadratic
-    # walk over the 3412 half's pairs at degree 3000 to about 25 s, so that
-    # run is held to the wall bound and the untouched witness alone.
-    @pytest.mark.parametrize(
-        "n, flag, traced",
-        [
-            (1000, "definition", True),
-            (3000, "definition", True),
-            (1000, "all", True),
-            (3000, "all", False),
-        ],
-    )
-    def test_no_witness_text_without_explain(self, capsys, monkeypatch, n, flag, traced):
+    # Without --explain no witness becomes text, and every backend's search
+    # stays within the traced memory bound.  The pattern search skips each
+    # x of w0 before its walk over y, so it runs in a few ms even traced.
+    @pytest.mark.parametrize("n", [1000, 3000])
+    @pytest.mark.parametrize("flag", ["definition", "all"])
+    def test_no_witness_text_without_explain(self, capsys, monkeypatch, n, flag):
         def no_text(*args):
             raise AssertionError("witness described without --explain")
 
         monkeypatch.setattr(cli, "_describe", no_text)
         result, peak = run_bounded(
-            capsys, "classify", LONGEST[n], f"--backend={flag}", traced=traced
+            capsys, "classify", LONGEST[n], f"--backend={flag}", traced=True
         )
         verdict = "spherical\n" if flag == "definition" else "spherical\nbackends agree: yes\n"
         assert result == (0, verdict, "")
-        assert peak is None or peak < 20
+        assert peak < 20
 
     def test_witness_shares_one_int_per_letter_value(self, capsys):
         # w0's 499,500 letters taken from one table of letter ints: about

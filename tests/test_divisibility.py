@@ -3,6 +3,7 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
+from spherical.classify import cross_check
 from spherical.divisibility import DivisibilityWitness, is_divisible
 from spherical.permutations import Permutation, symmetric_group
 from spherical.reduced_words import is_boolean_by_words
@@ -40,7 +41,28 @@ class TestWitness:
         e3 = Permutation.identity(3)
         got = is_divisible(e3, Permutation((3, 2, 1)))
         assert got == DivisibilityWitness("at", 2, 1)
+        # a plain tuple would compare equal, but not print or read as one
+        assert isinstance(got, DivisibilityWitness)
+        assert (got.kind, got.position, got.intersection_size) == ("at", 2, 1)
         assert str(got) == "at@2"
+
+    def test_a_scan_builds_no_witness_object(self, monkeypatch):
+        # the scan reads only whether a pair is divisible, so it builds no
+        # DivisibilityWitness for the 320 words of S_6 it rejects; the one
+        # is_divisible call below shows that the count sees a construction
+        built = []
+        new = DivisibilityWitness.__new__
+
+        def counting(cls, *args):
+            built.append(args)
+            return new(cls, *args)
+
+        monkeypatch.setattr(DivisibilityWitness, "__new__", counting)
+        report = cross_check(6, ("pattern", "divisibility"))
+        assert (report.total, report.spherical, report.disagreement_count) == (720, 400, 0)
+        assert built == []
+        is_divisible(Permutation.identity(3), Permutation((3, 2, 1)))
+        assert built == [("at", 2, 1)]
 
     def test_degree_mismatch(self):
         with pytest.raises(ValueError):

@@ -166,6 +166,10 @@ class TestGroupOperations:
         for i in (0, 6, -1):
             with pytest.raises(ValueError, match=f"position {i} outside 1..5"):
                 w(i)
+        # ints only: True would read w(1), and 1.0 failed with a TypeError
+        for i, name in ((True, "bool"), (1.0, "float"), ("1", "str"), (None, "NoneType")):
+            with pytest.raises(ValueError, match=f"position must be an int, not {name}"):
+                w(i)
 
     def test_compose_degree_mismatch(self):
         with pytest.raises(ValueError):
