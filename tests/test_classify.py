@@ -357,8 +357,10 @@ def certificate_corpus():
     for k in range(8):
         for w in itertools.permutations(range(1, k + 1)):
             found = oracles.catalog_certificate_by_tables(w)
-            if found is None or len(found) == 2:
-                (members if found is None else near)[k].append(w)
+            if found is None:
+                members[k].append(w)
+            elif len(found) == 2:
+                near[k].append(w)
     degrees = [29, 30, 31, 59, 60, 61, 89, 90, 91]
     for trial in range(480):
         n = degrees[trial % 9] if trial % 2 else rng.randint(9, 200)
