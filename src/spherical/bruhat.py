@@ -84,14 +84,6 @@ class BruhatInterval(_Frozen):
     elements: tuple[Permutation, ...]
     covers: tuple[tuple[Permutation, Permutation], ...]
 
-    def __init__(
-        self,
-        top: Permutation,
-        elements: tuple[Permutation, ...],
-        covers: tuple[tuple[Permutation, Permutation], ...],
-    ) -> None:
-        self._init(top, elements, covers)
-
 
 def build_interval(w: Permutation, rank_bound: int = DEFAULT_RANK_BOUND) -> BruhatInterval:
     """Construct the interval from the identity up to w.
@@ -109,6 +101,9 @@ def build_interval(w: Permutation, rank_bound: int = DEFAULT_RANK_BOUND) -> Bruh
     >>> len(iv.elements), len(iv.covers)
     (4, 4)
     """
+    # ints only, as in ``_check_degree``: True would pass for 1
+    if type(rank_bound) is not int:
+        raise ValueError(f"rank_bound must be an int, not {type(rank_bound).__name__}")
     rank = w.length()
     if rank > rank_bound:
         raise ValueError(f"interval rank {rank} exceeds bound {rank_bound}")

@@ -22,8 +22,7 @@ words of the mask, which share J(w).  The ``pattern`` search never lists
 occurrences: the catalog's self-check proves its 21 literals are the
 patterns passing two positional tests, and the search reads those tests
 on w with running state: chains of consecutive values, and sets of
-values held as the bits of an int.  It takes O(n) steps on w0 and the
-cycle 2, ..., n, 1, whose every x its 3412 half skips.  That
+values held as the bits of an int, in O(n) steps on ints of n bits.  That
 self-check, ``catalog()``, gates the search once per call or scan,
 never per word: ``_judge`` runs it once when
 ``pattern`` is listed, and ``cross_check`` once before its scan.  Its
@@ -104,14 +103,6 @@ class PatternCatalog(_Frozen):
     all: tuple[Permutation, ...]
     sub321: tuple[Permutation, ...]
     sub3412: tuple[Permutation, ...]
-
-    def __init__(
-        self,
-        all: tuple[Permutation, ...],
-        sub321: tuple[Permutation, ...],
-        sub3412: tuple[Permutation, ...],
-    ) -> None:
-        self._init(all, sub321, sub3412)
 
     @property
     def in_both(self) -> tuple[Permutation, ...]:
@@ -215,13 +206,23 @@ def _catalog_certificate(w: tuple[int, ...]) -> tuple[int, ...] | None:
     pass from the right.  So the 321 half is O(n) steps.
 
     The 3412 half then tries the pairs (x, y) in order, with sets of
-    values held as the bits of an int, so each test on an x or on a pair
-    is a few operations on ints of n bits, and the search holds a few of
-    them.  An x none of whose pairs can pass is skipped before its walk
-    over y: w0 and the cycle 2, ..., n, 1 walk none.  An x that is not
-    skipped still walks its ys up to its last 2 to try, so the search is
-    not O(n log n) on every input: on the direct sum of two long falling
-    runs it walks O(n^2) pairs.
+    values held as the bits of an int, so each step, on an x or on a
+    pair, is a few operations on ints of n bits, and the search holds a
+    few of them.  It takes O(n) such steps: a few per x, the walks to m,
+    which cover the stretches between consecutive left-to-right maxima
+    once, and the walks over y.  An x that is not skipped walks its ys up
+    to its last 2 to try.  Unless the walk returns, its 2s have no 3
+    before x and fall in position order (else a 2 below a 3 before x, or
+    a 2 with a greater one after it, returns), so they are not a value
+    interval, or the skip would have caught them.  A value missing from
+    between them lies between x and m, so w_x is a left-to-right
+    maximum.  Take two such x1 < x2: the 2s of x2 exceed w_x1, which
+    sits before x2, so a 2 of x1 past m2 is the one value below w_x2
+    after m2 that is not a 2 of x2, the 1 of x2.  If three such walks
+    x1 < x2 < x3 covered one position, the last 2s of x1 and of x2 would
+    both be the 1 of x3, so the last 2 of x2 would be the 1 of x2.  So
+    at most two walks that do not return cover any position, and the one
+    walk that returns adds at most n steps.
     """
     n = len(w)
     # chain[v]: the greatest t with t, t-1, ..., v read in that order, or 0
@@ -272,11 +273,12 @@ def _catalog_certificate(w: tuple[int, ...]) -> tuple[int, ...] | None:
     # exists before x exactly when the greatest value below w_x before x
     # exceeds w_y, and after y exactly when a value in (w_y, w_x) after m
     # is not yet passed at y.  So an x is skipped when no 2 is left to
-    # try, or when no 2 has its 3 before x and the word falls after m,
-    # which leaves no 3 after any y.
+    # try, or when no 2 has its 3 before x and the 2s are the values
+    # a..b read falling, which leaves no 3 after any y.  chain[a] >= b
+    # tests that exactly: b, ..., a read falling puts every value between
+    # them after m.
     top = 0  # the greatest value before x
     before = 0  # bit v set when v is among w[:x+1]
-    fall = None  # the start of w's last falling run, once asked for
     for x in range(n - 2):
         wx = w[x]
         before |= 1 << wx
@@ -299,16 +301,15 @@ def _catalog_certificate(w: tuple[int, ...]) -> tuple[int, ...] | None:
         twos ^= low
         if not twos:
             continue
+        low = low.bit_length() - 1
         # a 2 below the greatest value below w_x before x has its 3 there
         past = (before & below).bit_length()  # that value + 1, or 0
         if not twos & ((1 << past) - 1):
-            if fall is None:
-                fall = n - 1
-                while fall and w[fall - 1] > w[fall]:
-                    fall -= 1
-            if m + 1 >= fall:  # and none after y where the word falls
+            # nor after y, when the 2s are a..b read falling; b, ..., low
+            # read falling (low the 1) says so before a is computed
+            b = twos.bit_length() - 1
+            if chain[low] >= b or chain[(twos & -twos).bit_length() - 1] >= b:
                 continue
-        low = low.bit_length() - 1
         for y in range(m + 1, n):
             wy = w[y]
             if wy >= wx or wy <= low:
@@ -389,7 +390,7 @@ def _by_quotient(
 def _by_divisibility(
     word: tuple[int, ...], entry: _Parabolic
 ) -> tuple[bool, tuple[str, int, int] | None]:
-    found = _first_witness(entry.longest, word)
+    found = _first_witness(entry.shifted, word)
     return found is None, found
 
 
@@ -458,7 +459,7 @@ def _describe(w: Permutation, backend: str, witness, entry: _Parabolic | None) -
         )
     if backend == "divisibility":
         found = "none" if witness is None else DivisibilityWitness(*witness)
-        return f"({Permutation(entry.longest)}, {w}) divisibility witness {found}"
+        return f"({Permutation(entry.shifted[1:])}, {w}) divisibility witness {found}"
     if witness is None:  # the definition backend
         return "no reduced word fits the generator budgets"
     word = _after_parabolic_word(w.oneline, witness, entry)
@@ -517,20 +518,6 @@ class CrossCheckReport(_Frozen):
     disagreement_count: int
     backend_seconds: dict[str, float]
     lookup_seconds: float
-
-    def __init__(
-        self,
-        n: int,
-        total: int,
-        spherical: int,
-        backends: tuple[str, ...],
-        disagreements: tuple[Disagreement, ...],
-        disagreement_count: int,
-        backend_seconds: dict[str, float],
-        lookup_seconds: float,
-    ) -> None:
-        self._init(n, total, spherical, backends, disagreements, disagreement_count,
-                   backend_seconds, lookup_seconds)
 
     def _key(self) -> tuple:
         return (self.n, self.total, self.spherical, self.backends,

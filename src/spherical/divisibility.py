@@ -44,16 +44,18 @@ def is_divisible(v: Permutation, w: Permutation) -> DivisibilityWitness | None:
     """
     if v.degree != w.degree:
         raise ValueError(f"degree mismatch: {v.degree} vs {w.degree}")
-    found = _first_witness(v.oneline, w.oneline)
+    found = _first_witness((0, *v.oneline), w.oneline)
     return None if found is None else DivisibilityWitness(*found)
 
 
 def _first_witness(v: tuple[int, ...], w: tuple[int, ...]) -> tuple[str, int, int] | None:
-    # the fields of ``is_divisible``'s witness, or None
+    # the fields of ``is_divisible``'s witness, or None, with v behind a 0
+    # (v_i is ``v[i]``), as the parabolic table's entry holds w0(J)
     seen_v: set[int] = set()
     seen_w: set[int] = set()
     shared = 0
-    for i, (a, b) in enumerate(zip(v, w), start=1):
+    for i, b in enumerate(w, start=1):
+        a = v[i]
         if a == b:
             shared += 1
         else:

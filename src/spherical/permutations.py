@@ -59,9 +59,11 @@ from typing import Iterable, Iterator, NamedTuple, Sequence
 
 class _Frozen:
     # Base of the package's immutable value classes.  Each subclass lists
-    # its fields in ``__slots__``, in constructor order, and sets them once
-    # in ``__init__`` through ``_init`` (or ``object.__setattr__``).  The
-    # objects are not tuples: they neither unpack nor equal a tuple.
+    # its fields in ``__slots__``, in constructor order, and ``__init__``
+    # sets each once, from values given by position or by name; a subclass
+    # that validates its values passes them on to it (or sets them with
+    # ``object.__setattr__``).  The objects are not tuples: they neither
+    # unpack nor equal a tuple.
     # Objects of one class compare and hash by ``_key``, all fields unless
     # a subclass narrows it.
     # ``__reduce__`` rebuilds an object through its constructor, so pickle
@@ -74,9 +76,17 @@ class _Frozen:
     def __delattr__(self, name: str) -> None:
         raise AttributeError(f"cannot delete field {name!r}")
 
-    def _init(self, *values: object) -> None:
-        for name, value in zip(self.__slots__, values):
-            object.__setattr__(self, name, value)
+    def __init__(self, *values: object, **named: object) -> None:
+        names = self.__slots__
+        fields = dict(zip(names, values), **named)
+        # a named value silently replaces a positional one in ``fields``,
+        # and ``zip`` drops an extra positional one, so count them as well
+        if len(values) + len(named) != len(fields) or fields.keys() != set(names):
+            missing = [name for name in names if name not in fields]
+            raise TypeError(f"{type(self).__name__} takes {len(names)} fields once each, got "
+                            f"{len(values)} positional, named {sorted(named)}, missing {missing}")
+        for name in names:
+            object.__setattr__(self, name, fields[name])
 
     def _key(self) -> tuple:
         return tuple(getattr(self, name) for name in self.__slots__)
@@ -296,7 +306,7 @@ class GeneratorSet(_Frozen):
             raise ValueError(
                 f"generator indices {sorted(bad, key=repr)} are not ints in 1..{degree - 1}"
             )
-        self._init(degree, members)
+        super().__init__(degree, members)
 
     def __iter__(self) -> Iterator[int]:
         return iter(sorted(self.members))
@@ -321,16 +331,16 @@ def longest_parabolic(gens: GeneratorSet) -> Permutation:
     """
     # a block ends at each i with s_i outside gens, n among them
     ends = tuple([i for i in range(1, gens.degree + 1) if i not in gens.members])
-    return Permutation(_parabolic(ends).longest)
+    return Permutation(_parabolic(ends).shifted[1:])
 
 
 class _Parabolic(NamedTuple):
-    # What the backends read off J: w0(J); w0(J) behind a 0, so that
-    # ``shifted[j]`` is w0(J)(j); and the ``definition`` pools, where
-    # generator i spends one use of pool ``slot_of[i]`` (``slot_of[0]`` is
-    # unused), pool s holds ``caps[s]`` uses, a maximal run of J shares one
-    # pool and every other generator has its own.
-    longest: tuple[int, ...]
+    # What the backends read off J: w0(J) behind a 0, so that
+    # ``shifted[j]`` is w0(J)(j), and w0(J) itself is ``shifted[1:]``; and
+    # the ``definition`` pools, where generator i spends one use of pool
+    # ``slot_of[i]`` (``slot_of[0]`` is unused), pool s holds ``caps[s]``
+    # uses, a maximal run of J shares one pool and every other generator
+    # has its own.
     shifted: tuple[int, ...]
     slot_of: tuple[int, ...]
     caps: tuple[int, ...]
@@ -351,22 +361,22 @@ def _letters(n: int) -> tuple[int, ...]:
 # whole, so such a scan builds each entry once.  S_10's 512 and S_12's
 # 2,048 take turns in it, and queries outside a scan rarely share a
 # descent set.  The bound is also
-# what a long-lived process keeps: an entry with its key holds about 36
+# what a long-lived process keeps: an entry with its key holds about 28
 # bytes per letter, its tuples and key pointing into the one ``_letters``
-# table of its degree, so 0.11 MB at degree 3000 and at most about 28 MB
+# table of its degree, so 0.08 MB at degree 3000 and at most about 22 MB
 # there.
 @functools.lru_cache(maxsize=256)
 def _parabolic(ends: tuple[int, ...]) -> _Parabolic:
     n = ends[-1]
     letters = _letters(n)
-    longest: list[int] = []
+    shifted = [0]
     slot_of = [0]
     caps = [0] * n
     start = 1
     for end in ends:
         # the block start..end: its generators but the last form a run of
         # J in pool ``start``; s_end is outside J, a pool of its own
-        longest.extend(letters[end : start - 1 : -1])
+        shifted.extend(letters[end : start - 1 : -1])
         if end > start:
             slot_of.extend([letters[start]] * (end - start))
             caps[start] = end - start
@@ -374,7 +384,7 @@ def _parabolic(ends: tuple[int, ...]) -> _Parabolic:
             slot_of.append(end)
             caps[end] = 1
         start = end + 1
-    return _Parabolic(tuple(longest), (0, *longest), tuple(slot_of), tuple(caps))
+    return _Parabolic(tuple(shifted), tuple(slot_of), tuple(caps))
 
 
 def _parabolic_of(word: tuple[int, ...]) -> _Parabolic:

@@ -44,11 +44,12 @@ i.  The walker keeps, per pool, a slack: its uses left minus the sum of
 c_i over its generators.  A root with a negative slack has no fitting
 word.  A step at i lowers c_i by one exactly when u_i > i >= u_{i+1};
 that step keeps the slack, any other step spends one, and a step the
-slack cannot pay for is pruned.  A state whose subtree yielded no word
-is remembered as dead under the key (u, slack), built only once some
-state has died.  Under enumeration's one pool the slack is the length
-left minus the sum of the c_i, never negative, and a state of slack 0 has
-only steps that lower some c_i, so nothing is pruned and no key is built.
+slack cannot pay for is pruned.  A state left before the first word is
+yielded is remembered as dead under the key (u, slack), built only once
+some state has died; the ``definition`` search reads no later word.
+Under enumeration's one pool the slack is the length left minus the sum
+of the c_i, never negative, and a state of slack 0 has only steps that
+lower some c_i, so nothing is pruned and no key is built.
 
 ``enumerate_reduced_words`` without a limit refuses an element with more
 than 10**6 reduced words, and decides that first from the shapes of the
@@ -184,8 +185,10 @@ def _reduced_words(
     # stop two letters above the identity: the last letter is forced and
     # free.  A state is dead only if no word was yielded beneath it, since
     # the same element is reached along many paths and a subtree that
-    # produced words must not be pruned; ``live`` counts the frames, from
-    # the root, with a word beneath them.  ``letters[k]`` is k - 1, the
+    # produced words must not be pruned.  Every state left before the
+    # first word is dead, so those are recorded, and no later one: the
+    # ``definition`` search reads only the first word, and under
+    # enumeration's one pool no state dies.  ``letters[k]`` is k - 1, the
     # letter of a bit whose ``bit_length`` is k: the prefix and the words
     # take their letters from it, one int per letter value.
     length = _length(word)
@@ -208,7 +211,7 @@ def _reduced_words(
         return
     letters = list(range(-1, n))
     dead: set[tuple[tuple[int, ...], tuple[int, ...]]] = set()
-    live = 0
+    fresh = True  # no word yielded yet
     prefix: list[int] = []
     last = length - 2
     todo = mask
@@ -216,10 +219,7 @@ def _reduced_words(
         if not todo:
             if not prefix:
                 return
-            depth = len(prefix)
-            if live > depth:
-                live = depth
-            else:
+            if fresh:
                 dead.add((tuple(u), tuple(slack)))
             i = prefix.pop()
             b, a = u[i], u[i + 1]
@@ -246,7 +246,7 @@ def _reduced_words(
         u[i], u[i + 1] = b, a
         if len(prefix) == last:
             # s_i * u is some s_j, and the step at j lowers c_j = 1
-            live = length
+            fresh = False
             j = mask ^ low
             if b < u[i - 1] < a:
                 j |= low >> 1
@@ -289,8 +289,6 @@ def enumerate_reduced_words(
     >>> enumerate_reduced_words(Permutation.identity(4))
     [()]
     """
-    if limit is not None and limit < 0:
-        raise ValueError("limit must be nonnegative")
     if limit is None:
         cap = WORD_ESTIMATE_LIMIT
         if _shape_bound(w.oneline, cap) > cap or _reduced_word_count(w.oneline, cap + 1) > cap:
@@ -298,6 +296,11 @@ def enumerate_reduced_words(
                 f"{w} has more than {cap} reduced words; "
                 "pass --limit (limit=N) to enumerate anyway"
             )
+    # ints only, as in ``_check_degree``: True would list one word
+    elif type(limit) is not int:
+        raise ValueError(f"limit must be an int, not {type(limit).__name__}")
+    elif limit < 0:
+        raise ValueError("limit must be nonnegative")
     words = _reduced_words(w.oneline, (0,) * w.degree, (w.length(),))
     return list(itertools.islice(words, limit))
 
@@ -400,12 +403,12 @@ def _after_parabolic_word(
 ) -> tuple[int, ...]:
     # The first reduced word of w0(J(w)), read off the pools' runs of
     # ``entry`` (module docstring), then rest: g is in J exactly when w0(J)
-    # descends at g, and its run starts at ``slot_of[g]``.  The runs are
-    # slices of one letter table, so every place of a letter holds the
-    # same int.
-    v, _, slot_of, _ = entry
+    # descends at g, w0[g] being w0(J)(g), and its run starts at
+    # ``slot_of[g]``.  The runs are slices of one letter table, so every
+    # place of a letter holds the same int.
+    w0, slot_of, _ = entry
     letters = _letters(len(word))
     return (
-        *(j for g in range(1, len(word)) if v[g - 1] > v[g] for j in letters[g : slot_of[g] - 1 : -1]),
+        *(j for g in range(1, len(word)) if w0[g] > w0[g + 1] for j in letters[g : slot_of[g] - 1 : -1]),
         *rest,
     )

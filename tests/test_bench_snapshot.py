@@ -160,8 +160,11 @@ def test_tree_records_the_code_line_count(snapshot, tmp_path, monkeypatch):
         "                # inside an expression\n"
         "                X)\n"
     )
+    (tmp_path / "src" / "pkg").mkdir()
+    (tmp_path / "src" / "pkg" / "n.py").write_text("# a comment\n\nY = 2\n")
     monkeypatch.setattr(snapshot, "git", lambda root, *args: None)
     recorded = snapshot.tree(tmp_path)
-    assert recorded["src_lines"] == 18
-    # X = 1, class C, def f, the two lines of text, return and X)
-    assert recorded["src_code_lines"] == 7
+    assert recorded["src_lines"] == 21
+    # X = 1, class C, def f, the two lines of text, return and X); Y = 2
+    assert recorded["src_code_lines"] == 8
+    assert recorded["src_code_lines_by_file"] == {"src/m.py": 7, "src/pkg/n.py": 1}

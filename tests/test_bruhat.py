@@ -158,6 +158,12 @@ class TestIntervals:
             build_interval(w0, rank_bound=9)
         iv = build_interval(w0)
         assert len(iv.elements) == 120
+        # ints only: True refused with "interval rank 10 exceeds bound
+        # True", 12.0 built the interval and "12" raised TypeError
+        for bound in (True, 12.0, "12"):
+            name = type(bound).__name__
+            with pytest.raises(ValueError, match=f"^rank_bound must be an int, not {name}$"):
+                build_interval(w0, bound)
 
     def test_fixed_points_past_the_end_keep_the_shape(self):
         # fixed points appended past the end add no cover below the top;

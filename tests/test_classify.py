@@ -13,10 +13,12 @@ from hypothesis import given, strategies as st
 
 import oracles
 from spherical import classify, cli, permutations, reduced_words, tree
+from spherical.bruhat import BruhatInterval
 from spherical.classify import (
     BACKENDS,
     CrossCheckReport,
     Disagreement,
+    PatternCatalog,
     _characterizations_hold,
     _raw_catalog,
     catalog,
@@ -332,13 +334,14 @@ class TestRandomPastDegreeEight:
         assert verdicts == {True, False}
 
 
-# w0, the cycle 2, ..., n, 1, its inverse and the direct sum of 250
-# copies of 4321, at degree 1000
+# w0, the cycle 2, ..., n, 1, its inverse, the direct sum of 250 copies
+# of 4321 and that of two falling runs, at degree 1000
 LONG_WORDS = {
     "longest": tuple(range(1000, 0, -1)),
     "cycle": (*range(2, 1001), 1),
     "inverse-cycle": (1000, *range(1, 1000)),
     "falling-blocks": tuple(v for i in range(0, 1000, 4) for v in range(i + 4, i, -1)),
+    "falling-runs": (*range(500, 0, -1), *range(1000, 500, -1)),
 }
 
 
@@ -350,7 +353,10 @@ def certificate_corpus():
     # each x below the run), and a uniform word.  The blocks avoid the
     # catalog, but for one in twenty that the 3412 half certifies.  Each
     # second word has two letters swapped.  The degrees sit at 9-200 and at
-    # the edges of CPython's 30-bit int digits; last come LONG_WORDS.
+    # the edges of CPython's 30-bit int digits.  Then come words made of a
+    # shuffled head of the least or the greatest values and a falling tail,
+    # the inputs on which the 3412 half once skipped an x because the word
+    # fell after m, and last LONG_WORDS.
     rng = random.Random(2104)
     members = [[] for _ in range(8)]
     near = [[] for _ in range(8)]  # the words certified by the 3412 half
@@ -385,6 +391,11 @@ def certificate_corpus():
             i, j = rng.sample(range(n), 2)
             word[i], word[j] = word[j], word[i]
         yield tuple(word)
+    for trial in range(60):
+        n = rng.randint(9, 200)
+        k = rng.randint(2, 12)
+        head = rng.sample(range(1, k + 1) if trial % 2 else range(n - k + 1, n + 1), k)
+        yield (*head, *sorted(set(range(1, n + 1)).difference(head), reverse=True))
     yield from LONG_WORDS.values()
 
 
@@ -445,10 +456,11 @@ class TestCertificate:
 
     @pytest.mark.parametrize("word", LONG_WORDS.values(), ids=LONG_WORDS)
     def test_runs_linear_lines_on_long_words(self, word):
-        # Each x of w0 and the cycles is skipped before its walk over y,
-        # and each x of the falling blocks stops its walk at its block's
-        # last 2, so the search runs O(n) lines; a walk over every y after
-        # each x would be O(n^2).
+        # Each x of w0, the cycles and the falling runs is skipped before
+        # its walk over y (the 2s of a falling run are a value interval
+        # read falling), and each x of the falling blocks stops its walk at
+        # its block's last 2, so the search runs O(n) lines; a walk over
+        # every y after each x would be O(n^2).
         lines = 0
 
         def count(frame, event, arg):
@@ -476,7 +488,7 @@ class TestTuplePath:
             words.append(tuple(rng.sample(range(1, n + 1), n)))
         for word in words:
             w = Permutation(word)
-            assert _parabolic_of(word).longest == (
+            assert _parabolic_of(word).shifted[1:] == (
                 longest_parabolic(w.left_descents()).oneline
             ), word
 
@@ -519,15 +531,16 @@ def rebuilt_entry(word):
     # the table's entry of J(w), from the builders it replaced
     v = oracles.longest_below(word)
     slot_of, caps = oracles.budget(word)
-    return v, (0, *v), (0, *slot_of.values()), tuple(caps)
+    return (0, *v), (0, *slot_of.values()), tuple(caps)
 
 
 class TestParabolicTable:
     def test_equals_the_builders_it_replaced(self):
         for word in table_words():
-            v, _, slot_of, caps = rebuilt_entry(word)
+            shifted, slot_of, caps = rebuilt_entry(word)
+            v = shifted[1:]
             entry = _parabolic_of(word)
-            assert entry.longest == v, word
+            assert entry.shifted == shifted, word
             assert _quotient(word, entry) == oracles.quotient(word), word
             assert (entry.slot_of, entry.caps) == (slot_of, caps), word
             gens = GeneratorSet(len(word), frozenset(i for i in range(1, len(word)) if v[i - 1] > v[i]))
@@ -558,9 +571,10 @@ class TestParabolicTable:
         assert _parabolic.cache_info()[:2] == before[:2]
 
     def test_entries_share_one_letter_table_per_degree(self):
-        # 64 distinct degree-3000 descent sets: about 7 MB, against 9.9 MB
-        # with a fresh int per block end in each key and about 17 MB with
-        # one per letter in each entry's tuples
+        # 64 distinct degree-3000 descent sets: about 5.5 MB, against 7.1 MB
+        # with w0(J) held twice in each entry, 9.9 MB with a fresh int per
+        # block end in each key and about 17 MB with one per letter in each
+        # entry's tuples
         rng = random.Random(3000)
         words = [tuple(rng.sample(range(1, 3001), 3000)) for _ in range(64)]
         _parabolic.cache_clear()
@@ -574,7 +588,7 @@ class TestParabolicTable:
             tracemalloc.stop()
             _parabolic.cache_clear()
         assert held == 64
-        assert traced < 8e6
+        assert traced < 6.5e6
 
     @pytest.mark.parametrize(
         "n, backends, lookups",
@@ -993,6 +1007,24 @@ class TestCrossCheck:
             CrossCheckReport(**fields)
         with pytest.raises(TypeError, match="lookup_seconds"):
             CrossCheckReport(**fields, backend_seconds={})
+
+    @pytest.mark.parametrize(
+        "cls", [CrossCheckReport, BruhatInterval, PatternCatalog], ids=lambda cls: cls.__name__
+    )
+    def test_value_classes_take_each_field_once(self, cls):
+        # The one constructor of ``_Frozen`` binds the fields in
+        # ``__slots__`` order, by position or by name.
+        names = cls.__slots__
+        values = [f"value of {name}" for name in names]
+        made = cls(*values)
+        assert [getattr(made, name) for name in names] == values
+        assert cls(*values[:1], **dict(zip(names[1:], values[1:]))) == made
+        with pytest.raises(TypeError, match=r"named \['unknown'\]"):
+            cls(*values, unknown=0)  # an unknown field
+        with pytest.raises(TypeError, match=f"1 positional, named .*'{names[0]}'"):
+            cls(values[0], **dict(zip(names, values)))  # the first field twice
+        with pytest.raises(TypeError, match=f"{len(names) + 1} positional"):
+            cls(*values, "one value too many")
 
 
 class TestDensity:

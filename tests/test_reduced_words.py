@@ -163,6 +163,11 @@ class TestEnumeration:
         assert enumerate_reduced_words(w0, limit=0) == []
         with pytest.raises(ValueError):
             enumerate_reduced_words(w0, limit=-1)
+        # ints only: True listed one word, 2.5 surfaced islice's message
+        # and "2" raised TypeError
+        for limit in (True, 2.5, "2", 2.0):
+            with pytest.raises(ValueError, match=f"^limit must be an int, not {type(limit).__name__}$"):
+                enumerate_reduced_words(w0, limit)
 
     def test_refuses_huge_enumerations_without_limit(self):
         w0 = Permutation.from_text("7654321")

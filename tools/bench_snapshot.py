@@ -18,7 +18,8 @@ differs from HEAD, and a hash of its ``src`` files, so a measured tree
 that is not yet committed is never taken for its parent; the total line
 count of those files is recorded beside the hash, and so is their count
 of code lines, which leaves out blank and comment-only lines and
-docstrings.  The file
+docstrings, in all and per file, so that a snapshot shows which module a
+change shrank.  The file
 holds the last-line metrics of every run, the machine context, and per
 workload and metric each side's median and quartiles and the number of
 seeds on which the change did better, by the direction
@@ -103,17 +104,20 @@ def code_lines(source: str) -> int:
 
 def tree(root: Path) -> dict:
     digest = hashlib.sha256()
-    lines = code = 0
+    lines = 0
+    code = {}  # code lines per file, keyed by its path from the root
     for path in sorted((root / "src").rglob("*.py")):
         text = path.read_bytes()
-        digest.update(path.relative_to(root).as_posix().encode() + b"\0")
+        name = path.relative_to(root).as_posix()
+        digest.update(name.encode() + b"\0")
         digest.update(text)
         lines += text.count(b"\n")
-        code += code_lines(text.decode())
+        code[name] = code_lines(text.decode())
     head = git(root, "rev-parse", "HEAD")
     status = git(root, "status", "--porcelain") if head else None
     return {"head": head, "dirty": None if status is None else bool(status),
-            "src_sha256": digest.hexdigest(), "src_lines": lines, "src_code_lines": code}
+            "src_sha256": digest.hexdigest(), "src_lines": lines,
+            "src_code_lines": sum(code.values()), "src_code_lines_by_file": code}
 
 
 def snapshot_path(root: Path, today: str, head: str | None) -> Path | None:
