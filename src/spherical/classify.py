@@ -8,15 +8,17 @@ Four interchangeable backends decide the same predicate:
 * ``divisibility``      -- the pair (w0(J(w)), w) is not divisible
 * ``definition``        -- some reduced word of w0(J(w)) * w fits the pools
 
-``_DECIDERS`` maps each backend name to one search over the raw one-line
-tuple, which returns the verdict and its witness together: ``is_spherical``
-and the scan loop read the verdict, and ``explain`` formats the witness
-from the same call.  Each search also takes the parabolic table's entry
-of J(w) (``permutations._parabolic_of``), through which the last three
-read w; ``boolean_quotient`` reads the positions of the quotient
-w0(J(w)) * w straight off w through it, and only its ``explain`` text
-forms the quotient.  Whoever holds the word looks it up once for all
-the backends it runs: ``_judge`` once per call, or never for ``pattern``
+``_DECIDERS`` maps each backend name to its bare search over the raw
+one-line tuple, which returns a witness or None, and to whether a found
+witness means spherical: ``is_spherical`` and the scan loop read the
+verdict from that alone, the scan as one comprehension per verdict
+column, and ``explain`` formats the witness from the same call.  Each
+search also takes the parabolic table's entry of J(w)
+(``permutations._parabolic_of``), through which the last three read w;
+``boolean_quotient`` and ``definition`` read the quotient w0(J(w)) * w
+straight off w through it, and only the ``boolean_quotient`` ``explain``
+text forms the quotient.  Whoever holds the word looks it up once for
+all the backends it runs: ``_judge`` once per call, or never for ``pattern``
 alone, and the scan loop once per tail mask of a block, for all the
 words of the mask, which share J(w).  The ``pattern`` search never lists
 occurrences: the catalog's self-check proves its 21 literals are the
@@ -189,10 +191,13 @@ def catalog() -> PatternCatalog:
 # of one in the 3412 half.  A scan reads only whether there is one;
 # ``explain`` expands it into the five positions.  Below, "the 5" of five
 # letters is the largest, and so on down to "the 1".
-def _catalog_certificate(w: tuple[int, ...]) -> tuple[int, ...] | None:
+def _catalog_certificate(
+    w: tuple[int, ...], entry: _Parabolic | None = None
+) -> tuple[int, ...] | None:
     """Where the search for the occurrence that ``explain`` names stops:
     ``(j,)`` when w_j is its 3 (321 half), ``(x, y)`` when w_x and w_y are
     its 4 and its 2 (3412 half), or None when w avoids the catalog.
+    ``entry`` is not read; the deciders' calling convention passes it.
 
     The 321 half comes first, with w_j as the 3.  A 5 before j with a 4
     before the 5 or after j exists unless the values above w_j before j
@@ -366,46 +371,19 @@ def _positions(w: tuple[int, ...], values: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(sorted(w.index(v) + 1 for v in values))
 
 
-# Each backend is one search from a one-line tuple and the parabolic
-# table's entry of J(w) to (verdict, witness).  The last three read w
-# through the entry alone, which the caller looks up once for all of them.
-# The ``pattern`` search takes it too, for one calling convention, and
-# ignores it, so a caller running ``pattern`` alone passes None.  The
-# ``pattern`` search rests on the self-checked catalog, which its callers
-# (``_judge``, ``cross_check``) check first, once per call or scan.
-def _by_pattern(
-    word: tuple[int, ...], entry: _Parabolic | None
-) -> tuple[bool, tuple[int, ...] | None]:
-    stop = _catalog_certificate(word)
-    return stop is None, stop
-
-
-def _by_quotient(
-    word: tuple[int, ...], entry: _Parabolic
-) -> tuple[bool, tuple[int, ...] | None]:
-    found = _repetition_free_word(word, entry.shifted)
-    return found is not None, found
-
-
-def _by_divisibility(
-    word: tuple[int, ...], entry: _Parabolic
-) -> tuple[bool, tuple[str, int, int] | None]:
-    found = _first_witness(entry.shifted, word)
-    return found is None, found
-
-
-def _by_definition(
-    word: tuple[int, ...], entry: _Parabolic
-) -> tuple[bool, tuple[int, ...] | None]:
-    found = _fitting_quotient_word(word, entry)
-    return found is not None, found
-
-
-_DECIDERS = {
-    "pattern": _by_pattern,
-    "boolean_quotient": _by_quotient,
-    "divisibility": _by_divisibility,
-    "definition": _by_definition,
+# Each backend is one bare search from a one-line tuple and the parabolic
+# table's entry of J(w) to a witness or None, paired with whether a found
+# witness means spherical.  The last three read w through the entry alone,
+# which the caller looks up once for all of them.  The ``pattern`` search
+# takes it too, for one calling convention, and ignores it, so a caller
+# running ``pattern`` alone passes None.  The ``pattern`` search rests on
+# the self-checked catalog, which its callers (``_judge``, ``cross_check``)
+# check first, once per call or scan.
+_DECIDERS: dict[str, tuple[Callable, bool]] = {
+    "pattern": (_catalog_certificate, False),
+    "boolean_quotient": (_repetition_free_word, True),
+    "divisibility": (_first_witness, False),
+    "definition": (_fitting_quotient_word, True),
 }
 BACKENDS = tuple(_DECIDERS)
 
@@ -425,7 +403,12 @@ def _judge(word: tuple[int, ...], backends: tuple[str, ...]) -> tuple[_Parabolic
     if "pattern" in backends:
         catalog()
     entry = None if backends == ("pattern",) else _parabolic_of(word)
-    return entry, [_DECIDERS[b](word, entry) for b in backends]
+    judged = []
+    for b in backends:
+        search, spherical_if_found = _DECIDERS[b]
+        found = search(word, entry)
+        judged.append(((found is not None) == spherical_if_found, found))
+    return entry, judged
 
 
 def is_spherical(w: Permutation, backend: str = "pattern") -> bool:
@@ -623,9 +606,12 @@ def _scan_block(args: tuple[int, tuple[int, ...], tuple[str, ...]]) -> tuple:
     columns = []
     seconds = []
     for b in backends:
-        decide = _DECIDERS[b]
+        search, spherical_if_found = _DECIDERS[b]
         start = time.perf_counter()
-        columns.append([decide(word, entry)[0] for word, entry in zip(block, entries)])
+        if spherical_if_found:
+            columns.append([search(word, entry) is not None for word, entry in zip(block, entries)])
+        else:
+            columns.append([search(word, entry) is None for word, entry in zip(block, entries)])
         seconds.append(time.perf_counter() - start)
     first = columns[0]
     bad = []

@@ -24,18 +24,20 @@ per descent set, in one bounded cache that ``_parabolic_of`` reads for a
 word.  Every reader but ``longest_parabolic`` takes the entry from
 whoever holds the word, which looks it up once, or, in a scan, once for
 all the words of a block that share J (``classify._tail_masks``):
-``_quotient``, the three backends' deciders in ``classify`` and, beneath
-them, ``reduced_words._fitting_quotient_word``, ``_repetition_free_word``
-and ``_after_parabolic_word``.  Only the ``definition`` search forms q with
-``_quotient``; the ``boolean_quotient`` search reads q's positions off w
-through ``shifted``, and ``parabolic_quotient`` and ``explain`` form q
-for a caller who asks for it.
+``_quotient``, the three backends' searches (``_repetition_free_word``,
+``divisibility._first_witness`` and ``_fitting_quotient_word``, which
+``classify._DECIDERS`` holds bare) and ``_after_parabolic_word``.  No
+search forms q: the ``boolean_quotient`` search reads q's positions and
+the ``definition`` walker q's inverse off w through ``shifted``, and
+``parabolic_quotient`` and ``explain`` form q with ``_quotient`` for a
+caller who asks for it.
 Its entries hold only tuples, so no caller can change what the next one
 reads.  The ``pattern`` backend reads nothing from it.
 
-The Lehmer code of a word has one sweep, ``_code``: ``_length``, the
-number of inversions, is its sum, and ``reduced_words._code_shape``
-sorts its nonzero entries into the shape lambda(w).
+The Lehmer code of a word has one sweep, ``_code``, which holds the
+values read so far as the bits of an int: ``_length``, the number of
+inversions, is its sum, and ``reduced_words._code_shape`` sorts its
+nonzero entries into the shape lambda(w).
 
 ``avoids_all`` and ``first_pattern_occurrence`` share one scanner,
 ``_occurrences``.  It walks a trie of the patterns keyed by each letter's
@@ -51,7 +53,6 @@ than 21 separate scans.
 
 from __future__ import annotations
 
-import bisect
 import functools
 import itertools
 from typing import Iterable, Iterator, NamedTuple, Sequence
@@ -253,14 +254,13 @@ def _check_degree(n: int) -> None:
 
 def _code(word: Sequence[int]) -> list[int]:
     # The Lehmer code, the package's one sweep of it: entry i counts the
-    # smaller values right of place i, found by bisecting the sorted
-    # suffix.
-    seen: list[int] = []
+    # smaller values right of place i, read from the right with the values
+    # passed so far held as the bits of an int.
+    seen = 0
     code: list[int] = []
     for v in reversed(word):
-        k = bisect.bisect(seen, v)
-        code.append(k)
-        seen.insert(k, v)
+        code.append((seen & ((1 << v) - 1)).bit_count())
+        seen |= 1 << v
     return code[::-1]
 
 

@@ -17,8 +17,11 @@ one use per generator in it.  The pools and q's map depend on J(w) alone,
 so both come from the per-descent-set table in ``permutations``, built
 once per J; the caller hands the search its word's entry, looked up once
 for all the backends that read it, and in a scan once for all the words
-of a block that share J.  The search returns q's first fitting
-word alone; ``spherical_witness_word`` and ``explain`` put the first
+of a block that share J.  The walker is handed w and the map
+``shifted`` of the entry, which holds w0(J(w)) behind a 0, and reads q
+off w through it (enumeration passes the identity map), so the search
+forms no quotient tuple.  The search returns q's first fitting word
+alone; ``spherical_witness_word`` and ``explain`` put the first
 reduced word of w0(J(w)) in front of it, which needs no search: for each
 run a..b of J, in increasing order, it is a; a+1, a; ...; b, ..., a,
 read off the same entry.
@@ -41,10 +44,13 @@ The crossing number c_i = #{j <= i : u_j > i}, the same for an element
 and its inverse, counts the values that a reduced word must carry across
 place i, one per letter i, so every reduced word has at least c_i letters
 i.  The walker keeps, per pool, a slack: its uses left minus the sum of
-c_i over its generators.  A root with a negative slack has no fitting
-word.  A step at i lowers c_i by one exactly when u_i > i >= u_{i+1};
-that step keeps the slack, any other step spends one, and a step the
-slack cannot pay for is pruned.  A state left before the first word is
+c_i over its generators.  Its set-up fills the root's inverse, its
+length and its crossing numbers in one pass over w, placing q_p =
+w0(J(w))(w_p) and holding the values placed so far as the bits of an
+int.  A root longer than the pools hold, or with a negative slack, has
+no fitting word.  A step at i lowers c_i by one exactly when
+u_i > i >= u_{i+1}; that step keeps the slack, any other step spends
+one, and a step the slack cannot pay for is pruned.  A state left before the first word is
 yielded is remembered as dead under the key (u, slack), built only once
 some state has died; the ``definition`` search reads no later word.
 Under enumeration's one pool the slack is the length left minus the sum
@@ -54,12 +60,12 @@ lower some c_i, so nothing is pruned and no key is built.
 ``enumerate_reduced_words`` without a limit refuses an element with more
 than 10**6 reduced words, and decides that first from the shapes of the
 Lehmer codes of w and w^-1, before any walk; both codes, like every
-length, come from the one sweep ``permutations._code``.  The Stanley
-symmetric function of w holds the Schur function of lambda(w), the code
-sorted into a partition, with coefficient 1 (Stanley, "On the number of
-reduced decompositions of elements of Coxeter groups", 1984; Edelman and
-Greene, "Balanced tableaux", 1987), so w has at least f^lambda(w)
-reduced words, the number of standard Young tableaux of that shape.  It
+length but the one the walker's set-up counts, come from the one sweep
+``permutations._code``.  The Stanley symmetric function of w holds the
+Schur function of lambda(w), the code sorted into a partition, with
+coefficient 1 (Stanley, "On the number of reduced decompositions of
+elements of Coxeter groups", 1984; Edelman and Greene, "Balanced
+tableaux", 1987), so w has at least f^lambda(w) reduced words, the number of standard Young tableaux of that shape.  It
 also holds the Schur function of lambda(w^-1)' with coefficient 1, and
 the two shapes differ exactly when w contains 2143; then w has at least
 f^lambda(w) + f^lambda(w^-1) reduced words, a conjugate shape having as
@@ -95,25 +101,12 @@ import math
 from typing import Iterator, Sequence
 
 from .permutations import (
-    Permutation, _code, _inverse, _length, _letters, _Parabolic, _parabolic_of, _quotient,
+    Permutation, _code, _inverse, _length, _letters, _Parabolic, _parabolic_of,
 )
 
 WORD_ESTIMATE_LIMIT = 1_000_000
 # ``_shape_bound`` cuts lambda(w) to a square of this side.
 SHAPE_BOX = 16
-
-
-def _crossings(word: tuple[int, ...], inverse: list[int]) -> list[int]:
-    # c_i = #{j <= i : w_j > i} for i = 1..n-1, from the number of values
-    # at most i in the first i places: place i adds one when w_i <= i, and
-    # the value i, sitting at place inverse_i, adds one when it sits left
-    # of place i.
-    out: list[int] = []
-    small = 0
-    for i, (a, b) in enumerate(zip(word[:-1], inverse), 1):
-        small += (a <= i) + (b < i)
-        out.append(i - small)
-    return out
 
 
 def _code_shape(word: Sequence[int]) -> list[int]:
@@ -175,33 +168,41 @@ def _reduced_word_count(word: tuple[int, ...], cap: int) -> int:
 
 
 def _reduced_words(
-    word: tuple[int, ...], slot_of: Sequence[int], caps: Sequence[int]
+    word: tuple[int, ...], shifted: tuple[int, ...], slot_of: Sequence[int], caps: Sequence[int]
 ) -> Iterator[tuple[int, ...]]:
-    # Reduced words of ``word`` that fit the pools, in lexicographic order:
-    # depth-first over left descents, ascending, stepping one inverse, one
-    # descent mask and one slack list in place (module docstring).  The
-    # prefix is the stack: a frame's untried letters are its mask above the
-    # letter that led to its child, so frames hold nothing else.  Frames
-    # stop two letters above the identity: the last letter is forced and
-    # free.  A state is dead only if no word was yielded beneath it, since
-    # the same element is reached along many paths and a subtree that
-    # produced words must not be pruned.  Every state left before the
-    # first word is dead, so those are recorded, and no later one: the
-    # ``definition`` search reads only the first word, and under
-    # enumeration's one pool no state dies.  ``letters[k]`` is k - 1, the
-    # letter of a bit whose ``bit_length`` is k: the prefix and the words
-    # take their letters from it, one int per letter value.
-    length = _length(word)
-    if length > sum(caps):
-        return
-    inverse = _inverse(word)
-    slack = list(caps)
-    for i, c in enumerate(_crossings(word, inverse), 1):
-        slack[slot_of[i]] -= c
-    if min(slack) < 0:
-        return
+    # Reduced words of q, q_p being ``shifted[word[p]]``, that fit the
+    # pools, in lexicographic order: depth-first over left descents,
+    # ascending, stepping one inverse, one descent mask and one slack list
+    # in place (module docstring).  The prefix is the stack: a frame's
+    # untried letters are its mask above the letter that led to its
+    # child, so frames hold nothing else.  Frames stop two letters above
+    # the identity: the last letter is forced and free.  A state is dead
+    # only if no word was yielded beneath it, since the same element is
+    # reached along many paths and a subtree that produced words must not
+    # be pruned.  Every state left before the first word is dead, so those
+    # are recorded, and no later one: the ``definition`` search reads only
+    # the first word, and under enumeration's one pool no state dies.
+    # ``letters[k]`` is k - 1, the letter of a bit whose ``bit_length`` is
+    # k: the prefix and the words take their letters from it, one int per
+    # letter value.
     n = len(word)
-    u = [0, *inverse, n + 1]  # the sentinels keep bits 0 and n clear
+    # One pass over q read off ``word``: q's inverse, its length and, into
+    # the slacks, its crossing numbers.  ``seen`` has bit x set when x is
+    # among q_1..q_p, and ``small`` counts the values at most p there, so
+    # c_p = p - small.
+    u = [0] * (n + 1) + [n + 1]  # the sentinels keep bits 0 and n clear
+    slack = list(caps)
+    seen = length = small = 0
+    for p, v in enumerate(word, 1):
+        x = shifted[v]
+        u[x] = p
+        length += p - 1 - (seen & ((1 << x) - 1)).bit_count()
+        small += (x <= p) + (seen >> p & 1)
+        seen |= 1 << x
+        if p < n:
+            slack[slot_of[p]] -= p - small
+    if length > sum(caps) or min(slack) < 0:
+        return
     mask = 0
     for i in range(1, n):
         if u[i] > u[i + 1]:
@@ -301,7 +302,7 @@ def enumerate_reduced_words(
         raise ValueError(f"limit must be an int, not {type(limit).__name__}")
     elif limit < 0:
         raise ValueError("limit must be nonnegative")
-    words = _reduced_words(w.oneline, (0,) * w.degree, (w.length(),))
+    words = _reduced_words(w.oneline, _letters(w.degree), (0,) * w.degree, (w.length(),))
     return list(itertools.islice(words, limit))
 
 
@@ -330,20 +331,23 @@ def repetition_free_word(w: Permutation) -> tuple[int, ...] | None:
     """The lexicographically first reduced word of w, if it repeats no
     generator; then every reduced word of w is repetition-free, else none is.
     """
-    return _repetition_free_word(w.oneline, _letters(w.degree))
+    return _repetition_free_word(w.oneline, (_letters(w.degree),))
 
 
 def _repetition_free_word(
-    word: tuple[int, ...], shifted: tuple[int, ...]
+    word: tuple[int, ...], entry: Sequence[tuple[int, ...]]
 ) -> tuple[int, ...] | None:
-    # The same for q = u * w, ``shifted[j]`` being u(j) behind a 0, walked
-    # on q's position table, which is filled straight off w.
+    # The same for q = u * w, ``entry[0][j]`` being u(j) behind a 0, as a
+    # table entry's ``shifted`` holds w0(J): nothing else of the entry is
+    # read, so ``repetition_free_word`` passes the identity as
+    # ``(shifted,)``.  It walks q's position table, filled straight off w.
     # The lexicographically first reduced word decides (module docstring);
     # it strips the least left descent until none is left.  Swapping the
     # values i and i+1 changes only the descents at i-1, i and i+1, so the
     # scan steps back at most one place per letter; with at most n letters
     # before a repeat, the walk takes O(n) steps.
     n = len(word)
+    shifted = entry[0]
     pos = [0] * (n + 1)
     for p, v in enumerate(word, 1):
         pos[shifted[v]] = p
@@ -393,9 +397,9 @@ def spherical_witness_word(w: Permutation) -> tuple[int, ...] | None:
 
 def _fitting_quotient_word(word: tuple[int, ...], entry: _Parabolic) -> tuple[int, ...] | None:
     # The definition search: q's first reduced word that fits the pools,
-    # both read off ``entry``, the table's entry of J(w).
-    q = _quotient(word, entry)
-    return next(_reduced_words(q, entry.slot_of, entry.caps), None)
+    # both read off ``entry``, the table's entry of J(w), whose fields are
+    # the walker's last three arguments in order.
+    return next(_reduced_words(word, *entry), None)
 
 
 def _after_parabolic_word(

@@ -25,26 +25,28 @@ _SEARCHES = {
 
 @pytest.fixture
 def counted_searches(monkeypatch):
-    # Counts, per backend, the calls to its entry in classify._DECIDERS
-    # ("decider") and to the search beneath it ("search"), and the entries
-    # into the reduced-word walker ("walker", under "definition").
+    # Counts, per backend, the calls to the search in its entry of
+    # classify._DECIDERS, which is the decider itself, under both "decider"
+    # and "search"; a call to the search under any of its names outside the
+    # table under "search" alone; and the entries into the reduced-word
+    # walker ("walker", under "definition").
     calls = {"decider": Counter(), "search": Counter(), "walker": Counter()}
 
-    def counting(layer, backend, fn):
+    def counting(layers, backend, fn):
         def wrapper(*args):
-            calls[layer][backend] += 1
+            for layer in layers:
+                calls[layer][backend] += 1
             return fn(*args)
 
         return wrapper
 
-    for backend, decide in list(classify._DECIDERS.items()):
-        monkeypatch.setitem(
-            classify._DECIDERS, backend, counting("decider", backend, decide)
-        )
+    for backend, (search, spherical_if_found) in list(classify._DECIDERS.items()):
+        counted = counting(("decider", "search"), backend, search)
+        monkeypatch.setitem(classify._DECIDERS, backend, (counted, spherical_if_found))
     for backend, names in _SEARCHES.items():
         for module, name in names:
             search = getattr(module, name)
-            monkeypatch.setattr(module, name, counting("search", backend, search))
-    walker = counting("walker", "definition", reduced_words._reduced_words)
+            monkeypatch.setattr(module, name, counting(("search",), backend, search))
+    walker = counting(("walker",), "definition", reduced_words._reduced_words)
     monkeypatch.setattr(reduced_words, "_reduced_words", walker)
     return calls

@@ -35,6 +35,21 @@ the first of a value at least v, for every v, and reads the earliest 5
 and the existence of a 1 off them.  The library's certificate must equal
 it on every word.
 
+``first_witness_by_sets``, ``code_by_bisect`` and ``crossings`` are the
+library's divisibility search, Lehmer code sweep and crossing numbers as
+it ran them before it held sets of values as the bits of an int: two
+Python sets of prefix values with a running shared count, a bisected
+sorted suffix, and a count of the small values per place.
+``first_fitting_word_by_quotient`` is the ``definition`` search as it
+was set up before it read the quotient off w: it forms q, refuses on
+q's length and crossing numbers, and takes the first word
+``budgeted_words`` walks.  The library's searches must return the same
+values.
+
+``sorted_prefixes`` sorts every prefix of a word once, so a check over
+all pairs of a symmetric group compares whole sorted prefixes without
+sorting them again for every pair.
+
 ``reverse_blocks``, ``longest_parabolic``, ``longest_below``, ``quotient``
 and ``budget`` build w0(J), the parabolic quotient and the ``definition``
 pools from scratch for every call, as the library did before it looked
@@ -49,6 +64,7 @@ every argv it rejects.
 from __future__ import annotations
 
 import argparse
+import bisect
 import itertools
 import math
 import operator
@@ -214,13 +230,18 @@ def leq_by_cover_closure(n: int) -> dict[Permutation, set[Permutation]]:
     return up
 
 
-def dominance_failure_by_sorted_prefixes(v: Permutation, w: Permutation):
+def sorted_prefixes(w: Permutation) -> list[list[int]]:
+    """The prefixes of w of length 1..n, each sorted."""
+    return [sorted(w.oneline[:i]) for i in range(1, w.degree + 1)]
+
+
+def dominance_failure_by_sorted_prefixes(v_sorted, w_sorted):
     """The first prefix length at which some entry of v's sorted prefix
     exceeds the matching entry of w's, comparing the whole sorted prefixes
-    at every length; None if there is none."""
-    vo, wo = v.oneline, w.oneline
-    for i in range(1, len(vo) + 1):
-        if any(map(operator.gt, sorted(vo[:i]), sorted(wo[:i]))):
+    at every length, given as ``sorted_prefixes`` of v and of w; None if
+    there is none."""
+    for i, (a, b) in enumerate(zip(v_sorted, w_sorted), 1):
+        if any(map(operator.gt, a, b)):
             return i
     return None
 
@@ -239,6 +260,75 @@ def divisible_after(v: Permutation, w: Permutation, i: int) -> bool:
 def divisible_at(v: Permutation, w: Permutation, i: int) -> bool:
     """v_i equals w_i and the length-i prefixes share at most i-1 values."""
     return v(i) == w(i) and shared_prefix_values(v, w, i) <= i - 1
+
+
+def first_witness_by_sets(v: tuple[int, ...], w: tuple[int, ...]):
+    """``(kind, position, size)`` of the first divisibility witness of
+    (v, w), v given behind a 0, or None: the prefix sets as Python sets,
+    the shared count raised as each pair of values is read."""
+    seen_v: set[int] = set()
+    seen_w: set[int] = set()
+    shared = 0
+    for i, b in enumerate(w, start=1):
+        a = v[i]
+        if a == b:
+            shared += 1
+        else:
+            if a in seen_w:
+                shared += 1
+            if b in seen_v:
+                shared += 1
+        seen_v.add(a)
+        seen_w.add(b)
+        if shared <= i - 2:
+            return "after", i, shared
+        if a == b and shared <= i - 1:
+            return "at", i, shared
+    return None
+
+
+def code_by_bisect(word) -> list[int]:
+    """The Lehmer code: entry i counts the smaller values right of place i,
+    found by bisecting the sorted suffix."""
+    seen: list[int] = []
+    code: list[int] = []
+    for v in reversed(word):
+        k = bisect.bisect(seen, v)
+        code.append(k)
+        seen.insert(k, v)
+    return code[::-1]
+
+
+def crossings(word: tuple[int, ...]) -> list[int]:
+    """c_i = #{j <= i : w_j > i} for i = 1..n-1, from the number of values
+    at most i in the first i places: place i adds one when w_i <= i, and
+    the value i adds one when it sits left of place i."""
+    inverse = [0] * len(word)
+    for p, v in enumerate(word, 1):
+        inverse[v - 1] = p
+    out: list[int] = []
+    small = 0
+    for i, (a, b) in enumerate(zip(word[:-1], inverse), 1):
+        small += (a <= i) + (b < i)
+        out.append(i - small)
+    return out
+
+
+def first_fitting_word_by_quotient(word: tuple[int, ...]):
+    """The first reduced word of q = w0(J(w)) * w that fits the
+    ``definition`` pools of w, or None.  q is formed; it has none when its
+    length, from ``code_by_bisect``, passes the pools' uses, or when a
+    pool holds fewer uses than the crossing numbers of its generators,
+    each of which needs that many letters; else ``budgeted_words``
+    walks it."""
+    q = quotient(word)
+    slot_of, caps = budget(word)
+    slack = list(caps)
+    for i, c in enumerate(crossings(q), 1):
+        slack[slot_of[i]] -= c
+    if sum(code_by_bisect(q)) > sum(caps) or min(slack, default=0) < 0:
+        return None
+    return next(budgeted_words(Permutation(q), slot_of, caps), None)
 
 
 def budgeted_words(w: Permutation, slot_of, caps):

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import oracles
-from spherical import classify, cli, permutations, reduced_words, tree
+from spherical import classify, cli, divisibility, permutations, reduced_words, tree
 from spherical.bruhat import BruhatInterval
 from spherical.classify import (
     BACKENDS,
@@ -125,12 +125,13 @@ def flip_on_second_letter_three(monkeypatch):
     # a stub backend that flips the pattern verdict on every word whose
     # second letter is 3; returns its offenders in S_5, 24 of them spread
     # over every block
-    pattern = classify._DECIDERS["pattern"]
-    monkeypatch.setitem(
-        classify._DECIDERS,
-        "stub",
-        lambda word, entry: (pattern(word, entry)[0] ^ (word[1] == 3), None),
-    )
+    pattern, _ = classify._DECIDERS["pattern"]
+
+    def stub(word, entry):
+        # a witness, (), exactly when the flipped verdict is not spherical
+        return None if (pattern(word, entry) is None) ^ (word[1] == 3) else ()
+
+    monkeypatch.setitem(classify._DECIDERS, "stub", (stub, False))
     return [p for p in symmetric_group(5) if p.oneline[1] == 3]
 
 
@@ -293,9 +294,8 @@ class TestRandomPastDegreeEight:
                 i, j = rng.sample(range(n), 2)
                 word[i], word[j] = word[j], word[i]
             word = tuple(word)
-            entry = _parabolic_of(word)
-            verdict = classify._DECIDERS["definition"](word, entry)[0]
-            assert verdict == classify._DECIDERS["divisibility"](word, entry)[0], word
+            _, [(verdict, _), (divisible, _)] = classify._judge(word, ("definition", "divisibility"))
+            assert verdict == divisible, word
             verdicts.add(verdict)
         assert verdicts == {True, False}
 
@@ -322,10 +322,11 @@ class TestRandomPastDegreeEight:
                 i, j = rng.sample(range(n), 2)
                 word[i], word[j] = word[j], word[i]
             w = Permutation(tuple(word))
-            verdict, certificate = classify._DECIDERS["pattern"](w.oneline, None)
+            _, [(verdict, certificate), (definition, _)] = classify._judge(
+                w.oneline, ("pattern", "definition")
+            )
             assert verdict == avoids_all(w, cat.all), str(w)
-            definition = classify._DECIDERS["definition"](w.oneline, _parabolic_of(w.oneline))
-            assert definition[0] == verdict, str(w)
+            assert definition == verdict, str(w)
             if certificate is not None:
                 positions = classify._certificate_positions(w.oneline, certificate)
                 assert list(positions) == sorted(set(positions))
@@ -611,10 +612,10 @@ class TestParabolicTable:
 
         def record(word, entry):
             seen.append((word, entry))
-            return True, None
 
-        monkeypatch.setitem(classify._DECIDERS, "record", record)
-        monkeypatch.setitem(classify._DECIDERS, "agree", lambda word, entry: (True, None))
+        # no witness found, and none means spherical
+        monkeypatch.setitem(classify._DECIDERS, "record", (record, False))
+        monkeypatch.setitem(classify._DECIDERS, "agree", (lambda word, entry: None, False))
         for n in range(1, 9):
             seen.clear()
             assert cross_check(n, ("record", "agree")).total == math.factorial(n)
@@ -632,12 +633,12 @@ class TestParabolicTable:
 
     @pytest.mark.parametrize(
         "backends, formed",
-        [(BACKENDS, 720), (("pattern", "boolean_quotient", "divisibility"), 0)],
+        [(BACKENDS, 0), (("pattern", "boolean_quotient", "divisibility"), 0)],
         ids=["all", "without-definition"],
     )
     def test_a_scan_forms_only_the_definition_quotients(self, monkeypatch, backends, formed):
-        # boolean_quotient reads q's positions off w; only the definition
-        # search forms q, once per word
+        # boolean_quotient reads q's positions off w, and the definition
+        # walker q's inverse: no search forms q
         catalog()  # its self-check forms the quotients of the 21 patterns
         calls = []
         form = permutations._quotient
@@ -646,8 +647,10 @@ class TestParabolicTable:
             calls.append(word)
             return form(word, entry)
 
-        for module in (permutations, classify, reduced_words):
-            monkeypatch.setattr(module, "_quotient", counting)
+        # set in every module of the deciders, also one that does not
+        # import it now, so a search that takes it up again is counted
+        for module in (permutations, classify, reduced_words, divisibility):
+            monkeypatch.setattr(module, "_quotient", counting, raising=False)
         assert cross_check(6, backends).disagreement_count == 0
         assert len(calls) == formed
 
@@ -829,6 +832,28 @@ class TestCrossCheck:
         monkeypatch.setattr("spherical.classify.os.cpu_count", lambda: cpus)
         assert cross_check(5, jobs=jobs) == serial
         assert recording_pool == ([workers] if workers > 1 else [])
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_scan_columns_equal_the_judged_verdicts(self, monkeypatch, backend):
+        # A stub answers _judge's verdict on each word as a witness found
+        # or not, under either polarity.  Scanned first, its spherical
+        # count pins how the scan reads both polarities; the backend's own
+        # column must equal it word for word, and its count the generating
+        # tree's, which no decider computes.
+        catalog()
+        counts = [row.spherical for row in density_table(7)]
+        for n in range(1, 8):
+            words = itertools.permutations(range(1, n + 1))
+            judged = {word: classify._judge(word, (backend,))[1][0][0] for word in words}
+            assert sum(judged.values()) == counts[n - 1]
+            for spherical_if_found in (False, True):
+
+                def stub(word, entry):
+                    return () if judged[word] == spherical_if_found else None
+
+                monkeypatch.setitem(classify._DECIDERS, "judged", (stub, spherical_if_found))
+                total, spherical, bad, _, _ = classify._scan_block((n, (), ("judged", backend)))
+                assert (total, spherical, bad) == (math.factorial(n), counts[n - 1], []), n
 
     def test_disagreements_through_a_scan(self, monkeypatch, recording_pool):
         offenders = flip_on_second_letter_three(monkeypatch)

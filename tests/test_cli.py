@@ -71,8 +71,8 @@ class TestClassify:
     def test_all_backends_list_each_verdict_on_disagreement(self, capsys, monkeypatch):
         # divisibility flipped: the verdict stays pattern's, and each
         # backend's verdict follows on a line of its own
-        decide = classify._DECIDERS["divisibility"]
-        flipped = lambda word, entry: (not decide(word, entry)[0], None)
+        search, spherical_if_found = classify._DECIDERS["divisibility"]
+        flipped = (search, not spherical_if_found)
         monkeypatch.setitem(classify._DECIDERS, "divisibility", flipped)
         status, out, _ = run_cli(capsys, "classify", "54321", "--backend=all")
         assert status == 0

@@ -1,14 +1,15 @@
+import itertools
 import random
 
 import pytest
 from hypothesis import given, strategies as st
 
 from spherical.classify import cross_check
-from spherical.divisibility import DivisibilityWitness, is_divisible
+from spherical.divisibility import DivisibilityWitness, _first_witness, is_divisible
 from spherical.permutations import Permutation, symmetric_group
 from spherical.reduced_words import is_boolean_by_words
 
-from oracles import divisible_after, divisible_at
+from oracles import divisible_after, divisible_at, first_witness_by_sets
 
 
 class TestPositionTests:
@@ -85,6 +86,37 @@ class TestWitness:
                     assert flags == []
                 else:
                     assert (got.position, got.kind) == flags[0]
+
+    def test_matches_the_set_reference_exhaustive(self):
+        # the whole witness tuple, on every ordered pair of S_1..S_6
+        for n in range(1, 7):
+            words = list(itertools.permutations(range(1, n + 1)))
+            for v in words:
+                shifted = (0, *v)
+                got = [_first_witness(w, (shifted,)) for w in words]
+                assert got == [first_witness_by_sets(shifted, w) for w in words], v
+
+    def test_matches_the_set_reference_on_seeded_pairs(self):
+        # 2,000 pairs of degree 7-500: a third drawn apart, which mostly
+        # stop early, a third with w a few transpositions from v, and a
+        # third with w = v, which read every position and find none
+        rng = random.Random(4000)
+        found = set()
+        for trial in range(2000):
+            n = rng.randint(7, 500)
+            v = rng.sample(range(1, n + 1), n)
+            if trial % 3 == 0:
+                w = rng.sample(range(1, n + 1), n)
+            else:
+                w = list(v)
+                for _ in range(rng.randint(1, 4) if trial % 3 == 1 else 0):
+                    i, j = rng.sample(range(n), 2)
+                    w[i], w[j] = w[j], w[i]
+            shifted, w = (0, *v), tuple(w)
+            expected = first_witness_by_sets(shifted, w)
+            assert _first_witness(w, (shifted,)) == expected, (v, w)
+            found.add(None if expected is None else expected[0])
+        assert found == {None, "after", "at"}
 
     def test_translation_invariance(self):
         for n in (3, 4):

@@ -9,6 +9,7 @@ from hypothesis import given, strategies as st
 from spherical.permutations import (
     GeneratorSet,
     Permutation,
+    _code,
     avoids_all,
     first_pattern_occurrence,
     longest_parabolic,
@@ -16,7 +17,13 @@ from spherical.permutations import (
     symmetric_group,
 )
 
-from oracles import avoids_by_subsets, inversion_count, standardize, subset_occurrences
+from oracles import (
+    avoids_by_subsets,
+    code_by_bisect,
+    inversion_count,
+    standardize,
+    subset_occurrences,
+)
 
 perms_of_degree = lambda n: st.permutations(list(range(1, n + 1))).map(
     lambda vals: Permutation(tuple(vals))
@@ -195,6 +202,18 @@ class TestGroupOperations:
     @given(small_perms)
     def test_length_matches_inversion_oracle(self, w):
         assert w.length() == inversion_count(w.oneline)
+
+    def test_code_matches_the_bisect_reference(self):
+        # every word of S_1..S_8, then seeded words of degree 9-3000
+        for n in range(1, 9):
+            for word in itertools.permutations(range(1, n + 1)):
+                assert _code(word) == code_by_bisect(word), word
+        rng = random.Random(9)
+        for n in [*range(9, 40), *rng.sample(range(40, 3001), 30), 3000]:
+            word = tuple(rng.sample(range(1, n + 1), n))
+            assert _code(word) == code_by_bisect(word), n
+        falling = tuple(range(3000, 0, -1))
+        assert _code(falling) == code_by_bisect(falling) == list(range(2999, -1, -1))
 
     def test_length_invariant_under_inverse_exhaustive(self):
         for n in range(1, 7):

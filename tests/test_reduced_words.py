@@ -6,7 +6,7 @@ import tracemalloc
 import pytest
 from hypothesis import given, strategies as st
 
-from spherical.classify import is_spherical
+from spherical.classify import _judge, is_spherical
 from spherical.permutations import (
     GeneratorSet,
     Permutation,
@@ -34,6 +34,7 @@ from spherical.reduced_words import (
 from oracles import (
     avoids_by_subsets,
     budgeted_words,
+    first_fitting_word_by_quotient,
     first_repetition_free_word_by_walk,
     first_word_in_w_form_allowance,
     generator_sequence_products,
@@ -188,7 +189,7 @@ class TestEnumeration:
         # 292,864 reduced words, under the cap; listing them all takes
         # seconds, so the walk is stubbed and only the guard runs
         monkeypatch.setattr(
-            reduced_words, "_reduced_words", lambda word, slot_of, caps: iter([()])
+            reduced_words, "_reduced_words", lambda word, shifted, slot_of, caps: iter([()])
         )
         assert enumerate_reduced_words(Permutation.from_text("654321")) == [()]
 
@@ -521,13 +522,15 @@ class TestDefinitionSearch:
                 assert is_spherical(w, "definition") == expected, str(w)
 
     def test_first_fitting_quotient_word_matches_the_reference(self):
-        # the pruned, in-place walk against the plain tuple-copying one
-        for n in range(1, 9):
-            for w in symmetric_group(n):
-                q = parabolic_quotient(w)
-                entry = _parabolic_of(w.oneline)
-                expected = next(budgeted_words(q, entry.slot_of, entry.caps), None)
-                assert reduced_words._fitting_quotient_word(w.oneline, entry) == expected, str(w)
+        # The pruned, in-place walk, set up straight off w, against the
+        # plain tuple-copying one on the formed quotient, set up as the
+        # library did before, with the verdict: every word of S_1..S_8 and
+        # the longest element of degree 1000.
+        words = [w for n in range(1, 9) for w in itertools.permutations(range(1, n + 1))]
+        for word in [*words, longest(1000).oneline]:
+            expected = first_fitting_word_by_quotient(word)
+            _, [(verdict, found)] = _judge(word, ("definition",))
+            assert (verdict, found) == (expected is not None, expected), word
 
     def test_walker_matches_the_reference_under_arbitrary_pools(self):
         # Pools drawn at random, not from the parabolic table: they reach
@@ -545,9 +548,11 @@ class TestDefinitionSearch:
                 cases.append((rng.choice(group).oneline, slot_of, caps))
         for word, slot_of, caps in cases:
             expected = list(budgeted_words(Permutation(word), slot_of, caps))
-            got = list(reduced_words._reduced_words(word, slot_of, caps))
+            identity = tuple(range(len(word) + 1))
+            got = list(reduced_words._reduced_words(word, identity, slot_of, caps))
             assert got == expected, (word, slot_of, caps)
-        assert not list(reduced_words._reduced_words(*cases[0]))
+        word, slot_of, caps = cases[0]
+        assert not list(reduced_words._reduced_words(word, (0, 1, 2, 3, 4, 5), slot_of, caps))
 
     def test_parabolic_word_matches_the_walk(self):
         # the closed form of w0(J)'s first reduced word against the walker
