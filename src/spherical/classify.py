@@ -43,8 +43,19 @@ which joined in order give the lexicographic stream; through degree 7
 S_n is one block, run in-process, since a pool costs more to start than
 such a scan takes.  Within a block it looks up the table entries once
 per tail mask (``_tail_masks``), runs backend by backend, compares the
-verdict columns, and times each backend and the lookups.  It hands its
-blocks to one scan driver, ``_scan``.
+verdict columns, and times each backend and the lookups.  With the
+lookups it fills a length table, l(q) for every word of the block with
+no pass over the word: l(w) is the inversions of the block's first word,
+the head followed by the rest in increasing order, plus those of the
+tail, from a table built with the tails' masks, and l(w0(J)) is one
+number per mask.  One rule, ``reduced_words._fits``, says that a q with
+more than n - 1 letters has neither a repetition-free word nor one that
+fits the pools; the scan calls neither the ``boolean_quotient`` nor the
+``definition`` search on a word it refuses, and the walker's set-up
+refuses through the same rule.  ``pattern`` and ``divisibility`` never
+read the lengths, so a wrong table shows up as a disagreement, and
+``_judge`` calls every search as it is.  It hands its blocks to one scan
+driver, ``_scan``.
 """
 
 from __future__ import annotations
@@ -63,6 +74,7 @@ from .permutations import (
     _Frozen,
     _Parabolic,
     _check_degree,
+    _length,
     _parabolic_of,
     _quotient,
     avoids_all,
@@ -71,6 +83,7 @@ from .permutations import (
 )
 from .reduced_words import (
     _after_parabolic_word,
+    _fits,
     _fitting_quotient_word,
     _repetition_free_word,
     word_to_text,
@@ -484,9 +497,12 @@ class CrossCheckReport(_Frozen):
     the wall seconds spent in each backend, summed over blocks and
     workers.  Like generating the words, looking up the parabolic table
     entries, once per tail mask of a block and shared by the backends
-    that read them, is scan input and counts in no backend's seconds;
-    ``lookup_seconds`` holds its wall seconds, summed likewise.  Both
-    vary from run to run, so reports compare and hash without them.
+    that read them, is scan input and counts in no backend's seconds, and
+    so is the length table built with it; ``lookup_seconds`` holds their
+    wall seconds, summed likewise.  The ``boolean_quotient`` and
+    ``definition`` seconds cover only the words the scan hands them, those
+    whose quotient has at most n - 1 letters.  Both fields vary from run
+    to run, so reports compare and hash without them.
     """
 
     __slots__ = (
@@ -566,21 +582,23 @@ _BLOCK = 7
 
 
 @functools.cache
-def _tail_masks(k: int) -> tuple[list[int], list[int]]:
+def _tail_masks(k: int) -> tuple[list[int], list[int], list[int]]:
     # The tails of a block, ``itertools.permutations`` of k letters in its
     # order, grouped by the letters' relative order: each tail's mask has
     # bit a set when its (a+1)-th smallest letter sits left of its
-    # (a+2)-th.  Returns the masks, tail by tail, and the index of the
-    # first tail of each mask 0 .. 2^(k-1) - 1, every one of which occurs.
+    # (a+2)-th.  Returns the masks, tail by tail, the index of the first
+    # tail of each mask 0 .. 2^(k-1) - 1, every one of which occurs, and
+    # the inversions of each tail, tail by tail.
     bits = [1 << a for a in range(k - 1)]
     masks = []
     firsts: dict[int, int] = {}
-    for i, tail in enumerate(itertools.permutations(range(k))):
+    tails = list(itertools.permutations(range(k)))
+    for i, tail in enumerate(tails):
         pos = sorted(range(k), key=tail.__getitem__)
         mask = sum(itertools.compress(bits, map(operator.lt, pos, pos[1:])))
         masks.append(mask)
         firsts.setdefault(mask, i)
-    return masks, [firsts[mask] for mask in range(1 << (k - 1))]
+    return masks, [firsts[mask] for mask in range(1 << (k - 1))], list(map(_length, tails))
 
 
 def _scan_block(args: tuple[int, tuple[int, ...], tuple[str, ...]]) -> tuple:
@@ -597,11 +615,18 @@ def _scan_block(args: tuple[int, tuple[int, ...], tuple[str, ...]]) -> tuple:
     # then they are consecutive ones, whose order is one bit of the tail's
     # mask: words of one mask share J(w), so the table is read once per
     # mask, and every decider shares the entry.  Like generating the
-    # words, the lookup is timed with no decider.
+    # words, the lookup is timed with no decider, and so is the length
+    # table: l(q) = l(w) - l(w0(J)), where l(w) is the inversions of the
+    # block's first word, head + sorted(rest), plus the tail's, and
+    # l(w0(J)) is one number per mask (the 0 in front of ``shifted`` adds
+    # no inversion).
     start = time.perf_counter()
-    masks, firsts = _tail_masks(len(rest))
+    masks, firsts, inversions = _tail_masks(len(rest))
     by_mask = [_parabolic_of(block[i]) for i in firsts]
     entries = list(map(by_mask.__getitem__, masks))
+    base = _length(block[0])
+    offsets = [base - _length(entry.shifted) for entry in by_mask]
+    fits = [_fits(offsets[mask] + inv, n - 1) for mask, inv in zip(masks, inversions)]
     lookup = time.perf_counter() - start
     columns = []
     seconds = []
@@ -609,7 +634,12 @@ def _scan_block(args: tuple[int, tuple[int, ...], tuple[str, ...]]) -> tuple:
         search, spherical_if_found = _DECIDERS[b]
         start = time.perf_counter()
         if spherical_if_found:
-            columns.append([search(word, entry) is not None for word, entry in zip(block, entries)])
+            # both such searches find a word of q, so neither runs where q
+            # is too long for one (``_fits``)
+            columns.append([
+                fit and search(word, entry) is not None
+                for word, entry, fit in zip(block, entries, fits)
+            ])
         else:
             columns.append([search(word, entry) is None for word, entry in zip(block, entries)])
         seconds.append(time.perf_counter() - start)

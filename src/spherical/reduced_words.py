@@ -48,8 +48,10 @@ c_i over its generators.  Its set-up fills the root's inverse, its
 length and its crossing numbers in one pass over w, placing q_p =
 w0(J(w))(w_p) and holding the values placed so far as the bits of an
 int.  A root longer than the pools hold, or with a negative slack, has
-no fitting word.  A step at i lowers c_i by one exactly when
-u_i > i >= u_{i+1}; that step keeps the slack, any other step spends
+no fitting word; the length is refused through ``_fits``, the one
+length rule, which a scan in ``classify`` also applies from its length
+table before it calls either quotient search.  A step at i lowers c_i
+by one exactly when u_i > i >= u_{i+1}; that step keeps the slack, any other step spends
 one, and a step the slack cannot pay for is pruned.  A state left before the first word is
 yielded is remembered as dead under the key (u, slack), built only once
 some state has died; the ``definition`` search reads no later word.
@@ -167,6 +169,16 @@ def _reduced_word_count(word: tuple[int, ...], cap: int) -> int:
     return min(sum(level.values()), cap)
 
 
+def _fits(length: int, uses: int) -> bool:
+    # The one length rule: a reduced word of q has l(q) letters, and one
+    # that fits pools of ``uses`` uses in all has at most ``uses``.  S_n's
+    # pools hold n - 1, one per generator, as many as a repetition-free
+    # word can have, so a q longer than n - 1 has neither word: the
+    # walker's set-up refuses it here, and so does a scan, from its length
+    # table, before either search.
+    return length <= uses
+
+
 def _reduced_words(
     word: tuple[int, ...], shifted: tuple[int, ...], slot_of: Sequence[int], caps: Sequence[int]
 ) -> Iterator[tuple[int, ...]]:
@@ -201,7 +213,7 @@ def _reduced_words(
         seen |= 1 << x
         if p < n:
             slack[slot_of[p]] -= p - small
-    if length > sum(caps) or min(slack) < 0:
+    if not _fits(length, sum(caps)) or min(slack) < 0:
         return
     mask = 0
     for i in range(1, n):

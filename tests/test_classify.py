@@ -31,6 +31,7 @@ from spherical.classify import (
 from spherical.permutations import (
     GeneratorSet,
     Permutation,
+    _length,
     _parabolic,
     _parabolic_of,
     _quotient,
@@ -683,6 +684,93 @@ class TestParabolicTable:
         info = _parabolic.cache_info()
         assert info.misses - misses > info.maxsize  # the bound was reached
         assert info.currsize <= info.maxsize
+
+
+def scanned_lengths(monkeypatch, n, head):
+    # The block of ``head`` in S_n, and the l(q) that a scan of it hands
+    # the length rule, word by word; one stub backend, which reads nothing.
+    lengths = []
+    fits = reduced_words._fits
+
+    def record(length, uses):
+        assert uses == n - 1
+        lengths.append(length)
+        return fits(length, uses)
+
+    monkeypatch.setattr(classify, "_fits", record)
+    monkeypatch.setitem(classify._DECIDERS, "none", (lambda word, entry: None, False))
+    classify._scan_block((n, head, ("none",)))
+    rest = sorted(set(range(1, n + 1)) - set(head))
+    return [head + tail for tail in itertools.permutations(rest)], lengths
+
+
+def quotient_length(word):
+    return _length(_quotient(word, _parabolic_of(word)))
+
+
+class TestLengthTable:
+    # The scan's l(q) = l(head + sorted(rest)) + inv(tail) - l(w0(J)),
+    # pinned to ``_length`` part by part, and word by word through S_8.
+
+    def test_tail_inversions_equal_the_length_of_each_tail(self):
+        for k in range(1, 8):
+            inversions = classify._tail_masks(k)[2]
+            assert inversions == [_length(t) for t in itertools.permutations(range(k))], k
+
+    def test_w0_length_of_every_descent_set_to_degree_nine(self):
+        # the scan reads l(w0(J)) as the inversions of ``shifted``, whose
+        # leading 0 adds none
+        for n in range(1, 10):
+            for ends in itertools.product((False, True), repeat=n - 1):
+                entry = _parabolic((*itertools.compress(range(1, n), ends), n))
+                assert _length(entry.shifted) == _length(entry.shifted[1:]), (n, ends)
+
+    def test_every_block_of_s9_from_its_parts(self, monkeypatch):
+        # each of S_9's 72 blocks: every word's l(q) is the block's base,
+        # ``_length(head + sorted(rest))``, plus its tail's inversions less
+        # l(w0(J)), read once per tail mask, whose words share J(w)
+        masks, firsts, inversions = classify._tail_masks(7)
+        heads = list(itertools.permutations(range(1, 10), 2))
+        assert len(heads) == 72
+        for head in heads:
+            block, lengths = scanned_lengths(monkeypatch, 9, head)
+            base = _length(head + tuple(sorted(set(range(1, 10)) - set(head))))
+            w0_lengths = [_length(_parabolic_of(block[i]).shifted[1:]) for i in firsts]
+            expected = [base + inv - w0_lengths[mask] for mask, inv in zip(masks, inversions)]
+            assert lengths == expected, head
+
+    def test_every_word_of_s1_to_s8(self, monkeypatch):
+        for n in range(1, 9):
+            for head in itertools.permutations(range(1, n + 1), max(n - 7, 0)):
+                block, lengths = scanned_lengths(monkeypatch, n, head)
+                assert lengths == list(map(quotient_length, block)), (n, head)
+
+    def test_a_corrupted_table_shows_as_disagreements(self, monkeypatch):
+        # every tail's inversions raised by n: the quotient backends refuse
+        # every word, while pattern and divisibility, which never read the
+        # lengths, still find S_6's 400 spherical words
+        tail_masks = classify._tail_masks
+
+        def raised(k):
+            masks, firsts, inversions = tail_masks(k)
+            return masks, firsts, [inv + 6 for inv in inversions]
+
+        monkeypatch.setattr(classify, "_tail_masks", raised)
+        report = cross_check(6, BACKENDS)
+        assert (report.spherical, report.disagreement_count) == (400, 400)
+        spherical = [w for w in symmetric_group(6) if is_spherical(w, "divisibility")]
+        assert [d.perm for d in report.disagreements] == spherical[:20]
+        assert all(d.verdicts == (True, False, True, False) for d in report.disagreements)
+
+    def test_the_scan_skips_both_searches_on_long_quotients(self, counted_searches):
+        # 205 words of S_6 have l(q) > 5, so 515 reach each quotient search
+        long = sum(quotient_length(w) > 5 for w in itertools.permutations(range(1, 7)))
+        assert long == 205
+        assert cross_check(6, BACKENDS).disagreement_count == 0
+        searched = {"pattern": 720, "boolean_quotient": 515, "divisibility": 720, "definition": 515}
+        assert counted_searches["decider"] == searched
+        assert counted_searches["search"] == searched
+        assert counted_searches["walker"] == {"definition": 515}
 
 
 class TestExplain:

@@ -30,7 +30,7 @@ class TestClassify:
         assert lines[0] == "not spherical"
         assert lines[1] == "witness: contains 24531 at positions 1,2,3,4,5"
 
-    @pytest.mark.parametrize("word", ["24531", "54321", "263415"])
+    @pytest.mark.parametrize("word", ["24531", "54321", "263415", "256314"])
     def test_one_search_per_backend(self, capsys, counted_searches, word):
         # the verdict and the --explain text come from the same call
         run_cli(capsys, "classify", word, "--explain")
@@ -42,6 +42,18 @@ class TestClassify:
             assert counted_searches[layer] == dict.fromkeys(BACKENDS, 1)
         # w0(J)'s letters of the definition witness are read off, not walked
         assert counted_searches["walker"] == {"definition": 1}
+
+    def test_long_quotient_explained_by_both_searches(self, capsys):
+        # q = 146325 has 6 letters, more than S_6's pools hold: a scan
+        # refuses it from its length table, while --explain runs both
+        # searches and says what each found
+        status, out, _ = run_cli(capsys, "classify", "256314", "--backend=all", "--explain")
+        assert status == 1
+        assert out.splitlines()[3:] == [
+            "boolean_quotient: parabolic quotient 146325 has no repetition-free reduced word",
+            "divisibility: (213546, 256314) divisibility witness after@3",
+            "definition: no reduced word fits the generator budgets",
+        ]
 
     @pytest.mark.parametrize("explain", [(), ("--explain",)], ids=["plain", "explain"])
     def test_all_backends_share_one_table_lookup(self, capsys, explain):
