@@ -12,7 +12,9 @@ Four interchangeable backends decide the same predicate:
 one-line tuple, which returns a witness or None, and to whether a found
 witness means spherical: ``is_spherical`` and the scan loop read the
 verdict from that alone, the scan as one comprehension per verdict
-column, and ``explain`` formats the witness from the same call.  Each
+column, and ``explain`` formats the witness from the same call.  The one
+exception is the scan's ``pattern`` column, which ``_pattern_column``
+decides for a whole block at once (below).  Each
 search also takes the parabolic table's entry of J(w)
 (``permutations._parabolic_of``), through which the last three read w;
 ``boolean_quotient`` and ``definition`` read the quotient w0(J(w)) * w
@@ -44,24 +46,33 @@ S_n is one block, run in-process, since a pool costs more to start than
 such a scan takes.  Within a block it looks up the table entries once
 per tail mask (``_tail_masks``), runs backend by backend, compares the
 verdict columns, and times each backend and the lookups.  With the
-lookups it fills a length table, l(q) for every word of the block with
-no pass over the word: l(w) is the inversions of the block's first word,
+lookups it fills a length table, with no pass over any word: l(q) =
+l(w) - l(w0(J)), where l(w) is the inversions of the block's first word,
 the head followed by the rest in increasing order, plus those of the
 tail, from a table built with the tails' masks, and l(w0(J)) is one
-number per mask.  One rule, ``reduced_words._fits``, says that a q with
+number per mask.  One rule, ``reduced_words._room``, says that a q with
 more than n - 1 letters has neither a repetition-free word nor one that
-fits the pools; the scan calls neither the ``boolean_quotient`` nor the
-``definition`` search on a word it refuses, and the walker's set-up
+fits the pools.  The scan reads it once per mask, as the most inversions
+a tail of the mask may have, and calls neither the ``boolean_quotient``
+nor the ``definition`` search on a word it refuses; the walker's set-up
 refuses through the same rule.  ``pattern`` and ``divisibility`` never
 read the lengths, so a wrong table shows up as a disagreement, and
-``_judge`` calls every search as it is.  It hands its blocks to one scan
-driver, ``_scan``.
+``_judge`` calls every search as it is.  A block's ``pattern`` column
+comes from no search.  The comparisons of its words' letters, pair of
+positions by pair, are bit planes, ints with one bit per word, and one
+depth-first walk of the catalog's trie, the one ``avoids_all`` walks,
+ands them into the words where a pattern ends.  The column reads the
+self-checked literals and the search the positional tests that
+``catalog()`` proves equal to them, so the two share no logic; a single
+word, as in ``_judge``, still takes the O(n) search.  ``cross_check``
+hands its blocks to one scan driver, ``_scan``.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
+import math
 import operator
 import os
 import time
@@ -77,15 +88,16 @@ from .permutations import (
     _length,
     _parabolic_of,
     _quotient,
+    _trie,
     avoids_all,
     relative_order,
     symmetric_group,
 )
 from .reduced_words import (
     _after_parabolic_word,
-    _fits,
     _fitting_quotient_word,
     _repetition_free_word,
+    _room,
     word_to_text,
 )
 
@@ -501,8 +513,9 @@ class CrossCheckReport(_Frozen):
     so is the length table built with it; ``lookup_seconds`` holds their
     wall seconds, summed likewise.  The ``boolean_quotient`` and
     ``definition`` seconds cover only the words the scan hands them, those
-    whose quotient has at most n - 1 letters.  Both fields vary from run
-    to run, so reports compare and hash without them.
+    whose quotient has at most n - 1 letters, and the ``pattern`` seconds
+    are those of its column's walk, one per block.  Both fields vary from
+    run to run, so reports compare and hash without them.
     """
 
     __slots__ = (
@@ -601,6 +614,84 @@ def _tail_masks(k: int) -> tuple[list[int], list[int], list[int]]:
     return masks, [firsts[mask] for mask in range(1 << (k - 1))], list(map(_length, tails))
 
 
+@functools.cache
+def _tail_planes(k: int) -> tuple[list[list[int]], dict[tuple[int, int], int]]:
+    # The tails of ``_tail_masks``, in its order, as bit planes, ints whose
+    # bit i stands for tail i: bit i of at[q][r] is set when tail i's
+    # letter at position q is at least r, and of lt[p, q], p < q, when
+    # its letter at p is below its letter at q.
+    digits = bytes.maketrans(b"\0\1", b"01")
+
+    def plane(bits):
+        return int(bytes(bits)[::-1].translate(digits), 2)
+
+    columns = list(zip(*itertools.permutations(range(k))))
+    at = [[plane(map(r.__le__, column)) for r in range(k + 1)] for column in columns]
+    lt = {
+        (p, q): plane(map(operator.lt, columns[p], columns[q]))
+        for p, q in itertools.combinations(range(k), 2)
+    }
+    return at, lt
+
+
+def _catalog_trie() -> list:
+    # the trie of the catalog's patterns, the one ``avoids_all`` builds
+    return _trie(tuple(p.oneline for p in catalog().all))
+
+
+def _pattern_column(n: int, head: tuple[int, ...], rest: list[int]) -> list[bool]:
+    # The ``pattern`` column of the block of ``head``, every word at once,
+    # with no call of the search: bit i of a plane stands for word i, so
+    # one & of two planes compares a pair of positions in every word.
+    # less[a][b], for a < b, is the plane of w_a < w_b: a constant within
+    # the head, the tails' ``at`` between the head and the tail, and their
+    # ``lt`` within the tail.  The walk reads the catalog's trie, whose
+    # children are keyed by the rank of a pattern's next letter among
+    # those before it, depth-first over increasing positions, with the
+    # words that match the path so far as one plane.  A letter of rank r
+    # lies above the one ranked r - 1 before it and below the one ranked r,
+    # which settles its order with the others, so a step is at most two &s,
+    # and a branch ends where its plane is 0.  Words where a pattern ends
+    # contain it; the others are spherical.
+    h, k = len(head), len(rest)
+    at, lt = _tail_planes(k)
+    size = math.factorial(k)
+    full = (1 << size) - 1
+    less = [[0] * n for _ in range(n)]
+    for a, x in enumerate(head):
+        for b in range(a + 1, h):
+            less[a][b] = full if x < head[b] else 0
+        r = sum(v < x for v in rest)  # x is below the tail letters ranked r on
+        for q in range(k):
+            less[a][h + q] = at[q][r]
+    for (p, q), plane in lt.items():
+        less[h + p][h + q] = plane
+    more = [[full ^ plane for plane in row] for row in less]
+    found = 0
+
+    # ``order`` holds the path's positions by increasing letter
+    def walk(node, last, order, plane):
+        nonlocal found
+        children, need, _ = node
+        d = len(order)
+        for p in range(last + 1, n + 1 - need):
+            for r, child in children.items():
+                # a first letter leaves out the words found so far
+                x = plane if d else full ^ found
+                if r:
+                    x &= less[order[r - 1]][p]
+                if r < d:
+                    x &= more[order[r]][p]
+                if x:
+                    if child[2]:
+                        found |= x
+                    if child[0]:
+                        walk(child, p, order[:r] + (p,) + order[r:], x)
+
+    walk(_catalog_trie(), -1, (), full)
+    return list(map("0".__eq__, format(found, f"0{size}b")[::-1]))
+
+
 def _scan_block(args: tuple[int, tuple[int, ...], tuple[str, ...]]) -> tuple:
     # The words that start with ``head``, in lexicographic order, decided
     # backend by backend: each backend fills a column of verdicts, and only
@@ -619,23 +710,26 @@ def _scan_block(args: tuple[int, tuple[int, ...], tuple[str, ...]]) -> tuple:
     # table: l(q) = l(w) - l(w0(J)), where l(w) is the inversions of the
     # block's first word, head + sorted(rest), plus the tail's, and
     # l(w0(J)) is one number per mask (the 0 in front of ``shifted`` adds
-    # no inversion).
+    # no inversion).  So the rule gives each mask one limit, the most
+    # inversions its tails may have, and each tail is compared with it.
     start = time.perf_counter()
     masks, firsts, inversions = _tail_masks(len(rest))
     by_mask = [_parabolic_of(block[i]) for i in firsts]
     entries = list(map(by_mask.__getitem__, masks))
     base = _length(block[0])
-    offsets = [base - _length(entry.shifted) for entry in by_mask]
-    fits = [_fits(offsets[mask] + inv, n - 1) for mask, inv in zip(masks, inversions)]
+    limits = [_room(n - 1, base - _length(entry.shifted)) for entry in by_mask]
+    fits = list(map(operator.le, inversions, map(limits.__getitem__, masks)))
     lookup = time.perf_counter() - start
     columns = []
     seconds = []
     for b in backends:
         search, spherical_if_found = _DECIDERS[b]
         start = time.perf_counter()
-        if spherical_if_found:
+        if b == "pattern":  # the whole block at once, with no search
+            columns.append(_pattern_column(n, head, rest))
+        elif spherical_if_found:
             # both such searches find a word of q, so neither runs where q
-            # is too long for one (``_fits``)
+            # is too long for one (``_room``)
             columns.append([
                 fit and search(word, entry) is not None
                 for word, entry, fit in zip(block, entries, fits)
@@ -713,8 +807,10 @@ def cross_check(
     heads = itertools.permutations(range(1, n + 1), max(n - _BLOCK, 0))
     if "pattern" in names:
         # the catalog's self-check runs here, not in pattern's first timed
-        # block, and forked workers inherit the checked catalog
-        catalog()
+        # block, and forked workers inherit the checked catalog, its trie
+        # and the tails' planes, which pattern's column walks
+        _catalog_trie()
+        _tail_planes(min(n, _BLOCK))
     # so does the tails' mask table, built here and not in the first
     # block's lookup
     _tail_masks(min(n, _BLOCK))

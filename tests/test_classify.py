@@ -687,21 +687,29 @@ class TestParabolicTable:
 
 
 def scanned_lengths(monkeypatch, n, head):
-    # The block of ``head`` in S_n, and the l(q) that a scan of it hands
-    # the length rule, word by word; one stub backend, which reads nothing.
-    lengths = []
-    fits = reduced_words._fits
+    # The block of ``head`` in S_n, and the l(q) by which a scan of it
+    # refuses, word by word: the rest of l(q) that it hands the length rule
+    # once per tail mask, plus the tail's inversions.  A stub search of q,
+    # which reads nothing, must run on exactly the words that fit.
+    rests = []
+    room = reduced_words._room
+    searched = []
 
-    def record(length, uses):
+    def record(uses, length):
         assert uses == n - 1
-        lengths.append(length)
-        return fits(length, uses)
+        rests.append(length)
+        return room(uses, length)
 
-    monkeypatch.setattr(classify, "_fits", record)
-    monkeypatch.setitem(classify._DECIDERS, "none", (lambda word, entry: None, False))
+    monkeypatch.setattr(classify, "_room", record)
+    monkeypatch.setitem(classify._DECIDERS, "none", (lambda word, entry: searched.append(word), True))
     classify._scan_block((n, head, ("none",)))
     rest = sorted(set(range(1, n + 1)) - set(head))
-    return [head + tail for tail in itertools.permutations(rest)], lengths
+    block = [head + tail for tail in itertools.permutations(rest)]
+    masks, _, inversions = classify._tail_masks(len(rest))
+    assert len(rests) == 1 << (len(rest) - 1)
+    lengths = [rests[mask] + inv for mask, inv in zip(masks, inversions)]
+    assert searched == [word for word, length in zip(block, lengths) if length <= n - 1]
+    return block, lengths
 
 
 def quotient_length(word):
@@ -762,15 +770,75 @@ class TestLengthTable:
         assert [d.perm for d in report.disagreements] == spherical[:20]
         assert all(d.verdicts == (True, False, True, False) for d in report.disagreements)
 
-    def test_the_scan_skips_both_searches_on_long_quotients(self, counted_searches):
-        # 205 words of S_6 have l(q) > 5, so 515 reach each quotient search
+    def test_the_scan_skips_both_searches_on_long_quotients(self, counted_searches, monkeypatch):
+        # 205 words of S_6 have l(q) > 5, so 515 reach each quotient search;
+        # pattern's column comes from one walk of the block, S_6's one
         long = sum(quotient_length(w) > 5 for w in itertools.permutations(range(1, 7)))
         assert long == 205
+        walks = []
+        column = classify._pattern_column
+        monkeypatch.setattr(classify, "_pattern_column", lambda *args: walks.append(args) or column(*args))
         assert cross_check(6, BACKENDS).disagreement_count == 0
-        searched = {"pattern": 720, "boolean_quotient": 515, "divisibility": 720, "definition": 515}
+        assert len(walks) == 1
+        searched = {"boolean_quotient": 515, "divisibility": 720, "definition": 515}
         assert counted_searches["decider"] == searched
         assert counted_searches["search"] == searched
         assert counted_searches["walker"] == {"definition": 515}
+
+
+def pattern_block(n, head):
+    # the rest letters of the block of ``head`` in S_n, and its words
+    rest = sorted(set(range(1, n + 1)) - set(head))
+    return rest, [head + tail for tail in itertools.permutations(rest)]
+
+
+class TestPatternColumn:
+    # A scan's pattern column, one walk of the catalog's trie over a
+    # block's bit planes, pinned to the per-word search.
+
+    def test_tail_planes_equal_direct_comparisons(self):
+        for k in range(1, 8):
+            tails = list(itertools.permutations(range(k)))
+            at, lt = classify._tail_planes(k)
+            assert len(at) == k and sorted(lt) == list(itertools.combinations(range(k), 2))
+            for q in range(k):
+                for r in range(k + 1):
+                    assert at[q][r] == sum(1 << i for i, t in enumerate(tails) if t[q] >= r)
+            for (p, q), plane in lt.items():
+                assert plane == sum(1 << i for i, t in enumerate(tails) if t[p] < t[q]), (k, p, q)
+
+    def test_every_block_of_s1_to_s8_and_seeded_heads_to_degree_eleven(self):
+        catalog()
+        rng = random.Random(42)
+        blocks = [
+            (n, head)
+            for n in range(1, 9)
+            for head in itertools.permutations(range(1, n + 1), max(n - 7, 0))
+        ]
+        blocks += [(n, tuple(rng.sample(range(1, n + 1), n - 7))) for n in (9, 10, 11) for _ in range(3)]
+        for n, head in blocks:
+            rest, words = pattern_block(n, head)
+            column = classify._pattern_column(n, head, rest)
+            assert column == [classify._catalog_certificate(w) is None for w in words], (n, head)
+
+    def test_a_dropped_literal_shows_as_disagreements(self, monkeypatch):
+        # the column reads the catalog: without 24531 it calls spherical
+        # exactly the words whose only catalog pattern is 24531, which the
+        # other three backends, reading no literal, still refuse
+        good = catalog()
+        dropped = Permutation.from_text("24531")
+        others = tuple(p for p in good.all if p != dropped)
+        monkeypatch.setattr(classify, "catalog", lambda: type(good)(others, good.sub321, good.sub3412))
+        only = [
+            w for w in symmetric_group(6)
+            if not avoids_all(w, (dropped,)) and avoids_all(w, others)
+        ]
+        assert len(only) == 9
+        report = cross_check(6, BACKENDS)
+        assert report.disagreement_count == 9
+        assert [d.perm for d in report.disagreements] == only
+        assert all(d.verdicts == (True, False, False, False) for d in report.disagreements)
+        assert cross_check(5, BACKENDS).disagreement_count == 1
 
 
 class TestExplain:
