@@ -619,16 +619,17 @@ def _tail_planes(k: int) -> tuple[list[list[int]], dict[tuple[int, int], int]]:
     # The tails of ``_tail_masks``, in its order, as bit planes, ints whose
     # bit i stands for tail i: bit i of at[q][r] is set when tail i's
     # letter at position q is at least r, and of lt[p, q], p < q, when
-    # its letter at p is below its letter at q.
-    digits = bytes.maketrans(b"\0\1", b"01")
-
-    def plane(bits):
-        return int(bytes(bits)[::-1].translate(digits), 2)
-
-    columns = list(zip(*itertools.permutations(range(k))))
-    at = [[plane(map(r.__le__, column)) for r in range(k + 1)] for column in columns]
+    # its letter at p is below its letter at q.  A plane of ``at`` is one
+    # translation of the letters at q, last tail first, into binary digits.
+    letters = bytes(range(k))
+    digits = [bytes.maketrans(letters, b"0" * r + b"1" * (k - r)) for r in range(k + 1)]
+    columns = [bytes(column)[::-1] for column in zip(*itertools.permutations(range(k)))]
+    at = [[int(column.translate(table), 2) for table in digits] for column in columns]
+    # tail[p] < tail[q] when tail[p] is some v and tail[q] is above v
     lt = {
-        (p, q): plane(map(operator.lt, columns[p], columns[q]))
+        (p, q): functools.reduce(
+            operator.or_, ((at[p][v] ^ at[p][v + 1]) & at[q][v + 1] for v in range(k))
+        )
         for p, q in itertools.combinations(range(k), 2)
     }
     return at, lt
@@ -661,7 +662,7 @@ def _pattern_column(n: int, head: tuple[int, ...], rest: list[int]) -> list[bool
     for a, x in enumerate(head):
         for b in range(a + 1, h):
             less[a][b] = full if x < head[b] else 0
-        r = sum(v < x for v in rest)  # x is below the tail letters ranked r on
+        r = sum(v < x for v in rest)  # x lies below the tail letters of rank r on
         for q in range(k):
             less[a][h + q] = at[q][r]
     for (p, q), plane in lt.items():

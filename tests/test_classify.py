@@ -686,6 +686,12 @@ class TestParabolicTable:
         assert info.currsize <= info.maxsize
 
 
+def block_of(n, head):
+    # the rest letters of the block of ``head`` in S_n, and its words
+    rest = sorted(set(range(1, n + 1)) - set(head))
+    return rest, [head + tail for tail in itertools.permutations(rest)]
+
+
 def scanned_lengths(monkeypatch, n, head):
     # The block of ``head`` in S_n, and the l(q) by which a scan of it
     # refuses, word by word: the rest of l(q) that it hands the length rule
@@ -703,8 +709,7 @@ def scanned_lengths(monkeypatch, n, head):
     monkeypatch.setattr(classify, "_room", record)
     monkeypatch.setitem(classify._DECIDERS, "none", (lambda word, entry: searched.append(word), True))
     classify._scan_block((n, head, ("none",)))
-    rest = sorted(set(range(1, n + 1)) - set(head))
-    block = [head + tail for tail in itertools.permutations(rest)]
+    rest, block = block_of(n, head)
     masks, _, inversions = classify._tail_masks(len(rest))
     assert len(rests) == 1 << (len(rest) - 1)
     lengths = [rests[mask] + inv for mask, inv in zip(masks, inversions)]
@@ -786,12 +791,6 @@ class TestLengthTable:
         assert counted_searches["walker"] == {"definition": 515}
 
 
-def pattern_block(n, head):
-    # the rest letters of the block of ``head`` in S_n, and its words
-    rest = sorted(set(range(1, n + 1)) - set(head))
-    return rest, [head + tail for tail in itertools.permutations(rest)]
-
-
 class TestPatternColumn:
     # A scan's pattern column, one walk of the catalog's trie over a
     # block's bit planes, pinned to the per-word search.
@@ -817,7 +816,7 @@ class TestPatternColumn:
         ]
         blocks += [(n, tuple(rng.sample(range(1, n + 1), n - 7))) for n in (9, 10, 11) for _ in range(3)]
         for n, head in blocks:
-            rest, words = pattern_block(n, head)
+            rest, words = block_of(n, head)
             column = classify._pattern_column(n, head, rest)
             assert column == [classify._catalog_certificate(w) is None for w in words], (n, head)
 
