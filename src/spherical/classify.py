@@ -44,13 +44,14 @@ that share their first n - 7 letters, at most 7! = 5,040 words each,
 which joined in order give the lexicographic stream; through degree 7
 S_n is one block, run in-process, since a pool costs more to start than
 such a scan takes.  Within a block it looks up the table entries once
-per tail mask (``_tail_masks``), runs backend by backend, compares the
-verdict columns, and times each backend and the lookups.  With the
-lookups it fills a length table, with no pass over any word: l(q) =
-l(w) - l(w0(J)), where l(w) is the inversions of the block's first word,
-the head followed by the rest in increasing order, plus those of the
-tail, from a table built with the tails' masks, and l(w0(J)) is one
-number per mask.  One rule, ``reduced_words._room``, says that a q with
+per tail mask, runs backend by backend, compares the verdict columns,
+and times each backend and the lookups.  What it reads about the tails,
+their masks, inversions and bit planes, is one table per process,
+``_tails``, read off the lexicographic order itself.  With the lookups
+it fills a length table, with no pass over any word: l(q) = l(w) -
+l(w0(J)), where l(w) is the inversions of the block's first word, the
+head followed by the rest in increasing order, plus those of the tail,
+from that table, and l(w0(J)) is one number per mask.  One rule, ``reduced_words._room``, says that a q with
 more than n - 1 letters has neither a repetition-free word nor one that
 fits the pools.  The scan reads it once per mask, as the most inversions
 a tail of the mask may have, and calls neither the ``boolean_quotient``
@@ -595,32 +596,27 @@ _BLOCK = 7
 
 
 @functools.cache
-def _tail_masks(k: int) -> tuple[list[int], list[int], list[int]]:
-    # The tails of a block, ``itertools.permutations`` of k letters in its
-    # order, grouped by the letters' relative order: each tail's mask has
-    # bit a set when its (a+1)-th smallest letter sits left of its
-    # (a+2)-th.  Returns the masks, tail by tail, the index of the first
-    # tail of each mask 0 .. 2^(k-1) - 1, every one of which occurs, and
-    # the inversions of each tail, tail by tail.
-    bits = [1 << a for a in range(k - 1)]
-    masks = []
-    firsts: dict[int, int] = {}
-    tails = list(itertools.permutations(range(k)))
-    for i, tail in enumerate(tails):
-        pos = sorted(range(k), key=tail.__getitem__)
-        mask = sum(itertools.compress(bits, map(operator.lt, pos, pos[1:])))
-        masks.append(mask)
-        firsts.setdefault(mask, i)
-    return masks, [firsts[mask] for mask in range(1 << (k - 1))], list(map(_length, tails))
-
-
-@functools.cache
-def _tail_planes(k: int) -> tuple[list[list[int]], dict[tuple[int, int], int]]:
-    # The tails of ``_tail_masks``, in its order, as bit planes, ints whose
-    # bit i stands for tail i: bit i of at[q][r] is set when tail i's
-    # letter at position q is at least r, and of lt[p, q], p < q, when
-    # its letter at p is below its letter at q.  A plane of ``at`` is one
-    # translation of the letters at q, last tail first, into binary digits.
+def _tails(k: int) -> tuple[list[int], list[int], list[int], list[list[int]], dict]:
+    # What a scan reads about the tails of a block, ``itertools.permutations``
+    # of k letters, in its order.  A tail's mask has bit a set when its
+    # (a+1)-th smallest letter sits left of its (a+2)-th.  Returns the
+    # masks, tail by tail, the index of the first tail of each mask
+    # 0 .. 2^(k-1) - 1, every one of which occurs, the inversions of each
+    # tail, and the tails as bit planes, ints whose bit i stands for tail
+    # i: bit i of at[q][r] is set when tail i's letter at position q is at
+    # least r, and of lt[p, q], p < q, when its letter at p is below its
+    # letter at q.
+    # The tails of m letters are, for each first letter d in turn, d and
+    # then the tails of the other m - 1: d lies left of d + 1 and right of
+    # d - 1, the bits of the letters above it move up past it, and it adds
+    # d inversions, its digit of the Lehmer code.
+    masks, inversions = [0], [0]
+    for m in range(2, k + 1):
+        masks = [sub & ((1 << d) - 1 >> 1) | sub >> d << d + 1 | (d < m - 1) << d
+                 for d in range(m) for sub in masks]
+        inversions = [d + x for d in range(m) for x in inversions]
+    # A plane of ``at`` is one translation of the letters at q, last tail
+    # first, into binary digits.
     letters = bytes(range(k))
     digits = [bytes.maketrans(letters, b"0" * r + b"1" * (k - r)) for r in range(k + 1)]
     columns = [bytes(column)[::-1] for column in zip(*itertools.permutations(range(k)))]
@@ -632,7 +628,7 @@ def _tail_planes(k: int) -> tuple[list[list[int]], dict[tuple[int, int], int]]:
         )
         for p, q in itertools.combinations(range(k), 2)
     }
-    return at, lt
+    return masks, list(map(masks.index, range(1 << (k - 1)))), inversions, at, lt
 
 
 def _catalog_trie() -> list:
@@ -655,7 +651,7 @@ def _pattern_column(n: int, head: tuple[int, ...], rest: list[int]) -> list[bool
     # and a branch ends where its plane is 0.  Words where a pattern ends
     # contain it; the others are spherical.
     h, k = len(head), len(rest)
-    at, lt = _tail_planes(k)
+    *_, at, lt = _tails(k)
     size = math.factorial(k)
     full = (1 << size) - 1
     less = [[0] * n for _ in range(n)]
@@ -714,7 +710,7 @@ def _scan_block(args: tuple[int, tuple[int, ...], tuple[str, ...]]) -> tuple:
     # no inversion).  So the rule gives each mask one limit, the most
     # inversions its tails may have, and each tail is compared with it.
     start = time.perf_counter()
-    masks, firsts, inversions = _tail_masks(len(rest))
+    masks, firsts, inversions, _, _ = _tails(len(rest))
     by_mask = [_parabolic_of(block[i]) for i in firsts]
     entries = list(map(by_mask.__getitem__, masks))
     base = _length(block[0])
@@ -790,6 +786,8 @@ def cross_check(
     '24 permutations, 24 spherical, 0 disagreements'
     """
     _check_degree(n)
+    if isinstance(backends, str):  # whose letters would read as names
+        raise ValueError(f"backends must be a sequence of names, not the string {backends!r}")
     names = tuple(backends)
     for k, b in enumerate(names):
         _check_backend(b)
@@ -808,13 +806,11 @@ def cross_check(
     heads = itertools.permutations(range(1, n + 1), max(n - _BLOCK, 0))
     if "pattern" in names:
         # the catalog's self-check runs here, not in pattern's first timed
-        # block, and forked workers inherit the checked catalog, its trie
-        # and the tails' planes, which pattern's column walks
+        # block, and forked workers inherit the checked catalog and its trie
         _catalog_trie()
-        _tail_planes(min(n, _BLOCK))
-    # so does the tails' mask table, built here and not in the first
+    # so does the table of the tails, built here and not in the first
     # block's lookup
-    _tail_masks(min(n, _BLOCK))
+    _tails(min(n, _BLOCK))
     results = _scan(_scan_block, [(n, head, names) for head in heads], jobs)
     bad = [item for _, _, block_bad, _, _ in results for item in block_bad]
     seconds = [sum(column) for column in zip(*(r[3] for r in results))]

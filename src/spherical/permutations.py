@@ -23,7 +23,7 @@ also its generator pools.  All of that depends on J alone, and S_n has
 per descent set, in one bounded cache that ``_parabolic_of`` reads for a
 word.  Every reader but ``longest_parabolic`` takes the entry from
 whoever holds the word, which looks it up once, or, in a scan, once for
-all the words of a block that share J (``classify._tail_masks``):
+all the words of a block that share J (``classify._tails``):
 ``_quotient``, the three backends' searches (``_repetition_free_word``,
 ``divisibility._first_witness`` and ``_fitting_quotient_word``, which
 ``classify._DECIDERS`` holds bare) and ``_after_parabolic_word``.  No

@@ -103,7 +103,7 @@ import math
 from typing import Iterator, Sequence
 
 from .permutations import (
-    Permutation, _code, _inverse, _length, _letters, _Parabolic, _parabolic_of,
+    Permutation, _check_degree, _code, _inverse, _length, _letters, _Parabolic, _parabolic_of,
 )
 
 WORD_ESTIMATE_LIMIT = 1_000_000
@@ -326,10 +326,12 @@ def word_to_permutation(letters: Sequence[int], degree: int) -> Permutation:
     >>> str(word_to_permutation((2, 1), 3))
     '312'
     """
+    _check_degree(degree)
     out = list(range(1, degree + 1))
     for i in letters:
-        if not 1 <= i <= degree - 1:
-            raise ValueError(f"letter {i} outside 1..{degree - 1}")
+        # ints only, as in ``_check_degree``: True would pass as letter 1
+        if type(i) is not int or not 1 <= i <= degree - 1:
+            raise ValueError(f"letter {i!r} is not an int in 1..{degree - 1}")
         out[i - 1], out[i] = out[i], out[i - 1]
     return Permutation(tuple(out))
 

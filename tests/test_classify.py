@@ -710,7 +710,7 @@ def scanned_lengths(monkeypatch, n, head):
     monkeypatch.setitem(classify._DECIDERS, "none", (lambda word, entry: searched.append(word), True))
     classify._scan_block((n, head, ("none",)))
     rest, block = block_of(n, head)
-    masks, _, inversions = classify._tail_masks(len(rest))
+    masks, _, inversions, _, _ = classify._tails(len(rest))
     assert len(rests) == 1 << (len(rest) - 1)
     lengths = [rests[mask] + inv for mask, inv in zip(masks, inversions)]
     assert searched == [word for word, length in zip(block, lengths) if length <= n - 1]
@@ -721,14 +721,35 @@ def quotient_length(word):
     return _length(_quotient(word, _parabolic_of(word)))
 
 
+class TestTails:
+    # The one table of what a scan reads about a block's tails, built from
+    # the lexicographic order, pinned field by field to each definition.
+
+    def test_every_field_equals_its_definition(self):
+        for k in range(1, 8):
+            tails = list(itertools.permutations(range(k)))
+            masks, firsts, inversions, at, lt = classify._tails(k)
+            # bit a: the tail's (a+1)-th smallest letter sits left of its (a+2)-th
+            positions = [sorted(range(k), key=tail.__getitem__) for tail in tails]
+            assert masks == [
+                sum(1 << a for a in range(k - 1) if pos[a] < pos[a + 1]) for pos in positions
+            ], k
+            assert set(masks) == set(range(1 << (k - 1))), k
+            assert len(firsts) == 1 << (k - 1)
+            for mask, first in enumerate(firsts):
+                assert masks[first] == mask and mask not in masks[:first], (k, mask)
+            assert inversions == [_length(t) for t in tails], k
+            assert len(at) == k and sorted(lt) == list(itertools.combinations(range(k), 2))
+            for q in range(k):
+                for r in range(k + 1):
+                    assert at[q][r] == sum(1 << i for i, t in enumerate(tails) if t[q] >= r)
+            for (p, q), plane in lt.items():
+                assert plane == sum(1 << i for i, t in enumerate(tails) if t[p] < t[q]), (k, p, q)
+
+
 class TestLengthTable:
     # The scan's l(q) = l(head + sorted(rest)) + inv(tail) - l(w0(J)),
     # pinned to ``_length`` part by part, and word by word through S_8.
-
-    def test_tail_inversions_equal_the_length_of_each_tail(self):
-        for k in range(1, 8):
-            inversions = classify._tail_masks(k)[2]
-            assert inversions == [_length(t) for t in itertools.permutations(range(k))], k
 
     def test_w0_length_of_every_descent_set_to_degree_nine(self):
         # the scan reads l(w0(J)) as the inversions of ``shifted``, whose
@@ -742,7 +763,7 @@ class TestLengthTable:
         # each of S_9's 72 blocks: every word's l(q) is the block's base,
         # ``_length(head + sorted(rest))``, plus its tail's inversions less
         # l(w0(J)), read once per tail mask, whose words share J(w)
-        masks, firsts, inversions = classify._tail_masks(7)
+        masks, firsts, inversions, _, _ = classify._tails(7)
         heads = list(itertools.permutations(range(1, 10), 2))
         assert len(heads) == 72
         for head in heads:
@@ -762,13 +783,13 @@ class TestLengthTable:
         # every tail's inversions raised by n: the quotient backends refuse
         # every word, while pattern and divisibility, which never read the
         # lengths, still find S_6's 400 spherical words
-        tail_masks = classify._tail_masks
+        tails = classify._tails
 
         def raised(k):
-            masks, firsts, inversions = tail_masks(k)
-            return masks, firsts, [inv + 6 for inv in inversions]
+            masks, firsts, inversions, at, lt = tails(k)
+            return masks, firsts, [inv + 6 for inv in inversions], at, lt
 
-        monkeypatch.setattr(classify, "_tail_masks", raised)
+        monkeypatch.setattr(classify, "_tails", raised)
         report = cross_check(6, BACKENDS)
         assert (report.spherical, report.disagreement_count) == (400, 400)
         spherical = [w for w in symmetric_group(6) if is_spherical(w, "divisibility")]
@@ -794,17 +815,6 @@ class TestLengthTable:
 class TestPatternColumn:
     # A scan's pattern column, one walk of the catalog's trie over a
     # block's bit planes, pinned to the per-word search.
-
-    def test_tail_planes_equal_direct_comparisons(self):
-        for k in range(1, 8):
-            tails = list(itertools.permutations(range(k)))
-            at, lt = classify._tail_planes(k)
-            assert len(at) == k and sorted(lt) == list(itertools.combinations(range(k), 2))
-            for q in range(k):
-                for r in range(k + 1):
-                    assert at[q][r] == sum(1 << i for i, t in enumerate(tails) if t[q] >= r)
-            for (p, q), plane in lt.items():
-                assert plane == sum(1 << i for i, t in enumerate(tails) if t[p] < t[q]), (k, p, q)
 
     def test_every_block_of_s1_to_s8_and_seeded_heads_to_degree_eleven(self):
         catalog()
@@ -938,6 +948,11 @@ class TestCrossCheck:
     def test_unknown_backend_rejected(self):
         with pytest.raises(ValueError):
             cross_check(3, ("pattern", "astral"))
+
+    def test_a_string_of_names_rejected(self):
+        # a str is the sequence of its letters, once refused as backend 'p'
+        with pytest.raises(ValueError, match="not the string 'pattern,divisibility'"):
+            cross_check(5, "pattern,divisibility")
 
     def test_degree_validation(self):
         with pytest.raises(ValueError):

@@ -374,6 +374,13 @@ class TestWordHelpers:
     def test_word_to_permutation_rejects_bad_letters(self):
         with pytest.raises(ValueError):
             word_to_permutation((3,), 3)
+        # ints only: True passed as letter 1, and 1.0 raised TypeError
+        for letters in [(True,), (1.0,), (1, 2.0), ("1",)]:
+            with pytest.raises(ValueError, match="is not an int"):
+                word_to_permutation(letters, 3)
+        for degree in [3.0, True, "3", 0]:
+            with pytest.raises(ValueError, match="degree must be"):
+                word_to_permutation((1,), degree)
 
 
 class TestBooleanByWords:
