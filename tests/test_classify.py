@@ -725,10 +725,13 @@ class TestTails:
     # The one table of what a scan reads about a block's tails, built from
     # the lexicographic order, pinned field by field to each definition.
 
-    def test_every_field_equals_its_definition(self):
+    # Its inversions are pinned in ``TestLengthTable`` and its planes in
+    # ``TestPatternColumn``, beside the scans that read them.
+
+    def test_masks_and_firsts_equal_their_definitions(self):
         for k in range(1, 8):
             tails = list(itertools.permutations(range(k)))
-            masks, firsts, inversions, at, lt = classify._tails(k)
+            masks, firsts, _, _, _ = classify._tails(k)
             # bit a: the tail's (a+1)-th smallest letter sits left of its (a+2)-th
             positions = [sorted(range(k), key=tail.__getitem__) for tail in tails]
             assert masks == [
@@ -738,18 +741,16 @@ class TestTails:
             assert len(firsts) == 1 << (k - 1)
             for mask, first in enumerate(firsts):
                 assert masks[first] == mask and mask not in masks[:first], (k, mask)
-            assert inversions == [_length(t) for t in tails], k
-            assert len(at) == k and sorted(lt) == list(itertools.combinations(range(k), 2))
-            for q in range(k):
-                for r in range(k + 1):
-                    assert at[q][r] == sum(1 << i for i, t in enumerate(tails) if t[q] >= r)
-            for (p, q), plane in lt.items():
-                assert plane == sum(1 << i for i, t in enumerate(tails) if t[p] < t[q]), (k, p, q)
 
 
 class TestLengthTable:
     # The scan's l(q) = l(head + sorted(rest)) + inv(tail) - l(w0(J)),
     # pinned to ``_length`` part by part, and word by word through S_8.
+
+    def test_tail_inversions_equal_the_length_of_each_tail(self):
+        for k in range(1, 8):
+            inversions = classify._tails(k)[2]
+            assert inversions == [_length(t) for t in itertools.permutations(range(k))], k
 
     def test_w0_length_of_every_descent_set_to_degree_nine(self):
         # the scan reads l(w0(J)) as the inversions of ``shifted``, whose
@@ -815,6 +816,17 @@ class TestLengthTable:
 class TestPatternColumn:
     # A scan's pattern column, one walk of the catalog's trie over a
     # block's bit planes, pinned to the per-word search.
+
+    def test_tail_planes_equal_direct_comparisons(self):
+        for k in range(1, 8):
+            tails = list(itertools.permutations(range(k)))
+            _, _, _, at, lt = classify._tails(k)
+            assert len(at) == k and sorted(lt) == list(itertools.combinations(range(k), 2))
+            for q in range(k):
+                for r in range(k + 1):
+                    assert at[q][r] == sum(1 << i for i, t in enumerate(tails) if t[q] >= r)
+            for (p, q), plane in lt.items():
+                assert plane == sum(1 << i for i, t in enumerate(tails) if t[p] < t[q]), (k, p, q)
 
     def test_every_block_of_s1_to_s8_and_seeded_heads_to_degree_eleven(self):
         catalog()
