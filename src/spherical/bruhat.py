@@ -9,7 +9,7 @@ Boolean-lattice recognizer reads the covers it recorded.
 
 from __future__ import annotations
 
-from .permutations import Permutation, _Frozen
+from .permutations import Permutation, _check_int, _check_same_degree, _Frozen
 
 DEFAULT_RANK_BOUND = 12
 
@@ -17,8 +17,7 @@ DEFAULT_RANK_BOUND = 12
 def first_dominance_failure(v: Permutation, w: Permutation) -> int | None:
     """Smallest prefix index i at which v's sorted prefix values fail to be
     dominated by w's, or None when v <= w in Bruhat order."""
-    if v.degree != w.degree:
-        raise ValueError(f"degree mismatch: {v.degree} vs {w.degree}")
+    _check_same_degree(v, w)
     vo, wo = v.oneline, w.oneline
     if vo == wo:
         return None
@@ -101,9 +100,7 @@ def build_interval(w: Permutation, rank_bound: int = DEFAULT_RANK_BOUND) -> Bruh
     >>> len(iv.elements), len(iv.covers)
     (4, 4)
     """
-    # ints only, as in ``_check_degree``: True would pass for 1
-    if type(rank_bound) is not int:
-        raise ValueError(f"rank_bound must be an int, not {type(rank_bound).__name__}")
+    _check_int("rank_bound", rank_bound)
     rank = w.length()
     if rank > rank_bound:
         raise ValueError(f"interval rank {rank} exceeds bound {rank_bound}")

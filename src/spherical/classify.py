@@ -85,7 +85,8 @@ from .permutations import (
     Permutation,
     _Frozen,
     _Parabolic,
-    _check_degree,
+    _check_bound,
+    _check_int,
     _length,
     _parabolic_of,
     _quotient,
@@ -415,7 +416,8 @@ BACKENDS = tuple(_DECIDERS)
 
 
 def _check_backend(backend: str) -> None:
-    if backend not in _DECIDERS:
+    # a str test first: an unhashable name would raise a TypeError in the lookup
+    if type(backend) is not str or backend not in _DECIDERS:
         raise ValueError(f"unknown backend {backend!r}; expected one of {BACKENDS}")
 
 
@@ -745,25 +747,25 @@ def _scan_block(args: tuple[int, tuple[int, ...], tuple[str, ...]]) -> tuple:
 def _scan(work: Callable, chunks: list, jobs: int) -> list:
     """Apply ``work`` to every chunk, on at most ``jobs`` worker processes;
     the results come back in chunk order."""
-    if type(jobs) is not int:
-        raise ValueError(f"jobs must be an int, not {type(jobs).__name__}")
-    if jobs < 1:
-        raise ValueError("jobs must be at least 1")
+    _check_int("jobs", jobs, 1)
     workers = min(jobs, len(chunks), os.cpu_count() or 1)
-    if workers < 2:
-        return [work(c) for c in chunks]
-    # Imported here: a fifth of the package's import time, for pools only.
-    from concurrent.futures import ProcessPoolExecutor
-    from concurrent.futures.process import BrokenProcessPool
+    done: list = []
+    if workers > 1:
+        # Imported here: a fifth of the package's import time, for pools only.
+        from concurrent.futures import ProcessPoolExecutor
+        from concurrent.futures.process import BrokenProcessPool
 
-    # A host without the named semaphores a pool needs refuses it with
-    # NotImplementedError before any worker starts.
-    try:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(work, chunks))
-    except (OSError, NotImplementedError, BrokenProcessPool) as err:
-        warnings.warn(f"process pool unavailable ({err}); scanning serially")
-        return [work(c) for c in chunks]
+        # A host without the named semaphores a pool needs refuses it with
+        # NotImplementedError before any worker starts.  The map yields in
+        # chunk order, so ``done`` keeps the results a broken pool returned
+        # before it broke, and only the rest run serially.
+        try:
+            with ProcessPoolExecutor(max_workers=workers) as pool:
+                done.extend(pool.map(work, chunks))
+        except (OSError, NotImplementedError, BrokenProcessPool) as err:
+            warnings.warn(f"process pool unavailable ({err}); "
+                          f"scanning serially from chunk {len(done) + 1} of {len(chunks)}")
+    return done + [work(c) for c in chunks[len(done):]]
 
 
 def cross_check(
@@ -785,7 +787,7 @@ def cross_check(
     >>> cross_check(4).summary_line()
     '24 permutations, 24 spherical, 0 disagreements'
     """
-    _check_degree(n)
+    _check_int("degree", n, 1)
     if isinstance(backends, str):  # whose letters would read as names
         raise ValueError(f"backends must be a sequence of names, not the string {backends!r}")
     names = tuple(backends)
@@ -795,12 +797,7 @@ def cross_check(
             raise ValueError(f"backend {b!r} is listed twice")
     if len(names) < 2:
         raise ValueError("a cross-check needs at least two distinct backends")
-    bound = DEFAULT_CROSSCHECK_BOUND
-    if n > bound and not force:
-        raise ValueError(
-            f"degree {n} exceeds the exhaustive bound {bound}; "
-            "pass --force (force=True) to run anyway"
-        )
+    _check_bound(n, DEFAULT_CROSSCHECK_BOUND, force, "exhaustive")
     # The heads come in lexicographic order, so the blocks joined in order
     # give the lexicographic stream and disagreements keep their order.
     heads = itertools.permutations(range(1, n + 1), max(n - _BLOCK, 0))

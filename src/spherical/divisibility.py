@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from typing import NamedTuple, Sequence
 
-from .permutations import Permutation
+from .permutations import Permutation, _check_same_degree
 
 
 class DivisibilityWitness(NamedTuple):
@@ -44,8 +44,7 @@ def is_divisible(v: Permutation, w: Permutation) -> DivisibilityWitness | None:
     >>> is_divisible(Permutation.identity(3), Permutation.identity(3)) is None
     True
     """
-    if v.degree != w.degree:
-        raise ValueError(f"degree mismatch: {v.degree} vs {w.degree}")
+    _check_same_degree(v, w)
     found = _first_witness(w.oneline, ((0, *v.oneline),))
     return None if found is None else DivisibilityWitness(*found)
 

@@ -162,7 +162,7 @@ class Permutation(_Frozen):
         >>> str(Permutation.identity(3))
         '123'
         """
-        _check_degree(n)
+        _check_int("degree", n, 1)
         return cls(tuple(range(1, n + 1)))
 
     @classmethod
@@ -198,10 +198,7 @@ class Permutation(_Frozen):
 
     def __call__(self, i: int) -> int:
         """The value w(i), with i in 1..n."""
-        # ints only, as in ``Permutation``: True would pass for 1, and 1.0
-        # would fail with a TypeError
-        if type(i) is not int:
-            raise ValueError(f"position must be an int, not {type(i).__name__}")
+        _check_int("position", i)
         if not 1 <= i <= self.degree:
             raise ValueError(f"position {i} outside 1..{self.degree}")
         return self.oneline[i - 1]
@@ -214,10 +211,7 @@ class Permutation(_Frozen):
         """
         if not isinstance(other, Permutation):
             return NotImplemented
-        if self.degree != other.degree:
-            raise ValueError(
-                f"degree mismatch: {self.degree} vs {other.degree}"
-            )
+        _check_same_degree(self, other)
         u = self.oneline
         return Permutation(tuple(u[j - 1] for j in other.oneline))
 
@@ -243,13 +237,27 @@ class Permutation(_Frozen):
         return GeneratorSet(self.degree, frozenset(_left_descents(self.oneline)))
 
 
-def _check_degree(n: int) -> None:
-    # ints only, as in ``Permutation``: 4.0 would fail later with a
-    # TypeError, and True would pass for degree 1
-    if type(n) is not int:
-        raise ValueError(f"degree must be an int, not {type(n).__name__}")
-    if n < 1:
-        raise ValueError("degree must be at least 1")
+# The package's refusals of a value that is not an int, of two degrees
+# that differ and of a scan past its bound, each worded here once for
+# every entry point.
+def _check_int(name: str, value: object, least: int | None = None) -> None:
+    # ints only, as in ``Permutation``: True would pass for 1, and 4.0
+    # would pass some checks and fail later with a TypeError
+    if type(value) is not int:
+        raise ValueError(f"{name} must be an int, not {type(value).__name__}")
+    if least is not None and value < least:
+        raise ValueError(f"{name} must be at least {least}")
+
+
+def _check_same_degree(v: Permutation, w: Permutation) -> None:
+    if v.degree != w.degree:
+        raise ValueError(f"degree mismatch: {v.degree} vs {w.degree}")
+
+
+def _check_bound(n: int, bound: int, force: bool, what: str) -> None:
+    if n > bound and not force:
+        raise ValueError(f"degree {n} exceeds the {what} bound {bound}; "
+                         "pass --force (force=True) to run anyway")
 
 
 def _code(word: Sequence[int]) -> list[int]:
@@ -298,8 +306,8 @@ class GeneratorSet(_Frozen):
 
     def __init__(self, degree: int, members: frozenset[int] = frozenset()) -> None:
         members = frozenset(members)
-        _check_degree(degree)
-        # ints only, as in ``Permutation``: equality alone would take 2.0
+        _check_int("degree", degree, 1)
+        # ints only, as in ``_check_int``: equality alone would take 2.0
         # and True for 2 and 1
         bad = [i for i in members if type(i) is not int or not 1 <= i <= degree - 1]
         if bad:
@@ -413,6 +421,8 @@ def relative_order(values: Sequence[int]) -> tuple[int, ...]:
     (3, 2, 1)
     """
     rank = {v: r for r, v in enumerate(sorted(values), start=1)}
+    if len(rank) < len(values):
+        raise ValueError(f"repeated values form no pattern: {tuple(values)!r}")
     return tuple(rank[v] for v in values)
 
 

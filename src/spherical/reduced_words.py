@@ -103,7 +103,7 @@ import math
 from typing import Iterator, Sequence
 
 from .permutations import (
-    Permutation, _check_degree, _code, _inverse, _length, _letters, _Parabolic, _parabolic_of,
+    Permutation, _check_int, _code, _inverse, _length, _letters, _Parabolic, _parabolic_of,
 )
 
 WORD_ESTIMATE_LIMIT = 1_000_000
@@ -311,11 +311,10 @@ def enumerate_reduced_words(
                 f"{w} has more than {cap} reduced words; "
                 "pass --limit (limit=N) to enumerate anyway"
             )
-    # ints only, as in ``_check_degree``: True would list one word
-    elif type(limit) is not int:
-        raise ValueError(f"limit must be an int, not {type(limit).__name__}")
-    elif limit < 0:
-        raise ValueError("limit must be nonnegative")
+    else:
+        _check_int("limit", limit)
+        if limit < 0:
+            raise ValueError("limit must be nonnegative")
     words = _reduced_words(w.oneline, _letters(w.degree), (0,) * w.degree, (w.length(),))
     return list(itertools.islice(words, limit))
 
@@ -326,10 +325,10 @@ def word_to_permutation(letters: Sequence[int], degree: int) -> Permutation:
     >>> str(word_to_permutation((2, 1), 3))
     '312'
     """
-    _check_degree(degree)
+    _check_int("degree", degree, 1)
     out = list(range(1, degree + 1))
     for i in letters:
-        # ints only, as in ``_check_degree``: True would pass as letter 1
+        # ints only, as in ``_check_int``: True would pass as letter 1
         if type(i) is not int or not 1 <= i <= degree - 1:
             raise ValueError(f"letter {i!r} is not an int in 1..{degree - 1}")
         out[i - 1], out[i] = out[i], out[i - 1]

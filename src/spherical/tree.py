@@ -26,7 +26,7 @@ import operator
 from typing import NamedTuple, Sequence
 
 from .classify import _scan, catalog
-from .permutations import _check_degree
+from .permutations import _check_bound, _check_int
 
 DENSITY_BOUND = 10
 
@@ -220,12 +220,8 @@ def density_table(
     >>> density_table(5)[-1]
     DensityRow(n=5, spherical=99, total=120, ratio=0.825)
     """
-    _check_degree(max_n)
-    if max_n > DENSITY_BOUND and not force:
-        raise ValueError(
-            f"degree {max_n} exceeds the density bound {DENSITY_BOUND}; "
-            "pass --force (force=True) to run anyway"
-        )
+    _check_int("degree", max_n, 1)
+    _check_bound(max_n, DENSITY_BOUND, force, "density")
     top = max_n if max_n <= 5 else min(5, max_n - 2)
     roots = _seed(top)
     counts = [math.factorial(k) for k in range(1, top)] + [len(roots)]

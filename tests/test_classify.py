@@ -3,6 +3,7 @@ import itertools
 import math
 import pickle
 import random
+import re
 import sys
 import time
 import tracemalloc
@@ -240,10 +241,12 @@ class TestBackends:
                     assert is_spherical(w, b) == is_spherical(flipped, b), (str(w), b)
 
     def test_unknown_backend(self):
-        with pytest.raises(ValueError):
-            is_spherical(Permutation.identity(3), "astral")
-        with pytest.raises(ValueError):
-            explain(Permutation.identity(3), "astral")
+        # a list or dict as a name once raised TypeError in the dict lookup
+        for name in ("astral", ["pattern"], {"a": 1}):
+            with pytest.raises(ValueError, match=re.escape(f"unknown backend {name!r}")):
+                is_spherical(Permutation.identity(3), name)
+            with pytest.raises(ValueError, match=re.escape(f"unknown backend {name!r}")):
+                explain(Permutation.identity(3), name)
 
     def test_quotient_gains_321_from_sub321_containment(self):
         # containing a pattern from the 321 half forces a 321 in the
@@ -958,8 +961,9 @@ class TestCrossCheck:
             cross_check(5, BACKENDS + ("definition",))
 
     def test_unknown_backend_rejected(self):
-        with pytest.raises(ValueError):
-            cross_check(3, ("pattern", "astral"))
+        for name in ("astral", ["pattern"], {"a": 1}):
+            with pytest.raises(ValueError, match=re.escape(f"unknown backend {name!r}")):
+                cross_check(3, ("pattern", name))
 
     def test_a_string_of_names_rejected(self):
         # a str is the sequence of its letters, once refused as backend 'p'
@@ -999,6 +1003,50 @@ class TestCrossCheck:
         with pytest.warns(UserWarning, match="scanning serially"):
             fallback = cross_check(5, jobs=3)
         assert fallback == serial
+
+    @pytest.mark.parametrize("returned", [0, 1, 4])
+    def test_broken_pool_runs_each_chunk_once(self, monkeypatch, returned):
+        # A pool that returns some chunks in order and then breaks, as one
+        # does when a worker dies: the serial run starts from the first
+        # chunk it did not return, so every chunk runs exactly once.
+        class PoolBrokenAfter:
+            def __init__(self, max_workers):
+                pass
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                yield from map(fn, items[:returned])
+                raise BrokenProcessPool("a worker died")
+
+        runs = []
+
+        def counted(work):
+            def run(chunk):
+                runs.append(repr(chunk))
+                return work(chunk)
+            return run
+
+        monkeypatch.setattr(classify, "_BLOCK", 4)
+        monkeypatch.setattr(tree, "DENSITY_BOUND", 6)
+        serial_report, serial_rows = cross_check(5), density_table(7, force=True)
+        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", PoolBrokenAfter)
+        monkeypatch.setattr("spherical.classify.os.cpu_count", lambda: 8)
+        monkeypatch.setattr(classify, "_scan_block", counted(classify._scan_block))
+        monkeypatch.setattr(tree, "_count_subtree", counted(tree._count_subtree))
+        # S_5 in blocks of 4! words is 5 chunks, one per first value
+        with pytest.warns(UserWarning, match=f"scanning serially from chunk {returned + 1} of 5$"):
+            assert cross_check(5, jobs=3) == serial_report
+        assert len(runs) == len(set(runs)) == 5
+        runs.clear()
+        # from the bound up each spherical root of degree 5 is a chunk
+        with pytest.warns(UserWarning, match=f"scanning serially from chunk {returned + 1} of 99$"):
+            assert density_table(7, force=True, jobs=2) == serial_rows
+        assert len(runs) == len(set(runs)) == 99
 
     @pytest.mark.parametrize(
         "jobs, cpus, workers", [(3, 8, 3), (30, 2, 2), (30, None, 1)]

@@ -69,6 +69,32 @@ def test_generating_tree_stays_apart_from_the_deciders():
     assert not {name for name in named if name in deciders or name.startswith("_by_")}
 
 
+def test_each_refusal_is_worded_once():
+    # Each of these refusals is worded by one helper in permutations, which
+    # every other site calls, so no copy can drift from it.
+    package = Path(spherical.__file__).resolve().parent
+    phrases = ("must be an int, not", "degree mismatch", "pass --force")
+    found = {phrase: set() for phrase in phrases}
+
+    def visit(node, module, function):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            function = node.name
+        if isinstance(node, ast.Constant) and isinstance(node.value, str):
+            for phrase in phrases:
+                if phrase in node.value:
+                    found[phrase].add((module, function))
+        for child in ast.iter_child_nodes(node):
+            visit(child, module, function)
+
+    for path in sorted(package.glob("*.py")):
+        visit(ast.parse(path.read_text(), str(path)), path.stem, None)
+    assert found == {
+        "must be an int, not": {("permutations", "_check_int")},
+        "degree mismatch": {("permutations", "_check_same_degree")},
+        "pass --force": {("permutations", "_check_bound")},
+    }
+
+
 def test_cli_takes_only_what_it_runs_from_classify():
     # the verbs decide, describe, cross-check and list the catalog; every
     # refusal comes from inside the library calls, none from a helper

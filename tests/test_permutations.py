@@ -1,11 +1,15 @@
 import copy
 import itertools
+import operator
 import pickle
 import random
+import re
 
 import pytest
 from hypothesis import given, strategies as st
 
+from spherical.bruhat import first_dominance_failure
+from spherical.divisibility import is_divisible
 from spherical.permutations import (
     GeneratorSet,
     Permutation,
@@ -182,6 +186,15 @@ class TestGroupOperations:
         with pytest.raises(ValueError):
             Permutation((1, 2)) * Permutation((1, 2, 3))
 
+    @pytest.mark.parametrize(
+        "pair", [operator.mul, first_dominance_failure, is_divisible],
+        ids=["compose", "bruhat", "divisibility"],
+    )
+    def test_degree_mismatch_text(self, pair):
+        # every pair of permutations is refused in the one wording
+        with pytest.raises(ValueError, match="^degree mismatch: 2 vs 3$"):
+            pair(Permutation((2, 1)), Permutation((1, 3, 2)))
+
     def test_inverse(self):
         assert Permutation((2, 3, 1)).inverse().oneline == (3, 1, 2)
         e = Permutation.identity(4)
@@ -281,6 +294,13 @@ class TestPatterns:
     def test_relative_order(self):
         assert relative_order((5, 4, 2)) == (3, 2, 1)
         assert relative_order((2, 9, 4)) == (1, 3, 2)
+
+    def test_relative_order_refuses_repeated_values(self):
+        # ranks of repeated values once came out as (3, 1, 3) and (2, 2)
+        for values in ((3, 1, 3), (5, 5), [4, 4, 1]):
+            text = f"repeated values form no pattern: {tuple(values)!r}"
+            with pytest.raises(ValueError, match=f"^{re.escape(text)}$"):
+                relative_order(values)
 
     def test_occurrences_of_321(self):
         w = Permutation((3, 5, 1, 4, 2))
